@@ -25,8 +25,9 @@ from .combinatorial import (
     match_coloring,
     mv_lower_bound,
     pitt_coloring,
+    recolor_uncovered,
 )
-from .hypergraph import EdgeColoredHypergraph, objective_cost, validate
+from .hypergraph import EdgeColoredHypergraph, build_incidence, objective_cost, validate
 from .oracle import bruteforce_ecc
 from .instances import (
     ParseError,
@@ -126,20 +127,31 @@ def _load_instance(args) -> tuple[EdgeColoredHypergraph, list[int] | None, str]:
     """Load from canonical text or, with --labels, the benchmark two-file format."""
     name = os.path.splitext(os.path.basename(args.instance))[0]
     try:
-        if getattr(args, "labels", None):
-            truth_text = _read(args.node_labels) if getattr(args, "node_labels", None) else None
+        if args.labels:
+            truth_text = _read(args.node_labels) if args.node_labels else None
             h, truth = parse_benchmark(_read(args.instance), _read(args.labels), truth_text)
         else:
             h = parse_canonical(_read(args.instance))
             truth = None
             if getattr(args, "truth", None):
-                truth = [int(t) for t in _read(args.truth).split()]
+                truth = _read_truth(args.truth)
     except ParseError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     problems = validate(h)
     if problems:
         raise CliError("invalid instance: " + "; ".join(problems[:5]), EXIT_PARSE)
+    if truth is not None and len(truth) != h.num_nodes:
+        raise CliError(
+            f"truth file has {len(truth)} colors but instance has {h.num_nodes} nodes", EXIT_PARSE
+        )
     return h, truth, name
+
+
+def _read_truth(path: str) -> list[int]:
+    try:
+        return [int(t) for t in _read(path).split()]
+    except ValueError:
+        raise CliError(f"{path}: non-integer token in truth file", EXIT_PARSE) from None
 
 
 def _parse_interval(text: str) -> Interval:
@@ -176,85 +188,81 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _lp_solution(h, args):
-    lp = build_ecc_lp(h)
-    if args.solution:
-        vector = parse_primal_text(lp, _read(args.solution))
-        return extract_ecc_solution(h, vector)
+def _primal(lp, solution: str | None, flag: str):
+    """Primal vector of ``lp``: read from the ``solution`` file, or solved here.
+
+    Models above ``SOLVER_VAR_LIMIT`` variables are refused with the capacity
+    exit code; ``flag`` names the option that supplies an external solution.
+    """
+    if solution:
+        return parse_primal_text(lp, _read(solution))
     if lp.num_vars > SOLVER_VAR_LIMIT:
         raise CliError(
             f"LP has {lp.num_vars} variables, above the reference-solver limit "
-            f"({SOLVER_VAR_LIMIT}); use 'minecc export' and supply --solution",
+            f"({SOLVER_VAR_LIMIT}); use 'minecc export' and supply {flag}",
             EXIT_CAPACITY,
         )
-    return extract_ecc_solution(h, solve(lp).require_optimal())
+    return solve(lp).require_optimal().x
 
 
-def _one_run(h, args, algo: str, seed: int, shuffled: bool, lp_sol):
-    """Run one algorithm once; returns (coloring, bounds).
+def _one_run(h, args, algo: str, seed: int, shuffled: bool, lp_sol, inc):
+    """Run one algorithm once; returns (coloring, match_bound, mv_bound).
 
     ``shuffled`` switches the deletion algorithms to a seed-derived node visit
     order (the best-of-N protocol); single runs visit nodes in ascending order.
     """
     order_seed = seed if shuffled else None
-    lp_bound = match_bound = mv_bound = None
+    match_bound = mv_bound = None
     if algo == "mv":
         coloring = majority_vote(h)
         mv_bound = mv_lower_bound(h, coloring)
     elif algo == "pitt":
-        _, coloring = pitt_coloring(h, seed, order_seed=order_seed)
+        _, coloring = pitt_coloring(h, seed, order_seed, inc)
     elif algo == "match":
-        _, coloring, match_bound = match_coloring(h, order_seed=order_seed)
+        _, coloring, match_bound = match_coloring(h, order_seed, inc)
     elif algo == "hybrid":
-        _, _, match_bound = match_coloring(h, order_seed=order_seed)
-        coloring = hybrid(h, order_seed=order_seed)
-        mv_bound = mv_lower_bound(h, majority_vote(h))
+        # hybrid() step by step, keeping the bounds of both steps
+        dels, base, match_bound = match_coloring(h, order_seed, inc)
+        mv = majority_vote(h)
+        coloring = recolor_uncovered(h, dels, base, mv)
+        mv_bound = mv_lower_bound(h, mv)
     elif algo == "lp-simple":
-        coloring, lp_bound = simple_round(lp_sol), lp_sol.objective
+        coloring = simple_round(lp_sol)
     elif algo == "lp":
         if args.interval:
             interval = _parse_interval(args.interval)
         else:
             interval = best_interval(h.num_colors, max(h.rank, 2)).interval
-        coloring, lp_bound = gen_color_round(h, lp_sol, interval, seed), lp_sol.objective
+        coloring = gen_color_round(h, lp_sol, interval, seed)
     elif algo == "exact":
         coloring = list(bruteforce_ecc(h, cap=_oracle_cap()).witness)
     else:
         raise CliError(f"unknown algorithm {algo!r}", EXIT_PARSE)
-    return coloring, lp_bound, match_bound, mv_bound
+    return coloring, match_bound, mv_bound
 
 
 def cmd_solve(args) -> int:
     h, truth, name = _load_instance(args)
     algo = args.algo
-    with_lp = args.with_lp_bound and algo not in ("lp", "lp-simple")
 
     t0 = time.perf_counter()
-    lp_sol = _lp_solution(h, args) if algo in ("lp", "lp-simple") else None
+    lp_sol = None
+    if algo in ("lp", "lp-simple") or args.with_lp_bound:
+        lp_sol = extract_ecc_solution(h, _primal(build_ecc_lp(h), args.solution, "--solution"))
+    inc = build_incidence(h) if algo in ("pitt", "match", "hybrid") else None
     best = None
     for trial in range(max(args.runs, 1)):
         seed = args.seed + trial
-        coloring, lp_bound, match_bound, mv_bound = _one_run(
-            h, args, algo, seed, shuffled=args.runs > 1, lp_sol=lp_sol
+        coloring, match_bound, mv_bound = _one_run(
+            h, args, algo, seed, args.runs > 1, lp_sol, inc
         )
-        cost = objective_cost(h, coloring).total_cost
-        if best is None or cost < best[0]:
-            best = (cost, seed, coloring, lp_bound, match_bound, mv_bound)
+        report = objective_cost(h, coloring, truth)
+        if best is None or report.total_cost < best[0].total_cost:
+            best = (report, seed, match_bound, mv_bound)
     seconds = time.perf_counter() - t0
 
-    cost, seed, coloring, lp_bound, match_bound, mv_bound = best
-    if with_lp:
-        lp = build_ecc_lp(h)
-        if args.solution:
-            lp_bound = solution_from_vector(h, parse_primal_text(lp, _read(args.solution))).objective
-        elif lp.num_vars <= SOLVER_VAR_LIMIT:
-            lp_bound = float(solve(lp).require_optimal().value)
-        else:
-            raise CliError(
-                "instance too large for the reference LP solver; supply --solution",
-                EXIT_CAPACITY,
-            )
-    report = objective_cost(h, coloring, truth)
+    report, seed, match_bound, mv_bound = best
+    lp_bound = lp_sol.objective if lp_sol is not None else None
     bounds = LowerBoundBundle(lp_bound, match_bound, mv_bound)
     ratio = None
     if report.total_cost == 0 or bounds.best() is not None:
@@ -295,7 +303,12 @@ def _emit_records(records, fmt: str, output: str | None) -> None:
 
 
 def cmd_bench_scaling(args) -> int:
-    sizes = [int(float(s)) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(float(s)) for s in args.sizes.split(",")]
+    except ValueError:
+        raise CliError(
+            f"bad --sizes {args.sizes!r}, expected comma-separated numbers", EXIT_PARSE
+        ) from None
     rows = []
     for target in sizes:
         avg_size = (2 + args.max_size) / 2
@@ -332,26 +345,8 @@ def cmd_compare_lp(args) -> int:
     h, _, name = _load_instance(args)
     ecc_lp = build_ecc_lp(h)
     mc_lp = build_nodemc_lp(h)
-    if args.ecc_solution:
-        ecc_value = ecc_lp.value_of(parse_primal_text(ecc_lp, _read(args.ecc_solution)))
-    else:
-        if ecc_lp.num_vars > SOLVER_VAR_LIMIT:
-            raise CliError(
-                "clustering LP too large for the reference solver; use 'minecc export' "
-                "and pass --ecc-solution",
-                EXIT_CAPACITY,
-            )
-        ecc_value = float(solve(ecc_lp).require_optimal().value)
-    if args.nodemc_solution:
-        mc_value = mc_lp.value_of(parse_primal_text(mc_lp, _read(args.nodemc_solution)))
-    else:
-        if mc_lp.num_vars > SOLVER_VAR_LIMIT:
-            raise CliError(
-                "multiway-cut LP too large for the reference solver; use 'minecc export' "
-                "and pass --nodemc-solution",
-                EXIT_CAPACITY,
-            )
-        mc_value = float(solve(mc_lp).require_optimal().value)
+    ecc_value = ecc_lp.value_of(_primal(ecc_lp, args.ecc_solution, "--ecc-solution"))
+    mc_value = mc_lp.value_of(_primal(mc_lp, args.nodemc_solution, "--nodemc-solution"))
     gap = ecc_value - mc_value
     print(f"dataset={name} ecc_lp={ecc_value:.6f} nodemc_lp={mc_value:.6f} gap={gap:.6f}")
     if mc_value > ecc_value + 1e-6:
@@ -382,14 +377,9 @@ def cmd_verify(args) -> int:
         return EXIT_OK
 
     h, _, name = _load_instance(args)
-    lp = build_ecc_lp(h)
-    if args.solution:
-        vector = parse_primal_text(lp, _read(args.solution))
-        sol = solution_from_vector(h, vector, tighten=False)
-    else:
-        if lp.num_vars > SOLVER_VAR_LIMIT:
-            raise CliError("instance too large; solve externally and pass --solution", EXIT_CAPACITY)
-        sol = extract_ecc_solution(h, solve(lp).require_optimal())
+    vector = _primal(build_ecc_lp(h), args.solution, "--solution")
+    # A supplied primal is checked as given, so that corrupted inputs stay detectable.
+    sol = solution_from_vector(h, vector, tighten=not args.solution)
     problems = sol.violations(h) + rounding_invariant_violations(h, sol)
     checked = "feasibility and threshold invariants"
     if args.trials > 0 and h.rank >= 2:
@@ -446,6 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimum edge-colored clustering: solvers, bounds, and verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every command that reads an instance also reads the benchmark two-file format.
+    labels = argparse.ArgumentParser(add_help=False)
+    labels.add_argument("--labels",
+                        help="benchmark mode: instance is the edges file, this the labels file")
+    labels.add_argument("--node-labels", help="benchmark mode: ground-truth node labels file")
 
     p = sub.add_parser("gen", help="generate an instance in canonical format")
     p.add_argument("kind", choices=["random", "gap", "star"])
@@ -459,10 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth-output", help="write the planted coloring, one color per line")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="run one algorithm on an instance")
+    p = sub.add_parser("solve", parents=[labels], help="run one algorithm on an instance")
     p.add_argument("instance")
-    p.add_argument("--labels", help="benchmark mode: instance is the edges file, this the labels file")
-    p.add_argument("--node-labels", help="benchmark mode: ground-truth node labels file")
     p.add_argument("--truth", help="canonical mode: ground-truth colors file")
     p.add_argument("--algo", default="hybrid",
                    choices=["mv", "pitt", "match", "hybrid", "lp", "lp-simple", "exact"])
@@ -484,20 +477,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench_scaling)
 
-    p = sub.add_parser("compare-lp", help="compare the two relaxation values")
+    p = sub.add_parser("compare-lp", parents=[labels], help="compare the two relaxation values")
     p.add_argument("instance")
-    p.add_argument("--labels")
-    p.add_argument("--node-labels")
     p.add_argument("--ecc-solution")
     p.add_argument("--nodemc-solution")
     p.set_defaults(func=cmd_compare_lp)
 
-    p = sub.add_parser("verify", help="verify certificates or LP-solution invariants")
+    p = sub.add_parser("verify", parents=[labels],
+                       help="verify certificates or LP-solution invariants")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--certs", action="store_true")
     group.add_argument("--invariants", dest="instance")
-    p.add_argument("--labels")
-    p.add_argument("--node-labels")
     p.add_argument("--solution", help="check an externally supplied primal instead of solving")
     p.add_argument("--emit-lp", help="with --certs, write each case as an LP file into this directory")
     p.add_argument("--trials", type=int, default=0,
@@ -506,18 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("reduce", help="emit a reduction of the instance")
+    p = sub.add_parser("reduce", parents=[labels], help="emit a reduction of the instance")
     p.add_argument("instance")
-    p.add_argument("--labels")
-    p.add_argument("--node-labels")
     p.add_argument("--to", required=True, choices=["vc", "nodemc", "hypermc"])
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("export", help="export a relaxation as LP text")
+    p = sub.add_parser("export", parents=[labels], help="export a relaxation as LP text")
     p.add_argument("instance")
-    p.add_argument("--labels")
-    p.add_argument("--node-labels")
     p.add_argument("--lp", default="ecc", choices=["ecc", "nodemc"])
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_export)

@@ -1,13 +1,17 @@
 """Linear-time combinatorial algorithms and their instance-specific lower bounds.
 
-All algorithms run in O(sum of edge sizes). The deletion-based ones walk each
-node's color-sorted incidence list with a front and a back cursor: while the
-cursor edges have different colors they form a conflicting pair (overlapping,
-differently colored) that must be resolved by deleting an edge. Sampling the
-victim in proportion to the opposite edge's weight gives an expected
-2-approximation; deleting both edges of each pair gives a deterministic
-2-approximation for unit weights plus an explicit lower bound (the pairs are
-edge-disjoint, and any solution pays at least ``min(w_e, w_f)`` per pair).
+All algorithms run in O(sum of edge sizes). The deletion-based ones share one
+walk over each node's color-sorted incidence list with a front and a back
+cursor: while the cursor edges have different colors they form a conflicting
+pair (overlapping, differently colored) that must be resolved by deleting an
+edge. The walk takes one of two pair policies:
+
+- *sample* (:func:`pitt_coloring`): delete one edge, chosen in proportion to
+  the opposite edge's weight, which gives an expected 2-approximation;
+- *match* (:func:`match_coloring`): delete both edges, which gives a
+  deterministic 2-approximation for unit weights plus an explicit lower bound
+  (the pairs are edge-disjoint, and any solution pays at least
+  ``min(w_e, w_f)`` per pair).
 """
 
 from __future__ import annotations
@@ -115,66 +119,18 @@ def mv_lower_bound(h: EdgeColoredHypergraph, mv_coloring) -> float:
     return total / r
 
 
-def pitt_coloring(
+def _walk(
     h: EdgeColoredHypergraph,
-    seed: int,
-    order_seed: int | None = None,
-    incidence: ColorSortedIncidence | None = None,
-) -> tuple[DeletionSet, list[int]]:
-    """Randomized weighted 2-approximation via implicit vertex-cover sampling.
+    order_seed: int | None,
+    incidence: ColorSortedIncidence | None,
+    rand=None,
+) -> tuple[bytearray, float]:
+    """Resolve every conflicting cursor pair; returns deletion flags and matching bound.
 
-    Visits nodes (ascending by default, shuffled by ``order_seed``), resolves
-    each conflicting cursor pair by deleting one edge with probability
-    proportional to the *other* edge's weight, then colors nodes by their
-    surviving edges. Deterministic given the seeds.
-    """
-    inc = incidence if incidence is not None else build_incidence(h)
-    colors = [e.color for e in h.edges]
-    weights = [e.weight for e in h.edges]
-    deleted = bytearray(len(h.edges))
-    rng = np.random.default_rng(seed)
-    rand = rng.random
-    for v in _visit_order(h.num_nodes, order_seed):
-        lst = inc.neighbor_list(v)
-        f, b = 0, len(lst) - 1
-        while f < b:
-            ef, eb = lst[f], lst[b]
-            if deleted[ef]:
-                f += 1
-                continue
-            if deleted[eb]:
-                b -= 1
-                continue
-            if colors[ef] == colors[eb]:
-                break
-            wf, wb = weights[ef], weights[eb]
-            if wf + wb <= 0.0:
-                deleted[ef] = 1
-                deleted[eb] = 1
-                f += 1
-                b -= 1
-            elif rand() < wf / (wf + wb):
-                deleted[eb] = 1
-                b -= 1
-            else:
-                deleted[ef] = 1
-                f += 1
-    dels = DeletionSet.from_flags(h, deleted)
-    return dels, _color_survivors(h, deleted)
-
-
-def match_coloring(
-    h: EdgeColoredHypergraph,
-    order_seed: int | None = None,
-    incidence: ColorSortedIncidence | None = None,
-) -> tuple[DeletionSet, list[int], float]:
-    """Deterministic deletion of a maximal edge-disjoint set of conflicting pairs.
-
-    Returns the deletions, the induced coloring, and the matching lower bound
-    (``sum of min(w_e, w_f)`` over matched pairs; the pair count on unit
-    weights). For unit weights the cost is at most twice the bound; for
-    non-uniform weights the bound is still valid but the factor-2 guarantee is
-    not asserted.
+    With ``rand`` (a uniform [0, 1) sampler) one edge of each pair is deleted,
+    the back edge with probability proportional to the front edge's weight
+    (both when both weights are zero); without it both edges are deleted and
+    ``min(w_e, w_f)`` is added to the bound.
     """
     inc = incidence if incidence is not None else build_incidence(h)
     colors = [e.color for e in h.edges]
@@ -194,13 +150,54 @@ def match_coloring(
                 continue
             if colors[ef] == colors[eb]:
                 break
-            deleted[ef] = 1
-            deleted[eb] = 1
-            bound += min(weights[ef], weights[eb])
-            f += 1
-            b -= 1
-    dels = DeletionSet.from_flags(h, deleted)
-    return dels, _color_survivors(h, deleted), bound
+            wf, wb = weights[ef], weights[eb]
+            if rand is None or wf + wb <= 0.0:
+                deleted[ef] = 1
+                deleted[eb] = 1
+                bound += min(wf, wb)
+                f += 1
+                b -= 1
+            elif rand() < wf / (wf + wb):
+                deleted[eb] = 1
+                b -= 1
+            else:
+                deleted[ef] = 1
+                f += 1
+    return deleted, bound
+
+
+def pitt_coloring(
+    h: EdgeColoredHypergraph,
+    seed: int,
+    order_seed: int | None = None,
+    incidence: ColorSortedIncidence | None = None,
+) -> tuple[DeletionSet, list[int]]:
+    """Randomized weighted 2-approximation via implicit vertex-cover sampling.
+
+    Visits nodes (ascending by default, shuffled by ``order_seed``), resolves
+    each conflicting cursor pair by deleting one edge with probability
+    proportional to the *other* edge's weight, then colors nodes by their
+    surviving edges. Deterministic given the seeds.
+    """
+    deleted, _ = _walk(h, order_seed, incidence, np.random.default_rng(seed).random)
+    return DeletionSet.from_flags(h, deleted), _color_survivors(h, deleted)
+
+
+def match_coloring(
+    h: EdgeColoredHypergraph,
+    order_seed: int | None = None,
+    incidence: ColorSortedIncidence | None = None,
+) -> tuple[DeletionSet, list[int], float]:
+    """Deterministic deletion of a maximal edge-disjoint set of conflicting pairs.
+
+    Returns the deletions, the induced coloring, and the matching lower bound
+    (``sum of min(w_e, w_f)`` over matched pairs; the pair count on unit
+    weights). For unit weights the cost is at most twice the bound; for
+    non-uniform weights the bound is still valid but the factor-2 guarantee is
+    not asserted.
+    """
+    deleted, bound = _walk(h, order_seed, incidence)
+    return DeletionSet.from_flags(h, deleted), _color_survivors(h, deleted), bound
 
 
 def _color_survivors(h: EdgeColoredHypergraph, deleted) -> list[int]:
@@ -234,19 +231,28 @@ def hybrid(
 ) -> list[int]:
     """Pair deletion followed by majority-vote recoloring of uncovered nodes.
 
-    Nodes left in no surviving edge take their majority color instead of the
-    default. Recoloring can in contrived overlaps cost more than it saves, so
-    the deletion coloring is kept whenever it is strictly cheaper; the result
-    is therefore never worse than :func:`match_coloring`.
+    The composition of :func:`match_coloring` and :func:`recolor_uncovered`;
+    the result is never worse than :func:`match_coloring`.
     """
     inc = incidence if incidence is not None else build_incidence(h)
     dels, base, _ = match_coloring(h, order_seed, inc)
+    return recolor_uncovered(h, dels, base, majority_vote(h))
+
+
+def recolor_uncovered(
+    h: EdgeColoredHypergraph, dels: DeletionSet, base: list[int], mv: list[int]
+) -> list[int]:
+    """Give nodes in no surviving edge of ``dels`` their majority color ``mv``.
+
+    ``base`` is the deletion coloring. Recoloring can in contrived overlaps
+    cost more than it saves, so ``base`` is kept whenever it is strictly
+    cheaper.
+    """
     covered = bytearray(h.num_nodes)
     for j, e in enumerate(h.edges):
         if j not in dels.indices:
             for v in e.members:
                 covered[v] = 1
-    mv = majority_vote(h)
     recolored = [base[v] if covered[v] else mv[v] for v in range(h.num_nodes)]
     if objective_cost(h, recolored).total_cost > objective_cost(h, base).total_cost:
         return base

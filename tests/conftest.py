@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from minecc.hypergraph import EdgeColoredHypergraph, hypergraph
+from minecc.combinatorial import DeletionSet, _color_survivors, _visit_order
+from minecc.hypergraph import (
+    ColorSortedIncidence,
+    EdgeColoredHypergraph,
+    build_incidence,
+    hypergraph,
+)
 
 
 def naive_cost(h: EdgeColoredHypergraph, coloring) -> tuple[float, set[int]]:
@@ -39,6 +45,81 @@ def random_instance(rng: np.random.Generator, n: int, m: int, k: int, max_size: 
         members = rng.choice(n, size=min(size, n), replace=False)
         edges.append((tuple(int(v) for v in members), int(rng.integers(1, k + 1))))
     return hypergraph(n, k, edges)
+
+
+def reference_pitt_coloring(
+    h: EdgeColoredHypergraph,
+    seed: int,
+    order_seed: int | None = None,
+    incidence: ColorSortedIncidence | None = None,
+) -> tuple[DeletionSet, list[int]]:
+    """The sampling walk as its own loop; the reference for ``pitt_coloring``."""
+    inc = incidence if incidence is not None else build_incidence(h)
+    colors = [e.color for e in h.edges]
+    weights = [e.weight for e in h.edges]
+    deleted = bytearray(len(h.edges))
+    rng = np.random.default_rng(seed)
+    rand = rng.random
+    for v in _visit_order(h.num_nodes, order_seed):
+        lst = inc.neighbor_list(v)
+        f, b = 0, len(lst) - 1
+        while f < b:
+            ef, eb = lst[f], lst[b]
+            if deleted[ef]:
+                f += 1
+                continue
+            if deleted[eb]:
+                b -= 1
+                continue
+            if colors[ef] == colors[eb]:
+                break
+            wf, wb = weights[ef], weights[eb]
+            if wf + wb <= 0.0:
+                deleted[ef] = 1
+                deleted[eb] = 1
+                f += 1
+                b -= 1
+            elif rand() < wf / (wf + wb):
+                deleted[eb] = 1
+                b -= 1
+            else:
+                deleted[ef] = 1
+                f += 1
+    dels = DeletionSet.from_flags(h, deleted)
+    return dels, _color_survivors(h, deleted)
+
+
+def reference_match_coloring(
+    h: EdgeColoredHypergraph,
+    order_seed: int | None = None,
+    incidence: ColorSortedIncidence | None = None,
+) -> tuple[DeletionSet, list[int], float]:
+    """The matching walk as its own loop; the reference for ``match_coloring``."""
+    inc = incidence if incidence is not None else build_incidence(h)
+    colors = [e.color for e in h.edges]
+    weights = [e.weight for e in h.edges]
+    deleted = bytearray(len(h.edges))
+    bound = 0.0
+    for v in _visit_order(h.num_nodes, order_seed):
+        lst = inc.neighbor_list(v)
+        f, b = 0, len(lst) - 1
+        while f < b:
+            ef, eb = lst[f], lst[b]
+            if deleted[ef]:
+                f += 1
+                continue
+            if deleted[eb]:
+                b -= 1
+                continue
+            if colors[ef] == colors[eb]:
+                break
+            deleted[ef] = 1
+            deleted[eb] = 1
+            bound += min(weights[ef], weights[eb])
+            f += 1
+            b -= 1
+    dels = DeletionSet.from_flags(h, deleted)
+    return dels, _color_survivors(h, deleted), bound
 
 
 @pytest.fixture

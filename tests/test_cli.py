@@ -1,8 +1,11 @@
 import json
 import os
+from collections import Counter
 
 import pytest
 
+import minecc.cli
+import minecc.combinatorial
 from minecc.cli import CSV_HEADER, main
 from minecc.instances import gen_star, write_canonical
 
@@ -110,6 +113,47 @@ class TestSolve:
         ])
         assert row["dataset"] == "edges"
         assert row["accuracy"] != ""
+
+
+class TestMalformedInputExitCodes:
+    @pytest.mark.parametrize("truth_text, argv", [
+        ("1\nx\n2\n", ["solve", "{gap3}", "--truth", "{truth}"]),
+        ("1\n2\n", ["solve", "{gap3}", "--truth", "{truth}"]),  # gap3 has 3 nodes
+        ("", ["bench-scaling", "--sizes", "abc"]),
+    ], ids=["truth-token", "truth-length", "sizes"])
+    def test_exit_2_with_error_line(self, truth_text, argv, gap3_file, tmp_path, capsys):
+        truth = tmp_path / "gap3.truth"
+        truth.write_text(truth_text)
+        assert main([a.format(gap3=gap3_file, truth=truth) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestWorkDoneOncePerSolve:
+    COUNTED = ("build_incidence", "match_coloring", "majority_vote")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in self.COUNTED:
+            original = getattr(minecc.combinatorial, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (minecc.cli, minecc.combinatorial):
+                monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_hybrid_matches_and_votes_once(self, gap3_file, calls, capsys):
+        row = run_csv(capsys, ["solve", gap3_file, "--algo", "hybrid"])
+        assert row["match_bound"] != "" and row["mv_bound"] != ""
+        assert calls == {"build_incidence": 1, "match_coloring": 1, "majority_vote": 1}
+
+    def test_pitt_runs_share_one_incidence(self, gap3_file, calls, capsys):
+        run_csv(capsys, ["solve", gap3_file, "--algo", "pitt", "--runs", "3"])
+        assert calls["build_incidence"] == 1
 
 
 class TestExactAndCapacity:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minecc.combinatorial import (
     DeletionSet,
@@ -17,7 +19,7 @@ from minecc.hypergraph import hypergraph, objective_cost
 from minecc.instances import gen_integrality_gap, gen_random
 from minecc.oracle import bruteforce_ecc
 
-from conftest import exhaustive_ecc
+from conftest import exhaustive_ecc, reference_match_coloring, reference_pitt_coloring
 
 
 def two_edge_conflict():
@@ -300,3 +302,45 @@ class TestVisitOrder:
         incidence_size = sum(len(e) for e in h.edges)
         dels, _, _ = match_coloring(h)
         assert len(dels.indices) <= incidence_size
+
+
+@st.composite
+def walk_instances(draw):
+    """Small instances whose weights are unit, zero or arbitrary nonnegative."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 4))
+    weight = draw(st.sampled_from([
+        st.just(1.0),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        st.floats(0.0, 10.0, allow_nan=False),
+    ]))
+    edges = draw(st.lists(
+        st.tuples(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True),
+            st.integers(1, k),
+            weight,
+        ),
+        max_size=14,
+    ))
+    return hypergraph(n, k, edges)
+
+
+class TestWalkMatchesReference:
+    """The shared cursor walk reproduces the separate pitt and match loops exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(h=walk_instances(), seed=st.integers(0, 2**32 - 1),
+           order_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    def test_same_deletions_colorings_and_bound(self, h, seed, order_seed):
+        dels, coloring, bound = match_coloring(h, order_seed)
+        assert (dels, coloring, bound) == reference_match_coloring(h, order_seed)
+        pdels, pcoloring = pitt_coloring(h, seed, order_seed)
+        assert (pdels, pcoloring) == reference_pitt_coloring(h, seed, order_seed)
+
+        assert find_bad_pair(h, dels.indices) is None
+        assert find_bad_pair(h, pdels.indices) is None
+        if all(e.weight == 1.0 for e in h.edges):
+            cost = objective_cost(h, coloring).total_cost
+            assert bound <= cost <= 2 * bound
+            assert bound <= objective_cost(h, pcoloring).total_cost
