@@ -56,7 +56,7 @@ EXIT_PARSE = 2
 EXIT_VERIFY = 3
 EXIT_CAPACITY = 4
 
-SOLVER_VAR_LIMIT = 5000  # reference simplex scale; beyond this, export instead
+SOLVER_VAR_LIMIT = 5000  # the simplex tableau takes about 1 GB here; beyond this, export instead
 
 CSV_HEADER = "dataset,algo,seed,mistakes,satisfaction,lp_bound,match_bound,mv_bound,ratio,accuracy,seconds"
 
@@ -191,11 +191,15 @@ def cmd_gen(args) -> int:
 def _primal(lp, solution: str | None, flag: str):
     """Primal vector of ``lp``: read from the ``solution`` file, or solved here.
 
-    Models above ``SOLVER_VAR_LIMIT`` variables are refused with the capacity
-    exit code; ``flag`` names the option that supplies an external solution.
+    A malformed ``solution`` file exits with the parse code. Models above
+    ``SOLVER_VAR_LIMIT`` variables are refused with the capacity exit code;
+    ``flag`` names the option that supplies an external solution.
     """
     if solution:
-        return parse_primal_text(lp, _read(solution))
+        try:
+            return parse_primal_text(lp, _read(solution))
+        except ValueError as exc:
+            raise CliError(f"{solution}: {exc}", EXIT_PARSE) from None
     if lp.num_vars > SOLVER_VAR_LIMIT:
         raise CliError(
             f"LP has {lp.num_vars} variables, above the reference-solver limit "

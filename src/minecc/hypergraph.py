@@ -13,6 +13,7 @@ edge's color; otherwise the coloring makes a *mistake* at that edge.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -113,8 +114,8 @@ def validate(h: EdgeColoredHypergraph) -> list[str]:
                 problems.append(f"edge {j} member {v} out of range [0, {h.num_nodes})")
         if not (1 <= e.color <= h.num_colors):
             problems.append(f"edge {j} color {e.color} out of range [1, {h.num_colors}]")
-        if not (e.weight >= 0.0):
-            problems.append(f"edge {j} weight {e.weight} is not nonnegative")
+        if not (0.0 <= e.weight < math.inf):
+            problems.append(f"edge {j} weight {e.weight} is not a nonnegative finite number")
     return problems
 
 

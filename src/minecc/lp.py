@@ -1,9 +1,22 @@
 """Generic linear programs and a self-contained dense simplex solver.
 
-The solver is a two-phase primal simplex on the standard-form tableau. It is
-meant for desk-scale models (up to a few thousand variables); larger models
-should be exported with :func:`export_lp_text` and solved externally, after
-which the primal vector can be read back with :func:`parse_primal_text`.
+The solver is a two-phase primal simplex on one dense standard-form tableau.
+Each pivot updates only the rows where the entering column is nonzero and the
+columns where the pivot row is nonzero; on the clustering LP both are a few
+percent of the tableau. Measured on ``build_ecc_lp(gen_random(n, 1.6 n, 3, 6,
+0.2, 1).hypergraph)`` for n = 100, 200, 400 (two runs, 2-core host, numpy 2.4):
+
+    variables   solve time     peak RSS (whole process)
+    760         0.17-0.19 s     59 MB
+    1520        0.47-0.57 s    130 MB
+    3040        1.8-2.5 s      409 MB
+
+The tableau has about 1.65 rows and 3.2 columns per variable, so its memory
+grows with the square of the model: about 1 GB at 5000 variables. That
+memory, not the solve time, is what bounds the CLI's 5000-variable limit.
+Larger models should be exported with :func:`export_lp_text` and solved
+externally, after which the primal vector can be read back with
+:func:`parse_primal_text`.
 
 Pivoting is deterministic: entering columns are chosen by steepest reduced
 cost with ties broken by lowest index, and the solver permanently switches to
@@ -108,55 +121,48 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
     c_min = c_user if lp.sense == "min" else -c_user
 
     # Shift x = lo + x' so x' >= 0; finite upper bounds become extra rows.
-    rows: list[tuple[np.ndarray, str, float]] = []
+    # Rows stay sparse (coeffs, rel, rhs) until the tableau is filled.
+    lower = lo.tolist()
+    rows: list[tuple[tuple[tuple[int, float], ...], str, float]] = []
+
+    def add_row(coeffs, rel: str, rhs: float) -> None:
+        if rhs < 0.0:  # normalize to b >= 0
+            coeffs = tuple((j, -a) for j, a in coeffs)
+            rel, rhs = {"<=": ">=", ">=": "<=", "=": "="}[rel], -rhs
+        rows.append((coeffs, rel, rhs))
+
     for con in lp.constraints:
-        a = np.zeros(n)
         shift = 0.0
         for j, coef in con.coeffs:
-            a[j] = coef
-            shift += coef * lo[j]
-        rows.append((a, con.rel, con.rhs - shift))
+            shift += coef * lower[j]
+        add_row(con.coeffs, con.rel, con.rhs - shift)
     for j in range(n):
         hi = lp.upper[j]
         if math.isfinite(hi):
-            a = np.zeros(n)
-            a[j] = 1.0
-            rows.append((a, "<=", hi - lo[j]))
+            add_row(((j, 1.0),), "<=", hi - lower[j])
 
+    # One tableau: structural columns, one slack per inequality row, one
+    # artificial per row without a "<=" slack to start the basis, then rhs.
     m = len(rows)
     n_ineq = sum(1 for _, rel, _ in rows if rel != "=")
     width = n + n_ineq
-    A = np.zeros((m, width))
-    b = np.zeros(m)
-    needs_artificial: list[bool] = []
+    art_rows = [i for i, (_, rel, _) in enumerate(rows) if rel != "<="]
+    total = width + len(art_rows)
+    T = np.zeros((m, total + 1))
     basis = np.full(m, -1, dtype=int)
     slack_col = n
-    for i, (a, rel, rhs) in enumerate(rows):
-        if rhs < 0.0:  # normalize to b >= 0
-            a, rhs = -a, -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        A[i, :n] = a
-        b[i] = rhs
-        if rel == "=":
-            needs_artificial.append(True)
-        else:
-            A[i, slack_col] = 1.0 if rel == "<=" else -1.0
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        for j, a in coeffs:
+            T[i, j] = a
+        T[i, -1] = rhs
+        if rel != "=":
+            T[i, slack_col] = 1.0 if rel == "<=" else -1.0
             if rel == "<=":
                 basis[i] = slack_col
-                needs_artificial.append(False)
-            else:
-                needs_artificial.append(True)
             slack_col += 1
-
-    art_cols = [i for i, need in enumerate(needs_artificial) if need]
-    total = width + len(art_cols)
-    T = np.zeros((m, total + 1))
-    T[:, :width] = A
-    T[:, -1] = b
-    for offset, i in enumerate(art_cols):
-        col = width + offset
-        T[i, col] = 1.0
-        basis[i] = col
+    for offset, i in enumerate(art_rows):
+        T[i, width + offset] = 1.0
+        basis[i] = width + offset
 
     # Extra rhs column of distinct positive values, treated as an infinitesimal
     # perturbation of b: degenerate ratio ties are broken on it, which keeps
@@ -169,9 +175,8 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
     cost1 = np.zeros(total + 1)
     cost1[width:total] = 1.0
     # Price out the initial basis so reduced costs of basic columns are zero.
-    for i in range(m):
-        if basis[i] >= width:
-            cost1 -= T[i]
+    for i in art_rows:
+        cost1 -= T[i]
 
     state = {"iterations": 0, "bland": False, "stall": 0}
 
@@ -181,11 +186,16 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
         P[row] /= piv
         factors = T[:, col].copy()
         factors[row] = 0.0
-        T[...] -= np.outer(factors, T[row])
-        P[...] -= factors * P[row]
+        # Rank-1 update restricted to the nonzero rows of the entering column
+        # and the nonzero entries of the pivot row: every skipped entry would
+        # only have had a zero subtracted.
+        nz_rows = factors.nonzero()[0]
+        nz_cols = T[row].nonzero()[0]
+        T[nz_rows[:, None], nz_cols] -= factors[nz_rows, None] * T[row, nz_cols]
+        P[nz_rows] -= factors[nz_rows] * P[row]
         for cost in (cost1, cost2):
             if cost[col] != 0.0:
-                cost[...] -= cost[col] * T[row]
+                cost[nz_cols] -= cost[col] * T[row, nz_cols]
         leaving = basis[row]
         if leaving >= width:  # an artificial that leaves never re-enters
             blocked[leaving] = True
@@ -236,7 +246,7 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
                 state["stall"] = 0
                 state["bland"] = False
 
-    if art_cols:
+    if art_rows:
         status = run_phase(cost1)
         if status == "iteration_limit":
             return LpResult("iteration_limit", None, None, None, state["iterations"])
@@ -316,7 +326,9 @@ def _num(x: float) -> str:
 def parse_primal_text(lp: LinearProgram, text: str) -> np.ndarray:
     """Read a whitespace-separated ``name value`` primal-solution file.
 
-    Unmentioned variables default to their lower bound; unknown names raise.
+    Unmentioned variables default to their lower bound. A malformed line, an
+    unknown name or a value that is not a finite number raises ``ValueError``
+    naming the line.
     """
     x = np.array(lp.lower, dtype=float)
     index = {name: j for j, name in enumerate(lp.names)}
@@ -330,5 +342,11 @@ def parse_primal_text(lp: LinearProgram, text: str) -> np.ndarray:
         name, value = tokens
         if name not in index:
             raise ValueError(f"line {lineno}: unknown variable {name!r}")
-        x[index[name]] = float(value)
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise ValueError(f"line {lineno}: value {value!r} is not a finite number")
+        x[index[name]] = number
     return x

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,13 @@ from minecc.hypergraph import (
     EdgeColoredHypergraph,
     build_incidence,
     hypergraph,
+)
+from minecc.lp import (
+    DEGENERATE_RUN_LIMIT,
+    FEAS_TOL,
+    PIVOT_TOL,
+    LinearProgram,
+    LpResult,
 )
 
 
@@ -26,14 +35,25 @@ def naive_cost(h: EdgeColoredHypergraph, coloring) -> tuple[float, set[int]]:
     return total, mistakes
 
 
-def exhaustive_ecc(h: EdgeColoredHypergraph) -> float:
-    """Plain exhaustive minimum over all colorings (no pruning); tiny instances only."""
-    import itertools
+def exhaustive_ecc(h: EdgeColoredHypergraph, chunk: int = 1 << 18) -> float:
+    """Plain exhaustive minimum over all k^n colorings (no pruning); tiny instances only.
 
+    Coloring number ``i`` gives node ``v`` the color ``(i // k**v) % k + 1``;
+    the colorings are scored ``chunk`` at a time with numpy.
+    """
     k, n = h.num_colors, h.num_nodes
-    best = float("inf")
-    for assignment in itertools.product(range(1, k + 1), repeat=n):
-        best = min(best, naive_cost(h, assignment)[0])
+    count = k**n
+    best = math.inf
+    for start in range(0, count, chunk):
+        index = np.arange(start, min(start + chunk, count), dtype=np.int64)
+        colors = [index // k**v % k + 1 for v in range(n)]
+        cost = np.zeros(len(index))
+        for e in h.edges:
+            satisfied = np.full(len(index), bool(e.members))
+            for v in e.members:
+                satisfied &= colors[v] == e.color
+            cost += np.where(satisfied, 0.0, e.weight)
+        best = min(best, float(cost.min()))
     return best
 
 
@@ -120,6 +140,176 @@ def reference_match_coloring(
             b -= 1
     dels = DeletionSet.from_flags(h, deleted)
     return dels, _color_survivors(h, deleted), bound
+
+
+def reference_simplex(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
+    """The simplex with a dense rank-1 update on every pivot; the reference for ``solve``."""
+    n = lp.num_vars
+    lo = np.array(lp.lower, dtype=float)
+    if not np.all(np.isfinite(lo)):
+        raise ValueError("simplex requires finite lower bounds")
+    c_user = np.array(lp.objective, dtype=float)
+    c_min = c_user if lp.sense == "min" else -c_user
+
+    # Shift x = lo + x' so x' >= 0; finite upper bounds become extra rows.
+    rows: list[tuple[np.ndarray, str, float]] = []
+    for con in lp.constraints:
+        a = np.zeros(n)
+        shift = 0.0
+        for j, coef in con.coeffs:
+            a[j] = coef
+            shift += coef * lo[j]
+        rows.append((a, con.rel, con.rhs - shift))
+    for j in range(n):
+        hi = lp.upper[j]
+        if math.isfinite(hi):
+            a = np.zeros(n)
+            a[j] = 1.0
+            rows.append((a, "<=", hi - lo[j]))
+
+    m = len(rows)
+    n_ineq = sum(1 for _, rel, _ in rows if rel != "=")
+    width = n + n_ineq
+    A = np.zeros((m, width))
+    b = np.zeros(m)
+    needs_artificial: list[bool] = []
+    basis = np.full(m, -1, dtype=int)
+    slack_col = n
+    for i, (a, rel, rhs) in enumerate(rows):
+        if rhs < 0.0:  # normalize to b >= 0
+            a, rhs = -a, -rhs
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        A[i, :n] = a
+        b[i] = rhs
+        if rel == "=":
+            needs_artificial.append(True)
+        else:
+            A[i, slack_col] = 1.0 if rel == "<=" else -1.0
+            if rel == "<=":
+                basis[i] = slack_col
+                needs_artificial.append(False)
+            else:
+                needs_artificial.append(True)
+            slack_col += 1
+
+    art_cols = [i for i, need in enumerate(needs_artificial) if need]
+    total = width + len(art_cols)
+    T = np.zeros((m, total + 1))
+    T[:, :width] = A
+    T[:, -1] = b
+    for offset, i in enumerate(art_cols):
+        col = width + offset
+        T[i, col] = 1.0
+        basis[i] = col
+
+    # Extra rhs column of distinct positive values, treated as an infinitesimal
+    # perturbation of b: degenerate ratio ties are broken on it, which keeps
+    # long runs of zero-step pivots rare.
+    P = np.arange(1.0, m + 1.0)
+
+    blocked = np.zeros(total, dtype=bool)  # artificials that may never re-enter
+    cost2 = np.zeros(total + 1)
+    cost2[:n] = c_min
+    cost1 = np.zeros(total + 1)
+    cost1[width:total] = 1.0
+    # Price out the initial basis so reduced costs of basic columns are zero.
+    for i in range(m):
+        if basis[i] >= width:
+            cost1 -= T[i]
+
+    state = {"iterations": 0, "bland": False, "stall": 0}
+
+    def pivot(row: int, col: int) -> None:
+        piv = T[row, col]
+        T[row] /= piv
+        P[row] /= piv
+        factors = T[:, col].copy()
+        factors[row] = 0.0
+        T[...] -= np.outer(factors, T[row])
+        P[...] -= factors * P[row]
+        for cost in (cost1, cost2):
+            if cost[col] != 0.0:
+                cost[...] -= cost[col] * T[row]
+        leaving = basis[row]
+        if leaving >= width:  # an artificial that leaves never re-enters
+            blocked[leaving] = True
+        basis[row] = col
+
+    def ratio_row(col: int) -> int | None:
+        column = T[:, col]
+        eligible = column > PIVOT_TOL
+        if not eligible.any():
+            return None
+        ratios = np.full(m, np.inf)
+        ratios[eligible] = T[eligible, -1] / column[eligible]
+        best = ratios.min()
+        candidates = np.flatnonzero(ratios <= best + PIVOT_TOL)
+        if len(candidates) > 1:
+            # Tie: prefer the row whose perturbed rhs leaves first, then the
+            # smallest basis variable index (Bland-compatible).
+            pratios = P[candidates] / column[candidates]
+            pbest = pratios.min()
+            candidates = candidates[pratios <= pbest + PIVOT_TOL]
+        return int(candidates[np.argmin(basis[candidates])])
+
+    def run_phase(cost: np.ndarray) -> str:
+        while True:
+            if state["iterations"] >= iteration_limit:
+                return "iteration_limit"
+            reduced = np.where(blocked, np.inf, cost[:total])
+            if state["bland"]:
+                open_cols = np.flatnonzero(reduced < -PIVOT_TOL)
+                if len(open_cols) == 0:
+                    return "optimal"
+                entering = int(open_cols[0])
+            else:
+                entering = int(np.argmin(reduced))
+                if reduced[entering] >= -PIVOT_TOL:
+                    return "optimal"
+            row = ratio_row(entering)
+            if row is None:
+                return "unbounded"
+            state["iterations"] += 1
+            degenerate = abs(T[row, -1]) <= PIVOT_TOL
+            pivot(row, entering)
+            if degenerate:
+                state["stall"] += 1
+                if state["stall"] >= DEGENERATE_RUN_LIMIT:
+                    state["bland"] = True
+            else:
+                state["stall"] = 0
+                state["bland"] = False
+
+    if art_cols:
+        status = run_phase(cost1)
+        if status == "iteration_limit":
+            return LpResult("iteration_limit", None, None, None, state["iterations"])
+        infeas = sum(T[i, -1] for i in range(m) if basis[i] >= width)
+        if infeas > FEAS_TOL:
+            return LpResult("infeasible", None, None, None, state["iterations"])
+        # Drive remaining artificials out of the basis (or leave them on
+        # redundant all-zero rows, where they stay at value zero).
+        for i in range(m):
+            if basis[i] >= width:
+                row_vals = np.abs(T[i, :width])
+                j = int(np.argmax(row_vals))
+                if row_vals[j] > PIVOT_TOL:
+                    pivot(i, j)
+        blocked[width:total] = True
+        state["bland"] = False
+        state["stall"] = 0
+
+    status = run_phase(cost2)
+    if status != "optimal":
+        return LpResult(status, None, None, None, state["iterations"])
+
+    x_shift = np.zeros(total)
+    for i in range(m):
+        x_shift[basis[i]] = T[i, -1]
+    x = lo + x_shift[:n]
+    in_basis = set(basis.tolist())
+    basic = tuple(j in in_basis for j in range(n))
+    return LpResult("optimal", lp.value_of(x), x, basic, state["iterations"])
 
 
 @pytest.fixture

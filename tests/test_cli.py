@@ -129,6 +129,25 @@ class TestMalformedInputExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestMalformedLpSolutionExitCodes:
+    @pytest.mark.parametrize("solution_text, detail", [
+        ("xe_0 1\nnot_a_variable 0.5\n", "line 2: unknown variable"),
+        ("xe_0 half\n", "line 1: value 'half' is not a finite number"),
+        ("xe_0 0.5\nxe_1 nan\n", "line 2: value 'nan' is not a finite number"),
+    ], ids=["unknown-name", "non-numeric", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{gap3}", "--algo", "lp", "--solution", "{sol}"],
+        ["verify", "--invariants", "{gap3}", "--solution", "{sol}"],
+        ["compare-lp", "{gap3}", "--ecc-solution", "{sol}"],
+    ], ids=["solve", "verify", "compare-lp"])
+    def test_exit_2_naming_the_line(self, argv, solution_text, detail, gap3_file, tmp_path, capsys):
+        sol = tmp_path / "primal.txt"
+        sol.write_text(solution_text)
+        assert main([a.format(gap3=gap3_file, sol=sol) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and detail in err and "Traceback" not in err
+
+
 class TestWorkDoneOncePerSolve:
     COUNTED = ("build_incidence", "match_coloring", "majority_vote")
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from minecc.hypergraph import (
@@ -34,6 +36,12 @@ class TestValidate:
     def test_negative_weight_reported(self):
         h = EdgeColoredHypergraph(2, 1, (Edge((0, 1), 1, -2.0),))
         assert any("nonnegative" in p for p in validate(h))
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_non_finite_weight_reported(self, weight):
+        h = EdgeColoredHypergraph(2, 1, (Edge((0, 1), 1, weight),))
+        problems = validate(h)
+        assert len(problems) == 1 and "finite" in problems[0]
 
     def test_reports_do_not_raise(self):
         h = EdgeColoredHypergraph(1, 0, (Edge((5,), 9), Edge((0,), -1)))

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from minecc.hypergraph import hypergraph, objective_cost, validate
@@ -15,7 +16,7 @@ from minecc.instances import (
     write_canonical,
 )
 
-from conftest import exhaustive_ecc
+from conftest import exhaustive_ecc, naive_cost, random_instance
 
 
 class TestCanonical:
@@ -112,6 +113,30 @@ class TestGapInstance:
     def test_k_below_three_rejected(self):
         with pytest.raises(ValueError):
             gen_integrality_gap(2)
+
+
+def _tiny_random(seed):
+    rng = np.random.default_rng(seed)
+    return random_instance(rng, int(rng.integers(2, 7)), 8, int(rng.integers(2, 4)))
+
+
+TINY_INSTANCES = {
+    "star": gen_star(),
+    "gap3": gen_integrality_gap(3),
+    "gap4": gen_integrality_gap(4),
+    "weighted": hypergraph(4, 3, [((0, 1), 1, 2.5), ((1, 2, 3), 2, 0.5), ((0, 3), 3, 1.0)]),
+    **{f"random-{seed}": _tiny_random(seed) for seed in range(4)},
+}
+
+
+class TestExhaustiveHelper:
+    @pytest.mark.parametrize("h", TINY_INSTANCES.values(), ids=TINY_INSTANCES.keys())
+    def test_matches_itertools_product(self, h):
+        colorings = itertools.product(range(1, h.num_colors + 1), repeat=h.num_nodes)
+        expected = min(naive_cost(h, coloring)[0] for coloring in colorings)
+        # A chunk smaller than k^n makes the chunk boundaries count too.
+        assert exhaustive_ecc(h, chunk=7) == expected
+        assert exhaustive_ecc(h) == expected
 
 
 class TestStarInstance:

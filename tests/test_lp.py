@@ -3,7 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minecc.certificates import all_cases, case_to_lp
 from minecc.hypergraph import hypergraph
 from minecc.instances import gen_integrality_gap, gen_random, gen_star
 from minecc.lp import LinearProgram, export_lp_text, parse_primal_text, solve
@@ -13,6 +16,8 @@ from minecc.relaxations import (
     extract_ecc_solution,
     solution_from_vector,
 )
+
+from conftest import random_instance, reference_simplex
 
 
 def ecc_value(h) -> float:
@@ -123,6 +128,62 @@ class TestSimplex:
                 assert solve(lp).require_optimal().value == pytest.approx(
                     reference(lp), abs=1e-7
                 )
+
+
+def assert_same_as_reference(lp, iteration_limit=200_000):
+    got = solve(lp, iteration_limit)
+    want = reference_simplex(lp, iteration_limit)
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert got.basic == want.basic and got.value == want.value
+    assert (got.x is None and want.x is None) or np.array_equal(got.x, want.x)
+
+
+@st.composite
+def generic_lps(draw):
+    """Small LPs with every row relation, negative rhs, shifted or boxed
+    variables, either sense, and optionally a repeated equality row."""
+    coef = st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0])
+    lp = LinearProgram(sense=draw(st.sampled_from(["min", "max"])))
+    n = draw(st.integers(1, 6))
+    for j in range(n):
+        lo = draw(st.sampled_from([0.0, 0.0, -2.0, -0.5, 1.0]))
+        width = draw(st.sampled_from([math.inf, 0.0, 1.0, 2.5, 4.0]))
+        lp.add_var(f"x{j}", lo, lo + width, obj=draw(coef))
+    for _ in range(draw(st.integers(0, 6))):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        rel = draw(st.sampled_from(["<=", ">=", "="]))
+        rhs = draw(st.sampled_from([-4.0, -1.0, 0.0, 1.0, 2.5, 6.0]))
+        lp.add_constraint([(j, draw(coef)) for j in support], rel, rhs)
+    equalities = [con for con in lp.constraints if con.rel == "="]
+    if equalities and draw(st.booleans()):
+        lp.constraints.append(equalities[0])
+    return lp
+
+
+class TestSparsePivotMatchesReference:
+    """``solve`` takes the same pivots as the dense-update reference simplex,
+    so status, iteration count, primal vector, basis and value are equal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lp=generic_lps(), iteration_limit=st.sampled_from([200_000, 2]))
+    def test_generic(self, lp, iteration_limit):
+        assert_same_as_reference(lp, iteration_limit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 9),
+        m=st.integers(1, 14),
+        k=st.integers(2, 4),
+        nodemc=st.booleans(),
+    )
+    def test_relaxations(self, seed, n, m, k, nodemc):
+        h = random_instance(np.random.default_rng(seed), n, m, k)
+        assert_same_as_reference((build_nodemc_lp if nodemc else build_ecc_lp)(h))
+
+    @pytest.mark.parametrize("case", all_cases(), ids=lambda case: f"{case.family}-p{case.p}-q{case.q}")
+    def test_certificate_lps(self, case):
+        assert_same_as_reference(case_to_lp(case))
 
 
 class TestEccLp:
