@@ -188,18 +188,24 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _primal(lp, solution: str | None, flag: str):
+def _primal(lp, solution: str | None, flag: str, check: bool = True):
     """Primal vector of ``lp``: read from the ``solution`` file, or solved here.
 
-    A malformed ``solution`` file exits with the parse code. Models above
+    A malformed ``solution`` file exits with the parse code, and so does one
+    that breaks a bound or row of ``lp`` by more than 1e-6, unless ``check``
+    is off (``verify`` reports such vectors itself). Models above
     ``SOLVER_VAR_LIMIT`` variables are refused with the capacity exit code;
     ``flag`` names the option that supplies an external solution.
     """
     if solution:
         try:
-            return parse_primal_text(lp, _read(solution))
+            x = parse_primal_text(lp, _read(solution))
         except ValueError as exc:
             raise CliError(f"{solution}: {exc}", EXIT_PARSE) from None
+        problem = lp.violation(x) if check else None
+        if problem:
+            raise CliError(f"{solution}: infeasible LP solution: {problem}", EXIT_PARSE)
+        return x
     if lp.num_vars > SOLVER_VAR_LIMIT:
         raise CliError(
             f"LP has {lp.num_vars} variables, above the reference-solver limit "
@@ -320,7 +326,7 @@ def cmd_bench_scaling(args) -> int:
         n = max(64, m // 4)
         planted = gen_random(n, m, args.max_size, args.colors, 0.2, args.seed)
         h = planted.hypergraph
-        actual = sum(len(e) for e in h.edges)
+        actual = len(h.members)
         elapsed = math.inf
         for _ in range(2):  # best of two to damp timer noise
             t0 = time.perf_counter()
@@ -381,7 +387,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK
 
     h, _, name = _load_instance(args)
-    vector = _primal(build_ecc_lp(h), args.solution, "--solution")
+    vector = _primal(build_ecc_lp(h), args.solution, "--solution", check=False)
     # A supplied primal is checked as given, so that corrupted inputs stay detectable.
     sol = solution_from_vector(h, vector, tighten=not args.solution)
     problems = sol.violations(h) + rounding_invariant_violations(h, sol)

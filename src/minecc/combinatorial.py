@@ -23,6 +23,8 @@ import numpy as np
 from .hypergraph import (
     ColorSortedIncidence,
     EdgeColoredHypergraph,
+    _ordered_sum,
+    _per_edge_count,
     build_incidence,
     objective_cost,
 )
@@ -40,8 +42,8 @@ class DeletionSet:
 
     @classmethod
     def from_flags(cls, h: EdgeColoredHypergraph, flags) -> "DeletionSet":
-        chosen = frozenset(j for j in range(len(h.edges)) if flags[j])
-        return cls(chosen, sum(h.edges[j].weight for j in chosen))
+        chosen = np.flatnonzero(np.asarray(flags))
+        return cls(frozenset(chosen.tolist()), _ordered_sum(h.weights[chosen]))
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,7 @@ def find_bad_pair(
 ) -> tuple[int, int] | None:
     """Linear scan for a surviving pair of overlapping, differently colored edges."""
     inc = incidence if incidence is not None else build_incidence(h)
+    colors = h.colors.tolist()
     for v in range(h.num_nodes):
         first = -1
         for j in inc.neighbor_list(v):
@@ -69,7 +72,7 @@ def find_bad_pair(
                 continue
             if first < 0:
                 first = j
-            elif h.edges[j].color != h.edges[first].color:
+            elif colors[j] != colors[first]:
                 return (first, j)
     return None
 
@@ -88,17 +91,10 @@ def majority_vote(h: EdgeColoredHypergraph) -> list[int]:
     n, k = h.num_nodes, h.num_colors
     if k < 1:
         return [1] * n
-    counts = np.zeros((n, max(k, 1)))
-    nodes: list[int] = []
-    cols: list[int] = []
-    wts: list[float] = []
-    for e in h.edges:
-        nodes.extend(e.members)
-        cols.extend([e.color - 1] * len(e.members))
-        wts.extend([e.weight] * len(e.members))
-    if nodes:
-        np.add.at(counts, (np.array(nodes), np.array(cols)), np.array(wts))
-    return [int(c) for c in counts.argmax(axis=1) + 1]
+    edge_of = h.member_edges()
+    key = h.members * k + (h.colors[edge_of] - 1)
+    counts = np.bincount(key, weights=h.weights[edge_of], minlength=n * k)
+    return (counts.reshape(n, k).argmax(axis=1) + 1).tolist()
 
 
 def mv_lower_bound(h: EdgeColoredHypergraph, mv_coloring) -> float:
@@ -112,11 +108,8 @@ def mv_lower_bound(h: EdgeColoredHypergraph, mv_coloring) -> float:
     r = h.rank
     if r == 0:
         return 0.0
-    total = 0.0
-    for e in h.edges:
-        bad = sum(1 for v in e.members if mv_coloring[v] != e.color)
-        total += e.weight * bad
-    return total / r
+    wrong = np.asarray(mv_coloring)[h.members] != h.colors[h.member_edges()]
+    return _ordered_sum(h.weights * _per_edge_count(wrong, h.eptr)) / r
 
 
 def _walk(
@@ -133,9 +126,9 @@ def _walk(
     ``min(w_e, w_f)`` is added to the bound.
     """
     inc = incidence if incidence is not None else build_incidence(h)
-    colors = [e.color for e in h.edges]
-    weights = [e.weight for e in h.edges]
-    deleted = bytearray(len(h.edges))
+    colors = h.colors.tolist()
+    weights = h.weights.tolist()
+    deleted = bytearray(h.num_edges)
     bound = 0.0
     for v in _visit_order(h.num_nodes, order_seed):
         lst = inc.neighbor_list(v)
@@ -201,12 +194,15 @@ def match_coloring(
 
 
 def _color_survivors(h: EdgeColoredHypergraph, deleted) -> list[int]:
-    coloring = [1] * h.num_nodes
-    for j, e in enumerate(h.edges):
-        if not deleted[j]:
-            for v in e.members:
-                coloring[v] = e.color
-    return coloring
+    """Color each node by the last surviving edge (in index order) that holds it; 1 if none."""
+    edge_of = h.member_edges()
+    alive = np.flatnonzero(np.asarray(deleted)[edge_of] == 0)
+    last = np.full(h.num_nodes, -1, dtype=np.int64)
+    np.maximum.at(last, h.members[alive], alive)
+    held = last >= 0
+    coloring = np.ones(h.num_nodes, dtype=np.int64)
+    coloring[held] = h.colors[edge_of[last[held]]]
+    return coloring.tolist()
 
 
 def coloring_from_deletions(h: EdgeColoredHypergraph, dels: DeletionSet) -> list[int]:
@@ -218,7 +214,7 @@ def coloring_from_deletions(h: EdgeColoredHypergraph, dels: DeletionSet) -> list
     pair = find_bad_pair(h, dels.indices)
     if pair is not None:
         raise ValueError(f"deletion set leaves conflicting edge pair {pair}")
-    flags = bytearray(len(h.edges))
+    flags = bytearray(h.num_edges)
     for j in dels.indices:
         flags[j] = 1
     return _color_survivors(h, flags)
@@ -248,12 +244,11 @@ def recolor_uncovered(
     cost more than it saves, so ``base`` is kept whenever it is strictly
     cheaper.
     """
-    covered = bytearray(h.num_nodes)
-    for j, e in enumerate(h.edges):
-        if j not in dels.indices:
-            for v in e.members:
-                covered[v] = 1
-    recolored = [base[v] if covered[v] else mv[v] for v in range(h.num_nodes)]
+    deleted = np.zeros(h.num_edges, dtype=bool)
+    deleted[list(dels.indices)] = True
+    covered = np.zeros(h.num_nodes, dtype=bool)
+    covered[h.members[~deleted[h.member_edges()]]] = True
+    recolored = np.where(covered, base, mv).tolist()
     if objective_cost(h, recolored).total_cost > objective_cost(h, base).total_cost:
         return base
     return recolored

@@ -8,11 +8,28 @@ Conventions used throughout the package:
 A *node coloring* is a plain sequence of length ``num_nodes`` with values in
 ``[1..k]``. An edge is *satisfied* by a coloring when every member node has the
 edge's color; otherwise the coloring makes a *mistake* at that edge.
+
+Layout: an instance with ``m`` edges is four flat numpy arrays, in the shape
+of the benchmark format's edge list:
+
+- ``members`` (int64): every edge's sorted, deduplicated member ids, back to
+  back; edge ``j`` owns ``members[eptr[j]:eptr[j + 1]]``;
+- ``eptr`` (int64, length ``m + 1``): the edge offsets into ``members``;
+- ``colors`` (int64) and ``weights`` (float64), one entry per edge.
+
+Parsing, validation, evaluation, the incidence build and majority vote are
+single array passes over these and create no per-edge Python objects. The
+arrays are copied on construction and marked read-only, so an instance can be
+shared by concurrent workers and passed between calls without defensive
+copies. ``h.edges`` is a tuple of :class:`Edge` objects built on first access
+and then cached on the instance; the LP, rounding, oracle, reduction and
+certificate code reads it on desk-scale instances, while the combinatorial
+solve path never builds it.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -20,6 +37,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 NodeColoring = Sequence[int]
+
+_ARRAYS = (("members", np.int64), ("eptr", np.int64), ("colors", np.int64), ("weights", np.float64))
 
 
 @dataclass(frozen=True)
@@ -34,37 +53,122 @@ class Edge:
         return len(self.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeColoredHypergraph:
     """Immutable problem instance: ``num_nodes`` nodes, colored weighted hyperedges.
 
-    Instances are safe to share across concurrent workers. Use :func:`hypergraph`
-    to build one from raw edge tuples (it normalizes members); the raw constructor
-    performs no range checks so that :func:`validate` can report violations.
+    The four arrays (see the module docstring) are the only stored data. Use
+    :func:`hypergraph` to build one from raw edge tuples (it sorts and
+    deduplicates members); the raw constructor only checks that the arrays
+    fit together, so that :func:`validate` can report out-of-range members,
+    colors and weights as well as empty edges and duplicate members.
     """
 
     num_nodes: int
     num_colors: int
-    edges: tuple[Edge, ...]
+    members: np.ndarray
+    eptr: np.ndarray
+    colors: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in _ARRAYS:
+            a = np.array(getattr(self, name), dtype=dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        m = len(self.colors)
+        shaped = all(getattr(self, name).ndim == 1 for name, _ in _ARRAYS)
+        if not (shaped and len(self.weights) == m and len(self.eptr) == m + 1
+                and self.eptr[0] == 0 and self.eptr[-1] == len(self.members)
+                and np.all(self.eptr[1:] >= self.eptr[:-1])):
+            raise ValueError("edge arrays do not fit together: need 1-D colors and weights "
+                             "of length m and offsets eptr of length m + 1 rising from 0 "
+                             "to len(members)")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EdgeColoredHypergraph):
+            return NotImplemented
+        return (self.num_nodes, self.num_colors) == (other.num_nodes, other.num_colors) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name, _ in _ARRAYS
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.num_nodes, self.num_colors)
+                    + tuple(getattr(self, name).tobytes() for name, _ in _ARRAYS))
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as :class:`Edge` objects, built once on first access."""
+        members, bounds = self.members.tolist(), self.eptr.tolist()
+        return tuple(
+            Edge(tuple(members[a:b]), c, w)
+            for a, b, c, w in zip(bounds, bounds[1:], self.colors.tolist(), self.weights.tolist())
+        )
 
     @property
     def rank(self) -> int:
         """Maximum edge size (0 for an edgeless instance)."""
-        return max((len(e) for e in self.edges), default=0)
+        return int(np.diff(self.eptr).max()) if len(self.colors) else 0
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.colors)
 
     def total_weight(self) -> float:
-        return sum(e.weight for e in self.edges)
+        return _ordered_sum(self.weights)
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.num_nodes
-        for e in self.edges:
-            for v in e.members:
-                deg[v] += 1
-        return deg
+        return np.bincount(self.members, minlength=self.num_nodes).tolist()
+
+    def member_edges(self) -> np.ndarray:
+        """The edge index of every entry of ``members``."""
+        return np.repeat(np.arange(len(self.colors)), np.diff(self.eptr))
+
+
+def _ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, the same as adding the values one by one in a loop."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _per_edge_count(flags: np.ndarray, eptr: np.ndarray) -> np.ndarray:
+    """Number of true entries of ``flags`` (one per member) in each edge."""
+    running = np.zeros(len(flags) + 1, dtype=np.int64)
+    np.cumsum(flags, out=running[1:])
+    return running[eptr[1:]] - running[eptr[:-1]]
+
+
+def _sorted_within_edges(members: np.ndarray, edge_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``members`` with every edge's slice in ascending order, and the repeats in it.
+
+    The mask marks each entry equal to the one before it in the same edge.
+    The sort is skipped when every edge already is in order.
+    """
+    same_edge = edge_of[1:] == edge_of[:-1]
+    if not np.all(members[1:][same_edge] >= members[:-1][same_edge]):
+        members = members[np.lexsort((members, edge_of))]
+    repeat = np.zeros(len(members), dtype=bool)
+    repeat[1:] = same_edge & (members[1:] == members[:-1])
+    return members, repeat
+
+
+def from_flat(num_nodes: int, num_colors: int, members, sizes, colors, weights) -> EdgeColoredHypergraph:
+    """Build an instance from flat member ids, edge sizes, colors and weights.
+
+    Each edge's members (the next ``sizes[j]`` ids) are sorted and
+    deduplicated; an edge without members is rejected. Range checks are left
+    to :func:`validate`.
+    """
+    members = np.asarray(members, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if np.any(sizes == 0):
+        raise ValueError("hyperedge has no members after deduplication")
+    edge_of = np.repeat(np.arange(len(sizes)), sizes)
+    members, repeat = _sorted_within_edges(members, edge_of)
+    if repeat.any():
+        members, sizes = members[~repeat], np.bincount(edge_of[~repeat], minlength=len(sizes))
+    eptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=eptr[1:])
+    return EdgeColoredHypergraph(num_nodes, num_colors, members, eptr, colors, weights)
 
 
 def hypergraph(
@@ -78,19 +182,23 @@ def hypergraph(
     are rejected. Range checks (member indices, colors, weights) are deferred to
     :func:`validate` so invalid instances can be constructed and reported on.
     """
-    built: list[Edge] = []
+    members: list[int] = []
+    sizes: list[int] = []
+    colors: list[int] = []
+    weights: list[float] = []
     for spec in edges:
         if isinstance(spec, Edge):
-            members, color, weight = spec.members, spec.color, spec.weight
+            ids, color, weight = spec.members, spec.color, spec.weight
         elif len(spec) == 2:
-            (members, color), weight = spec, 1.0
+            (ids, color), weight = spec, 1.0
         else:
-            members, color, weight = spec
-        uniq = tuple(sorted(set(members)))
-        if not uniq:
-            raise ValueError("hyperedge has no members after deduplication")
-        built.append(Edge(uniq, int(color), float(weight)))
-    return EdgeColoredHypergraph(num_nodes, num_colors, tuple(built))
+            ids, color, weight = spec
+        before = len(members)
+        members.extend(ids)
+        sizes.append(len(members) - before)
+        colors.append(int(color))
+        weights.append(float(weight))
+    return from_flat(num_nodes, num_colors, members, sizes, colors, weights)
 
 
 def validate(h: EdgeColoredHypergraph) -> list[str]:
@@ -100,22 +208,31 @@ def validate(h: EdgeColoredHypergraph) -> list[str]:
     out-of-range colors, negative or non-finite weights.
     """
     problems: list[str] = []
-    if h.num_nodes < 0:
-        problems.append(f"num_nodes is negative: {h.num_nodes}")
-    if h.num_colors < 0:
-        problems.append(f"num_colors is negative: {h.num_colors}")
-    for j, e in enumerate(h.edges):
-        if not e.members:
+    n, k = h.num_nodes, h.num_colors
+    if n < 0:
+        problems.append(f"num_nodes is negative: {n}")
+    if k < 0:
+        problems.append(f"num_colors is negative: {k}")
+    edge_of = h.member_edges()
+    _, repeat = _sorted_within_edges(h.members, edge_of)
+    outside = (h.members < 0) | (h.members >= n)
+    bad = (h.eptr[1:] == h.eptr[:-1]) | (h.colors < 1) | (h.colors > k)
+    bad |= ~((h.weights >= 0.0) & (h.weights < math.inf))
+    bad[edge_of[repeat | outside]] = True
+    for j in np.flatnonzero(bad).tolist():
+        ids = h.members[h.eptr[j]:h.eptr[j + 1]].tolist()
+        color, weight = int(h.colors[j]), float(h.weights[j])
+        if not ids:
             problems.append(f"edge {j} is empty")
-        if len(set(e.members)) != len(e.members):
+        if len(set(ids)) != len(ids):
             problems.append(f"edge {j} has duplicate members")
-        for v in e.members:
-            if not (0 <= v < h.num_nodes):
-                problems.append(f"edge {j} member {v} out of range [0, {h.num_nodes})")
-        if not (1 <= e.color <= h.num_colors):
-            problems.append(f"edge {j} color {e.color} out of range [1, {h.num_colors}]")
-        if not (0.0 <= e.weight < math.inf):
-            problems.append(f"edge {j} weight {e.weight} is not a nonnegative finite number")
+        for v in ids:
+            if not (0 <= v < n):
+                problems.append(f"edge {j} member {v} out of range [0, {n})")
+        if not (1 <= color <= k):
+            problems.append(f"edge {j} color {color} out of range [1, {k}]")
+        if not (0.0 <= weight < math.inf):
+            problems.append(f"edge {j} weight {weight} is not a nonnegative finite number")
     return problems
 
 
@@ -139,22 +256,29 @@ def objective_cost(
     coloring: NodeColoring,
     truth: NodeColoring | None = None,
 ) -> CostReport:
-    """Evaluate the minimum-mistake objective of ``coloring`` on ``h``."""
+    """Evaluate the minimum-mistake objective of ``coloring`` on ``h``.
+
+    Every value of ``coloring`` must lie in ``[1, max(k, 1)]``: color 1, the
+    color of nodes in no edge, stays valid on an instance without colors.
+    """
     if len(coloring) != h.num_nodes:
         raise ValueError(
             f"coloring has length {len(coloring)}, instance has {h.num_nodes} nodes"
         )
-    mistakes: list[int] = []
-    cost = 0.0
-    for j, e in enumerate(h.edges):
-        c = e.color
-        if any(coloring[v] != c for v in e.members):
-            mistakes.append(j)
-            cost += e.weight
-    m = len(h.edges)
+    node_colors = np.asarray(coloring)
+    top = max(h.num_colors, 1)
+    outside = np.flatnonzero((node_colors < 1) | (node_colors > top))
+    if len(outside):
+        v = int(outside[0])
+        raise ValueError(f"coloring gives node {v} color {coloring[v]}, outside [1, {top}]")
+    wrong = node_colors[h.members] != h.colors[h.member_edges()]
+    mistakes = np.flatnonzero(_per_edge_count(wrong, h.eptr))
+    m = h.num_edges
     satisfaction = 1.0 if m == 0 else 1.0 - len(mistakes) / m
     acc = accuracy(coloring, truth) if truth is not None else None
-    return CostReport(cost, tuple(mistakes), satisfaction, acc)
+    return CostReport(
+        _ordered_sum(h.weights[mistakes]), tuple(mistakes.tolist()), satisfaction, acc
+    )
 
 
 def accuracy(coloring: NodeColoring, truth: NodeColoring) -> float:
@@ -202,20 +326,11 @@ def build_incidence(h: EdgeColoredHypergraph) -> ColorSortedIncidence:
     Counting sort on the composite (node, color) key; the stable integer sort
     keeps edge indices ascending within a color.
     """
-    n, k, m = h.num_nodes, h.num_colors, len(h.edges)
-    sizes = np.fromiter((len(e.members) for e in h.edges), dtype=np.int64, count=m)
-    total = int(sizes.sum()) if m else 0
-    flat_v = np.fromiter(
-        itertools.chain.from_iterable(e.members for e in h.edges),
-        dtype=np.int64,
-        count=total,
-    )
-    flat_j = np.repeat(np.arange(m, dtype=np.int64), sizes)
-    colors = np.fromiter((e.color for e in h.edges), dtype=np.int64, count=m)
-    key = flat_v * np.int64(k + 1) + colors[flat_j]
+    n, k = h.num_nodes, h.num_colors
+    flat_j = h.member_edges()
+    key = h.members * np.int64(k + 1) + h.colors[flat_j]
     order = np.argsort(key, kind="stable")  # radix sort on integer keys
     edge_ids = flat_j[order].astype(np.int32)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    if total:
-        np.cumsum(np.bincount(flat_v, minlength=n), out=indptr[1:])
+    np.cumsum(np.bincount(h.members, minlength=n), out=indptr[1:])
     return ColorSortedIncidence(indptr, edge_ids)

@@ -13,11 +13,12 @@ Two text formats are supported:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergraph import EdgeColoredHypergraph, hypergraph
+from .hypergraph import EdgeColoredHypergraph, from_flat, hypergraph
 
 
 class ParseError(ValueError):
@@ -29,65 +30,129 @@ class ParseError(ValueError):
         super().__init__(prefix + message)
 
 
-def _format_weight(w: float) -> str:
-    if w == int(w) and abs(w) < 1e15:
-        return str(int(w))
-    return repr(w)
-
-
 def write_canonical(h: EdgeColoredHypergraph) -> str:
-    """Serialize to canonical text; edges in index order, members sorted."""
-    lines = [f"ecc {h.num_nodes} {len(h.edges)} {h.num_colors}"]
-    for e in h.edges:
-        ids = " ".join(str(v) for v in e.members)
-        lines.append(f"{e.color} {_format_weight(e.weight)} {ids}")
-    return "\n".join(lines) + "\n"
+    """Serialize to canonical text; edges in index order, members sorted.
+
+    Weights that are whole numbers below ``1e15`` print as integers, others
+    as their ``repr``.
+    """
+    m = h.num_edges
+    w = h.weights
+    whole = (w == np.floor(w)) & (np.abs(w) < 1e15)
+    # Every word of the body (color, weight, member ids) at an even position,
+    # followed by a space, or a line break after an edge's last member.
+    size = len(h.members) + 2 * m
+    starts = h.eptr[:-1] + 2 * np.arange(m)
+    is_member = np.ones(size, dtype=bool)
+    is_member[starts] = is_member[starts + 1] = False
+    parts = np.full(2 * size, " ", dtype=object)
+    words = parts[0::2]
+    words[starts] = list(map(str, h.colors.tolist()))
+    words[starts[whole] + 1] = list(map(str, w[whole].astype(np.int64).tolist()))
+    words[starts[~whole] + 1] = list(map(repr, w[~whole].tolist()))
+    words[is_member] = list(map(str, h.members.tolist()))
+    parts[2 * (starts + np.diff(h.eptr) + 1) + 1] = "\n"
+    return f"ecc {h.num_nodes} {m} {h.num_colors}\n" + "".join(parts.tolist())
+
+
+def _edge_line_error(tokens: list[str], n: int, k: int) -> str | None:
+    """The first problem of one edge line, in the order the checks apply."""
+    if len(tokens) < 3:
+        return "edge line needs '<color> <weight> <ids...>'"
+    try:
+        color = int(tokens[0])
+        weight = float(tokens[1])
+        members = [int(t) for t in tokens[2:]]
+    except ValueError:
+        return "bad token in edge line"
+    if not (1 <= color <= k):
+        return f"color {color} out of range [1, {k}]"
+    if not (0.0 <= weight < math.inf):
+        return f"weight {tokens[1]} is not a nonnegative finite number"
+    for v in members:
+        if not (0 <= v < n):
+            return f"node id {v} out of range [0, {n})"
+    return None
+
+
+def _convert(tokens: list[str], kind, invalid) -> np.ndarray:
+    """Tokens through ``int`` or ``float``; a token that fails becomes ``invalid``.
+
+    So do integers beyond int64. Callers pick an ``invalid`` value that their
+    range check rejects, and re-read the reported line for the message.
+    """
+    dtype = np.int64 if kind is int else np.float64
+    try:
+        return np.fromiter(map(kind, tokens), dtype=dtype, count=len(tokens))
+    except (ValueError, OverflowError):
+        pass
+    values = np.full(len(tokens), invalid, dtype=dtype)
+    for i, token in enumerate(tokens):
+        try:
+            value = kind(token)
+        except ValueError:
+            continue
+        if kind is float or -(1 << 63) <= value < 1 << 63:
+            values[i] = value
+    return values
 
 
 def parse_canonical(text: str) -> EdgeColoredHypergraph:
-    """Parse canonical text, raising :class:`ParseError` with a line number."""
-    header: tuple[int, int, int] | None = None
-    edges: list[tuple[tuple[int, ...], int, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if header is None:
-            if len(tokens) != 4 or tokens[0] != "ecc":
-                raise ParseError("expected header 'ecc <nodes> <edges> <colors>'", lineno)
-            try:
-                header = (int(tokens[1]), int(tokens[2]), int(tokens[3]))
-            except ValueError:
-                raise ParseError("non-integer header field", lineno) from None
-            if min(header) < 0:
-                raise ParseError("negative header field", lineno)
-            continue
-        n, m, k = header
-        if len(edges) >= m:
-            raise ParseError(f"more than the declared {m} edges", lineno)
-        if len(tokens) < 3:
-            raise ParseError("edge line needs '<color> <weight> <ids...>'", lineno)
-        try:
-            color = int(tokens[0])
-            weight = float(tokens[1])
-            members = tuple(int(t) for t in tokens[2:])
-        except ValueError:
-            raise ParseError("bad token in edge line", lineno) from None
-        if not (1 <= color <= k):
-            raise ParseError(f"color {color} out of range [1, {k}]", lineno)
-        if not (weight >= 0.0) or weight != weight or weight == float("inf"):
-            raise ParseError(f"weight {tokens[1]} is not a nonnegative finite number", lineno)
-        for v in members:
-            if not (0 <= v < n):
-                raise ParseError(f"node id {v} out of range [0, {n})", lineno)
-        edges.append((members, color, weight))
-    if header is None:
+    """Parse canonical text, raising :class:`ParseError` with a line number.
+
+    One split of the whole text and a token count per line; the edge lines'
+    colors, weights and member ids are then converted and range-checked as
+    flat arrays. When some edge line is bad, the first one is re-read to name
+    its first problem.
+    """
+    lines = text.splitlines()
+    counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
+    words = np.array(text.split(), dtype=object)  # line breaks are whitespace too
+    starts = np.cumsum(counts) - counts
+    filled = np.flatnonzero(counts)
+    comment = np.array([w[0] == "#" for w in words[starts[filled]].tolist()], dtype=bool)
+    data = filled[~comment]
+    if not len(data):
         raise ParseError("empty input, no header found")
-    n, m, k = header
-    if len(edges) != m:
-        raise ParseError(f"header declares {m} edges but file has {len(edges)}")
-    return hypergraph(n, k, edges)
+    lineno = int(data[0]) + 1
+    header = lines[lineno - 1].split()
+    if len(header) != 4 or header[0] != "ecc":
+        raise ParseError("expected header 'ecc <nodes> <edges> <colors>'", lineno)
+    try:
+        n, m, k = int(header[1]), int(header[2]), int(header[3])
+    except ValueError:
+        raise ParseError("non-integer header field", lineno) from None
+    if min(n, m, k) < 0:
+        raise ParseError("negative header field", lineno)
+
+    edge_lines = data[1:m + 1]  # a line beyond the declared count is an error in itself
+    full = edge_lines[counts[edge_lines] >= 3]
+    sizes = counts[full] - 2
+    colors = _convert(words[starts[full]].tolist(), int, 0)
+    weights = _convert(words[starts[full] + 1].tolist(), float, math.nan)
+    in_full = np.zeros(len(lines), dtype=bool)
+    in_full[full] = True
+    is_member = np.repeat(in_full, counts)
+    is_member[starts[full]] = is_member[starts[full] + 1] = False
+    members = _convert(words[is_member].tolist(), int, -1)
+
+    bad = (colors < 1) | (colors > k) | ~((weights >= 0.0) & (weights < math.inf))
+    outside = (members < 0) | (members >= n)
+    bad[np.repeat(np.arange(len(full)), sizes)[outside]] = True
+    # The first line that fails: a line past the count, a short or a bad edge line.
+    bad_lines = [data[m + 1]] if len(data) > m + 1 else []
+    if len(full) < len(edge_lines):
+        bad_lines.append(edge_lines[counts[edge_lines] < 3][0])
+    if bad.any():
+        bad_lines.append(full[np.argmax(bad)])
+    if bad_lines:
+        first = int(min(bad_lines))
+        if len(data) > m + 1 and first == data[m + 1]:
+            raise ParseError(f"more than the declared {m} edges", first + 1)
+        raise ParseError(_edge_line_error(lines[first].split(), n, k), first + 1)
+    if len(edge_lines) != m:
+        raise ParseError(f"header declares {m} edges but file has {len(edge_lines)}")
+    return from_flat(n, k, members, sizes, colors, weights)
 
 
 def _int_tokens(raw: str, lineno: int, what: str) -> list[int]:
@@ -227,25 +292,25 @@ def gen_random(
     truth = rng.integers(1, k + 1, size=n)
     clusters = [np.flatnonzero(truth == c) for c in range(1, k + 1)]
     usable = [c for c in range(k) if len(clusters[c]) >= 2]
+    # The cluster that edges drawn for cluster c use, and its member pool.
+    target = [usable[c % len(usable)] if len(clusters[c]) < 2 and usable else c for c in range(k)]
     all_nodes = np.arange(n)
+    pools = [clusters[c] if len(clusters[c]) >= 2 else all_nodes for c in target]
 
     sizes = rng.integers(2, max_size + 1, size=m)
     chosen = rng.integers(0, k, size=m)
     noisy = rng.random(m) < noise
     resampled = rng.integers(1, k + 1, size=m)
 
-    edges = []
-    for idx in range(m):
-        c = int(chosen[idx])
-        if len(clusters[c]) < 2 and usable:
-            c = usable[c % len(usable)]
-        pool = clusters[c] if len(clusters[c]) >= 2 else all_nodes
-        size = int(min(sizes[idx], len(pool)))
-        members = _sample_distinct(rng, pool, size)
-        color = int(resampled[idx]) if noisy[idx] else c + 1
-        edges.append((tuple(int(v) for v in members), color, 1.0))
-    h = hypergraph(n, k, edges)
-    return PlantedInstance(h, [int(t) for t in truth], noise)
+    parts = [
+        _sample_distinct(rng, pools[c], min(size, len(pools[c])))
+        for c, size in zip(chosen.tolist(), sizes.tolist())
+    ]
+    colors = np.where(noisy, resampled, np.array(target)[chosen] + 1)
+    members = np.concatenate(parts)
+    counts = np.fromiter(map(len, parts), dtype=np.int64, count=m)
+    h = from_flat(n, k, members, counts, colors, np.ones(m))
+    return PlantedInstance(h, truth.tolist(), noise)
 
 
 def _sample_distinct(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:

@@ -96,6 +96,29 @@ class LinearProgram:
         """Objective value (in the program's own sense) of a primal vector."""
         return self.constant + float(np.dot(self.objective, np.asarray(x, dtype=float)))
 
+    def violation(self, x, tol: float = 1e-6) -> str | None:
+        """Describe what ``x`` breaks by more than ``tol``; None when it is feasible.
+
+        Lower bounds are checked first, then upper bounds, then the rows in
+        order, and the first break found is named. Rows are named ``c<i>`` by
+        their position, as in :func:`export_lp_text`.
+        """
+        x = np.asarray(x, dtype=float)
+        below = np.flatnonzero(x < np.array(self.lower) - tol)
+        if len(below):
+            j = int(below[0])
+            return f"{self.names[j]} = {x[j]:.9g} is below its lower bound {_num(self.lower[j])}"
+        above = np.flatnonzero(x > np.array(self.upper) + tol)
+        if len(above):
+            j = int(above[0])
+            return f"{self.names[j]} = {x[j]:.9g} is above its upper bound {_num(self.upper[j])}"
+        for i, con in enumerate(self.constraints):
+            lhs = sum(a * x[j] for j, a in con.coeffs)
+            gap = lhs - con.rhs
+            if (gap > tol and con.rel != ">=") or (gap < -tol and con.rel != "<="):
+                return f"row c{i} does not hold: {lhs:.9g} {con.rel} {_num(con.rhs)}"
+        return None
+
 
 @dataclass(frozen=True)
 class LpResult:

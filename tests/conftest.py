@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -10,10 +11,14 @@ import pytest
 from minecc.combinatorial import DeletionSet, _color_survivors, _visit_order
 from minecc.hypergraph import (
     ColorSortedIncidence,
+    CostReport,
+    Edge,
     EdgeColoredHypergraph,
+    accuracy,
     build_incidence,
     hypergraph,
 )
+from minecc.instances import ParseError
 from minecc.lp import (
     DEGENERATE_RUN_LIMIT,
     FEAS_TOL,
@@ -140,6 +145,193 @@ def reference_match_coloring(
             b -= 1
     dels = DeletionSet.from_flags(h, deleted)
     return dels, _color_survivors(h, deleted), bound
+
+
+# The per-edge loops that the array code of ``hypergraph``, ``instances`` and
+# ``combinatorial`` replaced, kept verbatim as references (apart from their
+# names, and a reference instance being the tuple (num_nodes, num_colors,
+# edges) of the old object layout).
+
+
+def reference_hypergraph(num_nodes, num_colors, edges):
+    """The old tuple-of-Edge constructor; the reference for ``hypergraph``."""
+    built: list[Edge] = []
+    for spec in edges:
+        if isinstance(spec, Edge):
+            members, color, weight = spec.members, spec.color, spec.weight
+        elif len(spec) == 2:
+            (members, color), weight = spec, 1.0
+        else:
+            members, color, weight = spec
+        uniq = tuple(sorted(set(members)))
+        if not uniq:
+            raise ValueError("hyperedge has no members after deduplication")
+        built.append(Edge(uniq, int(color), float(weight)))
+    return (num_nodes, num_colors, tuple(built))
+
+
+def reference_parse_canonical(text: str):
+    """The old line-by-line parser; the reference for ``parse_canonical``."""
+    header: tuple[int, int, int] | None = None
+    edges: list[tuple[tuple[int, ...], int, float]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if header is None:
+            if len(tokens) != 4 or tokens[0] != "ecc":
+                raise ParseError("expected header 'ecc <nodes> <edges> <colors>'", lineno)
+            try:
+                header = (int(tokens[1]), int(tokens[2]), int(tokens[3]))
+            except ValueError:
+                raise ParseError("non-integer header field", lineno) from None
+            if min(header) < 0:
+                raise ParseError("negative header field", lineno)
+            continue
+        n, m, k = header
+        if len(edges) >= m:
+            raise ParseError(f"more than the declared {m} edges", lineno)
+        if len(tokens) < 3:
+            raise ParseError("edge line needs '<color> <weight> <ids...>'", lineno)
+        try:
+            color = int(tokens[0])
+            weight = float(tokens[1])
+            members = tuple(int(t) for t in tokens[2:])
+        except ValueError:
+            raise ParseError("bad token in edge line", lineno) from None
+        if not (1 <= color <= k):
+            raise ParseError(f"color {color} out of range [1, {k}]", lineno)
+        if not (weight >= 0.0) or weight != weight or weight == float("inf"):
+            raise ParseError(f"weight {tokens[1]} is not a nonnegative finite number", lineno)
+        for v in members:
+            if not (0 <= v < n):
+                raise ParseError(f"node id {v} out of range [0, {n})", lineno)
+        edges.append((members, color, weight))
+    if header is None:
+        raise ParseError("empty input, no header found")
+    n, m, k = header
+    if len(edges) != m:
+        raise ParseError(f"header declares {m} edges but file has {len(edges)}")
+    return reference_hypergraph(n, k, edges)
+
+
+def reference_validate(h: EdgeColoredHypergraph) -> list[str]:
+    """The old per-edge validation; the reference for ``validate``."""
+    problems: list[str] = []
+    if h.num_nodes < 0:
+        problems.append(f"num_nodes is negative: {h.num_nodes}")
+    if h.num_colors < 0:
+        problems.append(f"num_colors is negative: {h.num_colors}")
+    for j, e in enumerate(h.edges):
+        if not e.members:
+            problems.append(f"edge {j} is empty")
+        if len(set(e.members)) != len(e.members):
+            problems.append(f"edge {j} has duplicate members")
+        for v in e.members:
+            if not (0 <= v < h.num_nodes):
+                problems.append(f"edge {j} member {v} out of range [0, {h.num_nodes})")
+        if not (1 <= e.color <= h.num_colors):
+            problems.append(f"edge {j} color {e.color} out of range [1, {h.num_colors}]")
+        if not (0.0 <= e.weight < math.inf):
+            problems.append(f"edge {j} weight {e.weight} is not a nonnegative finite number")
+    return problems
+
+
+def reference_objective_cost(h: EdgeColoredHypergraph, coloring, truth=None) -> CostReport:
+    """The old per-edge evaluation; the reference for ``objective_cost``."""
+    if len(coloring) != h.num_nodes:
+        raise ValueError(
+            f"coloring has length {len(coloring)}, instance has {h.num_nodes} nodes"
+        )
+    mistakes: list[int] = []
+    cost = 0.0
+    for j, e in enumerate(h.edges):
+        c = e.color
+        if any(coloring[v] != c for v in e.members):
+            mistakes.append(j)
+            cost += e.weight
+    m = len(h.edges)
+    satisfaction = 1.0 if m == 0 else 1.0 - len(mistakes) / m
+    acc = accuracy(coloring, truth) if truth is not None else None
+    return CostReport(cost, tuple(mistakes), satisfaction, acc)
+
+
+def reference_build_incidence(h: EdgeColoredHypergraph) -> ColorSortedIncidence:
+    """The old incidence build from the edge objects; the reference for ``build_incidence``."""
+    n, k, m = h.num_nodes, h.num_colors, len(h.edges)
+    sizes = np.fromiter((len(e.members) for e in h.edges), dtype=np.int64, count=m)
+    total = int(sizes.sum()) if m else 0
+    flat_v = np.fromiter(
+        itertools.chain.from_iterable(e.members for e in h.edges),
+        dtype=np.int64,
+        count=total,
+    )
+    flat_j = np.repeat(np.arange(m, dtype=np.int64), sizes)
+    colors = np.fromiter((e.color for e in h.edges), dtype=np.int64, count=m)
+    key = flat_v * np.int64(k + 1) + colors[flat_j]
+    order = np.argsort(key, kind="stable")  # radix sort on integer keys
+    edge_ids = flat_j[order].astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    if total:
+        np.cumsum(np.bincount(flat_v, minlength=n), out=indptr[1:])
+    return ColorSortedIncidence(indptr, edge_ids)
+
+
+def reference_majority_vote(h: EdgeColoredHypergraph) -> list[int]:
+    """The old ``np.add.at`` vote; the reference for ``majority_vote``."""
+    n, k = h.num_nodes, h.num_colors
+    if k < 1:
+        return [1] * n
+    counts = np.zeros((n, max(k, 1)))
+    nodes: list[int] = []
+    cols: list[int] = []
+    wts: list[float] = []
+    for e in h.edges:
+        nodes.extend(e.members)
+        cols.extend([e.color - 1] * len(e.members))
+        wts.extend([e.weight] * len(e.members))
+    if nodes:
+        np.add.at(counts, (np.array(nodes), np.array(cols)), np.array(wts))
+    return [int(c) for c in counts.argmax(axis=1) + 1]
+
+
+def reference_mv_lower_bound(h: EdgeColoredHypergraph, mv_coloring) -> float:
+    """The old per-edge mismatch count; the reference for ``mv_lower_bound``."""
+    r = h.rank
+    if r == 0:
+        return 0.0
+    total = 0.0
+    for e in h.edges:
+        bad = sum(1 for v in e.members if mv_coloring[v] != e.color)
+        total += e.weight * bad
+    return total / r
+
+
+def reference_color_survivors(h: EdgeColoredHypergraph, deleted) -> list[int]:
+    """The old overwrite loop; the reference for ``_color_survivors``."""
+    coloring = [1] * h.num_nodes
+    for j, e in enumerate(h.edges):
+        if not deleted[j]:
+            for v in e.members:
+                coloring[v] = e.color
+    return coloring
+
+
+def reference_recolor_uncovered(h: EdgeColoredHypergraph, dels: DeletionSet, base, mv):
+    """The old per-edge cover loop; the reference for ``recolor_uncovered``."""
+    covered = bytearray(h.num_nodes)
+    for j, e in enumerate(h.edges):
+        if j not in dels.indices:
+            for v in e.members:
+                covered[v] = 1
+    recolored = [base[v] if covered[v] else mv[v] for v in range(h.num_nodes)]
+    if (
+        reference_objective_cost(h, recolored).total_cost
+        > reference_objective_cost(h, base).total_cost
+    ):
+        return base
+    return recolored
 
 
 def reference_simplex(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:

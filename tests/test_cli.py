@@ -148,6 +148,42 @@ class TestMalformedLpSolutionExitCodes:
         assert err.startswith("error: ") and detail in err and "Traceback" not in err
 
 
+class TestInfeasibleLpSolutionExitCodes:
+    @pytest.mark.parametrize("solution_text, detail", [
+        ("xe_0 0.5\n", "row c0 does not hold: 0 = 2"),
+        ("xe_0 1.5\n", "xe_0 = 1.5 is above its upper bound 1"),
+        ("xn_0_1 -0.25\n", "xn_0_1 = -0.25 is below its lower bound 0"),
+    ], ids=["row", "upper-bound", "lower-bound"])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{gap3}", "--algo", "lp", "--solution", "{sol}"],
+        ["solve", "{gap3}", "--algo", "lp-simple", "--solution", "{sol}"],
+        ["solve", "{gap3}", "--algo", "match", "--with-lp-bound", "--solution", "{sol}"],
+        ["compare-lp", "{gap3}", "--ecc-solution", "{sol}"],
+    ], ids=["solve-lp", "solve-lp-simple", "solve-lp-bound", "compare-lp"])
+    def test_exit_2_naming_the_row_or_bound(
+        self, argv, solution_text, detail, gap3_file, tmp_path, capsys
+    ):
+        sol = tmp_path / "primal.txt"
+        sol.write_text(solution_text)
+        assert main([a.format(gap3=gap3_file, sol=sol) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "infeasible LP solution" in captured.err
+        assert detail in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_nodemc_solution_checked_too(self, gap3_file, tmp_path, capsys):
+        sol = tmp_path / "primal.txt"
+        sol.write_text("d_0 0.5\n")
+        assert main(["compare-lp", gap3_file, "--nodemc-solution", str(sol)]) == 2
+        assert "infeasible LP solution: row c" in capsys.readouterr().err
+
+    def test_verify_still_reports_violations(self, gap3_file, tmp_path, capsys):
+        sol = tmp_path / "primal.txt"
+        sol.write_text("xe_0 0.5\n")
+        assert main(["verify", "--invariants", gap3_file, "--solution", str(sol)]) == 3
+        assert "invariant violation" in capsys.readouterr().out
+
+
 class TestWorkDoneOncePerSolve:
     COUNTED = ("build_incidence", "match_coloring", "majority_vote")
 

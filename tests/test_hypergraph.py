@@ -3,7 +3,6 @@ import math
 import pytest
 
 from minecc.hypergraph import (
-    Edge,
     EdgeColoredHypergraph,
     accuracy,
     build_incidence,
@@ -22,29 +21,34 @@ class TestValidate:
         assert validate(h) == []
 
     def test_member_out_of_range(self):
-        h = EdgeColoredHypergraph(2, 1, (Edge((0, 2), 1),))
+        h = hypergraph(2, 1, [((0, 2), 1)])
         problems = validate(h)
         assert len(problems) == 1
         assert "out of range" in problems[0]
 
     def test_color_zero(self):
-        h = EdgeColoredHypergraph(2, 1, (Edge((0, 1), 0),))
+        h = hypergraph(2, 1, [((0, 1), 0)])
         problems = validate(h)
         assert len(problems) == 1
         assert "color" in problems[0]
 
     def test_negative_weight_reported(self):
-        h = EdgeColoredHypergraph(2, 1, (Edge((0, 1), 1, -2.0),))
+        h = hypergraph(2, 1, [((0, 1), 1, -2.0)])
         assert any("nonnegative" in p for p in validate(h))
 
     @pytest.mark.parametrize("weight", [math.inf, math.nan])
     def test_non_finite_weight_reported(self, weight):
-        h = EdgeColoredHypergraph(2, 1, (Edge((0, 1), 1, weight),))
+        h = hypergraph(2, 1, [((0, 1), 1, weight)])
         problems = validate(h)
         assert len(problems) == 1 and "finite" in problems[0]
 
+    def test_empty_and_duplicate_edges_reported(self):
+        # The raw array constructor keeps members as given.
+        h = EdgeColoredHypergraph(3, 1, [0, 2, 0], [0, 0, 3], [1, 1], [1.0, 1.0])
+        assert validate(h) == ["edge 0 is empty", "edge 1 has duplicate members"]
+
     def test_reports_do_not_raise(self):
-        h = EdgeColoredHypergraph(1, 0, (Edge((5,), 9), Edge((0,), -1)))
+        h = hypergraph(1, 0, [((5,), 9), ((0,), -1)])
         assert len(validate(h)) >= 2
 
 

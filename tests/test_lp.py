@@ -409,3 +409,33 @@ class TestPrimalImport:
         lp.add_var("x")
         with pytest.raises(ValueError):
             parse_primal_text(lp, "y 1.0\n")
+
+
+class TestViolation:
+    @staticmethod
+    def small_lp() -> LinearProgram:
+        lp = LinearProgram()
+        a, b = lp.add_var("a", 0.0, 1.0), lp.add_var("b", -1.0)
+        lp.add_constraint([(a, 1.0), (b, 1.0)], "<=", 1.5)
+        lp.add_constraint([(a, 2.0)], ">=", 1.0)
+        lp.add_constraint([(a, 1.0), (b, -1.0)], "=", 0.5)
+        return lp
+
+    @pytest.mark.parametrize("x, expected", [
+        ([0.5, 0.0], None),
+        ([0.5 + 9e-7, 0.0], None),  # within the 1e-6 tolerance
+        ([0.5, -1.5], "b = -1.5 is below its lower bound -1"),
+        ([1.25, 0.75], "a = 1.25 is above its upper bound 1"),
+        ([-0.5, 2.0], "a = -0.5 is below its lower bound 0"),
+        ([1.0, 0.75], "row c0 does not hold: 1.75 <= 1.5"),
+        ([0.25, -0.25], "row c1 does not hold: 0.5 >= 1"),
+        ([0.75, 0.0], "row c2 does not hold: 0.75 = 0.5"),
+        ([0.5, 0.25], "row c2 does not hold: 0.25 = 0.5"),
+    ])
+    def test_first_broken_bound_or_row(self, x, expected):
+        assert self.small_lp().violation(x) == expected
+
+    def test_solved_clustering_lp_is_feasible(self, rng):
+        h = random_instance(rng, n=6, m=8, k=3)
+        lp = build_ecc_lp(h)
+        assert lp.violation(solve(lp).require_optimal().x) is None
