@@ -113,6 +113,11 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
+    except UnicodeDecodeError as exc:  # read() decodes in one call: start is a file offset
+        raise CliError(
+            f"{path}: not UTF-8 text, byte {exc.object[exc.start]:#04x} at offset {exc.start}",
+            EXIT_PARSE,
+        ) from None
 
 
 def _write_out(text: str, path: str | None) -> None:

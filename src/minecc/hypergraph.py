@@ -285,10 +285,9 @@ def accuracy(coloring: NodeColoring, truth: NodeColoring) -> float:
     """Fraction of nodes whose color agrees with the ground truth."""
     if len(coloring) != len(truth):
         raise ValueError("coloring and truth have different lengths")
-    if not truth:
+    if len(truth) == 0:
         return 1.0
-    agree = sum(1 for a, b in zip(coloring, truth) if a == b)
-    return agree / len(truth)
+    return int(np.count_nonzero(np.asarray(coloring) == np.asarray(truth))) / len(truth)
 
 
 @dataclass(frozen=True)

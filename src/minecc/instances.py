@@ -13,6 +13,7 @@ Two text formats are supported:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,47 +76,122 @@ def _edge_line_error(tokens: list[str], n: int, k: int) -> str | None:
     return None
 
 
-def _convert(tokens: list[str], kind, invalid) -> np.ndarray:
-    """Tokens through ``int`` or ``float``; a token that fails becomes ``invalid``.
+_LAST_SPACE = 0x3000  # U+3000 IDEOGRAPHIC SPACE: str.split splits on no higher code point
 
-    So do integers beyond int64. Callers pick an ``invalid`` value that their
-    range check rejects, and re-read the reported line for the message.
+
+@functools.cache
+def _char_classes(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Whitespace and line-break flags of the code points below ``size``.
+
+    Taken from Python itself: whitespace as ``str.split`` splits on it, line
+    breaks as ``str.splitlines`` ends lines on them (every break is also
+    whitespace). Entry ``size`` is False and stands for every higher code point.
     """
-    dtype = np.int64 if kind is int else np.float64
-    try:
-        return np.fromiter(map(kind, tokens), dtype=dtype, count=len(tokens))
-    except (ValueError, OverflowError):
-        pass
-    values = np.full(len(tokens), invalid, dtype=dtype)
-    for i, token in enumerate(tokens):
+    space = np.zeros(size + 1, dtype=bool)
+    space[[c for c in range(size) if chr(c).isspace()]] = True
+    breaks = np.zeros(size + 1, dtype=bool)
+    breaks[[c for c in np.flatnonzero(space) if len(f"a{chr(c)}b".splitlines()) == 2]] = True
+    space.flags.writeable = breaks.flags.writeable = False  # shared by every later call
+    return space, breaks
+
+
+def _tokenize(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``text`` as code points, with its word spans and its words per line.
+
+    Returns ``(codes, starts, ends, line_ptr)``: word ``i`` is
+    ``text[starts[i]:ends[i]]``, split as ``str.split`` splits, and line ``l``
+    (numbered as ``str.splitlines`` would, ``\\r\\n`` being one break) holds
+    words ``line_ptr[l]`` to ``line_ptr[l + 1]``. A text ending in a line
+    break gets one more, empty line, which changes nothing for its words.
+    """
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        space, breaks = _char_classes(128)
+    else:
+        # Every code point above _LAST_SPACE is a word character: clipped into
+        # uint16 as the utf-32 buffer is read, so two bytes per character stay.
+        codes = np.minimum(
+            np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32),
+            _LAST_SPACE + 1, out=np.empty(len(text), dtype=np.uint16), casting="unsafe",
+        )
+        space, breaks = _char_classes(_LAST_SPACE + 1)
+    bounds = np.flatnonzero(np.diff(space[codes], prepend=True, append=True))
+    starts, ends = bounds[0::2], bounds[1::2]
+    line_ends = np.flatnonzero(breaks[codes])
+    crlf = (codes[line_ends] == 10) & (codes[line_ends - 1] == 13) & (line_ends > 0)
+    line_ends = np.append(line_ends[~crlf], len(codes))
+    line_ptr = np.concatenate([[0], np.searchsorted(starts, line_ends)])
+    return codes, starts, ends, line_ptr
+
+
+def _line_words(text: str, starts, ends, line_ptr, line: int) -> list[str]:
+    """The words of one line of ``text``, as strings (see :func:`_tokenize`)."""
+    a, b = line_ptr[line], line_ptr[line + 1]
+    return [text[s:e] for s, e in zip(starts[a:b].tolist(), ends[a:b].tolist())]
+
+
+_EXACT_DIGITS = 15  # below 10**15 < 2**53, so such words are exact in int64 and float64 alike
+
+
+def _convert(text: str, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+             kind, invalid) -> np.ndarray:
+    """Words ``text[starts[i]:ends[i]]`` through ``int`` or ``float``.
+
+    A word that fails becomes ``invalid``, and so do integers beyond int64.
+    Words of at most 15 ASCII digits are decoded here, one digit column at a
+    time from the right; every other word (signs, ``_``, ``.``, exponents,
+    ``nan``, other scripts' digits, longer words) goes through ``kind``
+    itself, so Python's number rules hold throughout. Callers pick an
+    ``invalid`` value that their range check rejects, and re-read the
+    reported line for the message.
+    """
+    lengths = ends - starts
+    values = np.zeros(len(starts), dtype=np.int64)
+    simple = lengths <= _EXACT_DIGITS
+    for j in range(min(int(lengths.max(initial=0)), _EXACT_DIGITS)):
+        # Column j from the right; a shorter word rereads its first character,
+        # which must be a digit too. The unsigned subtraction wraps every
+        # non-digit to 10 or more.
+        digit = codes[np.maximum(ends - 1 - j, starts)] - ord("0")
+        simple &= digit < 10
+        digit[lengths <= j] = 0
+        # An int64 loop named outright: numpy 1.x would keep the product of the
+        # small unsigned digits and a fitting scalar in the digits' dtype.
+        values += np.multiply(digit, 10**j, dtype=np.int64)
+    if kind is float:
+        values = values.astype(np.float64)
+    others = np.flatnonzero(~simple)
+    for i, s, e in zip(others.tolist(), starts[others].tolist(), ends[others].tolist()):
         try:
-            value = kind(token)
+            value = kind(text[s:e])
         except ValueError:
-            continue
-        if kind is float or -(1 << 63) <= value < 1 << 63:
-            values[i] = value
+            value = invalid
+        if kind is int and not -(1 << 63) <= value < 1 << 63:
+            value = invalid
+        values[i] = value
     return values
 
 
 def parse_canonical(text: str) -> EdgeColoredHypergraph:
     """Parse canonical text, raising :class:`ParseError` with a line number.
 
-    One split of the whole text and a token count per line; the edge lines'
-    colors, weights and member ids are then converted and range-checked as
-    flat arrays. When some edge line is bad, the first one is re-read to name
-    its first problem.
+    The text is read as one array of code points: whitespace and line-break
+    masks give every word's span and each line's word count (see
+    :func:`_tokenize`), and the edge lines' colors, weights and member ids
+    are decoded from their spans and range-checked as flat arrays, with no
+    Python string per word. When some edge line is bad, the first one is
+    re-read to name its first problem.
     """
-    lines = text.splitlines()
-    counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
-    words = np.array(text.split(), dtype=object)  # line breaks are whitespace too
-    starts = np.cumsum(counts) - counts
+    codes, starts, ends, line_ptr = _tokenize(text)
+    counts = np.diff(line_ptr)
+    first = line_ptr[:-1]  # each line's first word
     filled = np.flatnonzero(counts)
-    comment = np.array([w[0] == "#" for w in words[starts[filled]].tolist()], dtype=bool)
+    comment = codes[starts[first[filled]]] == ord("#")
     data = filled[~comment]
     if not len(data):
         raise ParseError("empty input, no header found")
     lineno = int(data[0]) + 1
-    header = lines[lineno - 1].split()
+    header = _line_words(text, starts, ends, line_ptr, lineno - 1)
     if len(header) != 4 or header[0] != "ecc":
         raise ParseError("expected header 'ecc <nodes> <edges> <colors>'", lineno)
     try:
@@ -128,13 +204,14 @@ def parse_canonical(text: str) -> EdgeColoredHypergraph:
     edge_lines = data[1:m + 1]  # a line beyond the declared count is an error in itself
     full = edge_lines[counts[edge_lines] >= 3]
     sizes = counts[full] - 2
-    colors = _convert(words[starts[full]].tolist(), int, 0)
-    weights = _convert(words[starts[full] + 1].tolist(), float, math.nan)
-    in_full = np.zeros(len(lines), dtype=bool)
+    head = first[full]
+    colors = _convert(text, codes, starts[head], ends[head], int, 0)
+    weights = _convert(text, codes, starts[head + 1], ends[head + 1], float, math.nan)
+    in_full = np.zeros(len(counts), dtype=bool)
     in_full[full] = True
     is_member = np.repeat(in_full, counts)
-    is_member[starts[full]] = is_member[starts[full] + 1] = False
-    members = _convert(words[is_member].tolist(), int, -1)
+    is_member[head] = is_member[head + 1] = False
+    members = _convert(text, codes, starts[is_member], ends[is_member], int, -1)
 
     bad = (colors < 1) | (colors > k) | ~((weights >= 0.0) & (weights < math.inf))
     outside = (members < 0) | (members >= n)
@@ -146,10 +223,11 @@ def parse_canonical(text: str) -> EdgeColoredHypergraph:
     if bad.any():
         bad_lines.append(full[np.argmax(bad)])
     if bad_lines:
-        first = int(min(bad_lines))
-        if len(data) > m + 1 and first == data[m + 1]:
-            raise ParseError(f"more than the declared {m} edges", first + 1)
-        raise ParseError(_edge_line_error(lines[first].split(), n, k), first + 1)
+        first_bad = int(min(bad_lines))
+        if len(data) > m + 1 and first_bad == data[m + 1]:
+            raise ParseError(f"more than the declared {m} edges", first_bad + 1)
+        tokens = _line_words(text, starts, ends, line_ptr, first_bad)
+        raise ParseError(_edge_line_error(tokens, n, k), first_bad + 1)
     if len(edge_lines) != m:
         raise ParseError(f"header declares {m} edges but file has {len(edge_lines)}")
     return from_flat(n, k, members, sizes, colors, weights)

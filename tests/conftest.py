@@ -14,7 +14,6 @@ from minecc.hypergraph import (
     CostReport,
     Edge,
     EdgeColoredHypergraph,
-    accuracy,
     build_incidence,
     hypergraph,
 )
@@ -253,8 +252,18 @@ def reference_objective_cost(h: EdgeColoredHypergraph, coloring, truth=None) -> 
             cost += e.weight
     m = len(h.edges)
     satisfaction = 1.0 if m == 0 else 1.0 - len(mistakes) / m
-    acc = accuracy(coloring, truth) if truth is not None else None
+    acc = reference_accuracy(coloring, truth) if truth is not None else None
     return CostReport(cost, tuple(mistakes), satisfaction, acc)
+
+
+def reference_accuracy(coloring, truth) -> float:
+    """The old per-node count; the reference for ``accuracy``."""
+    if len(coloring) != len(truth):
+        raise ValueError("coloring and truth have different lengths")
+    if not truth:
+        return 1.0
+    agree = sum(1 for a, b in zip(coloring, truth) if a == b)
+    return agree / len(truth)
 
 
 def reference_build_incidence(h: EdgeColoredHypergraph) -> ColorSortedIncidence:

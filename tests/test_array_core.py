@@ -27,15 +27,23 @@ from minecc.combinatorial import (
 from minecc.hypergraph import (
     Edge,
     EdgeColoredHypergraph,
+    accuracy,
     build_incidence,
     hypergraph,
     objective_cost,
     validate,
 )
-from minecc.instances import ParseError, gen_random, parse_canonical, write_canonical
+from minecc.instances import (
+    _LAST_SPACE,
+    ParseError,
+    gen_random,
+    parse_canonical,
+    write_canonical,
+)
 
 from conftest import (
     random_instance,
+    reference_accuracy,
     reference_build_incidence,
     reference_color_survivors,
     reference_hypergraph,
@@ -71,19 +79,34 @@ def instances(draw):
     return hypergraph(n, h.num_colors, [(e.members, e.color, x) for e, x in zip(h.edges, w)])
 
 
+# Words of 15 to 20 digits, around the longest words decoded without int()/float().
+LONG_DIGITS = st.one_of(
+    st.integers(15, 20).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)).map(str),
+    st.tuples(st.integers(14, 19), st.integers(0, 9)).map(lambda t: "0" * t[0] + str(t[1])),
+    st.integers(15, 20).flatmap(lambda d: st.text("0123456789", min_size=d, max_size=d)),
+)
 # Words of canonical text: valid, odd-but-valid for int()/float(), and junk.
 INT_WORDS = st.one_of(
     st.integers(-2, 9).map(str),
     st.sampled_from(["+5", "1_0", "0_1", "01", "+0", "-0", "٣", "99999999999999999999",
                      "-99999999999999999999", "9223372036854775807", "9223372036854775808",
                      "-9223372036854775808", "-9223372036854775809"]),
+    st.sampled_from(["\uff11\uff12", "\uff10", "999999999999999", "000000000000001"]),
+    LONG_DIGITS,
 )
-WEIGHT_WORDS = st.sampled_from(["1", "0", "2.5", "+5", "1_0", "1e0", ".5", "1e400", "nan", "inf",
-                                "-inf", "-1", "-0.0", "Infinity", "1e-3", "1_0.5", "NaN"])
+WEIGHT_WORDS = st.one_of(
+    st.sampled_from(["1", "0", "2.5", "+5", "1_0", "1e0", ".5", "1e400", "nan", "inf",
+                     "-inf", "-1", "-0.0", "Infinity", "1e-3", "1_0.5", "NaN"]),
+    st.sampled_from(["\uff11\uff12", "\uff12.5", "999999999999999", "9007199254740993"]),
+    LONG_DIGITS,
+)
 JUNK_WORDS = st.sampled_from(["x", "1.5", "1e3", "#", "#x", "ecc", "0x1", "--1", "1__0", "½"])
 ANY_WORD = st.one_of(INT_WORDS, WEIGHT_WORDS, JUNK_WORDS)
-GAPS = st.sampled_from([" ", "  ", "\t", "\u00a0", " \x1f "])  # whitespace, not line breaks
-BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"])
+# Between them, GAPS and BREAKS hold every code point that str.split splits on.
+SPACES = ["\u1680", *map(chr, range(0x2000, 0x200B)), "\u202f", "\u205f", "\u3000"]
+GAPS = st.sampled_from([" ", "  ", "\t", "\u00a0", " \x1f ", *SPACES])  # not line breaks
+LINE_BREAKS = ["\x0c", "\x1d", "\x1e", "\x85", "\u2029"]
+BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028", *LINE_BREAKS])
 NOISE = st.sampled_from(["", "   ", "\t", "# comment", "  #x 1 2", "#", "# ecc 1 1 1"])
 
 
@@ -118,25 +141,38 @@ def canonical_texts(draw):
     text = ""
     for line in lines:
         if isinstance(line, list):
-            line = draw(st.sampled_from(["", " "])) + "".join(
+            # A "\n" opening a line after a "\r" break makes one "\r\n" break.
+            line = draw(st.sampled_from(["", " ", "\n"])) + "".join(
                 w + draw(GAPS) for w in line
             ).rstrip(" ")
         text += line + draw(BREAKS)
     return text if draw(st.booleans()) else text.rstrip("\n")
 
 
+def assert_parses_like_reference(text):
+    try:
+        expected = reference_parse_canonical(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_canonical(text)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+    else:
+        assert as_reference(parse_canonical(text)) == expected
+
+
 class TestParse:
     @SETTINGS
     @given(canonical_texts())
     def test_same_instance_or_same_error(self, text):
-        try:
-            expected = reference_parse_canonical(text)
-        except ParseError as exc:
-            with pytest.raises(ParseError) as got:
-                parse_canonical(text)
-            assert (str(got.value), got.value.line) == (str(exc), exc.line)
-        else:
-            assert as_reference(parse_canonical(text)) == expected
+        assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize("word", [
+        "999999999999999", "1000000000000000", "9007199254740993", "9223372036854775808",
+        "9999999999999999999", "18446744073709551617", "000000000000000002", "0" * 20,
+    ])
+    def test_long_digit_words(self, word):
+        assert_parses_like_reference(f"ecc 3 1 2\n2 {word} 0 1\n")  # as the weight
+        assert_parses_like_reference(f"ecc 3 1 2\n2 1 0 {word}\n")  # as a member id
 
     @pytest.mark.parametrize("text, message", [
         ("ecc 30 1 2\n+2 1_0 0 +1 2_0\n", None),
@@ -162,6 +198,42 @@ class TestParse:
         again = parse_canonical(write_canonical(h))
         assert again == h
         assert again.weights.tobytes() == h.weights.tobytes()
+
+    def test_fuzzed_whitespace_is_all_of_pythons(self):
+        space = {chr(c) for c in range(0x110000) if chr(c).isspace()}
+        assert max(map(ord, space)) == _LAST_SPACE  # the tokenizer's table ends there
+        fuzzed = set(" \t\u00a0\x1f\n\r\x0b\x1c\u2028") | set(SPACES) | set(LINE_BREAKS)
+        assert fuzzed == space
+        breaks = {c for c in space if len(f"a{c}b".splitlines()) == 2}
+        assert breaks == set("\n\r\x0b\x1c\u2028") | set(LINE_BREAKS)
+
+
+class TestParseAtScale:
+    @pytest.mark.parametrize("weights", ["unit", "float"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planted_text_matches_reference(self, seed, weights):
+        h = gen_random(2000, 8000, 6, 8, 0.2, seed).hypergraph
+        if weights == "float":
+            rng = np.random.default_rng(seed)
+            w = rng.random(h.num_edges) * 10.0 ** rng.integers(-3, 17, h.num_edges)
+            w = np.where(rng.random(h.num_edges) < 0.3, np.floor(w), w)
+            h = EdgeColoredHypergraph(h.num_nodes, h.num_colors, h.members, h.eptr, h.colors, w)
+        text = write_canonical(h)
+        parsed = parse_canonical(text)
+        assert as_reference(parsed) == reference_parse_canonical(text)
+        assert parsed == h
+        assert parsed.weights.tobytes() == h.weights.tobytes()
+
+    def test_non_ascii_text_matches_reference(self):
+        # One non-ASCII comment sends the whole text down the utf-32 path, with
+        # node ids and weights of three and four digits.
+        h = gen_random(2000, 8000, 6, 8, 0.2, 0).hypergraph
+        h = EdgeColoredHypergraph(h.num_nodes, h.num_colors, h.members, h.eptr, h.colors,
+                                  np.arange(h.num_edges, dtype=np.float64) + 900.0)
+        text = "# café \U0001f600　\n" + write_canonical(h)
+        parsed = parse_canonical(text)
+        assert as_reference(parsed) == reference_parse_canonical(text)
+        assert parsed == h
 
 
 class TestConstruction:
@@ -222,6 +294,8 @@ class TestEvaluation:
         coloring = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
         truth = data.draw(st.none() | st.lists(st.integers(1, k), min_size=n, max_size=n))
         assert objective_cost(h, coloring, truth) == reference_objective_cost(h, coloring, truth)
+        if truth is not None:
+            assert accuracy(coloring, truth) == reference_accuracy(coloring, truth)
         mv = majority_vote(h)
         assert mv == reference_majority_vote(h)
         assert mv_lower_bound(h, mv) == reference_mv_lower_bound(h, mv)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -22,6 +24,23 @@ def run_csv(capsys, argv) -> dict:
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == CSV_HEADER
     return dict(zip(CSV_HEADER.split(","), out[1].split(",")))
+
+
+class TestImportCost:
+    def test_cli_and_parse_leave_out_numpy_ma_and_scipy(self):
+        # np.unique or a table-kind np.isin imports numpy.ma: every cold command would pay.
+        code = (
+            "import sys, minecc.cli\n"
+            "from minecc.instances import parse_canonical\n"
+            "parse_canonical('ecc 2 1 1\\n1 1 0 1\\n')\n"
+            "parse_canonical('ecc 2 1 1\\u2028\\uff11 1 0 1\\n')\n"
+            "print(sorted({'numpy.ma', 'scipy'} & set(sys.modules)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(minecc.cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "[]\n"
 
 
 class TestGen:
@@ -127,6 +146,25 @@ class TestMalformedInputExitCodes:
         assert main([a.format(gap3=gap3_file, truth=truth) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    PAD = b"#" * 9000 + b"\n"  # past the first read-ahead block: the offset is the file's
+
+    @pytest.mark.parametrize("bad, content, argv", [
+        ("x.ecc", b"ecc 2 1 1\n" + PAD + b"1 1 0 \xff1\n", ["solve", "{bad}", "--algo", "mv"]),
+        ("x.labels", b"1\n" + PAD + b"\xff\n",
+         ["solve", "{edges}", "--labels", "{bad}", "--algo", "mv"]),
+        ("x.truth", b"1\n" + PAD + b"\xff\n", ["solve", "{gap3}", "--truth", "{bad}"]),
+    ], ids=["bad-utf8-instance", "bad-utf8-labels", "bad-utf8-truth"])
+    def test_non_utf8_file_exits_2_naming_the_byte(
+        self, bad, content, argv, gap3_file, tmp_path, capsys
+    ):
+        path, edges = tmp_path / bad, tmp_path / "edges.txt"
+        path.write_bytes(content)
+        edges.write_text("1 2\n")
+        assert main([a.format(bad=path, edges=edges, gap3=gap3_file) for a in argv]) == 2
+        err = capsys.readouterr().err
+        offset = content.index(b"\xff")
+        assert err == f"error: {path}: not UTF-8 text, byte 0xff at offset {offset}\n"
 
 
 class TestMalformedLpSolutionExitCodes:

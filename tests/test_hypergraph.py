@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from minecc.hypergraph import (
@@ -132,6 +133,10 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             accuracy([1], [1, 2])
+
+    def test_empty_and_array_inputs(self):
+        assert accuracy([], []) == 1.0
+        assert accuracy(np.array([1, 2, 2]), [1, 1, 2]) == 2 / 3
 
 
 class TestIncidence:
