@@ -178,15 +178,20 @@ def _oracle_cap() -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "gap":
-        h = gen_integrality_gap(args.colors)
-        truth = None
-    elif args.kind == "star":
-        h = gen_star()
-        truth = None
-    else:
-        planted = gen_random(args.nodes, args.edges, args.max_size, args.colors, args.noise, args.seed)
-        h, truth = planted.hypergraph, planted.truth
+    try:
+        if args.kind == "gap":
+            h = gen_integrality_gap(args.colors)
+            truth = None
+        elif args.kind == "star":
+            h = gen_star()
+            truth = None
+        else:
+            planted = gen_random(
+                args.nodes, args.edges, args.max_size, args.colors, args.noise, args.seed
+            )
+            h, truth = planted.hypergraph, planted.truth
+    except ValueError as exc:  # a generator parameter out of range
+        raise CliError(str(exc), EXIT_PARSE) from None
     _write_out(write_canonical(h), args.output)
     if truth is not None and args.truth_output:
         _write_out("\n".join(str(c) for c in truth) + "\n", args.truth_output)
@@ -329,8 +334,10 @@ def cmd_bench_scaling(args) -> int:
         avg_size = (2 + args.max_size) / 2
         m = max(1, int(target / avg_size))
         n = max(64, m // 4)
-        planted = gen_random(n, m, args.max_size, args.colors, 0.2, args.seed)
-        h = planted.hypergraph
+        try:
+            h = gen_random(n, m, args.max_size, args.colors, 0.2, args.seed).hypergraph
+        except ValueError as exc:
+            raise CliError(str(exc), EXIT_PARSE) from None
         actual = len(h.members)
         elapsed = math.inf
         for _ in range(2):  # best of two to damp timer noise

@@ -137,15 +137,22 @@ def _per_edge_count(flags: np.ndarray, eptr: np.ndarray) -> np.ndarray:
     return running[eptr[1:]] - running[eptr[:-1]]
 
 
-def _sorted_within_edges(members: np.ndarray, edge_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_within_edges(
+    members: np.ndarray, edge_of: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """``members`` with every edge's slice in ascending order, and the repeats in it.
 
     The mask marks each entry equal to the one before it in the same edge.
-    The sort is skipped when every edge already is in order.
+    The sort is skipped when every edge already is in order; otherwise the
+    edges of each size are sorted together as the rows of one matrix.
     """
     same_edge = edge_of[1:] == edge_of[:-1]
     if not np.all(members[1:][same_edge] >= members[:-1][same_edge]):
-        members = members[np.lexsort((members, edge_of))]
+        starts = np.cumsum(sizes) - sizes
+        members = members.copy()
+        for size in np.flatnonzero(np.bincount(sizes)[2:]) + 2:
+            rows = starts[sizes == size][:, None] + np.arange(size)
+            members[rows] = np.sort(members[rows], axis=1)
     repeat = np.zeros(len(members), dtype=bool)
     repeat[1:] = same_edge & (members[1:] == members[:-1])
     return members, repeat
@@ -163,7 +170,7 @@ def from_flat(num_nodes: int, num_colors: int, members, sizes, colors, weights) 
     if np.any(sizes == 0):
         raise ValueError("hyperedge has no members after deduplication")
     edge_of = np.repeat(np.arange(len(sizes)), sizes)
-    members, repeat = _sorted_within_edges(members, edge_of)
+    members, repeat = _sorted_within_edges(members, edge_of, sizes)
     if repeat.any():
         members, sizes = members[~repeat], np.bincount(edge_of[~repeat], minlength=len(sizes))
     eptr = np.zeros(len(sizes) + 1, dtype=np.int64)
@@ -214,7 +221,7 @@ def validate(h: EdgeColoredHypergraph) -> list[str]:
     if k < 0:
         problems.append(f"num_colors is negative: {k}")
     edge_of = h.member_edges()
-    _, repeat = _sorted_within_edges(h.members, edge_of)
+    _, repeat = _sorted_within_edges(h.members, edge_of, np.diff(h.eptr))
     outside = (h.members < 0) | (h.members >= n)
     bad = (h.eptr[1:] == h.eptr[:-1]) | (h.colors < 1) | (h.colors > k)
     bad |= ~((h.weights >= 0.0) & (h.weights < math.inf))

@@ -15,9 +15,10 @@ from minecc.hypergraph import (
     Edge,
     EdgeColoredHypergraph,
     build_incidence,
+    from_flat,
     hypergraph,
 )
-from minecc.instances import ParseError
+from minecc.instances import ParseError, PlantedInstance
 from minecc.lp import (
     DEGENERATE_RUN_LIMIT,
     FEAS_TOL,
@@ -511,6 +512,61 @@ def reference_simplex(lp: LinearProgram, iteration_limit: int = 200_000) -> LpRe
     in_basis = set(basis.tolist())
     basic = tuple(j in in_basis for j in range(n))
     return LpResult("optimal", lp.value_of(x), x, basic, state["iterations"])
+
+
+def reference_gen_random(
+    n: int,
+    m: int,
+    max_size: int,
+    k: int,
+    noise: float,
+    seed: int,
+) -> PlantedInstance:
+    """The per-edge sampling loop; the reference for ``gen_random``."""
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+    if max_size < 2:
+        raise ValueError("need max_size >= 2")
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if not (0.0 <= noise <= 1.0):
+        raise ValueError("noise must lie in [0, 1]")
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(1, k + 1, size=n)
+    clusters = [np.flatnonzero(truth == c) for c in range(1, k + 1)]
+    usable = [c for c in range(k) if len(clusters[c]) >= 2]
+    # The cluster that edges drawn for cluster c use, and its member pool.
+    target = [usable[c % len(usable)] if len(clusters[c]) < 2 and usable else c for c in range(k)]
+    all_nodes = np.arange(n)
+    pools = [clusters[c] if len(clusters[c]) >= 2 else all_nodes for c in target]
+
+    sizes = rng.integers(2, max_size + 1, size=m)
+    chosen = rng.integers(0, k, size=m)
+    noisy = rng.random(m) < noise
+    resampled = rng.integers(1, k + 1, size=m)
+
+    parts = [
+        reference_sample_distinct(rng, pools[c], min(size, len(pools[c])))
+        for c, size in zip(chosen.tolist(), sizes.tolist())
+    ]
+    colors = np.where(noisy, resampled, np.array(target)[chosen] + 1)
+    members = np.concatenate(parts)
+    counts = np.fromiter(map(len, parts), dtype=np.int64, count=m)
+    h = from_flat(n, k, members, counts, colors, np.ones(m))
+    return PlantedInstance(h, truth.tolist(), noise)
+
+
+def reference_sample_distinct(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
+    """The per-edge draw of ``reference_gen_random``."""
+    if size >= len(pool):
+        return pool
+    if len(pool) <= 64:
+        return rng.choice(pool, size=size, replace=False)
+    # Large pool, tiny sample: rejection is far cheaper than a full permutation.
+    while True:
+        picks = pool[rng.integers(0, len(pool), size=size)]
+        if len(set(picks.tolist())) == size:
+            return picks
 
 
 @pytest.fixture

@@ -312,7 +312,7 @@ def test_criterion_10_linear_time_scaling(capsys):
             m = target // 4  # mean edge size is 4 with sizes in [2..6]
             n = max(256, m // 4)
             h = gen_random(n, m, 6, 8, 0.2, seed=10).hypergraph
-            actual = sum(len(e) for e in h.edges)
+            actual = len(h.members)
             best = np.inf
             for _ in range(2):
                 t0 = time.perf_counter()

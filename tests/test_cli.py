@@ -139,7 +139,18 @@ class TestMalformedInputExitCodes:
         ("1\nx\n2\n", ["solve", "{gap3}", "--truth", "{truth}"]),
         ("1\n2\n", ["solve", "{gap3}", "--truth", "{truth}"]),  # gap3 has 3 nodes
         ("", ["bench-scaling", "--sizes", "abc"]),
-    ], ids=["truth-token", "truth-length", "sizes"])
+        ("", ["bench-scaling", "--sizes", "100", "--colors", "0"]),
+        ("", ["bench-scaling", "--sizes", "100", "--max-size", "1"]),
+        ("", ["gen", "random", "--nodes", "0"]),
+        ("", ["gen", "random", "--nodes", str(2**32)]),
+        ("", ["gen", "random", "--edges", "-3"]),
+        ("", ["gen", "random", "--max-size", "1"]),
+        ("", ["gen", "random", "--colors", "0"]),
+        ("", ["gen", "random", "--noise", "1.5"]),
+        ("", ["gen", "gap", "--colors", "2"]),
+    ], ids=["truth-token", "truth-length", "sizes", "scaling-colors", "scaling-max-size",
+            "gen-nodes", "gen-nodes-2**32", "gen-edges", "gen-max-size", "gen-colors",
+            "gen-noise", "gen-gap-colors"])
     def test_exit_2_with_error_line(self, truth_text, argv, gap3_file, tmp_path, capsys):
         truth = tmp_path / "gap3.truth"
         truth.write_text(truth_text)

@@ -1,13 +1,17 @@
 """Tests for instance parsing, serialization, and the generators."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minecc.hypergraph import hypergraph, objective_cost, validate
 from minecc.instances import (
     ParseError,
+    _distinct_draws,
     gen_integrality_gap,
     gen_random,
     gen_star,
@@ -16,7 +20,7 @@ from minecc.instances import (
     write_canonical,
 )
 
-from conftest import exhaustive_ecc, naive_cost, random_instance
+from conftest import exhaustive_ecc, naive_cost, random_instance, reference_gen_random
 
 
 class TestCanonical:
@@ -187,3 +191,113 @@ class TestGenRandom:
             gen_random(5, 5, 1, 2, 0.0, seed=0)
         with pytest.raises(ValueError):
             gen_random(5, 5, 3, 2, 1.5, seed=0)
+        with pytest.raises(ValueError, match="n < 2"):
+            gen_random(2**32, 5, 3, 2, 0.0, seed=0)
+
+    # sha256 of the canonical text and the truth line, recorded with the
+    # per-edge loop: a numpy whose ``integers`` or ``choice`` stream changed
+    # would move the loop and the bulk sampler together, but not these.
+    DIGESTS = {
+        (2000, 8000, 6, 8, 0.2, 0):
+            "6b939681c34a1ff2e60586eb1c3eb7184aadc33c24eacbec1df563606a9801b1",
+        (500, 2000, 6, 20, 0.2, 1):  # every pool has 64 or fewer nodes
+            "c5a1de6f556dbdefae1ab4ed981bcb43a442c6616d7c636bbcf85a166ee961af",
+        (10, 300, 5, 16, 0.3, 2):  # more colors than nodes
+            "9af75c2b68aaa890bbf2445a529af2e58589b6e9e1fa05b665bd284fc3c48bdd",
+    }
+
+    @pytest.mark.parametrize("args", DIGESTS, ids=["planted", "small-pools", "k-above-n"])
+    def test_pinned_digest(self, args):
+        planted = gen_random(*args)
+        text = write_canonical(planted.hypergraph) + " ".join(map(str, planted.truth)) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[args]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        m=st.integers(1, 300),
+        # Sizes stay far below the large pools (over 64 nodes), where the
+        # loop's rejection sampling would almost never find distinct picks.
+        max_size=st.integers(2, 12),
+        k=st.integers(1, 12) | st.integers(13, 40),
+        noise=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**63),
+    )
+    def test_matches_the_loop(self, n, m, max_size, k, noise, seed):
+        planted = gen_random(n, m, max_size, k, noise, seed)
+        expected = reference_gen_random(n, m, max_size, k, noise, seed)
+        assert planted.hypergraph == expected.hypergraph
+        assert planted.truth == expected.truth
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_large_matches_the_loop(self, seed):
+        planted = gen_random(25000, 100000, 6, 8, 0.2, seed)
+        expected = reference_gen_random(25000, 100000, 6, 8, 0.2, seed)
+        assert planted.hypergraph == expected.hypergraph
+        assert planted.truth == expected.truth
+
+
+def reference_distinct_draws(rng, bounds, sizes, by_choice=None):
+    """``rng.integers`` per entry, redrawn until the picks are distinct, or ``rng.choice``."""
+    out = []
+    for j, (bound, size) in enumerate(zip(bounds, sizes)):
+        if by_choice is not None and by_choice[j]:
+            out.extend(rng.choice(bound, size=size, replace=False).tolist())
+            continue
+        while True:
+            picks = rng.integers(0, bound, size=size)
+            if len(set(picks.tolist())) == size:
+                break
+        out.extend(picks.tolist())
+    return out
+
+
+class TestDistinctDraws:
+    """The windowed draws on their own, where rejections and repeats are common."""
+
+    BOUNDS = st.sampled_from([2, 3, 7, 65, 3125, 2**31 + 1, 3 * 2**30, 2**32 - 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        prior=st.integers(0, 5),
+        edges=st.lists(st.tuples(BOUNDS, st.integers(0, 6)), max_size=400),
+    )
+    def test_matches_integers(self, seed, prior, edges):
+        bounds = [b for b, _ in edges]
+        sizes = [min(s, b) for b, s in edges]
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        # An odd number of earlier 32-bit draws leaves a half pending.
+        rng.integers(0, 10, size=prior)
+        ref.integers(0, 10, size=prior)
+        drawn = _distinct_draws(rng, np.array(bounds, dtype=np.int64), sizes)
+        assert drawn.tolist() == reference_distinct_draws(ref, bounds, sizes)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        edges=st.lists(st.tuples(st.integers(60, 70), st.integers(2, 6)), max_size=300),
+    )
+    def test_choice_edges_split_the_windows(self, seed, edges):
+        bounds = [b for b, _ in edges]
+        sizes = [s for _, s in edges]
+        by_choice = [b <= 64 for b in bounds]
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = _distinct_draws(rng, np.array(bounds, dtype=np.int64), sizes, by_choice)
+        assert drawn.tolist() == reference_distinct_draws(ref, bounds, sizes, by_choice)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("bound", [3 * 2**30, 2**31 + 1, 2**32 - 1])
+    @pytest.mark.parametrize("prior", [0, 1])
+    def test_long_runs_span_many_windows(self, bound, prior):
+        # Half of the draws below 2**31 + 1 are rejected, so a window's
+        # draws consume far more of the stream than its picks.
+        rng, ref = np.random.default_rng(prior + 7), np.random.default_rng(prior + 7)
+        rng.integers(0, 10, size=prior)
+        ref.integers(0, 10, size=prior)
+        bounds, sizes = [bound] * 3000, [1, 4, 6] * 1000
+        drawn = _distinct_draws(rng, np.array(bounds, dtype=np.int64), sizes)
+        assert drawn.tolist() == reference_distinct_draws(ref, bounds, sizes)
+        assert rng.bit_generator.state == ref.bit_generator.state
