@@ -107,6 +107,21 @@ class CliError(Exception):
         self.code = code
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` type of every command: a non-negative integer, as numpy's generators need.
+
+    It raises :class:`CliError`, which argparse lets through, so a bad seed
+    exits with 2 and one ``error:`` line, like every other malformed input.
+    """
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise CliError(f"bad --seed {text!r}, expected a non-negative integer", EXIT_PARSE)
+    return seed
+
+
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -325,9 +340,9 @@ def _emit_records(records, fmt: str, output: str | None) -> None:
 def cmd_bench_scaling(args) -> int:
     try:
         sizes = [int(float(s)) for s in args.sizes.split(",")]
-    except ValueError:
+    except (ValueError, OverflowError):  # not a number, nan, or an infinity
         raise CliError(
-            f"bad --sizes {args.sizes!r}, expected comma-separated numbers", EXIT_PARSE
+            f"bad --sizes {args.sizes!r}, expected comma-separated finite numbers", EXIT_PARSE
         ) from None
     rows = []
     for target in sizes:
@@ -409,7 +424,7 @@ def cmd_verify(args) -> int:
         # must stay within the guaranteed multiple of each edge variable.
         choice = best_interval(h.num_colors, h.rank)
         interval = _parse_interval(args.interval) if args.interval else choice.interval
-        for j in range(len(h.edges)):
+        for j in range(h.num_edges):
             p, err = estimate_mistake_prob(h, sol, interval, j, args.trials, args.seed + j)
             if p > choice.factor * float(sol.x_edge[j]) + 3 * err:
                 problems.append(
@@ -471,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--colors", type=int, default=3)
     p.add_argument("--noise", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output")
     p.add_argument("--truth-output", help="write the planted coloring, one color per line")
     p.set_defaults(func=cmd_gen)
@@ -481,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", help="canonical mode: ground-truth colors file")
     p.add_argument("--algo", default="hybrid",
                    choices=["mv", "pitt", "match", "hybrid", "lp", "lp-simple", "exact"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--runs", type=int, default=1, help="best of N runs with derived seeds")
     p.add_argument("--interval", help="rounding interval lo:hi (lp only)")
     p.add_argument("--with-lp-bound", action="store_true")
@@ -496,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated incidence targets")
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--colors", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_bench_scaling)
 
     p = sub.add_parser("compare-lp", parents=[labels], help="compare the two relaxation values")
@@ -515,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=0,
                    help="with --invariants, also Monte Carlo check per-edge mistake frequencies")
     p.add_argument("--interval", help="rounding interval lo:hi for the --trials check")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reduce", parents=[labels], help="emit a reduction of the instance")
@@ -534,9 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ edge. The walk takes one of two pair policies:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,25 +63,35 @@ class LowerBoundBundle:
 def find_bad_pair(
     h: EdgeColoredHypergraph, deleted=(), incidence: ColorSortedIncidence | None = None
 ) -> tuple[int, int] | None:
-    """Linear scan for a surviving pair of overlapping, differently colored edges."""
+    """A surviving pair of overlapping, differently colored edges, or None.
+
+    The pair is the first surviving edge of the lowest node whose surviving
+    edges have more than one color, with the first of that node's surviving
+    edges (in incidence order) whose color differs from it. The node is found
+    in one array pass: survivors of different colors meet next to each other
+    somewhere in its list.
+    """
     inc = incidence if incidence is not None else build_incidence(h)
-    colors = h.colors.tolist()
-    for v in range(h.num_nodes):
-        first = -1
-        for j in inc.neighbor_list(v):
-            if j in deleted:
-                continue
-            if first < 0:
-                first = j
-            elif colors[j] != colors[first]:
-                return (first, j)
-    return None
+    m = h.num_edges
+    gone = np.fromiter(deleted, dtype=np.int64)
+    alive = np.ones(m, dtype=bool)
+    alive[gone[(gone >= 0) & (gone < m)]] = False
+    kept = np.flatnonzero(alive[inc.edge_ids])
+    node = np.repeat(np.arange(len(inc)), np.diff(inc.indptr))[kept]
+    color = h.colors[inc.edge_ids[kept]]
+    mixed = np.flatnonzero((node[1:] == node[:-1]) & (color[1:] != color[:-1]))
+    if len(mixed) == 0:
+        return None
+    edges = inc.edge_ids[kept[node == node[mixed[0]]]].tolist()
+    first = h.colors[edges[0]]
+    return next((edges[0], j) for j in edges if h.colors[j] != first)
 
 
-def _visit_order(n: int, order_seed: int | None) -> range | np.ndarray:
+def _visit_order(n: int, order_seed: int | None) -> range | memoryview:
+    """The nodes in ascending order, or shuffled by ``order_seed``, as Python ints."""
     if order_seed is None:
         return range(n)
-    return np.random.default_rng(order_seed).permutation(n)
+    return memoryview(np.random.default_rng(order_seed).permutation(n))
 
 
 def majority_vote(h: EdgeColoredHypergraph) -> list[int]:
@@ -112,6 +123,14 @@ def mv_lower_bound(h: EdgeColoredHypergraph, mv_coloring) -> float:
     return _ordered_sum(h.weights * _per_edge_count(wrong, h.eptr)) / r
 
 
+def _compact(values: np.ndarray) -> memoryview:
+    """A memoryview of ``values`` in the smallest integer dtype that holds all of them."""
+    if len(values) == 0:
+        return memoryview(values)
+    dtype = np.result_type(np.min_scalar_type(values.min()), np.min_scalar_type(values.max()))
+    return memoryview(values.astype(dtype))
+
+
 def _walk(
     h: EdgeColoredHypergraph,
     order_seed: int | None,
@@ -123,18 +142,19 @@ def _walk(
     With ``rand`` (a uniform [0, 1) sampler) one edge of each pair is deleted,
     the back edge with probability proportional to the front edge's weight
     (both when both weights are zero); without it both edges are deleted and
-    ``min(w_e, w_f)`` is added to the bound.
+    ``min(w_e, w_f)`` is added to the bound. The cursors index memoryviews
+    over the flat incidence, colors and weights, so no per-node list and no
+    per-edge object is made.
     """
     inc = incidence if incidence is not None else build_incidence(h)
-    colors = h.colors.tolist()
-    weights = h.weights.tolist()
+    ids, ptr = memoryview(inc.edge_ids), memoryview(inc.indptr)
+    colors, weights = _compact(h.colors), memoryview(h.weights)
     deleted = bytearray(h.num_edges)
     bound = 0.0
     for v in _visit_order(h.num_nodes, order_seed):
-        lst = inc.neighbor_list(v)
-        f, b = 0, len(lst) - 1
+        f, b = ptr[v], ptr[v + 1] - 1
         while f < b:
-            ef, eb = lst[f], lst[b]
+            ef, eb = ids[f], ids[b]
             if deleted[ef]:
                 f += 1
                 continue
@@ -159,6 +179,16 @@ def _walk(
     return deleted, bound
 
 
+def _uniforms(rng: np.random.Generator):
+    """``rng.random()`` draws, one at a time, taken from ``rng.random(4096)`` arrays.
+
+    The doubles and their order are those of one ``rng.random()`` call per draw.
+    """
+    return itertools.chain.from_iterable(
+        memoryview(rng.random(4096)) for _ in itertools.repeat(None)
+    ).__next__
+
+
 def pitt_coloring(
     h: EdgeColoredHypergraph,
     seed: int,
@@ -172,7 +202,7 @@ def pitt_coloring(
     proportional to the *other* edge's weight, then colors nodes by their
     surviving edges. Deterministic given the seeds.
     """
-    deleted, _ = _walk(h, order_seed, incidence, np.random.default_rng(seed).random)
+    deleted, _ = _walk(h, order_seed, incidence, _uniforms(np.random.default_rng(seed)))
     return DeletionSet.from_flags(h, deleted), _color_survivors(h, deleted)
 
 

@@ -17,8 +17,9 @@ of the benchmark format's edge list:
 - ``eptr`` (int64, length ``m + 1``): the edge offsets into ``members``;
 - ``colors`` (int64) and ``weights`` (float64), one entry per edge.
 
-Parsing, validation, evaluation, the incidence build and majority vote are
-single array passes over these and create no per-edge Python objects. The
+Parsing, validation, evaluation and majority vote are single array passes
+over these; the incidence build is one sort of packed 64-bit words
+(:func:`build_incidence`); none of them creates per-edge Python objects. The
 arrays are copied on construction and marked read-only, so an instance can be
 shared by concurrent workers and passed between calls without defensive
 copies. ``h.edges`` is a tuple of :class:`Edge` objects built on first access
@@ -302,8 +303,9 @@ class ColorSortedIncidence:
     """Per-node incident edge lists, each ordered by edge color (ties by index).
 
     Stored in compressed form: ``edge_ids[indptr[v]:indptr[v+1]]`` is node
-    ``v``'s list. The compact layout keeps the cursor walks of the
-    deletion-based algorithms cache-friendly on large instances.
+    ``v``'s list. The cursor walks of the deletion-based algorithms index
+    these two arrays through memoryviews, with no per-node list; the
+    ``neighbor_list`` and item views build one for a single node.
     """
 
     indptr: "np.ndarray"
@@ -329,14 +331,25 @@ class ColorSortedIncidence:
 def build_incidence(h: EdgeColoredHypergraph) -> ColorSortedIncidence:
     """Build the color-sorted incidence structure in O(sum of edge sizes).
 
-    Counting sort on the composite (node, color) key; the stable integer sort
-    keeps edge indices ascending within a color.
+    Each membership becomes one ``uint64`` word: its ``(node, color)`` key
+    (less the smallest key) above its edge index. Two words are equal only
+    when key and edge both are, so one unstable ``np.sort`` of the words (a
+    SIMD sort on x86) puts the edges in the order of a stable sort on the
+    key, ascending by index within a color; they are read back from the low
+    bits. Keys too wide to share a word with the edge index take a stable
+    argsort instead.
     """
-    n, k = h.num_nodes, h.num_colors
-    flat_j = h.member_edges()
-    key = h.members * np.int64(k + 1) + h.colors[flat_j]
-    order = np.argsort(key, kind="stable")  # radix sort on integer keys
-    edge_ids = flat_j[order].astype(np.int32)
+    n, k, m = h.num_nodes, h.num_colors, h.num_edges
+    sizes = np.diff(h.eptr)
+    key = h.members * np.int64(k + 1) + np.repeat(h.colors, sizes)
+    shift = m.bit_length()
+    if len(key) and (int(key.max()) - int(key.min())).bit_length() + shift <= 64:
+        packed = (key - key.min()).astype(np.uint64) << np.uint64(shift)
+        packed |= np.repeat(np.arange(m, dtype=np.uint64), sizes)
+        packed.sort()
+        edge_ids = (packed & np.uint64((1 << shift) - 1)).astype(np.int32)
+    else:
+        edge_ids = np.repeat(np.arange(m, dtype=np.int32), sizes)[np.argsort(key, kind="stable")]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(h.members, minlength=n), out=indptr[1:])
     return ColorSortedIncidence(indptr, edge_ids)

@@ -280,12 +280,30 @@ def reference_build_incidence(h: EdgeColoredHypergraph) -> ColorSortedIncidence:
     flat_j = np.repeat(np.arange(m, dtype=np.int64), sizes)
     colors = np.fromiter((e.color for e in h.edges), dtype=np.int64, count=m)
     key = flat_v * np.int64(k + 1) + colors[flat_j]
-    order = np.argsort(key, kind="stable")  # radix sort on integer keys
+    order = np.argsort(key, kind="stable")  # a timsort: numpy radix-sorts only <= 16-bit ints
     edge_ids = flat_j[order].astype(np.int32)
     indptr = np.zeros(n + 1, dtype=np.int64)
     if total:
         np.cumsum(np.bincount(flat_v, minlength=n), out=indptr[1:])
     return ColorSortedIncidence(indptr, edge_ids)
+
+
+def reference_find_bad_pair(
+    h: EdgeColoredHypergraph, deleted=(), incidence: ColorSortedIncidence | None = None
+) -> tuple[int, int] | None:
+    """The old per-node scan; the reference for ``find_bad_pair``."""
+    inc = incidence if incidence is not None else build_incidence(h)
+    colors = h.colors.tolist()
+    for v in range(h.num_nodes):
+        first = -1
+        for j in inc.neighbor_list(v):
+            if j in deleted:
+                continue
+            if first < 0:
+                first = j
+            elif colors[j] != colors[first]:
+                return (first, j)
+    return None
 
 
 def reference_majority_vote(h: EdgeColoredHypergraph) -> list[int]:

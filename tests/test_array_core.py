@@ -315,6 +315,28 @@ class TestEvaluation:
         assert recolor_uncovered(h, dels, base, mv) == reference_recolor_uncovered(h, dels, base, mv)
 
 
+class TestIncidenceBuild:
+    """The packed-word sort against the 64-bit stable argsort it replaces."""
+
+    @pytest.mark.parametrize("n, k", [(500, 8), (70_000, 3), (70_000, 70_000), (4096, 2**50)])
+    def test_narrow_wide_and_too_wide_keys(self, n, k):
+        # Keys of up to 13, 19 and 33 bits share a word with the edge index;
+        # keys near 2**62 in the last shape do not, so it takes the stable argsort.
+        h = random_instance(np.random.default_rng(n + k), n=n, m=300, k=k, max_size=5)
+        assert build_incidence(h) == reference_build_incidence(h)
+
+    @pytest.mark.parametrize("n, k", [(0, 3), (5, 2), (0, 0)])
+    def test_no_nodes_or_no_edges(self, n, k):
+        h = hypergraph(n, k, [])
+        inc = build_incidence(h)
+        assert inc == reference_build_incidence(h)
+        assert inc.indptr.tolist() == [0] * (n + 1) and len(inc.edge_ids) == 0
+
+    def test_repeated_members_of_an_unvalidated_edge(self):
+        h = EdgeColoredHypergraph(3, 2, [1, 1, 0, 1, 2], [0, 2, 5], [2, 1], [1.0, 1.0])
+        assert build_incidence(h) == reference_build_incidence(h)
+
+
 class TestObjectiveColorRange:
     @pytest.mark.parametrize("coloring, node", [([1, 0, 1], 1), ([1, 1, 4], 2), ([-2, 9, 1], 0)])
     def test_out_of_range_color_raises_naming_the_node(self, coloring, node):

@@ -148,9 +148,20 @@ class TestMalformedInputExitCodes:
         ("", ["gen", "random", "--colors", "0"]),
         ("", ["gen", "random", "--noise", "1.5"]),
         ("", ["gen", "gap", "--colors", "2"]),
+        ("", ["solve", "{gap3}", "--algo", "pitt", "--seed", "-1"]),
+        ("", ["solve", "{gap3}", "--algo", "lp", "--seed", "-1"]),
+        ("", ["solve", "{gap3}", "--algo", "match", "--runs", "3", "--seed", "-2"]),
+        ("", ["verify", "--invariants", "{gap3}", "--trials", "5", "--seed", "-3"]),
+        ("", ["gen", "random", "--seed", "-1"]),
+        ("", ["bench-scaling", "--sizes", "100", "--seed", "-1"]),
+        ("", ["solve", "{gap3}", "--algo", "pitt", "--seed", "1.5"]),
+        ("", ["bench-scaling", "--sizes", "inf"]),
+        ("", ["bench-scaling", "--sizes=-inf"]),
     ], ids=["truth-token", "truth-length", "sizes", "scaling-colors", "scaling-max-size",
             "gen-nodes", "gen-nodes-2**32", "gen-edges", "gen-max-size", "gen-colors",
-            "gen-noise", "gen-gap-colors"])
+            "gen-noise", "gen-gap-colors", "solve-pitt-seed", "solve-lp-seed",
+            "solve-runs-seed", "verify-trials-seed", "gen-seed", "scaling-seed",
+            "solve-seed-not-integer", "sizes-inf", "sizes-minus-inf"])
     def test_exit_2_with_error_line(self, truth_text, argv, gap3_file, tmp_path, capsys):
         truth = tmp_path / "gap3.truth"
         truth.write_text(truth_text)

@@ -15,11 +15,22 @@ from minecc.combinatorial import (
     mv_lower_bound,
     pitt_coloring,
 )
-from minecc.hypergraph import hypergraph, objective_cost
+from minecc.hypergraph import (
+    EdgeColoredHypergraph,
+    build_incidence,
+    hypergraph,
+    objective_cost,
+    validate,
+)
 from minecc.instances import gen_integrality_gap, gen_random
 from minecc.oracle import bruteforce_ecc
 
-from conftest import exhaustive_ecc, reference_match_coloring, reference_pitt_coloring
+from conftest import (
+    exhaustive_ecc,
+    reference_find_bad_pair,
+    reference_match_coloring,
+    reference_pitt_coloring,
+)
 
 
 def two_edge_conflict():
@@ -299,7 +310,7 @@ class TestVisitOrder:
         # Cursor walks touch each incidence a bounded number of times.
         planted = gen_random(300, 900, 5, 6, 0.5, seed=0)
         h = planted.hypergraph
-        incidence_size = sum(len(e) for e in h.edges)
+        incidence_size = len(h.members)
         dels, _, _ = match_coloring(h)
         assert len(dels.indices) <= incidence_size
 
@@ -344,3 +355,56 @@ class TestWalkMatchesReference:
             cost = objective_cost(h, coloring).total_cost
             assert bound <= cost <= 2 * bound
             assert bound <= objective_cost(h, pcoloring).total_cost
+
+
+class TestFindBadPairMatchesReference:
+    """The array pass returns the pair of the per-node scan kept in conftest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(h=walk_instances(), data=st.data())
+    def test_same_pair_for_any_deletions(self, h, data):
+        m = h.num_edges
+        chosen = data.draw(st.frozensets(st.integers(0, m - 1)) if m else st.just(frozenset()))
+        dels, _, _ = match_coloring(h)
+        inc = build_incidence(h)
+        for deleted in (chosen, dels.indices, dels.indices - {min(dels.indices, default=0)}, ()):
+            expected = reference_find_bad_pair(h, deleted)
+            assert find_bad_pair(h, deleted) == expected
+            assert find_bad_pair(h, deleted, inc) == expected
+        assert find_bad_pair(h, dels.indices) is None
+
+
+class TestFlatWalkAtScale:
+    """The buffer-indexed walk against the reference loops beyond ``walk_instances``' sizes."""
+
+    @pytest.mark.parametrize("seed, weights, order_seed", [
+        (0, "unit", None), (1, "unit", 7), (2, "float", None), (3, "float", 11),
+    ])
+    def test_pitt_draws_across_uniform_blocks(self, seed, weights, order_seed):
+        h = gen_random(2000, 48000, 6, 8, 0.2, seed).hypergraph
+        if weights == "float":
+            weights = np.random.default_rng(seed).uniform(0.25, 4.0, h.num_edges)
+            h = EdgeColoredHypergraph(h.num_nodes, h.num_colors, h.members, h.eptr, h.colors, weights)
+        inc = build_incidence(h)
+        dels, coloring = pitt_coloring(h, seed, order_seed, inc)
+        # Every weight is positive, so each deletion used one uniform: past three blocks.
+        assert len(dels.indices) > 3 * 4096
+        assert (dels, coloring) == reference_pitt_coloring(h, seed, order_seed, inc)
+
+    def test_planted_large_shape(self):
+        h = gen_random(25000, 100000, 6, 8, 0.2, 0).hypergraph
+        inc = build_incidence(h)
+        assert match_coloring(h, None, inc) == reference_match_coloring(h, None, inc)
+        assert pitt_coloring(h, 0, None, inc) == reference_pitt_coloring(h, 0, None, inc)
+
+    @pytest.mark.parametrize("colors", [(300, 44), (-1, 255), (2**40 + 1, 1)])
+    def test_unvalidated_colors_do_not_wrap(self, colors):
+        # Each pair agrees in its low bits, so a dtype too narrow for it would
+        # make the two edges look the same color. One node keeps the incidence
+        # a single list whatever the colors.
+        h = hypergraph(1, 2, [((0,), colors[0]), ((0,), colors[1])])
+        assert validate(h) != []
+        assert match_coloring(h) == reference_match_coloring(h)
+        assert match_coloring(h)[0].indices == frozenset({0, 1})
+        assert pitt_coloring(h, 3) == reference_pitt_coloring(h, 3)
+        assert len(pitt_coloring(h, 3)[0].indices) == 1
