@@ -23,7 +23,6 @@ from .combinatorial import (
 from .hypergraph import (
     ColorSortedIncidence,
     CostReport,
-    Edge,
     EdgeColoredHypergraph,
     accuracy,
     build_incidence,

@@ -107,19 +107,24 @@ class CliError(Exception):
         self.code = code
 
 
-def _seed(text: str) -> int:
-    """The ``--seed`` type of every command: a non-negative integer, as numpy's generators need.
+def _count(flag: str, least: int = 0):
+    """The argparse type of ``flag``: an integer of at least ``least``.
 
-    It raises :class:`CliError`, which argparse lets through, so a bad seed
-    exits with 2 and one ``error:`` line, like every other malformed input.
+    Seeds are non-negative, as numpy's generators need. The type raises
+    :class:`CliError`, which argparse lets through, so a bad value exits
+    with 2 and one ``error:`` line, like every other malformed input.
     """
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise CliError(f"bad --seed {text!r}, expected a non-negative integer", EXIT_PARSE)
-    return seed
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise CliError(f"bad {flag} {text!r}, expected an integer >= {least}", EXIT_PARSE)
+        return value
+
+    return parse
 
 
 def _read(path: str) -> str:
@@ -286,7 +291,7 @@ def cmd_solve(args) -> int:
         lp_sol = extract_ecc_solution(h, _primal(build_ecc_lp(h), args.solution, "--solution"))
     inc = build_incidence(h) if algo in ("pitt", "match", "hybrid") else None
     best = None
-    for trial in range(max(args.runs, 1)):
+    for trial in range(args.runs):
         seed = args.seed + trial
         coloring, match_bound, mv_bound = _one_run(
             h, args, algo, seed, args.runs > 1, lp_sol, inc
@@ -486,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--colors", type=int, default=3)
     p.add_argument("--noise", type=float, default=0.2)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_count("--seed"), default=0)
     p.add_argument("-o", "--output")
     p.add_argument("--truth-output", help="write the planted coloring, one color per line")
     p.set_defaults(func=cmd_gen)
@@ -496,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", help="canonical mode: ground-truth colors file")
     p.add_argument("--algo", default="hybrid",
                    choices=["mv", "pitt", "match", "hybrid", "lp", "lp-simple", "exact"])
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--runs", type=int, default=1, help="best of N runs with derived seeds")
+    p.add_argument("--seed", type=_count("--seed"), default=0)
+    p.add_argument("--runs", type=_count("--runs", 1), default=1,
+                   help="best of N runs with derived seeds")
     p.add_argument("--interval", help="rounding interval lo:hi (lp only)")
     p.add_argument("--with-lp-bound", action="store_true")
     p.add_argument("--solution", help="externally solved LP primal ('name value' lines)")
@@ -511,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated incidence targets")
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--colors", type=int, default=8)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_count("--seed"), default=0)
     p.set_defaults(func=cmd_bench_scaling)
 
     p = sub.add_parser("compare-lp", parents=[labels], help="compare the two relaxation values")
@@ -527,10 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--invariants", dest="instance")
     p.add_argument("--solution", help="check an externally supplied primal instead of solving")
     p.add_argument("--emit-lp", help="with --certs, write each case as an LP file into this directory")
-    p.add_argument("--trials", type=int, default=0,
+    p.add_argument("--trials", type=_count("--trials"), default=0,
                    help="with --invariants, also Monte Carlo check per-edge mistake frequencies")
     p.add_argument("--interval", help="rounding interval lo:hi for the --trials check")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_count("--seed"), default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reduce", parents=[labels], help="emit a reduction of the instance")

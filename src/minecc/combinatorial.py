@@ -72,11 +72,7 @@ def find_bad_pair(
     somewhere in its list.
     """
     inc = incidence if incidence is not None else build_incidence(h)
-    m = h.num_edges
-    gone = np.fromiter(deleted, dtype=np.int64)
-    alive = np.ones(m, dtype=bool)
-    alive[gone[(gone >= 0) & (gone < m)]] = False
-    kept = np.flatnonzero(alive[inc.edge_ids])
+    kept = np.flatnonzero(~_deletion_flags(h, deleted)[inc.edge_ids])
     node = np.repeat(np.arange(len(inc)), np.diff(inc.indptr))[kept]
     color = h.colors[inc.edge_ids[kept]]
     mixed = np.flatnonzero((node[1:] == node[:-1]) & (color[1:] != color[:-1]))
@@ -85,6 +81,14 @@ def find_bad_pair(
     edges = inc.edge_ids[kept[node == node[mixed[0]]]].tolist()
     first = h.colors[edges[0]]
     return next((edges[0], j) for j in edges if h.colors[j] != first)
+
+
+def _deletion_flags(h: EdgeColoredHypergraph, deleted) -> np.ndarray:
+    """One flag per edge, set for the edge indices in ``deleted``; others are ignored."""
+    gone = np.fromiter(deleted, dtype=np.int64)
+    flags = np.zeros(h.num_edges, dtype=bool)
+    flags[gone[(gone >= 0) & (gone < h.num_edges)]] = True
+    return flags
 
 
 def _visit_order(n: int, order_seed: int | None) -> range | memoryview:
@@ -244,10 +248,7 @@ def coloring_from_deletions(h: EdgeColoredHypergraph, dels: DeletionSet) -> list
     pair = find_bad_pair(h, dels.indices)
     if pair is not None:
         raise ValueError(f"deletion set leaves conflicting edge pair {pair}")
-    flags = bytearray(h.num_edges)
-    for j in dels.indices:
-        flags[j] = 1
-    return _color_survivors(h, flags)
+    return _color_survivors(h, _deletion_flags(h, dels.indices))
 
 
 def hybrid(
@@ -274,8 +275,7 @@ def recolor_uncovered(
     cost more than it saves, so ``base`` is kept whenever it is strictly
     cheaper.
     """
-    deleted = np.zeros(h.num_edges, dtype=bool)
-    deleted[list(dels.indices)] = True
+    deleted = _deletion_flags(h, dels.indices)
     covered = np.zeros(h.num_nodes, dtype=bool)
     covered[h.members[~deleted[h.member_edges()]]] = True
     recolored = np.where(covered, base, mv).tolist()

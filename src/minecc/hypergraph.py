@@ -22,15 +22,13 @@ over these; the incidence build is one sort of packed 64-bit words
 (:func:`build_incidence`); none of them creates per-edge Python objects. The
 arrays are copied on construction and marked read-only, so an instance can be
 shared by concurrent workers and passed between calls without defensive
-copies. ``h.edges`` is a tuple of :class:`Edge` objects built on first access
-and then cached on the instance; the LP, rounding, oracle, reduction and
-certificate code reads it on desk-scale instances, while the combinatorial
-solve path never builds it.
+copies. They are the only edge representation: the LP, rounding, oracle and
+reduction code reads them too, taking ``.tolist()`` copies where a loop stays
+in Python.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -40,18 +38,6 @@ import numpy as np
 NodeColoring = Sequence[int]
 
 _ARRAYS = (("members", np.int64), ("eptr", np.int64), ("colors", np.int64), ("weights", np.float64))
-
-
-@dataclass(frozen=True)
-class Edge:
-    """One colored hyperedge: sorted deduplicated members, a color, a weight."""
-
-    members: tuple[int, ...]
-    color: int
-    weight: float = 1.0
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,15 +82,6 @@ class EdgeColoredHypergraph:
     def __hash__(self) -> int:
         return hash((self.num_nodes, self.num_colors)
                     + tuple(getattr(self, name).tobytes() for name, _ in _ARRAYS))
-
-    @functools.cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """The edges as :class:`Edge` objects, built once on first access."""
-        members, bounds = self.members.tolist(), self.eptr.tolist()
-        return tuple(
-            Edge(tuple(members[a:b]), c, w)
-            for a, b, c, w in zip(bounds, bounds[1:], self.colors.tolist(), self.weights.tolist())
-        )
 
     @property
     def rank(self) -> int:
@@ -182,7 +159,7 @@ def from_flat(num_nodes: int, num_colors: int, members, sizes, colors, weights) 
 def hypergraph(
     num_nodes: int,
     num_colors: int,
-    edges: Iterable[tuple | Edge],
+    edges: Iterable[tuple],
 ) -> EdgeColoredHypergraph:
     """Build an instance from ``(members, color)`` or ``(members, color, weight)`` tuples.
 
@@ -195,12 +172,7 @@ def hypergraph(
     colors: list[int] = []
     weights: list[float] = []
     for spec in edges:
-        if isinstance(spec, Edge):
-            ids, color, weight = spec.members, spec.color, spec.weight
-        elif len(spec) == 2:
-            (ids, color), weight = spec, 1.0
-        else:
-            ids, color, weight = spec
+        ids, color, weight = spec if len(spec) == 3 else (*spec, 1.0)
         before = len(members)
         members.extend(ids)
         sizes.append(len(members) - before)

@@ -9,18 +9,24 @@ Two text formats are supported:
   whitespace/comma-separated list of 1-based node ids per line, a labels file
   with one integer color per line, and an optional node-label file holding the
   ground-truth node colors.
+
+Both readers tokenize a text as one array of code points and check its words
+as flat arrays, with no Python string per word (:func:`_tokenize`,
+:func:`_convert`), then build the instance with :func:`from_flat`.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .hypergraph import EdgeColoredHypergraph, from_flat, hypergraph
+from .hypergraph import EdgeColoredHypergraph, _per_edge_count, from_flat, hypergraph
 
 
 class ParseError(ValueError):
@@ -234,11 +240,62 @@ def parse_canonical(text: str) -> EdgeColoredHypergraph:
     return from_flat(n, k, members, sizes, colors, weights)
 
 
-def _int_tokens(raw: str, lineno: int, what: str) -> list[int]:
-    try:
-        return [int(t) for t in raw.replace(",", " ").split()]
-    except ValueError:
-        raise ParseError(f"non-integer token in {what}", lineno) from None
+class _IntLines(NamedTuple):
+    """The non-blank lines of one benchmark file: their 0-based numbers, word
+    counts and words as integers, per line whether a word is no integer, an
+    integer below 1 or one beyond 64 bits, and the largest word beyond 64 bits
+    (0 if none). A non-integer word reads as 1; one beyond 64 bits as 1, or 0
+    if negative."""
+
+    lines: np.ndarray
+    counts: np.ndarray
+    values: np.ndarray
+    bad: np.ndarray
+    low: np.ndarray
+    wide: np.ndarray
+    big: int
+
+
+def _int_lines(text: str) -> _IntLines:
+    """Read one benchmark file with the tokenizer and decoder of :func:`parse_canonical`.
+
+    Commas separate words as whitespace does, but a line of commas alone is
+    not blank. Words decoded as 0 go through ``int()`` again, which tells a
+    0 from a non-integer and from an integer beyond 64 bits.
+    """
+    codes, starts, ends, line_ptr = _tokenize(text)
+    lines = np.flatnonzero(np.diff(line_ptr))
+    if "," in text:
+        text = text.replace(",", " ")
+        codes, starts, ends, line_ptr = _tokenize(text)
+    ptr = np.append(line_ptr[lines], line_ptr[-1])
+    values = _convert(text, codes, starts, ends, int, 0)
+    bad = np.zeros(len(values), dtype=bool)
+    wide = np.zeros(len(values), dtype=bool)
+    big = 0
+    marked = np.flatnonzero(values == 0)
+    for i, s, e in zip(marked.tolist(), starts[marked].tolist(), ends[marked].tolist()):
+        try:
+            value = int(text[s:e])
+        except ValueError:
+            bad[i] = values[i] = True
+            continue
+        if value:
+            wide[i], values[i], big = True, value > 0, max(big, value)
+    flags = (_per_edge_count(a, ptr) > 0 for a in (bad, values < 1, wide))
+    return _IntLines(lines, np.diff(ptr), values, *flags, big)
+
+
+def _raise_first(f: _IntLines, what: str, *checks) -> None:
+    """Raise at the first line of file ``what`` that holds a non-integer or has
+    the flag of a ``(line flags, message)`` check set, with the first message
+    that applies there."""
+    checks = ((f.bad, f"non-integer token in {what}"),) + checks
+    failing = np.logical_or.reduce([flags for flags, _ in checks])
+    if failing.any():
+        i = int(np.argmax(failing))
+        message = next(message for flags, message in checks if flags[i])
+        raise ParseError(message, int(f.lines[i]) + 1)
 
 
 def parse_benchmark(
@@ -249,61 +306,39 @@ def parse_benchmark(
     """Parse the benchmark two-file format, returning ``(instance, truth-or-None)``.
 
     Node ids are 1-based in the files and shifted to 0-based; all edges get unit
-    weight; the number of colors is the maximum label observed.
+    weight; the number of colors is the maximum label observed. The line
+    counts of the two files are compared first, then each file is checked in
+    turn at its first failing line; an integer beyond 64 bits is reported last.
     """
-    edge_lines = [
-        (i, line) for i, line in enumerate(edges_text.splitlines(), start=1) if line.strip()
-    ]
-    label_lines = [
-        (i, line) for i, line in enumerate(labels_text.splitlines(), start=1) if line.strip()
-    ]
-    if len(edge_lines) != len(label_lines):
+    edges, labels = _int_lines(edges_text), _int_lines(labels_text)
+    if len(edges.lines) != len(labels.lines):
         raise ParseError(
-            f"edges file has {len(edge_lines)} lines but labels file has {len(label_lines)}"
+            f"edges file has {len(edges.lines)} lines but labels file has {len(labels.lines)}"
         )
-    members_per_edge: list[list[int]] = []
-    max_id = 0
-    for lineno, raw in edge_lines:
-        ids = _int_tokens(raw, lineno, "edges file")
-        if not ids:
-            raise ParseError("empty edge", lineno)
-        if min(ids) < 1:
-            raise ParseError("node ids are 1-based; found id < 1", lineno)
-        max_id = max(max_id, max(ids))
-        members_per_edge.append(ids)
-    colors: list[int] = []
-    for lineno, raw in label_lines:
-        tokens = _int_tokens(raw, lineno, "labels file")
-        if len(tokens) != 1:
-            raise ParseError("expected one label per line", lineno)
-        if tokens[0] < 1:
-            raise ParseError("labels are 1-based; found label < 1", lineno)
-        colors.append(tokens[0])
-
+    files = {"edges file": edges, "labels file": labels}
+    _raise_first(edges, "edges file", (edges.counts == 0, "empty edge"),
+                 (edges.low, "node ids are 1-based; found id < 1"))
+    _raise_first(labels, "labels file", (labels.counts != 1, "expected one label per line"),
+                 (labels.low, "labels are 1-based; found label < 1"))
     truth: list[int] | None = None
-    num_colors = max(colors, default=0)
-    num_nodes = max_id
+    num_colors = int(labels.values.max(initial=0))
+    num_nodes = max(int(edges.values.max(initial=0)), edges.big)
     if node_labels_text is not None:
-        truth = []
-        for lineno, raw in enumerate(node_labels_text.splitlines(), start=1):
-            if not raw.strip():
-                continue
-            tokens = _int_tokens(raw, lineno, "node labels file")
-            if len(tokens) != 1:
-                raise ParseError("expected one node label per line", lineno)
-            truth.append(tokens[0])
+        nodes = files["node labels file"] = _int_lines(node_labels_text)
+        _raise_first(nodes, "node labels file",
+                     (nodes.counts != 1, "expected one node label per line"))
+        truth = nodes.values.tolist()
         num_nodes = max(num_nodes, len(truth))
         if len(truth) != num_nodes:
             raise ParseError(
                 f"node labels file has {len(truth)} lines but instance has {num_nodes} nodes"
             )
         num_colors = max(num_colors, max(truth, default=0))
-
-    edges = [
-        (tuple(v - 1 for v in members), color)
-        for members, color in zip(members_per_edge, colors)
-    ]
-    return hypergraph(num_nodes, num_colors, edges), truth
+    for what, f in files.items():
+        _raise_first(f, what, (f.wide, f"integer beyond 64 bits in {what}"))
+    h = from_flat(num_nodes, num_colors, edges.values - 1, edges.counts, labels.values,
+                  np.ones(len(edges.counts)))
+    return h, truth
 
 
 def gen_integrality_gap(k: int) -> EdgeColoredHypergraph:
@@ -316,15 +351,9 @@ def gen_integrality_gap(k: int) -> EdgeColoredHypergraph:
     """
     if k < 3:
         raise ValueError("gap construction needs k >= 3")
-    pair_index: dict[tuple[int, int], int] = {}
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            pair_index[(i, j)] = len(pair_index)
-    edges = []
-    for c in range(1, k + 1):
-        members = [idx for (i, j), idx in pair_index.items() if c in (i, j)]
-        edges.append((tuple(members), c, 1.0))
-    return hypergraph(len(pair_index), k, edges)
+    pairs = list(itertools.combinations(range(1, k + 1), 2))
+    edges = [([v for v, pair in enumerate(pairs) if c in pair], c) for c in range(1, k + 1)]
+    return hypergraph(len(pairs), k, edges)
 
 
 def gen_star() -> EdgeColoredHypergraph:

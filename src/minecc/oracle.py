@@ -48,13 +48,11 @@ def bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleRe
     # Position of each active node in enumeration order, edges indexed by it.
     pos = {v: i for i, v in enumerate(active)}
     incident: list[list[int]] = [[] for _ in active]
-    for j, e in enumerate(h.edges):
-        for v in e.members:
-            incident[pos[v]].append(j)
+    for v, j in zip(h.members.tolist(), h.member_edges().tolist()):
+        incident[pos[v]].append(j)
 
-    colors = [e.color for e in h.edges]
-    weights = [e.weight for e in h.edges]
-    broken = bytearray(len(h.edges))
+    colors, weights = h.colors.tolist(), h.weights.tolist()
+    broken = bytearray(h.num_edges)
 
     start = majority_vote(h)
     best_cost = objective_cost(h, start).total_cost

@@ -9,6 +9,7 @@ node. The multiway-cut constructions attach one terminal per color.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,24 +67,22 @@ class CoverReduction:
 def bad_edge_pairs(h: EdgeColoredHypergraph) -> tuple[tuple[int, int], ...]:
     """All overlapping differently-colored edge pairs, via the pairwise node scan."""
     incident: list[list[int]] = [[] for _ in range(h.num_nodes)]
-    for j, e in enumerate(h.edges):
-        for v in e.members:
-            incident[v].append(j)
+    for v, j in zip(h.members.tolist(), h.member_edges().tolist()):
+        incident[v].append(j)
+    colors = h.colors.tolist()
     pairs: set[tuple[int, int]] = set()
-    for lst in incident:
-        for a in range(len(lst)):
-            for b in range(a + 1, len(lst)):
-                e, f = lst[a], lst[b]
-                if h.edges[e].color != h.edges[f].color:
-                    pairs.add((e, f) if e < f else (f, e))
+    for lst in incident:  # each list ascends, so every pair comes out as (lower, higher)
+        for e, f in itertools.combinations(lst, 2):
+            if colors[e] != colors[f]:
+                pairs.add((e, f))
     return tuple(sorted(pairs))
 
 
 def ecc_to_vertex_cover(h: EdgeColoredHypergraph) -> CoverReduction:
     """Conflict-graph construction; minimum-weight covers equal optimal deletions."""
     graph = WeightedGraph(
-        num_nodes=len(h.edges),
-        weights=tuple(e.weight for e in h.edges),
+        num_nodes=h.num_edges,
+        weights=tuple(h.weights.tolist()),
         edges=bad_edge_pairs(h),
     )
     return CoverReduction(h, graph)
@@ -95,8 +94,8 @@ def cover_to_deletions(reduction: CoverReduction, cover) -> DeletionSet:
     for u, v in reduction.graph.edges:
         if u not in chosen and v not in chosen:
             raise ValueError(f"not a cover: edge ({u}, {v}) uncovered")
-    h = reduction.instance
-    return DeletionSet(chosen, sum(h.edges[j].weight for j in chosen))
+    weights = reduction.instance.weights.tolist()
+    return DeletionSet(chosen, sum(weights[j] for j in chosen))
 
 
 def deletions_to_cover(reduction: CoverReduction, dels: DeletionSet) -> set[int]:
@@ -138,14 +137,13 @@ def ecc_to_node_mc(h: EdgeColoredHypergraph) -> WeightedGraph:
     hyperedge becomes a deletable node (index ``n + j``) adjacent to its member
     nodes and to the terminal of its color (index ``n + m + color - 1``).
     """
-    n, m, k = h.num_nodes, len(h.edges), h.num_colors
-    weights = [math.inf] * n + [e.weight for e in h.edges] + [math.inf] * k
+    n, m, k = h.num_nodes, h.num_edges, h.num_colors
+    weights = [math.inf] * n + h.weights.tolist() + [math.inf] * k
+    members, bounds = h.members.tolist(), h.eptr.tolist()
     edges: list[tuple[int, int]] = []
-    for j, e in enumerate(h.edges):
-        enode = n + j
-        for v in e.members:
-            edges.append((v, enode))
-        edges.append((n + m + e.color - 1, enode))
+    for j, (a, b, c) in enumerate(zip(bounds, bounds[1:], h.colors.tolist())):
+        edges.extend((v, n + j) for v in members[a:b])
+        edges.append((n + m + c - 1, n + j))
     terminals = tuple((n + m + c - 1, c) for c in range(1, k + 1))
     undeletable = frozenset(range(n)) | frozenset(range(n + m, n + m + k))
     return WeightedGraph(n + m + k, tuple(weights), tuple(edges), terminals, undeletable)
@@ -165,10 +163,12 @@ def ecc_to_hyper_mc(h: EdgeColoredHypergraph) -> TerminalHypergraph:
     """Append one terminal per color and add it to each edge of that color."""
     n, k = h.num_nodes, h.num_colors
     terminals = tuple(n + c - 1 for c in range(1, k + 1))
+    members, bounds = h.members.tolist(), h.eptr.tolist()
     edges = tuple(
-        tuple(sorted(e.members + (terminals[e.color - 1],))) for e in h.edges
+        tuple(sorted(members[a:b] + [terminals[c - 1]]))
+        for a, b, c in zip(bounds, bounds[1:], h.colors.tolist())
     )
-    return TerminalHypergraph(n + k, edges, tuple(e.weight for e in h.edges), terminals)
+    return TerminalHypergraph(n + k, edges, tuple(h.weights.tolist()), terminals)
 
 
 def write_graph(g: WeightedGraph) -> str:

@@ -23,16 +23,9 @@ import numpy as np
 
 from .hypergraph import EdgeColoredHypergraph
 from .lp import LinearProgram, LpResult
+from .reductions import ecc_to_node_mc
 
 SNAP_TOL = 1e-7
-
-
-def node_var(v: int, color: int) -> str:
-    return f"xn_{v}_{color}"
-
-
-def edge_var(j: int) -> str:
-    return f"xe_{j}"
 
 
 def build_ecc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
@@ -41,17 +34,19 @@ def build_ecc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
     n, k = h.num_nodes, h.num_colors
     for v in range(n):
         for i in range(1, k + 1):
-            lp.add_var(node_var(v, i), 0.0, 1.0)
-    for j, e in enumerate(h.edges):
-        lp.add_var(edge_var(j), 0.0, 1.0, obj=e.weight)
+            lp.add_var(f"xn_{v}_{i}", 0.0, 1.0)
+    for j, w in enumerate(h.weights.tolist()):
+        lp.add_var(f"xe_{j}", 0.0, 1.0, obj=w)
     for v in range(n):
         lp.add_constraint(
             [(v * k + i, 1.0) for i in range(k)], "=", float(k - 1)
         )
-    for j, e in enumerate(h.edges):
-        xe = n * k + j
-        for v in e.members:
-            lp.add_constraint([(xe, 1.0), (v * k + e.color - 1, -1.0)], ">=", 0.0)
+    # One row per membership, in edge order: x_e against x_v of the edge's color.
+    edge_of = h.member_edges()
+    xe = (n * k + edge_of).tolist()
+    xn = (h.members * k + h.colors[edge_of] - 1).tolist()
+    for a, b in zip(xe, xn):
+        lp.add_constraint([(a, 1.0), (b, -1.0)], ">=", 0.0)
     return lp
 
 
@@ -63,7 +58,7 @@ def build_nodemc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
     nodes are deletable; everything else has its deletion distance fixed to
     zero (never encoded as a large weight).
     """
-    n, m, k = h.num_nodes, len(h.edges), h.num_colors
+    n, m, k = h.num_nodes, h.num_edges, h.num_colors
     total_nodes = n + m + k
 
     lp = LinearProgram(sense="min")
@@ -71,31 +66,21 @@ def build_nodemc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
         for i in range(1, k + 1):
             lp.add_var(f"y_{u}_{i}", 0.0, math.inf)
     d_offset = total_nodes * k
-    for j, e in enumerate(h.edges):
-        lp.add_var(f"d_{j}", 0.0, math.inf, obj=e.weight)
+    for j, w in enumerate(h.weights.tolist()):
+        lp.add_var(f"d_{j}", 0.0, math.inf, obj=w)
 
     def y(u: int, i: int) -> int:
         return u * k + (i - 1)
 
-    graph_edges: list[tuple[int, int]] = []
-    for j, e in enumerate(h.edges):
-        enode = n + j
-        for v in e.members:
-            graph_edges.append((v, enode))
-        graph_edges.append((n + m + e.color - 1, enode))
-
     deletable = {n + j: d_offset + j for j in range(m)}
-    for a, bnode in graph_edges:
+    for a, bnode in ecc_to_node_mc(h).edges:
         for i in range(1, k + 1):
             # y_b_i <= y_a_i + d_b and the reverse orientation.
-            row = [(y(bnode, i), 1.0), (y(a, i), -1.0)]
-            if bnode in deletable:
-                row.append((deletable[bnode], -1.0))
-            lp.add_constraint(row, "<=", 0.0)
-            row = [(y(a, i), 1.0), (y(bnode, i), -1.0)]
-            if a in deletable:
-                row.append((deletable[a], -1.0))
-            lp.add_constraint(row, "<=", 0.0)
+            for u, w in ((bnode, a), (a, bnode)):
+                row = [(y(u, i), 1.0), (y(w, i), -1.0)]
+                if u in deletable:
+                    row.append((deletable[u], -1.0))
+                lp.add_constraint(row, "<=", 0.0)
     for c in range(1, k + 1):
         t = n + m + c - 1
         lp.add_constraint([(y(t, c), 1.0)], "=", 0.0)
@@ -123,8 +108,8 @@ class EccLpSolution:
         n, k = h.num_nodes, h.num_colors
         if self.x_node.shape != (n, k):
             return [f"x_node has shape {self.x_node.shape}, expected {(n, k)}"]
-        if self.x_edge.shape != (len(h.edges),):
-            return [f"x_edge has shape {self.x_edge.shape}, expected {(len(h.edges),)}"]
+        if self.x_edge.shape != (h.num_edges,):
+            return [f"x_edge has shape {self.x_edge.shape}, expected {(h.num_edges,)}"]
         if np.any(self.x_node < -tol) or np.any(self.x_node > 1 + tol):
             problems.append("node distances outside [0, 1]")
         if np.any(self.x_edge < -tol) or np.any(self.x_edge > 1 + tol):
@@ -133,13 +118,20 @@ class EccLpSolution:
         bad = np.flatnonzero(np.abs(sums - (k - 1)) > tol)
         for v in bad:
             problems.append(f"node {v}: color distances sum to {sums[v]:.9f}, expected {k - 1}")
-        for j, e in enumerate(h.edges):
-            reach = max(self.x_node[v, e.color - 1] for v in e.members)
-            if self.x_edge[j] < reach - tol:
-                problems.append(
-                    f"edge {j}: x_e = {self.x_edge[j]:.9f} below max member distance {reach:.9f}"
-                )
+        reach = _reach(h, self.x_node)
+        for j in np.flatnonzero(self.x_edge < reach - tol).tolist():
+            problems.append(
+                f"edge {j}: x_e = {self.x_edge[j]:.9f} below max member distance {reach[j]:.9f}"
+            )
         return problems
+
+
+def _reach(h: EdgeColoredHypergraph, x_node: np.ndarray) -> np.ndarray:
+    """Each edge's largest member distance to the edge's color; -inf for an empty edge."""
+    edge_of = h.member_edges()
+    reach = np.full(h.num_edges, -np.inf)
+    np.maximum.at(reach, edge_of, x_node[h.members, h.colors[edge_of] - 1])
+    return reach
 
 
 def _snap(a: np.ndarray) -> np.ndarray:
@@ -161,17 +153,15 @@ def solution_from_vector(
     color (exact at optimality); invariant checkers pass ``tighten=False`` so
     corrupted inputs stay detectable.
     """
-    n, k, m = h.num_nodes, h.num_colors, len(h.edges)
+    n, k, m = h.num_nodes, h.num_colors, h.num_edges
     x = np.asarray(x, dtype=float)
     if x.shape != (n * k + m,):
         raise ValueError(f"primal vector has length {x.shape}, expected {n * k + m}")
     x_node = _snap(x[: n * k].reshape(n, k))
     x_edge = _snap(x[n * k:])
     if tighten:
-        for j, e in enumerate(h.edges):
-            x_edge[j] = max(x_node[v, e.color - 1] for v in e.members)
-    weights = np.array([e.weight for e in h.edges])
-    return EccLpSolution(x_node, x_edge, float(np.dot(weights, x_edge)))
+        x_edge = _reach(h, x_node)
+    return EccLpSolution(x_node, x_edge, float(np.dot(h.weights, x_edge)))
 
 
 def extract_ecc_solution(

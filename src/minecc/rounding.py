@@ -117,15 +117,20 @@ class ColorThresholds:
         return len(self.values)
 
 
+def _edge(h: EdgeColoredHypergraph, edge_index: int) -> tuple[np.ndarray, int]:
+    """Members and color of one edge; IndexError unless ``0 <= edge_index < m``."""
+    if not (0 <= edge_index < h.num_edges):
+        raise IndexError(f"edge index {edge_index} out of range")
+    return h.members[h.eptr[edge_index]:h.eptr[edge_index + 1]], int(h.colors[edge_index])
+
+
 def color_thresholds(
     h: EdgeColoredHypergraph, x: EccLpSolution, edge_index: int
 ) -> ColorThresholds:
     """Compute the ``k - 1`` color thresholds of one edge under solution ``x``."""
-    if not (0 <= edge_index < len(h.edges)):
-        raise IndexError(f"edge index {edge_index} out of range")
-    e = h.edges[edge_index]
-    mins = x.x_node[list(e.members)].min(axis=0)
-    others = np.delete(mins, e.color - 1)
+    members, color = _edge(h, edge_index)
+    mins = x.x_node[members].min(axis=0)
+    others = np.delete(mins, color - 1)
     return ColorThresholds(tuple(float(z) for z in np.sort(others)))
 
 
@@ -141,12 +146,13 @@ def estimate_mistake_prob(
 
     Returns ``(estimate, standard error)``. Trials redraw the threshold and the
     priority permutation exactly as :func:`gen_color_round` does; only the
-    colors of the edge's members are materialized.
+    colors of the edge's members are materialized. An edge index outside
+    ``[0, m)`` raises IndexError, as in :func:`color_thresholds`.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     _check_feasible(h, x)
-    e = h.edges[edge_index]
+    members, color = _edge(h, edge_index)
     k = h.num_colors
     rng = np.random.default_rng(seed)
 
@@ -162,11 +168,10 @@ def estimate_mistake_prob(
     np.put_along_axis(priority, perms, np.broadcast_to(np.arange(k), perms.shape), axis=1)
 
     mistake = np.zeros(trials, dtype=bool)
-    c_idx = e.color - 1
-    for v in e.members:
+    for v in members.tolist():
         wanted = x.x_node[v][None, :] < rho[:, None]
         score = np.where(wanted, priority, -1)
-        mistake |= score.argmax(axis=1) != c_idx
+        mistake |= score.argmax(axis=1) != color - 1
     p = float(mistake.mean())
     stderr = math.sqrt(p * (1.0 - p) / trials)
     return p, stderr
@@ -220,7 +225,7 @@ def rounding_invariant_violations(
     if k <= 1:
         return problems
     t_max = k // 2 if h.rank == 2 else 1
-    for j in range(len(h.edges)):
+    for j in range(h.num_edges):
         z = color_thresholds(h, x, j).values
         xe = x.x_edge[j]
         if 1.0 - z[0] > xe + tol:

@@ -4,21 +4,24 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from minecc.combinatorial import DeletionSet, _color_survivors, _visit_order
+from minecc.combinatorial import DeletionSet, _color_survivors, _visit_order, majority_vote
 from minecc.hypergraph import (
     ColorSortedIncidence,
     CostReport,
-    Edge,
     EdgeColoredHypergraph,
     build_incidence,
     from_flat,
     hypergraph,
+    objective_cost,
 )
 from minecc.instances import ParseError, PlantedInstance
+from minecc.oracle import DEFAULT_CAP, CapExceededError, OracleResult
+from minecc.relaxations import EccLpSolution, _snap
 from minecc.lp import (
     DEGENERATE_RUN_LIMIT,
     FEAS_TOL,
@@ -28,11 +31,33 @@ from minecc.lp import (
 )
 
 
+@dataclass(frozen=True)
+class Edge:
+    """One colored hyperedge in the per-edge layout the package used to keep:
+    sorted deduplicated members, a color, a weight."""
+
+    members: tuple[int, ...]
+    color: int
+    weight: float = 1.0
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+def edges_of(h: EdgeColoredHypergraph) -> tuple[Edge, ...]:
+    """The edges of ``h`` as :class:`Edge` objects, read off the four arrays."""
+    members, bounds = h.members.tolist(), h.eptr.tolist()
+    return tuple(
+        Edge(tuple(members[a:b]), c, w)
+        for a, b, c, w in zip(bounds, bounds[1:], h.colors.tolist(), h.weights.tolist())
+    )
+
+
 def naive_cost(h: EdgeColoredHypergraph, coloring) -> tuple[float, set[int]]:
     """Second, independent objective evaluation (set-based, per edge)."""
     mistakes = set()
     total = 0.0
-    for j, e in enumerate(h.edges):
+    for j, e in enumerate(edges_of(h)):
         colors_seen = {coloring[v] for v in e.members}
         if colors_seen != {e.color}:
             mistakes.add(j)
@@ -53,7 +78,7 @@ def exhaustive_ecc(h: EdgeColoredHypergraph, chunk: int = 1 << 18) -> float:
         index = np.arange(start, min(start + chunk, count), dtype=np.int64)
         colors = [index // k**v % k + 1 for v in range(n)]
         cost = np.zeros(len(index))
-        for e in h.edges:
+        for e in edges_of(h):
             satisfied = np.full(len(index), bool(e.members))
             for v in e.members:
                 satisfied &= colors[v] == e.color
@@ -80,9 +105,9 @@ def reference_pitt_coloring(
 ) -> tuple[DeletionSet, list[int]]:
     """The sampling walk as its own loop; the reference for ``pitt_coloring``."""
     inc = incidence if incidence is not None else build_incidence(h)
-    colors = [e.color for e in h.edges]
-    weights = [e.weight for e in h.edges]
-    deleted = bytearray(len(h.edges))
+    colors = [e.color for e in edges_of(h)]
+    weights = [e.weight for e in edges_of(h)]
+    deleted = bytearray(h.num_edges)
     rng = np.random.default_rng(seed)
     rand = rng.random
     for v in _visit_order(h.num_nodes, order_seed):
@@ -121,9 +146,9 @@ def reference_match_coloring(
 ) -> tuple[DeletionSet, list[int], float]:
     """The matching walk as its own loop; the reference for ``match_coloring``."""
     inc = incidence if incidence is not None else build_incidence(h)
-    colors = [e.color for e in h.edges]
-    weights = [e.weight for e in h.edges]
-    deleted = bytearray(len(h.edges))
+    colors = [e.color for e in edges_of(h)]
+    weights = [e.weight for e in edges_of(h)]
+    deleted = bytearray(h.num_edges)
     bound = 0.0
     for v in _visit_order(h.num_nodes, order_seed):
         lst = inc.neighbor_list(v)
@@ -147,19 +172,18 @@ def reference_match_coloring(
     return dels, _color_survivors(h, deleted), bound
 
 
-# The per-edge loops that the array code of ``hypergraph``, ``instances`` and
-# ``combinatorial`` replaced, kept verbatim as references (apart from their
-# names, and a reference instance being the tuple (num_nodes, num_colors,
-# edges) of the old object layout).
+# The per-edge loops that the array code of ``hypergraph``, ``instances``,
+# ``combinatorial``, ``relaxations``, ``reductions`` and ``oracle`` replaced,
+# kept verbatim as references (apart from their names, ``edges_of(h)`` where
+# they read the removed ``h.edges`` view, and a reference instance being the
+# tuple (num_nodes, num_colors, edges) of the old object layout).
 
 
 def reference_hypergraph(num_nodes, num_colors, edges):
     """The old tuple-of-Edge constructor; the reference for ``hypergraph``."""
     built: list[Edge] = []
     for spec in edges:
-        if isinstance(spec, Edge):
-            members, color, weight = spec.members, spec.color, spec.weight
-        elif len(spec) == 2:
+        if len(spec) == 2:
             (members, color), weight = spec, 1.0
         else:
             members, color, weight = spec
@@ -223,7 +247,7 @@ def reference_validate(h: EdgeColoredHypergraph) -> list[str]:
         problems.append(f"num_nodes is negative: {h.num_nodes}")
     if h.num_colors < 0:
         problems.append(f"num_colors is negative: {h.num_colors}")
-    for j, e in enumerate(h.edges):
+    for j, e in enumerate(edges_of(h)):
         if not e.members:
             problems.append(f"edge {j} is empty")
         if len(set(e.members)) != len(e.members):
@@ -246,12 +270,12 @@ def reference_objective_cost(h: EdgeColoredHypergraph, coloring, truth=None) -> 
         )
     mistakes: list[int] = []
     cost = 0.0
-    for j, e in enumerate(h.edges):
+    for j, e in enumerate(edges_of(h)):
         c = e.color
         if any(coloring[v] != c for v in e.members):
             mistakes.append(j)
             cost += e.weight
-    m = len(h.edges)
+    m = h.num_edges
     satisfaction = 1.0 if m == 0 else 1.0 - len(mistakes) / m
     acc = reference_accuracy(coloring, truth) if truth is not None else None
     return CostReport(cost, tuple(mistakes), satisfaction, acc)
@@ -269,16 +293,17 @@ def reference_accuracy(coloring, truth) -> float:
 
 def reference_build_incidence(h: EdgeColoredHypergraph) -> ColorSortedIncidence:
     """The old incidence build from the edge objects; the reference for ``build_incidence``."""
-    n, k, m = h.num_nodes, h.num_colors, len(h.edges)
-    sizes = np.fromiter((len(e.members) for e in h.edges), dtype=np.int64, count=m)
+    n, k, m = h.num_nodes, h.num_colors, h.num_edges
+    edges = edges_of(h)
+    sizes = np.fromiter((len(e.members) for e in edges), dtype=np.int64, count=m)
     total = int(sizes.sum()) if m else 0
     flat_v = np.fromiter(
-        itertools.chain.from_iterable(e.members for e in h.edges),
+        itertools.chain.from_iterable(e.members for e in edges),
         dtype=np.int64,
         count=total,
     )
     flat_j = np.repeat(np.arange(m, dtype=np.int64), sizes)
-    colors = np.fromiter((e.color for e in h.edges), dtype=np.int64, count=m)
+    colors = np.fromiter((e.color for e in edges), dtype=np.int64, count=m)
     key = flat_v * np.int64(k + 1) + colors[flat_j]
     order = np.argsort(key, kind="stable")  # a timsort: numpy radix-sorts only <= 16-bit ints
     edge_ids = flat_j[order].astype(np.int32)
@@ -315,7 +340,7 @@ def reference_majority_vote(h: EdgeColoredHypergraph) -> list[int]:
     nodes: list[int] = []
     cols: list[int] = []
     wts: list[float] = []
-    for e in h.edges:
+    for e in edges_of(h):
         nodes.extend(e.members)
         cols.extend([e.color - 1] * len(e.members))
         wts.extend([e.weight] * len(e.members))
@@ -330,7 +355,7 @@ def reference_mv_lower_bound(h: EdgeColoredHypergraph, mv_coloring) -> float:
     if r == 0:
         return 0.0
     total = 0.0
-    for e in h.edges:
+    for e in edges_of(h):
         bad = sum(1 for v in e.members if mv_coloring[v] != e.color)
         total += e.weight * bad
     return total / r
@@ -339,7 +364,7 @@ def reference_mv_lower_bound(h: EdgeColoredHypergraph, mv_coloring) -> float:
 def reference_color_survivors(h: EdgeColoredHypergraph, deleted) -> list[int]:
     """The old overwrite loop; the reference for ``_color_survivors``."""
     coloring = [1] * h.num_nodes
-    for j, e in enumerate(h.edges):
+    for j, e in enumerate(edges_of(h)):
         if not deleted[j]:
             for v in e.members:
                 coloring[v] = e.color
@@ -349,7 +374,7 @@ def reference_color_survivors(h: EdgeColoredHypergraph, deleted) -> list[int]:
 def reference_recolor_uncovered(h: EdgeColoredHypergraph, dels: DeletionSet, base, mv):
     """The old per-edge cover loop; the reference for ``recolor_uncovered``."""
     covered = bytearray(h.num_nodes)
-    for j, e in enumerate(h.edges):
+    for j, e in enumerate(edges_of(h)):
         if j not in dels.indices:
             for v in e.members:
                 covered[v] = 1
@@ -360,6 +385,266 @@ def reference_recolor_uncovered(h: EdgeColoredHypergraph, dels: DeletionSet, bas
     ):
         return base
     return recolored
+
+
+def reference_build_ecc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
+    """The old per-edge builder; the reference for ``build_ecc_lp``."""
+    lp = LinearProgram(sense="min")
+    n, k = h.num_nodes, h.num_colors
+    edges = edges_of(h)
+    for v in range(n):
+        for i in range(1, k + 1):
+            lp.add_var(f"xn_{v}_{i}", 0.0, 1.0)
+    for j, e in enumerate(edges):
+        lp.add_var(f"xe_{j}", 0.0, 1.0, obj=e.weight)
+    for v in range(n):
+        lp.add_constraint(
+            [(v * k + i, 1.0) for i in range(k)], "=", float(k - 1)
+        )
+    for j, e in enumerate(edges):
+        xe = n * k + j
+        for v in e.members:
+            lp.add_constraint([(xe, 1.0), (v * k + e.color - 1, -1.0)], ">=", 0.0)
+    return lp
+
+
+def reference_build_nodemc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
+    """The old per-edge builder; the reference for ``build_nodemc_lp``."""
+    edges = edges_of(h)
+    n, m, k = h.num_nodes, len(edges), h.num_colors
+    total_nodes = n + m + k
+
+    lp = LinearProgram(sense="min")
+    for u in range(total_nodes):
+        for i in range(1, k + 1):
+            lp.add_var(f"y_{u}_{i}", 0.0, math.inf)
+    d_offset = total_nodes * k
+    for j, e in enumerate(edges):
+        lp.add_var(f"d_{j}", 0.0, math.inf, obj=e.weight)
+
+    def y(u: int, i: int) -> int:
+        return u * k + (i - 1)
+
+    graph_edges: list[tuple[int, int]] = []
+    for j, e in enumerate(edges):
+        enode = n + j
+        for v in e.members:
+            graph_edges.append((v, enode))
+        graph_edges.append((n + m + e.color - 1, enode))
+
+    deletable = {n + j: d_offset + j for j in range(m)}
+    for a, bnode in graph_edges:
+        for i in range(1, k + 1):
+            # y_b_i <= y_a_i + d_b and the reverse orientation.
+            row = [(y(bnode, i), 1.0), (y(a, i), -1.0)]
+            if bnode in deletable:
+                row.append((deletable[bnode], -1.0))
+            lp.add_constraint(row, "<=", 0.0)
+            row = [(y(a, i), 1.0), (y(bnode, i), -1.0)]
+            if a in deletable:
+                row.append((deletable[a], -1.0))
+            lp.add_constraint(row, "<=", 0.0)
+    for c in range(1, k + 1):
+        t = n + m + c - 1
+        lp.add_constraint([(y(t, c), 1.0)], "=", 0.0)
+        for i in range(1, k + 1):
+            if i != c:
+                lp.add_constraint([(y(t, i), 1.0)], ">=", 1.0)
+    return lp
+
+
+def reference_violations(x: EccLpSolution, h: EdgeColoredHypergraph, tol: float = 1e-6) -> list[str]:
+    """The old per-edge check; the reference for ``EccLpSolution.violations``."""
+    problems: list[str] = []
+    n, k = h.num_nodes, h.num_colors
+    edges = edges_of(h)
+    if x.x_node.shape != (n, k):
+        return [f"x_node has shape {x.x_node.shape}, expected {(n, k)}"]
+    if x.x_edge.shape != (len(edges),):
+        return [f"x_edge has shape {x.x_edge.shape}, expected {(len(edges),)}"]
+    if np.any(x.x_node < -tol) or np.any(x.x_node > 1 + tol):
+        problems.append("node distances outside [0, 1]")
+    if np.any(x.x_edge < -tol) or np.any(x.x_edge > 1 + tol):
+        problems.append("edge distances outside [0, 1]")
+    sums = x.x_node.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - (k - 1)) > tol)
+    for v in bad:
+        problems.append(f"node {v}: color distances sum to {sums[v]:.9f}, expected {k - 1}")
+    for j, e in enumerate(edges):
+        reach = max(x.x_node[v, e.color - 1] for v in e.members)
+        if x.x_edge[j] < reach - tol:
+            problems.append(
+                f"edge {j}: x_e = {x.x_edge[j]:.9f} below max member distance {reach:.9f}"
+            )
+    return problems
+
+
+def reference_solution_from_vector(h: EdgeColoredHypergraph, x, tighten: bool = True) -> EccLpSolution:
+    """The old per-edge assembly; the reference for ``solution_from_vector``."""
+    edges = edges_of(h)
+    n, k, m = h.num_nodes, h.num_colors, len(edges)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n * k + m,):
+        raise ValueError(f"primal vector has length {x.shape}, expected {n * k + m}")
+    x_node = _snap(x[: n * k].reshape(n, k))
+    x_edge = _snap(x[n * k:])
+    if tighten:
+        for j, e in enumerate(edges):
+            x_edge[j] = max(x_node[v, e.color - 1] for v in e.members)
+    weights = np.array([e.weight for e in edges])
+    return EccLpSolution(x_node, x_edge, float(np.dot(weights, x_edge)))
+
+
+def reference_bad_edge_pairs(h: EdgeColoredHypergraph) -> tuple[tuple[int, int], ...]:
+    """The old per-node pair scan over the edge objects; the reference for ``bad_edge_pairs``."""
+    edges = edges_of(h)
+    incident: list[list[int]] = [[] for _ in range(h.num_nodes)]
+    for j, e in enumerate(edges):
+        for v in e.members:
+            incident[v].append(j)
+    pairs: set[tuple[int, int]] = set()
+    for lst in incident:
+        for a in range(len(lst)):
+            for b in range(a + 1, len(lst)):
+                e, f = lst[a], lst[b]
+                if edges[e].color != edges[f].color:
+                    pairs.add((e, f) if e < f else (f, e))
+    return tuple(sorted(pairs))
+
+
+def reference_bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleResult:
+    """The old branch and bound over the edge objects; the reference for ``bruteforce_ecc``.
+
+    Only nodes of positive degree are enumerated (isolated nodes are fixed to
+    color 1); requires ``k ** active_nodes <= cap``.
+    """
+    n, k = h.num_nodes, h.num_colors
+    degrees = h.degrees()
+    active = [v for v in range(n) if degrees[v] > 0]
+    if k > 1 and k ** len(active) > cap:
+        raise CapExceededError(
+            f"{k}^{len(active)} colorings exceed the cap of {cap}"
+        )
+    if k < 1:
+        raise ValueError("instance has no colors")
+
+    # Position of each active node in enumeration order, edges indexed by it.
+    pos = {v: i for i, v in enumerate(active)}
+    incident: list[list[int]] = [[] for _ in active]
+    edges = edges_of(h)
+    for j, e in enumerate(edges):
+        for v in e.members:
+            incident[pos[v]].append(j)
+
+    colors = [e.color for e in edges]
+    weights = [e.weight for e in edges]
+    broken = bytearray(len(edges))
+
+    start = majority_vote(h)
+    best_cost = objective_cost(h, start).total_cost
+    best_assignment = [start[v] for v in active]
+    assignment = [0] * len(active)
+    explored = 0
+
+    def dfs(i: int, cost: float) -> None:
+        nonlocal best_cost, best_assignment, explored
+        if cost >= best_cost:
+            return
+        if i == len(active):
+            best_cost = cost
+            best_assignment = assignment[:i]
+            return
+        for c in range(1, k + 1):
+            explored += 1
+            newly: list[int] = []
+            added = 0.0
+            for j in incident[i]:
+                if not broken[j] and colors[j] != c:
+                    broken[j] = 1
+                    newly.append(j)
+                    added += weights[j]
+            assignment[i] = c
+            dfs(i + 1, cost + added)
+            for j in newly:
+                broken[j] = 0
+
+    dfs(0, 0.0)
+    witness = [1] * n
+    for i, v in enumerate(active):
+        witness[v] = best_assignment[i]
+    return OracleResult(best_cost, tuple(witness), explored)
+
+
+def reference_int_tokens(raw: str, lineno: int, what: str) -> list[int]:
+    try:
+        return [int(t) for t in raw.replace(",", " ").split()]
+    except ValueError:
+        raise ParseError(f"non-integer token in {what}", lineno) from None
+
+
+def reference_parse_benchmark(
+    edges_text: str,
+    labels_text: str,
+    node_labels_text: str | None = None,
+) -> tuple[EdgeColoredHypergraph, list[int] | None]:
+    """The old line-by-line reader; the reference for ``parse_benchmark``.
+
+    Node ids are 1-based in the files and shifted to 0-based; all edges get unit
+    weight; the number of colors is the maximum label observed.
+    """
+    edge_lines = [
+        (i, line) for i, line in enumerate(edges_text.splitlines(), start=1) if line.strip()
+    ]
+    label_lines = [
+        (i, line) for i, line in enumerate(labels_text.splitlines(), start=1) if line.strip()
+    ]
+    if len(edge_lines) != len(label_lines):
+        raise ParseError(
+            f"edges file has {len(edge_lines)} lines but labels file has {len(label_lines)}"
+        )
+    members_per_edge: list[list[int]] = []
+    max_id = 0
+    for lineno, raw in edge_lines:
+        ids = reference_int_tokens(raw, lineno, "edges file")
+        if not ids:
+            raise ParseError("empty edge", lineno)
+        if min(ids) < 1:
+            raise ParseError("node ids are 1-based; found id < 1", lineno)
+        max_id = max(max_id, max(ids))
+        members_per_edge.append(ids)
+    colors: list[int] = []
+    for lineno, raw in label_lines:
+        tokens = reference_int_tokens(raw, lineno, "labels file")
+        if len(tokens) != 1:
+            raise ParseError("expected one label per line", lineno)
+        if tokens[0] < 1:
+            raise ParseError("labels are 1-based; found label < 1", lineno)
+        colors.append(tokens[0])
+
+    truth: list[int] | None = None
+    num_colors = max(colors, default=0)
+    num_nodes = max_id
+    if node_labels_text is not None:
+        truth = []
+        for lineno, raw in enumerate(node_labels_text.splitlines(), start=1):
+            if not raw.strip():
+                continue
+            tokens = reference_int_tokens(raw, lineno, "node labels file")
+            if len(tokens) != 1:
+                raise ParseError("expected one node label per line", lineno)
+            truth.append(tokens[0])
+        num_nodes = max(num_nodes, len(truth))
+        if len(truth) != num_nodes:
+            raise ParseError(
+                f"node labels file has {len(truth)} lines but instance has {num_nodes} nodes"
+            )
+        num_colors = max(num_colors, max(truth, default=0))
+
+    edges = [
+        (tuple(v - 1 for v in members), color)
+        for members, color in zip(members_per_edge, colors)
+    ]
+    return hypergraph(num_nodes, num_colors, edges), truth
 
 
 def reference_simplex(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:

@@ -19,6 +19,8 @@ from minecc.reductions import WeightedGraph, ecc_to_vertex_cover, vertex_cover_t
 from minecc.relaxations import build_ecc_lp, build_nodemc_lp, extract_ecc_solution
 from minecc.rounding import Interval, best_interval, estimate_mistake_prob, gen_color_round
 
+from conftest import edges_of
+
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {criterion}: {detail}")
@@ -148,7 +150,7 @@ def test_criterion_5_per_edge_probability(capsys):
         h = gen_random(10, 16, 2, k, 0.6, seed=int(rng.integers(10**6))).hypergraph
         assert h.rank == 2
         sol = extract_ecc_solution(h, solve(build_ecc_lp(h)).require_optimal())
-        for j in range(len(h.edges)):
+        for j in range(h.num_edges):
             xe = float(sol.x_edge[j])
             if xe >= 0.75:
                 continue
@@ -218,15 +220,16 @@ def test_criterion_7_combinatorial_two_approx(capsys):
 def _isomorphic_small(h1, h2) -> bool:
     if (
         h1.num_nodes != h2.num_nodes
-        or len(h1.edges) != len(h2.edges)
+        or h1.num_edges != h2.num_edges
         or h1.num_colors != h2.num_colors
     ):
         return False
     nodes = range(h1.num_nodes)
     colors = range(1, h1.num_colors + 1)
     target = {
-        (frozenset(e.members), e.color) for e in h2.edges
+        (frozenset(e.members), e.color) for e in edges_of(h2)
     }
+    edges = edges_of(h1)
     for node_map in itertools.permutations(nodes):
         for color_map in itertools.permutations(colors):
             mapped = {
@@ -234,7 +237,7 @@ def _isomorphic_small(h1, h2) -> bool:
                     frozenset(node_map[v] for v in e.members),
                     color_map[e.color - 1],
                 )
-                for e in h1.edges
+                for e in edges
             }
             if mapped == target:
                 return True

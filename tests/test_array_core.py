@@ -1,8 +1,10 @@
 """The array code of the instance core against the per-edge loops it replaced.
 
 The references are the old loops, kept in ``conftest.py``. Every function
-must give the same result (floats bit for bit), and the parser the same
-``ParseError`` message and line for every malformed text.
+must give the same result (floats bit for bit), and the parsers the same
+``ParseError`` message and line for every malformed text. The LP builders,
+LP-solution checks, conflict pairs and exact oracle, which read the removed
+per-edge view, are held to their old code on weighted instances.
 """
 
 import re
@@ -12,20 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import minecc.cli
-from minecc.cli import main
+import minecc
 from minecc.combinatorial import (
     DeletionSet,
     _color_survivors,
-    hybrid,
     majority_vote,
-    match_coloring,
     mv_lower_bound,
-    pitt_coloring,
     recolor_uncovered,
 )
 from minecc.hypergraph import (
-    Edge,
     EdgeColoredHypergraph,
     accuracy,
     build_incidence,
@@ -37,22 +34,35 @@ from minecc.instances import (
     _LAST_SPACE,
     ParseError,
     gen_random,
+    parse_benchmark,
     parse_canonical,
     write_canonical,
 )
+from minecc.oracle import CapExceededError, bruteforce_ecc
+from minecc.reductions import bad_edge_pairs
+from minecc.relaxations import EccLpSolution, build_ecc_lp, build_nodemc_lp, solution_from_vector
 
 from conftest import (
+    Edge,
+    edges_of,
     random_instance,
     reference_accuracy,
+    reference_bad_edge_pairs,
+    reference_bruteforce_ecc,
+    reference_build_ecc_lp,
     reference_build_incidence,
+    reference_build_nodemc_lp,
     reference_color_survivors,
     reference_hypergraph,
     reference_majority_vote,
     reference_mv_lower_bound,
     reference_objective_cost,
+    reference_parse_benchmark,
     reference_parse_canonical,
     reference_recolor_uncovered,
+    reference_solution_from_vector,
     reference_validate,
+    reference_violations,
 )
 
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -60,7 +70,7 @@ SETTINGS = settings(max_examples=300, deadline=None)
 
 def as_reference(h: EdgeColoredHypergraph):
     """An instance in the reference layout (num_nodes, num_colors, edges)."""
-    return (h.num_nodes, h.num_colors, h.edges)
+    return (h.num_nodes, h.num_colors, edges_of(h))
 
 
 WEIGHTS = st.sampled_from([1.0, 0.0, 2.0, 0.1, 2.5, 1 / 3, 7e-3, 1e15, 1e20, 5e-324])
@@ -76,7 +86,7 @@ def instances(draw):
     if weights == "unit":
         return h
     w = draw(st.lists(WEIGHTS, min_size=m, max_size=m))
-    return hypergraph(n, h.num_colors, [(e.members, e.color, x) for e, x in zip(h.edges, w)])
+    return hypergraph(n, h.num_colors, [(e.members, e.color, x) for e, x in zip(edges_of(h), w)])
 
 
 # Words of 15 to 20 digits, around the longest words decoded without int()/float().
@@ -187,7 +197,7 @@ class TestParse:
     ])
     def test_python_number_rules(self, text, message):
         if message is None:
-            assert parse_canonical(text).edges == (Edge((0, 1, 20), 2, 10.0),)
+            assert edges_of(parse_canonical(text)) == (Edge((0, 1, 20), 2, 10.0),)
         else:
             with pytest.raises(ParseError, match=re.escape(message)):
                 parse_canonical(text)
@@ -236,12 +246,135 @@ class TestParseAtScale:
         assert parsed == h
 
 
+# Words of the benchmark files: small integers, words int() reads in its own
+# way (signs, "_", other scripts' digits, 64-bit edges and beyond), and junk.
+SMALL = st.integers(1, 9).map(str)
+BENCH_WORDS = st.one_of(SMALL, SMALL, SMALL, st.integers(-1, 0).map(str), INT_WORDS, JUNK_WORDS)
+BENCH_GAPS = st.sampled_from([" ", ",", ", ", " ,", ",,", "\t", "\u00a0"])
+BLANKS = st.sampled_from(["", "  ", "\t"])
+COMMAS = st.sampled_from([",", " , ", ",,"])  # not blank, but a line without words
+
+
+@st.composite
+def benchmark_file(draw, word, sizes):
+    """One file of ``len(sizes)`` non-blank lines of ``word`` words, with blank lines between.
+
+    A line of no words is a line of commas.
+    """
+    lines = []
+    for size in sizes:
+        words = "".join(draw(word) + draw(BENCH_GAPS) for _ in range(size))
+        if draw(st.booleans()):
+            words = words.rstrip(" ,")
+        lines += draw(st.lists(BLANKS, max_size=1))
+        lines.append(draw(st.sampled_from(["", " ", ","])) + words if size else draw(COMMAS))
+    lines += draw(st.lists(BLANKS, max_size=1))
+    text = "".join(line + draw(BREAKS) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+@st.composite
+def benchmark_texts(draw):
+    """Edges, labels and maybe node-labels texts; each file is clean in two draws of three."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    clean = [draw(st.integers(0, 2)) > 0 for _ in range(3)]
+    size = st.integers(1, 4) if clean[0] else st.sampled_from([1, 2, 2, 3, 3, 4, 4, 0])
+    texts = [draw(benchmark_file(st.integers(1, n).map(str) if clean[0] else BENCH_WORDS,
+                                 [draw(size) for _ in range(m)]))]
+    for clean_file, word, count in ((clean[1], st.integers(1, 4).map(str), m),
+                                    (clean[2], st.integers(-1, 4).map(str), n)):
+        if clean_file:
+            texts.append(draw(benchmark_file(word, [1] * count)))
+        else:
+            count = max(count + draw(st.sampled_from([0, 0, 0, 1, -1])), 0)
+            sizes = [draw(st.sampled_from([1, 1, 1, 0, 2])) for _ in range(count)]
+            texts.append(draw(benchmark_file(BENCH_WORDS, sizes)))
+    return texts if draw(st.booleans()) else texts[:2]
+
+
+def assert_reads_like_reference(texts):
+    try:
+        expected = reference_parse_benchmark(*texts)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_benchmark(*texts)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+    except OverflowError:  # an id or a label beyond 64 bits: the old reader had no error for it
+        with pytest.raises(ParseError, match="integer beyond 64 bits in (edges|labels) file"):
+            parse_benchmark(*texts)
+    else:
+        if not all(-(2**63) <= c < 2**63 for c in expected[1] or ()):  # nor for such a truth
+            with pytest.raises(ParseError, match="integer beyond 64 bits in node labels file"):
+                parse_benchmark(*texts)
+        else:
+            assert parse_benchmark(*texts) == expected
+
+
+class TestBenchmarkParse:
+    @SETTINGS
+    @given(benchmark_texts())
+    def test_same_instance_or_same_error(self, texts):
+        assert_reads_like_reference(texts)
+
+    @pytest.mark.parametrize("texts", [
+        ["1,2,4\n", "3\n"], [",\n", "1\n"], ["1 2\r\n\r\n2 3\r\n", "1\n2"],
+        ["1 2\n", "1\n", "1\n2\n"], ["1 2\n", "1\n", "1\n-9223372036854775808\n"],
+        ["1 -9223372036854775808\n", "1\n"], ["1 -99999999999999999999\n", "1\n"],
+        ["0 1\n1 x\n", "1\n1\n"], ["1 2\n", "0\n", "1\n"], ["1 2\n", " 1 2\n"],
+        ["1 99999999999999999999\n", "1\n", "1\n2\n"],
+        ["1 99999999999999999999\n", "1\n"], ["1 2\n", "1\n", "1\n99999999999999999999\n"],
+    ])
+    def test_edge_cases(self, texts):
+        assert_reads_like_reference(texts)
+
+
+class TestLpAndOracleMatchReference:
+    @SETTINGS
+    @given(instances())
+    def test_lp_builders_give_the_same_rows(self, h):
+        assert build_ecc_lp(h) == reference_build_ecc_lp(h)
+        assert build_nodemc_lp(h) == reference_build_nodemc_lp(h)
+
+    @SETTINGS
+    @given(instances(), st.data())
+    def test_lp_solution_checks_and_assembly(self, h, data):
+        n, k, m = h.num_nodes, h.num_colors, h.num_edges
+        value = st.sampled_from([0.0, 1.0, 0.5, 1 / 3, 2 / 3, 0.25, 1e-8, 1 - 1e-8, -1e-3, 1.01])
+        x = np.array(data.draw(st.lists(value, min_size=n * k + m, max_size=n * k + m)))
+        for tighten in (True, False):
+            got = solution_from_vector(h, x, tighten)
+            want = reference_solution_from_vector(h, x, tighten)
+            assert got.x_node.tobytes() == want.x_node.tobytes()
+            assert got.x_edge.tobytes() == want.x_edge.tobytes()
+            assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+            for tol in (1e-6, 0.1):
+                assert got.violations(h, tol) == reference_violations(got, h, tol)
+        short = EccLpSolution(got.x_node, got.x_edge[:-1], 0.0)
+        assert short.violations(h) == reference_violations(short, h)
+
+    @SETTINGS
+    @given(instances())
+    def test_same_conflict_pairs(self, h):
+        assert bad_edge_pairs(h) == reference_bad_edge_pairs(h)
+
+    @settings(max_examples=120, deadline=None)
+    @given(instances(), st.sampled_from([10**7, 300]))
+    def test_oracle_same_value_witness_and_states(self, h, cap):
+        try:
+            expected = reference_bruteforce_ecc(h, cap)
+        except (CapExceededError, ValueError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                bruteforce_ecc(h, cap)
+        else:
+            assert bruteforce_ecc(h, cap) == expected
+
+
 class TestConstruction:
     SPEC = st.tuples(
         st.lists(st.integers(-2, 8), max_size=5),
         st.integers(-1, 5),
         st.sampled_from([1.0, 0.0, 2.5, -1.0, float("inf")]),
-        st.sampled_from(["pair", "triple", "edge"]),
+        st.sampled_from(["pair", "triple"]),
     )
 
     @SETTINGS
@@ -251,10 +384,8 @@ class TestConstruction:
         for members, color, weight, form in specs:
             if form == "pair":
                 edges.append((members, color))
-            elif form == "triple":
-                edges.append((tuple(members), color, weight))
             else:
-                edges.append(Edge(tuple(members), color, weight))
+                edges.append((tuple(members), color, weight))
         try:
             expected = reference_hypergraph(n, k, edges)
         except ValueError as exc:
@@ -351,37 +482,11 @@ class TestObjectiveColorRange:
             objective_cost(h, [2, 1])
 
 
-class TestSolvePathKeepsToArrays:
-    def test_library_calls_never_build_the_edge_view(self):
-        planted = gen_random(300, 900, 5, 6, 0.2, seed=4)
-        h = parse_canonical(write_canonical(planted.hypergraph))
-        assert validate(h) == []
-        inc = build_incidence(h)
-        mv = majority_vote(h)
-        mv_lower_bound(h, mv)
-        dels, base, _ = match_coloring(h, None, inc)
-        pitt_coloring(h, 0, 3, inc)
-        recolor_uncovered(h, dels, base, mv)
-        objective_cost(h, hybrid(h), planted.truth)
-        assert "edges" not in vars(h)
-        assert len(h.edges) == 900 and "edges" in vars(h)  # the view is built on demand
-
-    @pytest.mark.parametrize("algo", ["mv", "match", "hybrid", "pitt"])
-    def test_cli_solve_never_builds_the_edge_view(self, algo, tmp_path, monkeypatch, capsys):
-        inst, truth = tmp_path / "p.ecc", tmp_path / "p.truth"
-        assert main(["gen", "random", "--nodes", "200", "--edges", "600", "--seed", "2",
-                     "-o", str(inst), "--truth-output", str(truth)]) == 0
-        parsed = []
-
-        def recording_parse(text):
-            parsed.append(parse_canonical(text))
-            return parsed[-1]
-
-        monkeypatch.setattr(minecc.cli, "parse_canonical", recording_parse)
-        assert main(["solve", str(inst), "--algo", algo, "--truth", str(truth),
-                     "--runs", "2"]) == 0
-        capsys.readouterr()
-        assert len(parsed) == 1 and "edges" not in vars(parsed[0])
+class TestOneEdgeRepresentation:
+    def test_no_edge_view_and_no_edge_class(self):
+        h = gen_random(30, 90, 5, 6, 0.2, seed=4).hypergraph
+        assert not hasattr(h, "edges") and not hasattr(EdgeColoredHypergraph, "edges")
+        assert not hasattr(minecc, "Edge") and not hasattr(minecc.hypergraph, "Edge")
 
 
 class TestReadOnlyArrays:

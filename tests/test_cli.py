@@ -157,11 +157,15 @@ class TestMalformedInputExitCodes:
         ("", ["solve", "{gap3}", "--algo", "pitt", "--seed", "1.5"]),
         ("", ["bench-scaling", "--sizes", "inf"]),
         ("", ["bench-scaling", "--sizes=-inf"]),
+        ("", ["solve", "{gap3}", "--algo", "match", "--runs", "-4"]),
+        ("", ["solve", "{gap3}", "--algo", "match", "--runs", "0"]),
+        ("", ["verify", "--invariants", "{gap3}", "--trials", "-7"]),
     ], ids=["truth-token", "truth-length", "sizes", "scaling-colors", "scaling-max-size",
             "gen-nodes", "gen-nodes-2**32", "gen-edges", "gen-max-size", "gen-colors",
             "gen-noise", "gen-gap-colors", "solve-pitt-seed", "solve-lp-seed",
             "solve-runs-seed", "verify-trials-seed", "gen-seed", "scaling-seed",
-            "solve-seed-not-integer", "sizes-inf", "sizes-minus-inf"])
+            "solve-seed-not-integer", "sizes-inf", "sizes-minus-inf", "solve-runs-negative",
+            "solve-runs-zero", "verify-trials-negative"])
     def test_exit_2_with_error_line(self, truth_text, argv, gap3_file, tmp_path, capsys):
         truth = tmp_path / "gap3.truth"
         truth.write_text(truth_text)

@@ -26,6 +26,7 @@ from minecc.instances import gen_integrality_gap, gen_random
 from minecc.oracle import bruteforce_ecc
 
 from conftest import (
+    edges_of,
     exhaustive_ecc,
     reference_find_bad_pair,
     reference_match_coloring,
@@ -73,7 +74,7 @@ class TestMvLowerBound:
         mv = majority_vote(h)
         # Independent recount: e2 has one mismatched member, e3 has two; r = 2.
         mismatches = sum(
-            1 for e in h.edges for v in e.members if mv[v] != e.color
+            1 for e in edges_of(h) for v in e.members if mv[v] != e.color
         )
         assert mismatches == 3
         assert mv_lower_bound(h, mv) == pytest.approx(mismatches / h.rank)
@@ -139,7 +140,7 @@ class TestPittColoring:
                 3,
                 [
                     (e.members, e.color, float(w))
-                    for e, w in zip(base.edges, rng.integers(1, 6, size=len(base.edges)))
+                    for e, w in zip(edges_of(base), rng.integers(1, 6, size=base.num_edges))
                 ],
             )
             opt = bruteforce_ecc(h).value
@@ -196,7 +197,7 @@ class TestMatchColoring:
                 3,
                 [
                     (e.members, e.color, 1.0 + (j % 3))
-                    for j, e in enumerate(planted.hypergraph.edges)
+                    for j, e in enumerate(edges_of(planted.hypergraph))
                 ],
             )
             _, _, bound = match_coloring(weighted)
@@ -351,7 +352,7 @@ class TestWalkMatchesReference:
 
         assert find_bad_pair(h, dels.indices) is None
         assert find_bad_pair(h, pdels.indices) is None
-        if all(e.weight == 1.0 for e in h.edges):
+        if all(e.weight == 1.0 for e in edges_of(h)):
             cost = objective_cost(h, coloring).total_cost
             assert bound <= cost <= 2 * bound
             assert bound <= objective_cost(h, pcoloring).total_cost

@@ -13,7 +13,7 @@ from minecc.hypergraph import (
 )
 from minecc.instances import gen_integrality_gap, gen_random
 
-from conftest import naive_cost, random_instance
+from conftest import edges_of, naive_cost, random_instance
 
 
 class TestValidate:
@@ -56,7 +56,7 @@ class TestValidate:
 class TestConstruction:
     def test_members_deduplicated_and_sorted(self):
         h = hypergraph(4, 1, [((3, 1, 3, 1), 1)])
-        assert h.edges[0].members == (1, 3)
+        assert edges_of(h)[0].members == (1, 3)
 
     def test_empty_after_dedup_rejected(self):
         with pytest.raises(ValueError):
@@ -105,8 +105,9 @@ class TestObjectiveCost:
     def test_permutation_invariance(self, rng):
         h = random_instance(rng, n=6, m=10, k=3)
         coloring = [int(c) for c in rng.integers(1, 4, size=6)]
-        perm = rng.permutation(len(h.edges))
-        shuffled = hypergraph(6, 3, [h.edges[j] for j in perm])
+        edges = edges_of(h)
+        perm = rng.permutation(len(edges))
+        shuffled = hypergraph(6, 3, [(e.members, e.color, e.weight) for e in (edges[j] for j in perm)])
         assert objective_cost(h, coloring).total_cost == pytest.approx(
             objective_cost(shuffled, coloring).total_cost
         )
@@ -160,13 +161,14 @@ class TestIncidence:
         h = random_instance(rng, n=7, m=11, k=3)
         inc = build_incidence(h)
         flat = sorted((v, j) for v in range(h.num_nodes) for j in inc[v])
-        expected = sorted((v, j) for j, e in enumerate(h.edges) for v in e.members)
+        expected = sorted((v, j) for j, e in enumerate(edges_of(h)) for v in e.members)
         assert flat == expected
 
     def test_colors_nondecreasing(self):
         planted = gen_random(15, 30, 4, 4, 0.4, seed=2)
         h = planted.hypergraph
         inc = build_incidence(h)
+        edges = edges_of(h)
         for v in range(h.num_nodes):
-            colors = [h.edges[j].color for j in inc[v]]
+            colors = [edges[j].color for j in inc[v]]
             assert colors == sorted(colors)

@@ -20,15 +20,21 @@ from minecc.instances import (
     write_canonical,
 )
 
-from conftest import exhaustive_ecc, naive_cost, random_instance, reference_gen_random
+from conftest import (
+    edges_of,
+    exhaustive_ecc,
+    naive_cost,
+    random_instance,
+    reference_gen_random,
+)
 
 
 class TestCanonical:
     def test_parse_minimal(self):
         h = parse_canonical("ecc 2 1 1\n1 1 0 1\n")
         assert h.num_nodes == 2 and h.num_colors == 1
-        assert h.edges[0].members == (0, 1)
-        assert h.edges[0].weight == 1.0
+        assert edges_of(h)[0].members == (0, 1)
+        assert edges_of(h)[0].weight == 1.0
 
     def test_edge_count_shortfall(self):
         with pytest.raises(ParseError, match="declares 3 edges but file has 2"):
@@ -39,7 +45,7 @@ class TestCanonical:
         h = parse_canonical(text)
         again = parse_canonical(write_canonical(h))
         assert again == h
-        assert again.edges[0].weight == 2.5
+        assert edges_of(again)[0].weight == 2.5
 
     def test_bad_token_line_number(self):
         with pytest.raises(ParseError, match="line 3"):
@@ -64,7 +70,7 @@ class TestCanonical:
 
     def test_crlf_line_endings(self):
         h = parse_canonical("ecc 2 1 1\r\n1 1 0 1\r\n")
-        assert h.edges[0].members == (0, 1)
+        assert edges_of(h)[0].members == (0, 1)
 
     def test_gap_header(self):
         assert write_canonical(gen_integrality_gap(3)).splitlines()[0] == "ecc 3 3 3"
@@ -73,8 +79,8 @@ class TestCanonical:
 class TestBenchmark:
     def test_basic(self):
         h, truth = parse_benchmark("1 2\n2 3\n", "1\n2\n")
-        assert h.num_nodes == 3 and len(h.edges) == 2 and h.num_colors == 2
-        assert h.edges[0].members == (0, 1)
+        assert h.num_nodes == 3 and h.num_edges == 2 and h.num_colors == 2
+        assert edges_of(h)[0].members == (0, 1)
         assert truth is None
 
     def test_count_mismatch(self):
@@ -87,7 +93,7 @@ class TestBenchmark:
 
     def test_comma_separated(self):
         h, _ = parse_benchmark("1,2,4\n", "3\n")
-        assert h.num_nodes == 4 and h.edges[0].members == (0, 1, 3)
+        assert h.num_nodes == 4 and edges_of(h)[0].members == (0, 1, 3)
 
     def test_non_integer_token(self):
         with pytest.raises(ParseError):
@@ -99,14 +105,14 @@ class TestGapInstance:
     def test_shape(self, k, nodes, size):
         h = gen_integrality_gap(k)
         assert h.num_nodes == nodes
-        assert len(h.edges) == k
-        assert all(len(e) == size for e in h.edges)
+        assert h.num_edges == k
+        assert all(len(e) == size for e in edges_of(h))
         assert h.rank == k - 1
         assert validate(h) == []
 
     def test_pairwise_single_intersection(self):
         h = gen_integrality_gap(5)
-        for a, b in itertools.combinations(h.edges, 2):
+        for a, b in itertools.combinations(edges_of(h), 2):
             assert len(set(a.members) & set(b.members)) == 1
 
     def test_k5_optimum(self):
@@ -146,8 +152,8 @@ class TestExhaustiveHelper:
 class TestStarInstance:
     def test_shape(self):
         h = gen_star()
-        assert h.num_nodes == 4 and len(h.edges) == 3 and h.num_colors == 3
-        assert all(0 in e.members for e in h.edges)
+        assert h.num_nodes == 4 and h.num_edges == 3 and h.num_colors == 3
+        assert all(0 in e.members for e in edges_of(h))
 
     def test_optimum_cost_two(self):
         assert exhaustive_ecc(gen_star()) == 2

@@ -17,7 +17,7 @@ from minecc.relaxations import (
     solution_from_vector,
 )
 
-from conftest import random_instance, reference_simplex
+from conftest import edges_of, random_instance, reference_simplex
 
 
 def ecc_value(h) -> float:
@@ -223,7 +223,7 @@ class TestEccLp:
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         for v in range(h.num_nodes):
             zero_colors = np.flatnonzero(sol.x_node[v] == 0.0) + 1
-            if len(zero_colors) == 1 and any(v in e.members for e in h.edges):
+            if len(zero_colors) == 1 and any(v in e.members for e in edges_of(h)):
                 assert zero_colors[0] == planted.truth[v]
 
 

@@ -139,7 +139,7 @@ class TestColorThresholds:
         for seed in range(4):
             h = gen_random(8, 12, 2, 4, 0.4, seed=seed).hypergraph
             sol = lp_solution(h)
-            for j in range(len(h.edges)):
+            for j in range(h.num_edges):
                 z1 = color_thresholds(h, sol, j).z1
                 assert 1.0 - z1 <= sol.x_edge[j] + 1e-9
 
@@ -148,6 +148,15 @@ class TestColorThresholds:
         sol = EccLpSolution(np.ones((2, 2)) * 0.5, np.array([0.5]), 0.5)
         with pytest.raises(IndexError):
             color_thresholds(h, sol, 5)
+
+    def test_edge_index_out_of_range_raises_in_both(self):
+        h = gen_integrality_gap(4)
+        sol = lp_solution(h)
+        for j in (-1, h.num_edges):
+            with pytest.raises(IndexError, match=f"edge index {j} out of range"):
+                color_thresholds(h, sol, j)
+            with pytest.raises(IndexError, match=f"edge index {j} out of range"):
+                estimate_mistake_prob(h, sol, Interval(0.5, 0.75), j, 100, seed=0)
 
 
 class TestInvariantChecks:
@@ -221,7 +230,7 @@ class TestEstimateMistakeProb:
     def test_gap3_per_edge_bound(self):
         h = gen_integrality_gap(3)
         sol = lp_solution(h)
-        for j in range(len(h.edges)):
+        for j in range(h.num_edges):
             p, err = estimate_mistake_prob(h, sol, Interval(0.5, 0.75), j, 8000, seed=j)
             assert p <= (4 / 3) * sol.x_edge[j] + 3 * err
 
