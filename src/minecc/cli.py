@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from .combinatorial import (
     match_coloring,
     mv_lower_bound,
     pitt_coloring,
-    recolor_uncovered,
+    recolor_uncovered_with_cost,
 )
-from .hypergraph import EdgeColoredHypergraph, build_incidence, objective_cost, validate
+from .hypergraph import EdgeColoredHypergraph, accuracy, build_incidence, objective_cost, validate
 from .oracle import bruteforce_ecc
 from .instances import (
     ParseError,
@@ -36,6 +36,7 @@ from .instances import (
     gen_star,
     parse_benchmark,
     parse_canonical,
+    parse_int_words,
     write_canonical,
 )
 from .lp import export_lp_text, parse_primal_text, solve
@@ -149,17 +150,25 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _load_instance(args) -> tuple[EdgeColoredHypergraph, list[int] | None, str]:
-    """Load from canonical text or, with --labels, the benchmark two-file format."""
+    """Load from canonical text or, with --labels, the benchmark two-file format.
+
+    A truth option of the other mode is an error, not ignored: ``--truth``
+    reads canonical mode's colors file, ``--node-labels`` benchmark mode's.
+    """
     name = os.path.splitext(os.path.basename(args.instance))[0]
+    truth_path = getattr(args, "truth", None)
+    if args.labels and truth_path:
+        raise CliError("--truth applies to a canonical instance only; "
+                       "with --labels, pass the ground truth as --node-labels", EXIT_PARSE)
+    if args.node_labels and not args.labels:
+        raise CliError("--node-labels applies with --labels (benchmark mode) only", EXIT_PARSE)
     try:
         if args.labels:
             truth_text = _read(args.node_labels) if args.node_labels else None
             h, truth = parse_benchmark(_read(args.instance), _read(args.labels), truth_text)
         else:
             h = parse_canonical(_read(args.instance))
-            truth = None
-            if getattr(args, "truth", None):
-                truth = _read_truth(args.truth)
+            truth = _read_truth(truth_path) if truth_path else None
     except ParseError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     problems = validate(h)
@@ -174,7 +183,7 @@ def _load_instance(args) -> tuple[EdgeColoredHypergraph, list[int] | None, str]:
 
 def _read_truth(path: str) -> list[int]:
     try:
-        return [int(t) for t in _read(path).split()]
+        return parse_int_words(_read(path))
     except ValueError:
         raise CliError(f"{path}: non-integer token in truth file", EXIT_PARSE) from None
 
@@ -246,13 +255,15 @@ def _primal(lp, solution: str | None, flag: str, check: bool = True):
 
 
 def _one_run(h, args, algo: str, seed: int, shuffled: bool, lp_sol, inc):
-    """Run one algorithm once; returns (coloring, match_bound, mv_bound).
+    """Run one algorithm once; returns (coloring, match_bound, mv_bound, report).
 
-    ``shuffled`` switches the deletion algorithms to a seed-derived node visit
-    order (the best-of-N protocol); single runs visit nodes in ascending order.
+    ``report`` is the coloring's cost report without accuracy when the
+    algorithm scored it already, else None. ``shuffled`` switches the
+    deletion algorithms to a seed-derived node visit order (the best-of-N
+    protocol); single runs visit nodes in ascending order.
     """
     order_seed = seed if shuffled else None
-    match_bound = mv_bound = None
+    match_bound = mv_bound = report = None
     if algo == "mv":
         coloring = majority_vote(h)
         mv_bound = mv_lower_bound(h, coloring)
@@ -264,7 +275,7 @@ def _one_run(h, args, algo: str, seed: int, shuffled: bool, lp_sol, inc):
         # hybrid() step by step, keeping the bounds of both steps
         dels, base, match_bound = match_coloring(h, order_seed, inc)
         mv = majority_vote(h)
-        coloring = recolor_uncovered(h, dels, base, mv)
+        coloring, report = recolor_uncovered_with_cost(h, dels, base, mv)
         mv_bound = mv_lower_bound(h, mv)
     elif algo == "lp-simple":
         coloring = simple_round(lp_sol)
@@ -278,7 +289,7 @@ def _one_run(h, args, algo: str, seed: int, shuffled: bool, lp_sol, inc):
         coloring = list(bruteforce_ecc(h, cap=_oracle_cap()).witness)
     else:
         raise CliError(f"unknown algorithm {algo!r}", EXIT_PARSE)
-    return coloring, match_bound, mv_bound
+    return coloring, match_bound, mv_bound, report
 
 
 def cmd_solve(args) -> int:
@@ -293,10 +304,13 @@ def cmd_solve(args) -> int:
     best = None
     for trial in range(args.runs):
         seed = args.seed + trial
-        coloring, match_bound, mv_bound = _one_run(
+        coloring, match_bound, mv_bound, report = _one_run(
             h, args, algo, seed, args.runs > 1, lp_sol, inc
         )
-        report = objective_cost(h, coloring, truth)
+        if report is None:
+            report = objective_cost(h, coloring, truth)
+        elif truth is not None:
+            report = replace(report, accuracy=accuracy(coloring, truth))
         if best is None or report.total_cost < best[0].total_cost:
             best = (report, seed, match_bound, mv_bound)
     seconds = time.perf_counter() - t0

@@ -23,6 +23,7 @@ import numpy as np
 
 from .hypergraph import (
     ColorSortedIncidence,
+    CostReport,
     EdgeColoredHypergraph,
     _ordered_sum,
     _per_edge_count,
@@ -275,13 +276,22 @@ def recolor_uncovered(
     cost more than it saves, so ``base`` is kept whenever it is strictly
     cheaper.
     """
+    return recolor_uncovered_with_cost(h, dels, base, mv)[0]
+
+
+def recolor_uncovered_with_cost(
+    h: EdgeColoredHypergraph, dels: DeletionSet, base: list[int], mv: list[int]
+) -> tuple[list[int], CostReport]:
+    """:func:`recolor_uncovered`, with the cost report (no accuracy) of the
+    coloring it returns, which it scores to choose."""
     deleted = _deletion_flags(h, dels.indices)
     covered = np.zeros(h.num_nodes, dtype=bool)
     covered[h.members[~deleted[h.member_edges()]]] = True
     recolored = np.where(covered, base, mv).tolist()
-    if objective_cost(h, recolored).total_cost > objective_cost(h, base).total_cost:
-        return base
-    return recolored
+    recolored_cost, base_cost = objective_cost(h, recolored), objective_cost(h, base)
+    if recolored_cost.total_cost > base_cost.total_cost:
+        return base, base_cost
+    return recolored, recolored_cost
 
 
 def a_posteriori_ratio(cost: float, bounds: LowerBoundBundle) -> float:

@@ -136,6 +136,18 @@ def _sorted_within_edges(
     return members, repeat
 
 
+def _rising_within_edges(members: np.ndarray, eptr: np.ndarray) -> bool:
+    """Whether every edge's members rise strictly: sorted, with no repeat.
+
+    One comparison of each entry with the one before it, passed at the first
+    entry of every edge.
+    """
+    rising = members[1:] > members[:-1]
+    inner = eptr[1:-1]
+    rising[inner[(inner > 0) & (inner < len(members))] - 1] = True
+    return bool(rising.all())
+
+
 def from_flat(num_nodes: int, num_colors: int, members, sizes, colors, weights) -> EdgeColoredHypergraph:
     """Build an instance from flat member ids, edge sizes, colors and weights.
 
@@ -147,12 +159,14 @@ def from_flat(num_nodes: int, num_colors: int, members, sizes, colors, weights) 
     sizes = np.asarray(sizes, dtype=np.int64)
     if np.any(sizes == 0):
         raise ValueError("hyperedge has no members after deduplication")
-    edge_of = np.repeat(np.arange(len(sizes)), sizes)
-    members, repeat = _sorted_within_edges(members, edge_of, sizes)
-    if repeat.any():
-        members, sizes = members[~repeat], np.bincount(edge_of[~repeat], minlength=len(sizes))
     eptr = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=eptr[1:])
+    if not _rising_within_edges(members, eptr):
+        edge_of = np.repeat(np.arange(len(sizes)), sizes)
+        members, repeat = _sorted_within_edges(members, edge_of, sizes)
+        if repeat.any():
+            members = members[~repeat]
+            np.cumsum(np.bincount(edge_of[~repeat], minlength=len(sizes)), out=eptr[1:])
     return EdgeColoredHypergraph(num_nodes, num_colors, members, eptr, colors, weights)
 
 
@@ -193,12 +207,13 @@ def validate(h: EdgeColoredHypergraph) -> list[str]:
         problems.append(f"num_nodes is negative: {n}")
     if k < 0:
         problems.append(f"num_colors is negative: {k}")
-    edge_of = h.member_edges()
-    _, repeat = _sorted_within_edges(h.members, edge_of, np.diff(h.eptr))
-    outside = (h.members < 0) | (h.members >= n)
+    flagged = (h.members < 0) | (h.members >= n)
+    if not _rising_within_edges(h.members, h.eptr):
+        flagged |= _sorted_within_edges(h.members, h.member_edges(), np.diff(h.eptr))[1]
     bad = (h.eptr[1:] == h.eptr[:-1]) | (h.colors < 1) | (h.colors > k)
     bad |= ~((h.weights >= 0.0) & (h.weights < math.inf))
-    bad[edge_of[repeat | outside]] = True
+    if flagged.any():
+        bad[h.member_edges()[flagged]] = True
     for j in np.flatnonzero(bad).tolist():
         ids = h.members[h.eptr[j]:h.eptr[j + 1]].tolist()
         color, weight = int(h.colors[j]), float(h.weights[j])

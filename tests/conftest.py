@@ -575,6 +575,11 @@ def reference_bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -
     return OracleResult(best_cost, tuple(witness), explored)
 
 
+def reference_truth_words(text: str) -> list[int]:
+    """The old body of ``cli._read_truth``; the reference for ``parse_int_words``."""
+    return [int(t) for t in text.split()]
+
+
 def reference_int_tokens(raw: str, lineno: int, what: str) -> list[int]:
     try:
         return [int(t) for t in raw.replace(",", " ").split()]

@@ -7,7 +7,9 @@ LP-solution checks, conflict pairs and exact oracle, which read the removed
 per-edge view, are held to their old code on weighted instances.
 """
 
+import contextlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minecc
+import minecc.instances as instances_module
 from minecc.combinatorial import (
     DeletionSet,
     _color_survivors,
@@ -33,9 +36,12 @@ from minecc.hypergraph import (
 from minecc.instances import (
     _LAST_SPACE,
     ParseError,
+    _ascii_classes,
+    _char_classes,
     gen_random,
     parse_benchmark,
     parse_canonical,
+    parse_int_words,
     write_canonical,
 )
 from minecc.oracle import CapExceededError, bruteforce_ecc
@@ -61,6 +67,7 @@ from conftest import (
     reference_parse_canonical,
     reference_recolor_uncovered,
     reference_solution_from_vector,
+    reference_truth_words,
     reference_validate,
     reference_violations,
 )
@@ -218,32 +225,111 @@ class TestParse:
         assert breaks == set("\n\r\x0b\x1c\u2028") | set(LINE_BREAKS)
 
 
+def assert_planted_text_parses(seed, weights):
+    h = gen_random(2000, 8000, 6, 8, 0.2, seed).hypergraph
+    if weights == "float":
+        rng = np.random.default_rng(seed)
+        w = rng.random(h.num_edges) * 10.0 ** rng.integers(-3, 17, h.num_edges)
+        w = np.where(rng.random(h.num_edges) < 0.3, np.floor(w), w)
+        h = EdgeColoredHypergraph(h.num_nodes, h.num_colors, h.members, h.eptr, h.colors, w)
+    text = write_canonical(h)
+    parsed = parse_canonical(text)
+    assert as_reference(parsed) == reference_parse_canonical(text)
+    assert parsed == h
+    assert parsed.weights.tobytes() == h.weights.tobytes()
+
+
+def assert_non_ascii_text_parses():
+    # One non-ASCII comment sends the whole text down the utf-32 path, with
+    # node ids and weights of three and four digits.
+    h = gen_random(2000, 8000, 6, 8, 0.2, 0).hypergraph
+    h = EdgeColoredHypergraph(h.num_nodes, h.num_colors, h.members, h.eptr, h.colors,
+                              np.arange(h.num_edges, dtype=np.float64) + 900.0)
+    text = "# café \U0001f600　\n" + write_canonical(h)
+    parsed = parse_canonical(text)
+    assert as_reference(parsed) == reference_parse_canonical(text)
+    assert parsed == h
+
+
 class TestParseAtScale:
     @pytest.mark.parametrize("weights", ["unit", "float"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_planted_text_matches_reference(self, seed, weights):
-        h = gen_random(2000, 8000, 6, 8, 0.2, seed).hypergraph
-        if weights == "float":
-            rng = np.random.default_rng(seed)
-            w = rng.random(h.num_edges) * 10.0 ** rng.integers(-3, 17, h.num_edges)
-            w = np.where(rng.random(h.num_edges) < 0.3, np.floor(w), w)
-            h = EdgeColoredHypergraph(h.num_nodes, h.num_colors, h.members, h.eptr, h.colors, w)
-        text = write_canonical(h)
-        parsed = parse_canonical(text)
-        assert as_reference(parsed) == reference_parse_canonical(text)
-        assert parsed == h
-        assert parsed.weights.tobytes() == h.weights.tobytes()
+        assert_planted_text_parses(seed, weights)
 
     def test_non_ascii_text_matches_reference(self):
-        # One non-ASCII comment sends the whole text down the utf-32 path, with
-        # node ids and weights of three and four digits.
-        h = gen_random(2000, 8000, 6, 8, 0.2, 0).hypergraph
-        h = EdgeColoredHypergraph(h.num_nodes, h.num_colors, h.members, h.eptr, h.colors,
-                                  np.arange(h.num_edges, dtype=np.float64) + 900.0)
-        text = "# café \U0001f600　\n" + write_canonical(h)
-        parsed = parse_canonical(text)
-        assert as_reference(parsed) == reference_parse_canonical(text)
-        assert parsed == h
+        assert_non_ascii_text_parses()
+
+
+@contextlib.contextmanager
+def blocks_of(size):
+    """``parse_canonical`` reading blocks of ``size`` characters: ``_BLOCK`` is
+    2**18, past every other test's text."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(instances_module, "_BLOCK", size)
+        yield
+
+
+SMALL_BLOCKS = [1, 7, 64]
+
+
+class TestParseInBlocks:
+    """The parse tests again, with blocks that cut every text many times."""
+
+    # 100 examples per block size: each text is cut every line or two, and
+    # the three sizes together cost what one run of TestParse's test costs.
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    @settings(max_examples=100, deadline=None)
+    @given(canonical_texts())
+    def test_same_instance_or_same_error(self, block, text):
+        with blocks_of(block):
+            assert_parses_like_reference(text)
+
+    # A text of 8000 edge lines in blocks of one line each (or ten for 64),
+    # each block size on one of the texts of TestParseAtScale.
+    @pytest.mark.parametrize("block, check", [
+        (1, lambda: assert_planted_text_parses(0, "unit")),
+        (7, assert_non_ascii_text_parses),
+        (64, lambda: assert_planted_text_parses(1, "float")),
+    ], ids=["1-planted-unit", "7-non-ascii", "64-planted-float"])
+    def test_at_scale(self, block, check):
+        with blocks_of(block):
+            check()
+
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    @pytest.mark.parametrize("text", [
+        "#\n" * 40 + "\n \n" * 40 + "ecc 3 1 2\n2 1 0 1\n",  # the header after many blocks
+        "ecc 3 1 2\n" + "# " * 60 + "x\n2 1 0 1",  # a block of no "\n" runs on
+        "ecc 3 2 2\r\n2 1 0 1\r\n1 1 2\r\n",
+        "ecc 3 1 2\n2 1 0 1\n" + "#\n" * 30 + "1 1 2\n",  # past the count, blocks later
+        "ecc 3 3 2\n2 1 0 1\n" + "#\n" * 30 + "1 1\n",  # short, blocks later
+        "ecc 3 3 2\n" + "2 1 0 1\n" * 20 + "1 1 3\n",  # out of range, blocks later
+        "ecc 3 3 2\n" + "2 1 0 1\n" * 2 + "#\n" * 30,  # too few edges
+        "ecc 3 1 2\n1 1\n" + "#\n" * 30 + "1 1 2\n",  # short, then past the count
+    ], ids=["header-after-blocks", "no-newline-runs-on", "crlf", "past-count", "short",
+            "out-of-range", "too-few", "short-then-past-count"])
+    def test_lines_across_blocks(self, block, text):
+        with blocks_of(block):
+            assert_parses_like_reference(text)
+
+    def test_huge_edge_count_is_not_allocated(self):
+        with pytest.raises(ParseError, match="^header declares 1000000000000 edges but file has 0$"):
+            parse_canonical("ecc 1 1000000000000 1")
+
+    def test_ascii_classes_are_pythons(self):
+        space, breaks = _char_classes(128)
+        got = _ascii_classes(np.arange(128, dtype=np.uint8))
+        assert np.array_equal(got[0], space[:128]) and np.array_equal(got[1], breaks[:128])
+
+    def test_peak_memory_of_a_large_parse(self):
+        text = write_canonical(gen_random(25000, 100000, 6, 8, 0.2, 0).hypergraph)
+        tracemalloc.start()
+        try:
+            parse_canonical(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6, f"parse peak {peak / 1e6:.1f} MB above its start"
 
 
 # Words of the benchmark files: small integers, words int() reads in its own
@@ -326,6 +412,39 @@ class TestBenchmarkParse:
     ])
     def test_edge_cases(self, texts):
         assert_reads_like_reference(texts)
+
+
+@st.composite
+def truth_texts(draw):
+    """Truth files: labels, Python's odd integers, long words and sometimes junk."""
+    word = st.one_of(SMALL, INT_WORDS, LONG_DIGITS) if draw(st.booleans()) else ANY_WORD
+    words = draw(st.lists(word, max_size=8))
+    return "".join(draw(st.sampled_from(["", " "])) + w + draw(GAPS | BREAKS) for w in words)
+
+
+def assert_truth_words_like_reference(text):
+    try:
+        expected = reference_truth_words(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_int_words(text)
+    else:
+        got = parse_int_words(text)
+        assert got == expected and all(type(v) is int for v in got)
+
+
+class TestTruthWords:
+    @SETTINGS
+    @given(truth_texts())
+    def test_same_list_or_same_error(self, text):
+        assert_truth_words_like_reference(text)
+
+    @pytest.mark.parametrize("text", [
+        "", "+5 1_0 \u0663\n", "1\r\n2\u20283", "1 x", "1__0", "\uff11\uff12",
+        "-9223372036854775808 9223372036854775808 -99999999999999999999",
+    ])
+    def test_edge_cases(self, text):
+        assert_truth_words_like_reference(text)
 
 
 class TestLpAndOracleMatchReference:

@@ -9,7 +9,8 @@ import pytest
 import minecc.cli
 import minecc.combinatorial
 from minecc.cli import CSV_HEADER, main
-from minecc.instances import gen_star, write_canonical
+from minecc.combinatorial import hybrid
+from minecc.instances import gen_star, parse_canonical, write_canonical
 
 
 @pytest.fixture
@@ -160,12 +161,16 @@ class TestMalformedInputExitCodes:
         ("", ["solve", "{gap3}", "--algo", "match", "--runs", "-4"]),
         ("", ["solve", "{gap3}", "--algo", "match", "--runs", "0"]),
         ("", ["verify", "--invariants", "{gap3}", "--trials", "-7"]),
+        ("1\n", ["solve", "{truth}", "--labels", "{truth}", "--truth", "{truth}"]),
+        ("1\n2\n3\n", ["solve", "{gap3}", "--node-labels", "{truth}"]),
+        ("1\n2\n3\n", ["reduce", "{gap3}", "--to", "vc", "--node-labels", "{truth}"]),
     ], ids=["truth-token", "truth-length", "sizes", "scaling-colors", "scaling-max-size",
             "gen-nodes", "gen-nodes-2**32", "gen-edges", "gen-max-size", "gen-colors",
             "gen-noise", "gen-gap-colors", "solve-pitt-seed", "solve-lp-seed",
             "solve-runs-seed", "verify-trials-seed", "gen-seed", "scaling-seed",
             "solve-seed-not-integer", "sizes-inf", "sizes-minus-inf", "solve-runs-negative",
-            "solve-runs-zero", "verify-trials-negative"])
+            "solve-runs-zero", "verify-trials-negative", "truth-with-labels",
+            "node-labels-without-labels", "reduce-node-labels-without-labels"])
     def test_exit_2_with_error_line(self, truth_text, argv, gap3_file, tmp_path, capsys):
         truth = tmp_path / "gap3.truth"
         truth.write_text(truth_text)
@@ -273,6 +278,25 @@ class TestWorkDoneOncePerSolve:
     def test_pitt_runs_share_one_incidence(self, gap3_file, calls, capsys):
         run_csv(capsys, ["solve", gap3_file, "--algo", "pitt", "--runs", "3"])
         assert calls["build_incidence"] == 1
+
+    def test_hybrid_scores_each_coloring_once(self, gap3_file, tmp_path, monkeypatch, capsys):
+        # recolor_uncovered scores the recolored and the match coloring; the
+        # solve reuses the chosen one's cost and adds its accuracy.
+        scored = []
+        original = minecc.combinatorial.objective_cost
+        for module in (minecc.cli, minecc.combinatorial):
+            monkeypatch.setattr(module, "objective_cost",
+                                lambda *args: scored.append(args) or original(*args))
+        truth = tmp_path / "gap3.truth"
+        truth.write_text("1\n3\n3\n")
+        argv = ["solve", gap3_file, "--algo", "hybrid", "--truth", str(truth), "--format", "json"]
+        assert main(argv) == 0
+        assert len(scored) == 2
+        got = json.loads(capsys.readouterr().out)[0]
+        h = parse_canonical(open(gap3_file).read())
+        expected = original(h, hybrid(h), [1, 3, 3])
+        assert (got["mistakes"], got["satisfaction"], got["accuracy"]) == (
+            expected.total_cost, expected.edge_satisfaction, expected.accuracy)
 
 
 class TestExactAndCapacity:
