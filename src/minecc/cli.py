@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
-from dataclasses import dataclass, asdict, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from . import certificates
 from .combinatorial import (
     LowerBoundBundle,
     a_posteriori_ratio,
-    hybrid,
     majority_vote,
     match_coloring,
     mv_lower_bound,
@@ -28,7 +26,6 @@ from .combinatorial import (
     recolor_uncovered_with_cost,
 )
 from .hypergraph import EdgeColoredHypergraph, accuracy, build_incidence, objective_cost, validate
-from .oracle import bruteforce_ecc
 from .instances import (
     ParseError,
     gen_integrality_gap,
@@ -40,8 +37,8 @@ from .instances import (
     write_canonical,
 )
 from .lp import export_lp_text, parse_primal_text, solve
-from .oracle import DEFAULT_CAP, CapExceededError
-from .reductions import ecc_to_hyper_mc, ecc_to_node_mc, ecc_to_vertex_cover, write_graph
+from .oracle import DEFAULT_CAP, CapExceededError, bruteforce_ecc
+from .reductions import ecc_to_hyper_mc, ecc_to_node_mc, ecc_to_vertex_cover, write_graph, write_hmc
 from .relaxations import build_ecc_lp, build_nodemc_lp, extract_ecc_solution, solution_from_vector
 from .rounding import (
     Interval,
@@ -59,8 +56,6 @@ EXIT_CAPACITY = 4
 
 SOLVER_VAR_LIMIT = 5000  # the simplex tableau takes about 1 GB here; beyond this, export instead
 
-CSV_HEADER = "dataset,algo,seed,mistakes,satisfaction,lp_bound,match_bound,mv_bound,ratio,accuracy,seconds"
-
 
 @dataclass
 class RunRecord:
@@ -76,30 +71,15 @@ class RunRecord:
     accuracy: float | None
     seconds: float
 
-    def csv_row(self) -> str:
-        def cell(x):
-            if x is None:
-                return ""
-            if isinstance(x, float):
-                return format(x, ".6g")
-            return str(x)
 
-        return ",".join(
-            cell(v)
-            for v in (
-                self.dataset,
-                self.algo,
-                self.seed,
-                self.mistakes,
-                self.satisfaction,
-                self.lp_bound,
-                self.match_bound,
-                self.mv_bound,
-                self.ratio,
-                self.accuracy,
-                self.seconds,
-            )
-        )
+CSV_HEADER = ",".join(f.name for f in fields(RunRecord))
+
+
+def _cell(value) -> str:
+    """A record field as csv and text print it: floats to 6 significant digits."""
+    if value is None:
+        return ""
+    return format(value, ".6g") if isinstance(value, float) else str(value)
 
 
 class CliError(Exception):
@@ -144,9 +124,12 @@ def _read(path: str) -> str:
 def _write_out(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE) from exc
 
 
 def _load_instance(args) -> tuple[EdgeColoredHypergraph, list[int] | None, str]:
@@ -188,12 +171,13 @@ def _read_truth(path: str) -> list[int]:
         raise CliError(f"{path}: non-integer token in truth file", EXIT_PARSE) from None
 
 
-def _parse_interval(text: str) -> Interval:
+def _interval(text: str) -> Interval:
+    """The argparse type of ``--interval``, so a bad value exits before any work."""
     try:
         lo, hi = text.split(":")
         return Interval(float(lo), float(hi))
     except ValueError as exc:
-        raise CliError(f"bad interval {text!r}, expected lo:hi", EXIT_PARSE) from exc
+        raise CliError(f"bad --interval {text!r}, expected lo:hi", EXIT_PARSE) from exc
 
 
 def _oracle_cap() -> int:
@@ -207,13 +191,12 @@ def _oracle_cap() -> int:
 
 
 def cmd_gen(args) -> int:
+    truth = None
     try:
         if args.kind == "gap":
             h = gen_integrality_gap(args.colors)
-            truth = None
         elif args.kind == "star":
             h = gen_star()
-            truth = None
         else:
             planted = gen_random(
                 args.nodes, args.edges, args.max_size, args.colors, args.noise, args.seed
@@ -254,59 +237,74 @@ def _primal(lp, solution: str | None, flag: str, check: bool = True):
     return solve(lp).require_optimal().x
 
 
-def _one_run(h, args, algo: str, seed: int, shuffled: bool, lp_sol, inc):
-    """Run one algorithm once; returns (coloring, match_bound, mv_bound, report).
+# One-seed runs: (h, args, seed, order_seed, built) -> (coloring, match_bound, mv_bound,
+# report), ``report`` being set when the run scored the coloring already. They call the
+# library through this module's globals, so tracing and tests can rebind those names.
+def _run_mv(h, args, seed, order_seed, built):
+    coloring = majority_vote(h)
+    return coloring, None, mv_lower_bound(h, coloring), None
 
-    ``report`` is the coloring's cost report without accuracy when the
-    algorithm scored it already, else None. ``shuffled`` switches the
-    deletion algorithms to a seed-derived node visit order (the best-of-N
-    protocol); single runs visit nodes in ascending order.
-    """
-    order_seed = seed if shuffled else None
-    match_bound = mv_bound = report = None
-    if algo == "mv":
-        coloring = majority_vote(h)
-        mv_bound = mv_lower_bound(h, coloring)
-    elif algo == "pitt":
-        _, coloring = pitt_coloring(h, seed, order_seed, inc)
-    elif algo == "match":
-        _, coloring, match_bound = match_coloring(h, order_seed, inc)
-    elif algo == "hybrid":
-        # hybrid() step by step, keeping the bounds of both steps
-        dels, base, match_bound = match_coloring(h, order_seed, inc)
-        mv = majority_vote(h)
-        coloring, report = recolor_uncovered_with_cost(h, dels, base, mv)
-        mv_bound = mv_lower_bound(h, mv)
-    elif algo == "lp-simple":
-        coloring = simple_round(lp_sol)
-    elif algo == "lp":
-        if args.interval:
-            interval = _parse_interval(args.interval)
-        else:
-            interval = best_interval(h.num_colors, max(h.rank, 2)).interval
-        coloring = gen_color_round(h, lp_sol, interval, seed)
-    elif algo == "exact":
-        coloring = list(bruteforce_ecc(h, cap=_oracle_cap()).witness)
-    else:
-        raise CliError(f"unknown algorithm {algo!r}", EXIT_PARSE)
-    return coloring, match_bound, mv_bound, report
+
+def _run_pitt(h, args, seed, order_seed, built):
+    return pitt_coloring(h, seed, order_seed, built)[1], None, None, None
+
+
+def _run_match(h, args, seed, order_seed, built):
+    _, coloring, match_bound = match_coloring(h, order_seed, built)
+    return coloring, match_bound, None, None
+
+
+def _run_hybrid(h, args, seed, order_seed, built):
+    # hybrid() step by step, keeping the bounds of both steps
+    dels, base, match_bound = match_coloring(h, order_seed, built)
+    mv = majority_vote(h)
+    coloring, report = recolor_uncovered_with_cost(h, dels, base, mv)
+    return coloring, match_bound, mv_lower_bound(h, mv), report
+
+
+def _run_lp(h, args, seed, order_seed, built):
+    interval = args.interval or best_interval(h.num_colors, max(h.rank, 2)).interval
+    return gen_color_round(h, built, interval, seed), None, None, None
+
+
+def _run_lp_simple(h, args, seed, order_seed, built):
+    return simple_round(built), None, None, None
+
+
+def _run_exact(h, args, seed, order_seed, built):
+    return list(bruteforce_ecc(h, cap=_oracle_cap()).witness), None, None, None
+
+
+# --algo name: (one-seed run, what it needs built first, linear-time for bench-scaling)
+ALGORITHMS = {
+    "mv": (_run_mv, None, True),
+    "pitt": (_run_pitt, "incidence", True),
+    "match": (_run_match, "incidence", True),
+    "hybrid": (_run_hybrid, "incidence", True),
+    "lp": (_run_lp, "lp", False),
+    "lp-simple": (_run_lp_simple, "lp", False),
+    "exact": (_run_exact, None, False),
+}
 
 
 def cmd_solve(args) -> int:
+    run, needs, _ = ALGORITHMS[args.algo]
+    with_lp = needs == "lp" or args.with_lp_bound
+    if args.solution and not with_lp:
+        raise CliError("--solution needs --algo lp or lp-simple, or --with-lp-bound", EXIT_PARSE)
     h, truth, name = _load_instance(args)
-    algo = args.algo
 
     t0 = time.perf_counter()
     lp_sol = None
-    if algo in ("lp", "lp-simple") or args.with_lp_bound:
+    if with_lp:
         lp_sol = extract_ecc_solution(h, _primal(build_ecc_lp(h), args.solution, "--solution"))
-    inc = build_incidence(h) if algo in ("pitt", "match", "hybrid") else None
+    built = build_incidence(h) if needs == "incidence" else lp_sol
     best = None
     for trial in range(args.runs):
         seed = args.seed + trial
-        coloring, match_bound, mv_bound, report = _one_run(
-            h, args, algo, seed, args.runs > 1, lp_sol, inc
-        )
+        # best of N shuffles the walks' node visit order per seed; one run visits in order
+        order_seed = seed if args.runs > 1 else None
+        coloring, match_bound, mv_bound, report = run(h, args, seed, order_seed, built)
         if report is None:
             report = objective_cost(h, coloring, truth)
         elif truth is not None:
@@ -321,9 +319,9 @@ def cmd_solve(args) -> int:
     ratio = None
     if report.total_cost == 0 or bounds.best() is not None:
         ratio = a_posteriori_ratio(report.total_cost, bounds)
-    record = RunRecord(
+    values = asdict(RunRecord(
         dataset=name,
-        algo=algo,
+        algo=args.algo,
         seed=seed,
         mistakes=report.total_cost,
         satisfaction=report.edge_satisfaction,
@@ -333,27 +331,15 @@ def cmd_solve(args) -> int:
         ratio=ratio,
         accuracy=report.accuracy,
         seconds=seconds,
-    )
-    _emit_records([record], args.format, args.output)
-    return EXIT_OK
-
-
-def _emit_records(records, fmt: str, output: str | None) -> None:
-    if fmt == "csv":
-        text = CSV_HEADER + "\n" + "\n".join(r.csv_row() for r in records) + "\n"
-    elif fmt == "json":
-        text = json.dumps([asdict(r) for r in records], indent=2) + "\n"
+    ))
+    if args.format == "csv":
+        text = CSV_HEADER + "\n" + ",".join(_cell(v) for v in values.values())
+    elif args.format == "json":
+        text = json.dumps([values], indent=2)  # a list of records, as readers of it expect
     else:
-        lines = []
-        for r in records:
-            parts = [
-                f"{key}={format(value, '.6g') if isinstance(value, float) else value}"
-                for key, value in asdict(r).items()
-                if value is not None
-            ]
-            lines.append("  ".join(parts))
-        text = "\n".join(lines) + "\n"
-    _write_out(text, output)
+        text = "  ".join(f"{key}={_cell(v)}" for key, v in values.items() if v is not None)
+    _write_out(text + "\n", args.output)
+    return EXIT_OK
 
 
 def cmd_bench_scaling(args) -> int:
@@ -373,19 +359,10 @@ def cmd_bench_scaling(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc), EXIT_PARSE) from None
         actual = len(h.members)
-        elapsed = math.inf
+        elapsed = np.inf
         for _ in range(2):  # best of two to damp timer noise
             t0 = time.perf_counter()
-            if args.algo == "pitt":
-                pitt_coloring(h, args.seed)
-            elif args.algo == "match":
-                match_coloring(h)
-            elif args.algo == "hybrid":
-                hybrid(h)
-            elif args.algo == "mv":
-                majority_vote(h)
-            else:
-                raise CliError(f"unknown algorithm {args.algo!r}", EXIT_PARSE)
+            ALGORITHMS[args.algo][0](h, args, args.seed, None, None)  # one solve seed's work
             elapsed = min(elapsed, time.perf_counter() - t0)
         rows.append((actual, elapsed))
         print(f"incidence={actual} seconds={elapsed:.4f}")
@@ -425,11 +402,14 @@ def cmd_verify(args) -> int:
             f"max bound {report.max_bound}"
         )
         if args.emit_lp:
-            os.makedirs(args.emit_lp, exist_ok=True)
+            try:
+                os.makedirs(args.emit_lp, exist_ok=True)
+            except OSError as exc:
+                raise CliError(f"cannot write {args.emit_lp}: {exc}", EXIT_PARSE) from exc
             for case in certificates.all_cases():
                 fname = case.case_id.replace(" ", "_").replace("=", "") + ".lp"
-                with open(os.path.join(args.emit_lp, fname), "w", encoding="utf-8") as fh:
-                    fh.write(export_lp_text(certificates.case_to_lp(case)))
+                lp_text = export_lp_text(certificates.case_to_lp(case))
+                _write_out(lp_text, os.path.join(args.emit_lp, fname))
         return EXIT_OK
 
     h, _, name = _load_instance(args)
@@ -442,7 +422,7 @@ def cmd_verify(args) -> int:
         # Empirical per-edge check: the mistake frequency of interval rounding
         # must stay within the guaranteed multiple of each edge variable.
         choice = best_interval(h.num_colors, h.rank)
-        interval = _parse_interval(args.interval) if args.interval else choice.interval
+        interval = args.interval or choice.interval
         for j in range(h.num_edges):
             p, err = estimate_mistake_prob(h, sol, interval, j, args.trials, args.seed + j)
             if p > choice.factor * float(sol.x_edge[j]) + 3 * err:
@@ -467,14 +447,7 @@ def cmd_reduce(args) -> int:
     elif args.to == "nodemc":
         text = write_graph(ecc_to_node_mc(h))
     else:
-        th = ecc_to_hyper_mc(h)
-        lines = [f"hmc {th.num_nodes} {len(th.edges)} {len(th.terminals)}"]
-        for members, w in zip(th.edges, th.weights):
-            ids = " ".join(str(v) for v in members)
-            lines.append(f"e {w:g} {ids}")
-        for c, t in enumerate(th.terminals, start=1):
-            lines.append(f"t {t} {c}")
-        text = "\n".join(lines) + "\n"
+        text = write_hmc(ecc_to_hyper_mc(h))
     _write_out(text, args.output)
     return EXIT_OK
 
@@ -492,46 +465,49 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimum edge-colored clustering: solvers, bounds, and verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Every command that reads an instance also reads the benchmark two-file format.
+    # Options that several commands share, each defined once. Every command
+    # that reads an instance also reads the benchmark two-file format.
     labels = argparse.ArgumentParser(add_help=False)
     labels.add_argument("--labels",
                         help="benchmark mode: instance is the edges file, this the labels file")
     labels.add_argument("--node-labels", help="benchmark mode: ground-truth node labels file")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_count("--seed"), default=0)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output")
 
-    p = sub.add_parser("gen", help="generate an instance in canonical format")
+    p = sub.add_parser("gen", parents=[seed, output],
+                       help="generate an instance in canonical format")
     p.add_argument("kind", choices=["random", "gap", "star"])
     p.add_argument("--nodes", type=int, default=50)
     p.add_argument("--edges", type=int, default=100)
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--colors", type=int, default=3)
     p.add_argument("--noise", type=float, default=0.2)
-    p.add_argument("--seed", type=_count("--seed"), default=0)
-    p.add_argument("-o", "--output")
     p.add_argument("--truth-output", help="write the planted coloring, one color per line")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", parents=[labels], help="run one algorithm on an instance")
+    p = sub.add_parser("solve", parents=[labels, seed, output],
+                       help="run one algorithm on an instance")
     p.add_argument("instance")
     p.add_argument("--truth", help="canonical mode: ground-truth colors file")
-    p.add_argument("--algo", default="hybrid",
-                   choices=["mv", "pitt", "match", "hybrid", "lp", "lp-simple", "exact"])
-    p.add_argument("--seed", type=_count("--seed"), default=0)
+    p.add_argument("--algo", default="hybrid", choices=list(ALGORITHMS))
     p.add_argument("--runs", type=_count("--runs", 1), default=1,
                    help="best of N runs with derived seeds")
-    p.add_argument("--interval", help="rounding interval lo:hi (lp only)")
+    p.add_argument("--interval", type=_interval, help="rounding interval lo:hi (lp only)")
     p.add_argument("--with-lp-bound", action="store_true")
     p.add_argument("--solution", help="externally solved LP primal ('name value' lines)")
     p.add_argument("--format", default="text", choices=["csv", "json", "text"])
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("bench-scaling", help="time an algorithm over doubling instance sizes")
-    p.add_argument("--algo", default="pitt", choices=["pitt", "match", "hybrid", "mv"])
+    p = sub.add_parser("bench-scaling", parents=[seed],
+                       help="time an algorithm over doubling instance sizes")
+    p.add_argument("--algo", default="pitt",
+                   choices=[name for name, (_, _, linear) in ALGORITHMS.items() if linear])
     p.add_argument("--sizes", default="1e5,2e5,4e5,8e5,1.6e6",
                    help="comma-separated incidence targets")
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--colors", type=int, default=8)
-    p.add_argument("--seed", type=_count("--seed"), default=0)
     p.set_defaults(func=cmd_bench_scaling)
 
     p = sub.add_parser("compare-lp", parents=[labels], help="compare the two relaxation values")
@@ -540,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodemc-solution")
     p.set_defaults(func=cmd_compare_lp)
 
-    p = sub.add_parser("verify", parents=[labels],
+    p = sub.add_parser("verify", parents=[labels, seed],
                        help="verify certificates or LP-solution invariants")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--certs", action="store_true")
@@ -549,20 +525,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-lp", help="with --certs, write each case as an LP file into this directory")
     p.add_argument("--trials", type=_count("--trials"), default=0,
                    help="with --invariants, also Monte Carlo check per-edge mistake frequencies")
-    p.add_argument("--interval", help="rounding interval lo:hi for the --trials check")
-    p.add_argument("--seed", type=_count("--seed"), default=0)
+    p.add_argument("--interval", type=_interval, help="rounding interval lo:hi (--trials only)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("reduce", parents=[labels], help="emit a reduction of the instance")
+    p = sub.add_parser("reduce", parents=[labels, output], help="emit a reduction of the instance")
     p.add_argument("instance")
     p.add_argument("--to", required=True, choices=["vc", "nodemc", "hypermc"])
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("export", parents=[labels], help="export a relaxation as LP text")
+    p = sub.add_parser("export", parents=[labels, output], help="export a relaxation as LP text")
     p.add_argument("instance")
     p.add_argument("--lp", default="ecc", choices=["ecc", "nodemc"])
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_export)
 
     return parser

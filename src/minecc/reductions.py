@@ -185,6 +185,17 @@ def write_graph(g: WeightedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_hmc(th: TerminalHypergraph) -> str:
+    """Serialize: ``hmc <n> <m> <k>`` header, ``e <weight> <members...>`` edge
+    lines, ``t <node> <color>`` terminal lines; weights print as in :func:`write_graph`."""
+    lines = [f"hmc {th.num_nodes} {len(th.edges)} {len(th.terminals)}"]
+    for members, w in zip(th.edges, th.weights):
+        lines.append(f"e {_fmt(w)} " + " ".join(str(v) for v in members))
+    for c, t in enumerate(th.terminals, start=1):
+        lines.append(f"t {t} {c}")
+    return "\n".join(lines) + "\n"
+
+
 def parse_graph(text: str) -> WeightedGraph:
     """Parse the :func:`write_graph` format."""
     num_nodes = 0

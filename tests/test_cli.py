@@ -8,9 +8,24 @@ import pytest
 
 import minecc.cli
 import minecc.combinatorial
-from minecc.cli import CSV_HEADER, main
-from minecc.combinatorial import hybrid
+from minecc.cli import CSV_HEADER, build_parser, main
+from minecc.combinatorial import (
+    hybrid,
+    majority_vote,
+    match_coloring,
+    mv_lower_bound,
+    pitt_coloring,
+)
+from minecc.hypergraph import objective_cost
 from minecc.instances import gen_star, parse_canonical, write_canonical
+from minecc.lp import solve as lp_solve
+from minecc.oracle import bruteforce_ecc
+from minecc.relaxations import build_ecc_lp, extract_ecc_solution
+from minecc.rounding import best_interval, gen_color_round, simple_round
+
+# The csv header as README documents it: written out here, not derived from the code.
+HEADER = "dataset,algo,seed,mistakes,satisfaction,lp_bound,match_bound,mv_bound,ratio,accuracy,seconds"
+ALGOS = ["mv", "pitt", "match", "hybrid", "lp", "lp-simple", "exact"]
 
 
 @pytest.fixture
@@ -23,8 +38,8 @@ def gap3_file(tmp_path):
 def run_csv(capsys, argv) -> dict:
     assert main(argv + ["--format", "csv"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
-    assert out[0] == CSV_HEADER
-    return dict(zip(CSV_HEADER.split(","), out[1].split(",")))
+    assert out[0] == HEADER
+    return dict(zip(HEADER.split(","), out[1].split(",")))
 
 
 class TestImportCost:
@@ -164,19 +179,47 @@ class TestMalformedInputExitCodes:
         ("1\n", ["solve", "{truth}", "--labels", "{truth}", "--truth", "{truth}"]),
         ("1\n2\n3\n", ["solve", "{gap3}", "--node-labels", "{truth}"]),
         ("1\n2\n3\n", ["reduce", "{gap3}", "--to", "vc", "--node-labels", "{truth}"]),
+        ("", ["gen", "gap", "--colors", "3", "-o", "{missing}"]),
+        ("", ["solve", "{gap3}", "-o", "{missing}"]),
+        ("", ["gen", "random", "-o", "{truth}", "--truth-output", "{missing}"]),
+        ("", ["reduce", "{gap3}", "--to", "hypermc", "-o", "{missing}"]),
+        ("", ["export", "{gap3}", "-o", "{missing}"]),
+        ("", ["verify", "--certs", "--emit-lp", "{truth}"]),  # an existing file, not a directory
+        ("", ["solve", "{gap3}", "--algo", "lp", "--interval", "0.9:0.1"]),
+        ("", ["solve", "{gap3}", "--algo", "lp", "--interval", "0.5"]),
+        ("", ["verify", "--invariants", "{gap3}", "--trials", "5", "--interval", "a:b"]),
     ], ids=["truth-token", "truth-length", "sizes", "scaling-colors", "scaling-max-size",
             "gen-nodes", "gen-nodes-2**32", "gen-edges", "gen-max-size", "gen-colors",
             "gen-noise", "gen-gap-colors", "solve-pitt-seed", "solve-lp-seed",
             "solve-runs-seed", "verify-trials-seed", "gen-seed", "scaling-seed",
             "solve-seed-not-integer", "sizes-inf", "sizes-minus-inf", "solve-runs-negative",
             "solve-runs-zero", "verify-trials-negative", "truth-with-labels",
-            "node-labels-without-labels", "reduce-node-labels-without-labels"])
+            "node-labels-without-labels", "reduce-node-labels-without-labels",
+            "gen-output-unwritable", "solve-output-unwritable", "gen-truth-output-unwritable",
+            "reduce-output-unwritable", "export-output-unwritable", "emit-lp-onto-a-file",
+            "solve-interval-reversed", "solve-interval-no-colon", "verify-interval-not-numbers"])
     def test_exit_2_with_error_line(self, truth_text, argv, gap3_file, tmp_path, capsys):
         truth = tmp_path / "gap3.truth"
         truth.write_text(truth_text)
-        assert main([a.format(gap3=gap3_file, truth=truth) for a in argv]) == 2
+        missing = tmp_path / "no-such-dir" / "out"
+        assert main([a.format(gap3=gap3_file, truth=truth, missing=missing) for a in argv]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_bad_interval_exits_before_the_lp_is_solved(self, gap3_file, monkeypatch, capsys):
+        solves = []
+        monkeypatch.setattr(minecc.cli, "solve", lambda lp: solves.append(lp))
+        assert main(["solve", gap3_file, "--algo", "lp", "--interval", "0.9:0.1"]) == 2
+        assert main(["verify", "--invariants", gap3_file, "--trials", "5", "--interval", "x"]) == 2
+        assert solves == []
+        assert capsys.readouterr().err.count("error: bad --interval") == 2
+
+    @pytest.mark.parametrize("algo", ["mv", "pitt", "match", "hybrid", "exact"])
+    def test_solution_without_an_lp_to_solve(self, algo, gap3_file, tmp_path, capsys):
+        sol = tmp_path / "primal.txt"
+        sol.write_text("xe_0 1\n")
+        assert main(["solve", gap3_file, "--algo", algo, "--solution", str(sol)]) == 2
+        assert capsys.readouterr().err.startswith("error: --solution ")
 
     PAD = b"#" * 9000 + b"\n"  # past the first read-ahead block: the offset is the file's
 
@@ -254,26 +297,48 @@ class TestInfeasibleLpSolutionExitCodes:
 
 
 class TestWorkDoneOncePerSolve:
-    COUNTED = ("build_incidence", "match_coloring", "majority_vote")
+    COUNTED = ("build_incidence", "match_coloring", "majority_vote", "pitt_coloring",
+               "mv_lower_bound", "gen_color_round", "simple_round", "bruteforce_ecc")
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        # Counted through the names bound in minecc.cli, and in combinatorial,
+        # whose walks build the incidence themselves when not handed one.
         counts = Counter()
         for name in self.COUNTED:
-            original = getattr(minecc.combinatorial, name)
+            original = getattr(minecc.cli, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
                 return _original(*args, **kwargs)
 
             for module in (minecc.cli, minecc.combinatorial):
-                monkeypatch.setattr(module, name, counted)
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
         return counts
 
     def test_hybrid_matches_and_votes_once(self, gap3_file, calls, capsys):
         row = run_csv(capsys, ["solve", gap3_file, "--algo", "hybrid"])
         assert row["match_bound"] != "" and row["mv_bound"] != ""
-        assert calls == {"build_incidence": 1, "match_coloring": 1, "majority_vote": 1}
+        assert calls == {"build_incidence": 1, "match_coloring": 1, "majority_vote": 1,
+                         "mv_lower_bound": 1}
+
+    @pytest.mark.parametrize("algo, expected", [
+        ("mv", {"majority_vote": 2, "mv_lower_bound": 2}),
+        ("pitt", {"build_incidence": 1, "pitt_coloring": 2}),
+        ("match", {"build_incidence": 1, "match_coloring": 2}),
+        ("hybrid", {"build_incidence": 1, "match_coloring": 2, "majority_vote": 2,
+                    "mv_lower_bound": 2}),
+        ("lp", {"gen_color_round": 2}),
+        ("lp-simple", {"simple_round": 2}),
+        ("exact", {"bruteforce_ecc": 2}),
+    ])
+    def test_each_algorithm_calls_its_library_functions(
+        self, algo, expected, gap3_file, calls, capsys
+    ):
+        # Two runs: the per-seed calls come twice, the shared incidence once.
+        run_csv(capsys, ["solve", gap3_file, "--algo", algo, "--runs", "2"])
+        assert calls == expected
 
     def test_pitt_runs_share_one_incidence(self, gap3_file, calls, capsys):
         run_csv(capsys, ["solve", gap3_file, "--algo", "pitt", "--runs", "3"])
@@ -297,6 +362,76 @@ class TestWorkDoneOncePerSolve:
         expected = original(h, hybrid(h), [1, 3, 3])
         assert (got["mistakes"], got["satisfaction"], got["accuracy"]) == (
             expected.total_cost, expected.edge_satisfaction, expected.accuracy)
+
+
+def library_coloring(h, algo: str, seed: int, order_seed):
+    """The library call that ``solve --algo algo`` makes for one seed."""
+    if algo == "mv":
+        return majority_vote(h)
+    if algo == "pitt":
+        return pitt_coloring(h, seed, order_seed)[1]
+    if algo == "match":
+        return match_coloring(h, order_seed)[1]
+    if algo == "hybrid":
+        return hybrid(h, order_seed)
+    if algo == "exact":
+        return list(bruteforce_ecc(h).witness)
+    lp_sol = extract_ecc_solution(h, lp_solve(build_ecc_lp(h)).require_optimal().x)
+    if algo == "lp-simple":
+        return simple_round(lp_sol)
+    interval = best_interval(h.num_colors, max(h.rank, 2)).interval
+    return gen_color_round(h, lp_sol, interval, seed)
+
+
+class TestEveryAlgorithmAndFormat:
+    BOUNDS = {"mv": {"mv_bound"}, "pitt": set(), "match": {"match_bound"},
+              "hybrid": {"match_bound", "mv_bound"}, "lp": {"lp_bound"},
+              "lp-simple": {"lp_bound"}, "exact": set()}
+
+    @staticmethod
+    def records(gap3_file, algo, runs, capsys) -> list[dict]:
+        """The record as csv, json and text print it, as field -> str, float or None."""
+        def value(text):
+            try:
+                return float(text)
+            except ValueError:
+                return text
+
+        argv = ["solve", gap3_file, "--algo", algo, "--runs", str(runs), "--format"]
+        got = []
+        assert main(argv + ["csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == HEADER
+        got.append({k: value(v) if v else None for k, v in zip(HEADER.split(","), row.split(","))})
+        assert main(argv + ["json"]) == 0
+        (record,) = json.loads(capsys.readouterr().out)
+        got.append({k: float(v) if isinstance(v, (int, float)) else v for k, v in record.items()})
+        assert main(argv + ["text"]) == 0
+        pairs = dict(p.split("=", 1) for p in capsys.readouterr().out.split())
+        got.append({k: value(pairs[k]) if k in pairs else None for k in HEADER.split(",")})
+        for r in got:
+            del r["seconds"]
+        return got
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_formats_agree_and_mistakes_match_the_library(self, algo, runs, gap3_file, capsys):
+        csv_rec, json_rec, text_rec = self.records(gap3_file, algo, runs, capsys)
+        assert list(json_rec) == list(csv_rec)
+        for key in csv_rec:
+            if isinstance(json_rec[key], float):
+                assert csv_rec[key] == pytest.approx(json_rec[key], rel=1e-5), key
+                assert text_rec[key] == csv_rec[key], key
+            else:
+                assert csv_rec[key] == json_rec[key] == text_rec[key], key
+        h = parse_canonical(open(gap3_file).read())
+        costs = [objective_cost(h, library_coloring(h, algo, s, s if runs > 1 else None)).total_cost
+                 for s in range(runs)]
+        assert json_rec["mistakes"] == min(costs)
+        assert json_rec["seed"] == costs.index(min(costs))
+        assert (json_rec["dataset"], json_rec["algo"]) == ("gap3", algo)
+        bounds = {"lp_bound", "match_bound", "mv_bound"}
+        assert {b for b in bounds if json_rec[b] is not None} == self.BOUNDS[algo]
 
 
 class TestExactAndCapacity:
@@ -400,6 +535,15 @@ class TestReduceExport:
         assert main(["reduce", gap3_file, "--to", "hypermc"]) == 0
         assert capsys.readouterr().out.startswith("hmc 6 3 3")
 
+    def test_reduce_hypermc_prints_exact_weights(self, tmp_path, capsys):
+        text = "ecc 3 3 2\n1 1234567.5 0 1\n2 0.1234567891 1 2\n1 1e+20 0 2\n"
+        inst = tmp_path / "weighted.ecc"
+        inst.write_text(text)
+        assert main(["reduce", str(inst), "--to", "hypermc"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        weights = [float(line.split()[1]) for line in lines if line.startswith("e ")]
+        assert weights == parse_canonical(text).weights.tolist()
+
     def test_export_ecc(self, gap3_file, capsys):
         assert main(["export", gap3_file, "--lp", "ecc"]) == 0
         out = capsys.readouterr().out
@@ -411,6 +555,20 @@ class TestReduceExport:
 
 
 class TestBenchScaling:
+    @pytest.mark.parametrize("algo, counted", [
+        ("mv", "mv_lower_bound"), ("pitt", "pitt_coloring"), ("hybrid", "mv_lower_bound"),
+    ])
+    def test_times_the_solve_run_of_each_linear_algorithm(self, algo, counted, monkeypatch, capsys):
+        # Two sizes, best of two each: four one-seed runs, bounds included.
+        calls = []
+        original = getattr(minecc.cli, counted)
+        monkeypatch.setattr(minecc.cli, counted, lambda *a: calls.append(a) or original(*a))
+        argv = ["bench-scaling", "--algo", algo, "--sizes", "3000,6000", "--colors", "4"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("incidence=") == 2 and "fitted log-log slope" in out
+        assert len(calls) == 4
+
     def test_small_run_reports_rows_and_slope(self, capsys):
         code = main([
             "bench-scaling", "--algo", "match", "--sizes", "3000,6000", "--colors", "4",
@@ -419,3 +577,41 @@ class TestBenchScaling:
         out = capsys.readouterr().out
         assert out.count("incidence=") == 2
         assert "fitted log-log slope" in out
+
+
+class TestParser:
+    # Each subcommand's options, written out: a shared parent parser must not
+    # add an option to, or drop one from, any subcommand.
+    OPTIONS = {
+        "gen": "--colors --edges --max-size --nodes --noise -o/--output --seed --truth-output",
+        "solve": "--algo --format --interval --labels --node-labels -o/--output --runs --seed "
+                 "--solution --truth --with-lp-bound",
+        "bench-scaling": "--algo --colors --max-size --seed --sizes",
+        "compare-lp": "--ecc-solution --labels --node-labels --nodemc-solution",
+        "verify": "--certs --emit-lp --interval --invariants --labels --node-labels --seed "
+                  "--solution --trials",
+        "reduce": "--labels --node-labels -o/--output --to",
+        "export": "--labels --lp --node-labels -o/--output",
+    }
+
+    @staticmethod
+    def subparsers():
+        (action,) = [a for a in build_parser()._actions if a.dest == "command"]
+        return action.choices
+
+    def test_each_subcommand_keeps_its_options(self):
+        subs = self.subparsers()
+        assert list(subs) == list(self.OPTIONS)
+        for name, sub in subs.items():
+            got = sorted("/".join(a.option_strings) for a in sub._actions
+                         if a.option_strings and a.dest != "help")
+            assert got == sorted(self.OPTIONS[name].split()), name
+
+    def test_algo_choices_and_defaults(self):
+        subs = self.subparsers()
+        algo = {name: next(a for a in subs[name]._actions if a.dest == "algo")
+                for name in ("solve", "bench-scaling")}
+        assert (algo["solve"].choices, algo["solve"].default) == (ALGOS, "hybrid")
+        assert sorted(algo["bench-scaling"].choices) == ["hybrid", "match", "mv", "pitt"]
+        assert algo["bench-scaling"].default == "pitt"
+        assert CSV_HEADER == HEADER
