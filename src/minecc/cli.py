@@ -35,6 +35,7 @@ from .instances import (
     parse_canonical,
     parse_int_words,
     write_canonical,
+    write_int_lines,
 )
 from .lp import export_lp_text, parse_primal_text, solve
 from .oracle import DEFAULT_CAP, CapExceededError, bruteforce_ecc
@@ -206,7 +207,7 @@ def cmd_gen(args) -> int:
         raise CliError(str(exc), EXIT_PARSE) from None
     _write_out(write_canonical(h), args.output)
     if truth is not None and args.truth_output:
-        _write_out("\n".join(str(c) for c in truth) + "\n", args.truth_output)
+        _write_out(write_int_lines(truth), args.truth_output)
     return EXIT_OK
 
 
@@ -292,6 +293,8 @@ def cmd_solve(args) -> int:
     with_lp = needs == "lp" or args.with_lp_bound
     if args.solution and not with_lp:
         raise CliError("--solution needs --algo lp or lp-simple, or --with-lp-bound", EXIT_PARSE)
+    if args.interval and args.algo != "lp":
+        raise CliError("--interval needs --algo lp", EXIT_PARSE)
     h, truth, name = _load_instance(args)
 
     t0 = time.perf_counter()
@@ -390,6 +393,11 @@ def cmd_compare_lp(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.certs:
+        if args.emit_lp:
+            try:
+                os.makedirs(args.emit_lp, exist_ok=True)
+            except OSError as exc:
+                raise CliError(f"cannot write {args.emit_lp}: {exc}", EXIT_PARSE) from exc
         try:
             report = certificates.verify_all()
         except RuntimeError as exc:
@@ -402,16 +410,14 @@ def cmd_verify(args) -> int:
             f"max bound {report.max_bound}"
         )
         if args.emit_lp:
-            try:
-                os.makedirs(args.emit_lp, exist_ok=True)
-            except OSError as exc:
-                raise CliError(f"cannot write {args.emit_lp}: {exc}", EXIT_PARSE) from exc
             for case in certificates.all_cases():
                 fname = case.case_id.replace(" ", "_").replace("=", "") + ".lp"
                 lp_text = export_lp_text(certificates.case_to_lp(case))
                 _write_out(lp_text, os.path.join(args.emit_lp, fname))
         return EXIT_OK
 
+    if args.interval and args.trials == 0:
+        raise CliError("--interval needs --trials above 0", EXIT_PARSE)
     h, _, name = _load_instance(args)
     vector = _primal(build_ecc_lp(h), args.solution, "--solution", check=False)
     # A supplied primal is checked as given, so that corrupted inputs stay detectable.

@@ -580,6 +580,32 @@ def reference_truth_words(text: str) -> list[int]:
     return [int(t) for t in text.split()]
 
 
+def reference_write_canonical(h: EdgeColoredHypergraph) -> str:
+    """The old writer, one Python string per word; the reference for ``write_canonical``."""
+    m = h.num_edges
+    w = h.weights
+    whole = (w == np.floor(w)) & (np.abs(w) < 1e15)
+    # Every word of the body (color, weight, member ids) at an even position,
+    # followed by a space, or a line break after an edge's last member.
+    size = len(h.members) + 2 * m
+    starts = h.eptr[:-1] + 2 * np.arange(m)
+    is_member = np.ones(size, dtype=bool)
+    is_member[starts] = is_member[starts + 1] = False
+    parts = np.full(2 * size, " ", dtype=object)
+    words = parts[0::2]
+    words[starts] = list(map(str, h.colors.tolist()))
+    words[starts[whole] + 1] = list(map(str, w[whole].astype(np.int64).tolist()))
+    words[starts[~whole] + 1] = list(map(repr, w[~whole].tolist()))
+    words[is_member] = list(map(str, h.members.tolist()))
+    parts[2 * (starts + np.diff(h.eptr) + 1) + 1] = "\n"
+    return f"ecc {h.num_nodes} {m} {h.num_colors}\n" + "".join(parts.tolist())
+
+
+def reference_write_truth(truth) -> str:
+    """The old truth-file writer of ``cli.cmd_gen``; the reference for ``write_int_lines``."""
+    return "\n".join(str(c) for c in truth) + "\n"
+
+
 def reference_int_tokens(raw: str, lineno: int, what: str) -> list[int]:
     try:
         return [int(t) for t in raw.replace(",", " ").split()]

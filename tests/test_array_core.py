@@ -8,6 +8,7 @@ per-edge view, are held to their old code on weighted instances.
 """
 
 import contextlib
+import math
 import re
 import tracemalloc
 
@@ -43,6 +44,7 @@ from minecc.instances import (
     parse_canonical,
     parse_int_words,
     write_canonical,
+    write_int_lines,
 )
 from minecc.oracle import CapExceededError, bruteforce_ecc
 from minecc.reductions import bad_edge_pairs
@@ -70,6 +72,8 @@ from conftest import (
     reference_truth_words,
     reference_validate,
     reference_violations,
+    reference_write_canonical,
+    reference_write_truth,
 )
 
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -330,6 +334,108 @@ class TestParseInBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 20e6, f"parse peak {peak / 1e6:.1f} MB above its start"
+
+    def test_peak_memory_of_a_large_write(self):
+        h = gen_random(25000, 100000, 6, 8, 0.2, 0).hypergraph
+        tracemalloc.start()
+        try:
+            write_canonical(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6, f"write peak {peak / 1e6:.1f} MB above its start"
+
+
+# Numbers the raw constructor takes and the writer must print as the old one
+# did: ids and colors of 1 to 19 digits up to 2**63 - 1, zero and negative
+# ones, and weights on both sides of the cut at 1e15 between words printed
+# as integers and words printed by repr.
+INT64_WORDS = st.one_of(
+    st.integers(1, 19).flatmap(lambda d: st.integers(10 ** (d - 1) - (d == 1),
+                                                     min(10**d - 1, 2**63 - 1))),
+    st.sampled_from([0, -1, 2**63 - 1, -(2**63), 2**32 - 1, 2**32, 10**9 - 1, 10**9]),
+    st.integers(-(2**63), -1),
+)
+WRITER_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1e15 - 1, 1e15, 1e16, 1e-300, math.nan, math.inf,
+                     -math.inf, -3.0, -(1e15 - 1), 1e15 - 0.5, 5e-324, 2.0**63]),
+    st.integers(-(10**15) + 1, 10**15 - 1).map(float),
+    st.floats(),
+)
+
+
+@st.composite
+def raw_instances(draw):
+    """Instances the raw constructor accepts, out-of-range words included,
+    with ``m = 0`` and ``n = 0`` among them."""
+    sizes = draw(st.lists(st.integers(0, 4), max_size=8))
+    eptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=eptr[1:])
+    members = draw(st.lists(INT64_WORDS, min_size=int(eptr[-1]), max_size=int(eptr[-1])))
+    colors = draw(st.lists(INT64_WORDS, min_size=len(sizes), max_size=len(sizes)))
+    weights = draw(st.lists(WRITER_WEIGHTS, min_size=len(sizes), max_size=len(sizes)))
+    n, k = draw(st.integers(0, 9) | st.integers(0, 2**63 - 1)), draw(st.integers(0, 9))
+    return EdgeColoredHypergraph(n, k, members, eptr, colors, weights)
+
+
+@contextlib.contextmanager
+def write_blocks_of(words):
+    """``write_canonical`` encoding blocks of about ``words`` words."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(instances_module, "_WRITE_BLOCK", words)
+        yield
+
+
+class TestWriteCanonical:
+    """The digit-column writer against the old writer, byte for byte."""
+
+    @SETTINGS
+    @given(raw_instances())
+    def test_same_text_as_reference(self, h):
+        assert write_canonical(h) == reference_write_canonical(h)
+
+    # Blocks of one edge line, or of one to three.
+    @pytest.mark.parametrize("block", [1, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(raw_instances())
+    def test_same_text_in_small_blocks(self, block, h):
+        with write_blocks_of(block):
+            assert write_canonical(h) == reference_write_canonical(h)
+
+    @pytest.mark.parametrize("weights", [1.0, 0.5, -0.0, 1e15 - 1, 1e15, 1e16, 1e-300,
+                                         math.nan, math.inf])
+    def test_listed_weights(self, weights):
+        h = EdgeColoredHypergraph(3, 2, [0, 2, 2**63 - 1], [0, 2, 2, 3], [1, 2, -5],
+                                  [weights, 3.0, -weights])
+        assert write_canonical(h) == reference_write_canonical(h)
+
+    def test_empty_instances(self):
+        for h in [EdgeColoredHypergraph(0, 0, [], [0], [], []),
+                  EdgeColoredHypergraph(0, 3, [], [0, 0, 0], [1, 0], [2.0, 0.5])]:
+            assert write_canonical(h) == reference_write_canonical(h)
+
+    @pytest.mark.parametrize("block", [61, instances_module._WRITE_BLOCK])
+    @pytest.mark.parametrize("weights", ["unit", "float"])
+    def test_planted_at_scale(self, weights, block):
+        h = gen_random(2000, 8000, 6, 8, 0.2, 1).hypergraph
+        if weights == "float":
+            rng = np.random.default_rng(1)
+            w = rng.random(h.num_edges) * 10.0 ** rng.integers(-3, 17, h.num_edges)
+            w = np.where(rng.random(h.num_edges) < 0.3, np.floor(w), w)
+            h = EdgeColoredHypergraph(h.num_nodes, h.num_colors, h.members * 10**12, h.eptr,
+                                      h.colors, w)
+        with write_blocks_of(block):
+            assert write_canonical(h) == reference_write_canonical(h)
+
+    @SETTINGS
+    @given(st.lists(INT64_WORDS, min_size=1))
+    def test_int_lines_as_the_old_truth_writer(self, values):
+        text = write_int_lines(values)
+        assert text == reference_write_truth(values)
+        assert parse_int_words(text) == values
+
+    def test_no_int_lines(self):
+        assert write_int_lines([]) == ""
 
 
 # Words of the benchmark files: small integers, words int() reads in its own

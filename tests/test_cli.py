@@ -44,12 +44,14 @@ def run_csv(capsys, argv) -> dict:
 
 class TestImportCost:
     def test_cli_and_parse_leave_out_numpy_ma_and_scipy(self):
-        # np.unique or a table-kind np.isin imports numpy.ma: every cold command would pay.
+        # np.unique or a table-kind np.isin imports numpy.ma: every cold command would pay,
+        # gen too, which writes what it generates.
         code = (
             "import sys, minecc.cli\n"
-            "from minecc.instances import parse_canonical\n"
+            "from minecc.instances import parse_canonical, write_canonical, write_int_lines\n"
             "parse_canonical('ecc 2 1 1\\n1 1 0 1\\n')\n"
-            "parse_canonical('ecc 2 1 1\\u2028\\uff11 1 0 1\\n')\n"
+            "write_canonical(parse_canonical('ecc 2 1 1\\u2028\\uff11 0.5 0 1\\n'))\n"
+            "write_int_lines([1, -2])\n"
             "print(sorted({'numpy.ma', 'scipy'} & set(sys.modules)))\n"
         )
         src = os.path.dirname(os.path.dirname(minecc.cli.__file__))
@@ -188,6 +190,8 @@ class TestMalformedInputExitCodes:
         ("", ["solve", "{gap3}", "--algo", "lp", "--interval", "0.9:0.1"]),
         ("", ["solve", "{gap3}", "--algo", "lp", "--interval", "0.5"]),
         ("", ["verify", "--invariants", "{gap3}", "--trials", "5", "--interval", "a:b"]),
+        ("", ["solve", "{gap3}", "--algo", "match", "--interval", "0.2:0.8"]),
+        ("", ["verify", "--invariants", "{gap3}", "--interval", "0.2:0.8"]),
     ], ids=["truth-token", "truth-length", "sizes", "scaling-colors", "scaling-max-size",
             "gen-nodes", "gen-nodes-2**32", "gen-edges", "gen-max-size", "gen-colors",
             "gen-noise", "gen-gap-colors", "solve-pitt-seed", "solve-lp-seed",
@@ -197,7 +201,8 @@ class TestMalformedInputExitCodes:
             "node-labels-without-labels", "reduce-node-labels-without-labels",
             "gen-output-unwritable", "solve-output-unwritable", "gen-truth-output-unwritable",
             "reduce-output-unwritable", "export-output-unwritable", "emit-lp-onto-a-file",
-            "solve-interval-reversed", "solve-interval-no-colon", "verify-interval-not-numbers"])
+            "solve-interval-reversed", "solve-interval-no-colon", "verify-interval-not-numbers",
+            "solve-interval-without-lp", "verify-interval-without-trials"])
     def test_exit_2_with_error_line(self, truth_text, argv, gap3_file, tmp_path, capsys):
         truth = tmp_path / "gap3.truth"
         truth.write_text(truth_text)
@@ -220,6 +225,34 @@ class TestMalformedInputExitCodes:
         sol.write_text("xe_0 1\n")
         assert main(["solve", gap3_file, "--algo", algo, "--solution", str(sol)]) == 2
         assert capsys.readouterr().err.startswith("error: --solution ")
+
+    @pytest.mark.parametrize("algo", [a for a in ALGOS if a != "lp"])
+    def test_interval_without_lp_rounding(self, algo, gap3_file, monkeypatch, capsys):
+        loads = []
+        monkeypatch.setattr(minecc.cli, "parse_canonical", lambda text: loads.append(text))
+        assert main(["solve", gap3_file, "--algo", algo, "--interval", "0.2:0.8"]) == 2
+        assert capsys.readouterr().err == "error: --interval needs --algo lp\n"
+        assert loads == []
+
+    @pytest.mark.parametrize("trials", [[], ["--trials", "0"]], ids=["default", "zero"])
+    def test_interval_without_trials(self, trials, gap3_file, monkeypatch, capsys):
+        loads = []
+        monkeypatch.setattr(minecc.cli, "parse_canonical", lambda text: loads.append(text))
+        argv = ["verify", "--invariants", gap3_file, "--interval", "0.2:0.8", *trials]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --interval needs --trials above 0\n"
+        assert loads == []
+
+    def test_emit_lp_onto_a_file_fails_before_the_certificates(self, tmp_path, monkeypatch,
+                                                               capsys):
+        path = tmp_path / "cases"
+        path.write_text("")
+        runs = []
+        monkeypatch.setattr(minecc.cli.certificates, "verify_all", lambda: runs.append(1))
+        assert main(["verify", "--certs", "--emit-lp", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and runs == []
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
     PAD = b"#" * 9000 + b"\n"  # past the first read-ahead block: the offset is the file's
 
