@@ -300,7 +300,11 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     lp_sol = None
     if with_lp:
-        lp_sol = extract_ecc_solution(h, _primal(build_ecc_lp(h), args.solution, "--solution"))
+        # A bound alone comes from the compact model; rounding and a supplied
+        # primal need the full one.
+        compact = needs != "lp" and not args.solution
+        vector = _primal(build_ecc_lp(h, compact=compact), args.solution, "--solution")
+        lp_sol = extract_ecc_solution(h, vector, compact=compact)
     built = build_incidence(h) if needs == "incidence" else lp_sol
     best = None
     for trial in range(args.runs):
@@ -379,7 +383,7 @@ def cmd_bench_scaling(args) -> int:
 
 def cmd_compare_lp(args) -> int:
     h, _, name = _load_instance(args)
-    ecc_lp = build_ecc_lp(h)
+    ecc_lp = build_ecc_lp(h, compact=not args.ecc_solution)  # the value alone is needed
     mc_lp = build_nodemc_lp(h)
     ecc_value = ecc_lp.value_of(_primal(ecc_lp, args.ecc_solution, "--ecc-solution"))
     mc_value = mc_lp.value_of(_primal(mc_lp, args.nodemc_solution, "--nodemc-solution"))
@@ -392,6 +396,15 @@ def cmd_compare_lp(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Each mode rejects the other mode's flags rather than ignore them.
+    if args.certs:
+        for flag, given in (("--trials", args.trials > 0), ("--interval", args.interval),
+                            ("--solution", args.solution), ("--labels", args.labels),
+                            ("--node-labels", args.node_labels)):
+            if given:
+                raise CliError(f"{flag} applies to --invariants only", EXIT_PARSE)
+    elif args.emit_lp:
+        raise CliError("--emit-lp applies to --certs only", EXIT_PARSE)
     if args.certs:
         if args.emit_lp:
             try:

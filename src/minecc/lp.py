@@ -1,10 +1,24 @@
 """Generic linear programs and a self-contained dense simplex solver.
 
-The solver is a two-phase primal simplex on one dense standard-form tableau.
-Each pivot updates only the rows where the entering column is nonzero and the
-columns where the pivot row is nonzero; on the clustering LP both are a few
-percent of the tableau. Measured on ``build_ecc_lp(gen_random(n, 1.6 n, 3, 6,
-0.2, 1).hypergraph)`` for n = 100, 200, 400 (two runs, 2-core host, numpy 2.4):
+A :class:`LinearProgram` holds its columns as arrays (objective, lower and
+upper bounds) and its rows in CSR form: ``indptr``, ``indices`` and ``data``
+give each row's coefficients, with column indices strictly rising within a
+row, and each row has a relation code (an index into ``RELATIONS``) and a
+right-hand side. :meth:`LinearProgram.add_var` and
+:meth:`LinearProgram.add_constraint` append one column or row, for programs
+written out by hand; :meth:`LinearProgram.add_vars` and
+:meth:`LinearProgram.add_rows` append whole blocks of arrays, as the
+relaxation builders do. Column names may be given as a function that makes
+them, so a model that is only solved never builds its names.
+``lp.constraints`` is a read-only sequence view of the rows as
+``(coeffs, rel, rhs)`` records.
+
+The solver is a two-phase primal simplex on one dense standard-form tableau,
+filled in place from the CSR rows. Each pivot updates only the rows where the
+entering column is nonzero and the columns where the pivot row is nonzero; on
+the clustering LP both are a few percent of the tableau. Measured on
+``build_ecc_lp(gen_random(n, 1.6 n, 3, 6, 0.2, 1).hypergraph)`` for n = 100,
+200, 400 (two runs, 2-core host, numpy 2.4):
 
     variables   solve time     peak RSS (whole process)
     760         0.17-0.19 s     59 MB
@@ -28,66 +42,244 @@ totally unimodular systems yield integral optima.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .hypergraph import _rising_within_edges
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 DEGENERATE_RUN_LIMIT = 100
 
+RELATIONS = ("<=", ">=", "=")  # a row's relation code indexes this
+LE, GE, EQ = range(3)
+_CODES = {rel: code for code, rel in enumerate(RELATIONS)}
+_FLIPPED = np.array([GE, LE, EQ], dtype=np.int8)  # the relation of a negated row
 
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: tuple[tuple[int, float], ...]  # sparse (variable index, coefficient)
-    rel: str  # one of "<=", ">=", "="
+
+class Row(NamedTuple):
+    """One row as a record: sparse ``(variable index, coefficient)`` pairs, relation, rhs."""
+
+    coeffs: tuple[tuple[int, float], ...]
+    rel: str
     rhs: float
 
 
-@dataclass
+class Rows(NamedTuple):
+    """The rows of a program in CSR form."""
+
+    indptr: np.ndarray  # int64, one entry more than there are rows, from 0
+    indices: np.ndarray  # int64 column of each coefficient, strictly rising within a row
+    data: np.ndarray  # float64 coefficients
+    rel: np.ndarray  # int8 relation code of each row
+    rhs: np.ndarray  # float64
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every coefficient."""
+        return np.repeat(np.arange(len(self.rhs)), np.diff(self.indptr))
+
+
+class _RowView(Sequence):
+    """``lp.constraints``: the rows as :class:`Row` records, made when read."""
+
+    def __init__(self, lp: "LinearProgram") -> None:
+        self._lp = lp
+
+    def __len__(self) -> int:
+        return self._lp.num_rows
+
+    def __getitem__(self, i: int) -> Row:
+        rows = self._lp.rows
+        r = range(len(rows.rhs))[i]  # negative indices and IndexError as a list's
+        s, e = rows.indptr[r], rows.indptr[r + 1]
+        coeffs = tuple(zip(rows.indices[s:e].tolist(), rows.data[s:e].tolist()))
+        return Row(coeffs, RELATIONS[rows.rel[r]], float(rows.rhs[r]))
+
+    def __iter__(self):
+        rows = self._lp.rows
+        indptr, indices, data = rows.indptr.tolist(), rows.indices.tolist(), rows.data.tolist()
+        for r, (rel, rhs) in enumerate(zip(rows.rel.tolist(), rows.rhs.tolist())):
+            s, e = indptr[r], indptr[r + 1]
+            yield Row(tuple(zip(indices[s:e], data[s:e])), RELATIONS[rel], rhs)
+
+
 class LinearProgram:
     """A linear program in the usual min/max c'x subject to rows and box bounds form.
 
-    Built incrementally with :meth:`add_var` and :meth:`add_constraint`; treated
-    as read-only once handed to the solver.
+    Built with :meth:`add_var`/:meth:`add_vars` and
+    :meth:`add_constraint`/:meth:`add_rows`; treated as read-only once handed
+    to the solver. Single appends wait in lists until the arrays are read.
     """
 
-    sense: str = "min"
-    names: list[str] = field(default_factory=list)
-    objective: list[float] = field(default_factory=list)
-    constant: float = 0.0
-    lower: list[float] = field(default_factory=list)
-    upper: list[float] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
+    def __init__(self, sense: str = "min") -> None:
+        self.sense = sense
+        self.constant = 0.0
+        self._objective = np.zeros(0)
+        self._lower = np.zeros(0)
+        self._upper = np.zeros(0)
+        self._rows = Rows(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                          np.zeros(0), np.zeros(0, dtype=np.int8), np.zeros(0))
+        # Name lists, or functions that make them, in column order.
+        self._names: list[list[str] | Callable[[], list[str]]] = []
+        self._new_cols: list[tuple[float, float, float]] = []  # (objective, lower, upper)
+        self._new_rows: list[tuple[list[int], list[float], int, float]] = []
 
     @property
     def num_vars(self) -> int:
-        return len(self.names)
+        return len(self._objective) + len(self._new_cols)
+
+    @property
+    def num_rows(self) -> int:
+        return len(self._rows.rhs) + len(self._new_rows)
+
+    @property
+    def objective(self) -> np.ndarray:
+        self._flush()
+        return self._objective
+
+    @property
+    def lower(self) -> np.ndarray:
+        self._flush()
+        return self._lower
+
+    @property
+    def upper(self) -> np.ndarray:
+        self._flush()
+        return self._upper
+
+    @property
+    def rows(self) -> Rows:
+        self._flush()
+        return self._rows
+
+    @property
+    def constraints(self) -> Sequence[Row]:
+        return _RowView(self)
+
+    @property
+    def names(self) -> list[str]:
+        if len(self._names) != 1 or callable(self._names[0]):
+            merged: list[str] = []
+            for part in self._names:
+                merged.extend(part() if callable(part) else part)
+            self._names = [merged]
+        return self._names[0]
 
     def add_var(
         self, name: str, lo: float = 0.0, hi: float = math.inf, obj: float = 0.0
     ) -> int:
         if not (lo <= hi):
             raise ValueError(f"variable {name}: lower bound {lo} exceeds upper bound {hi}")
-        self.names.append(name)
-        self.objective.append(float(obj))
-        self.lower.append(float(lo))
-        self.upper.append(float(hi))
-        return len(self.names) - 1
+        if not self._names or callable(self._names[-1]):
+            self._names.append([])
+        self._names[-1].append(name)
+        self._new_cols.append((float(obj), float(lo), float(hi)))
+        return self.num_vars - 1
+
+    def add_vars(
+        self, objective, lo, hi, names: list[str] | Callable[[], list[str]]
+    ) -> int:
+        """Append one column per entry of ``objective``; returns the first new index.
+
+        ``lo`` and ``hi`` are arrays of the same length or one value for all.
+        ``names`` is the list of the new columns' names, or a function that
+        makes that list when the names are first read.
+        """
+        objective = np.array(objective, dtype=float)
+        lo = np.broadcast_to(np.asarray(lo, dtype=float), objective.shape)
+        hi = np.broadcast_to(np.asarray(hi, dtype=float), objective.shape)
+        first = self.num_vars
+        bad = np.flatnonzero(~(lo <= hi))
+        if len(bad):
+            j = int(bad[0])
+            name = (names() if callable(names) else names)[j]
+            raise ValueError(f"variable {name}: lower bound {lo[j]} exceeds upper bound {hi[j]}")
+        self._flush()
+        self._objective = np.concatenate([self._objective, objective])
+        self._lower = np.concatenate([self._lower, lo])
+        self._upper = np.concatenate([self._upper, hi])
+        self._names.append(names if callable(names) else list(names))
+        return first
 
     def add_constraint(
         self, coeffs: list[tuple[int, float]], rel: str, rhs: float
     ) -> None:
-        if rel not in ("<=", ">=", "="):
+        """Append one row; repeated variables are summed into one coefficient."""
+        if rel not in _CODES:
             raise ValueError(f"unknown relation {rel!r}")
         merged: dict[int, float] = {}
         for j, a in coeffs:
             if not (0 <= j < self.num_vars):
                 raise ValueError(f"constraint references unknown variable index {j}")
             merged[j] = merged.get(j, 0.0) + float(a)
-        self.constraints.append(
-            Constraint(tuple(sorted(merged.items())), rel, float(rhs))
+        order = sorted(merged)
+        self._new_rows.append((order, [merged[j] for j in order], _CODES[rel], float(rhs)))
+
+    def add_rows(self, indptr, indices, data, rel, rhs) -> None:
+        """Append rows given in CSR form, ``indptr`` starting at 0 and ``rel`` as codes.
+
+        Each row's column indices must rise strictly, as :meth:`add_constraint`
+        leaves them.
+        """
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        data = np.asarray(data, dtype=float)
+        rel = np.asarray(rel, dtype=np.int8)
+        rhs = np.asarray(rhs, dtype=float)
+        sizes = np.diff(indptr)
+        if not (len(indptr) == len(rel) + 1 == len(rhs) + 1 and indptr[0] == 0
+                and np.all(sizes >= 0) and indptr[-1] == len(indices) == len(data)):
+            raise ValueError("rows do not fit together: need indptr rising from 0 to the "
+                             "number of coefficients, and one relation and rhs per row")
+        if np.any((rel < 0) | (rel >= len(RELATIONS))):
+            raise ValueError("unknown relation code")
+        if len(indices) and not (0 <= indices.min() and indices.max() < self.num_vars):
+            raise ValueError("rows reference an unknown variable index")
+        if not _rising_within_edges(indices, indptr):
+            raise ValueError("column indices must rise strictly within each row")
+        self._flush()
+        self._append_rows(sizes, indices, data, rel, rhs)
+
+    def _append_rows(self, sizes, indices, data, rel, rhs) -> None:
+        old = self._rows
+        self._rows = Rows(
+            np.concatenate([old.indptr, old.indptr[-1] + np.cumsum(sizes, dtype=np.int64)]),
+            np.concatenate([old.indices, indices]),
+            np.concatenate([old.data, data]),
+            np.concatenate([old.rel, rel]),
+            np.concatenate([old.rhs, rhs]),
         )
+
+    def _flush(self) -> None:
+        """Move the single appends into the arrays, in the order they were made."""
+        if self._new_cols:
+            obj, lo, hi = np.array(self._new_cols, dtype=float).T
+            self._objective = np.concatenate([self._objective, obj])
+            self._lower = np.concatenate([self._lower, lo])
+            self._upper = np.concatenate([self._upper, hi])
+            self._new_cols = []
+        if self._new_rows:
+            new, self._new_rows = self._new_rows, []
+            self._append_rows(
+                np.array([len(idx) for idx, _, _, _ in new], dtype=np.int64),
+                np.array([j for idx, _, _, _ in new for j in idx], dtype=np.int64),
+                np.array([a for _, vals, _, _ in new for a in vals], dtype=float),
+                np.array([code for _, _, code, _ in new], dtype=np.int8),
+                np.array([rhs for _, _, _, rhs in new], dtype=float),
+            )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearProgram):
+            return NotImplemented
+        mine = (self.objective, self.lower, self.upper, *self.rows)
+        theirs = (other.objective, other.lower, other.upper, *other.rows)
+        return ((self.sense, self.constant, self.names) == (other.sense, other.constant, other.names)
+                and all(np.array_equal(a, b) for a, b in zip(mine, theirs)))
+
+    __hash__ = None
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)
@@ -104,19 +296,24 @@ class LinearProgram:
         their position, as in :func:`export_lp_text`.
         """
         x = np.asarray(x, dtype=float)
-        below = np.flatnonzero(x < np.array(self.lower) - tol)
+        below = np.flatnonzero(x < self.lower - tol)
         if len(below):
             j = int(below[0])
             return f"{self.names[j]} = {x[j]:.9g} is below its lower bound {_num(self.lower[j])}"
-        above = np.flatnonzero(x > np.array(self.upper) + tol)
+        above = np.flatnonzero(x > self.upper + tol)
         if len(above):
             j = int(above[0])
             return f"{self.names[j]} = {x[j]:.9g} is above its upper bound {_num(self.upper[j])}"
-        for i, con in enumerate(self.constraints):
-            lhs = sum(a * x[j] for j, a in con.coeffs)
-            gap = lhs - con.rhs
-            if (gap > tol and con.rel != ">=") or (gap < -tol and con.rel != "<="):
-                return f"row c{i} does not hold: {lhs:.9g} {con.rel} {_num(con.rhs)}"
+        rows = self.rows
+        # bincount adds each row's terms in order, as a loop over the row would
+        lhs = np.bincount(rows.row_ids(), weights=rows.data * x[rows.indices],
+                          minlength=len(rows.rhs))
+        gap = lhs - rows.rhs
+        broken = np.flatnonzero(((gap > tol) & (rows.rel != GE)) | ((gap < -tol) & (rows.rel != LE)))
+        if len(broken):
+            i = int(broken[0])
+            return (f"row c{i} does not hold: {lhs[i]:.9g} {RELATIONS[rows.rel[i]]} "
+                    f"{_num(rows.rhs[i])}")
         return None
 
 
@@ -135,102 +332,108 @@ class LpResult:
 
 
 def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
-    """Solve ``lp``, returning a basic optimal solution when one exists."""
+    """Solve ``lp``, returning a basic optimal solution when one exists.
+
+    A program without variables or rows is optimal at once, with value
+    ``lp.constant``.
+    """
     n = lp.num_vars
-    lo = np.array(lp.lower, dtype=float)
+    lo = lp.lower
     if not np.all(np.isfinite(lo)):
         raise ValueError("simplex requires finite lower bounds")
-    c_user = np.array(lp.objective, dtype=float)
-    c_min = c_user if lp.sense == "min" else -c_user
+    c_min = lp.objective if lp.sense == "min" else -lp.objective
 
-    # Shift x = lo + x' so x' >= 0; finite upper bounds become extra rows.
-    # Rows stay sparse (coeffs, rel, rhs) until the tableau is filled.
-    lower = lo.tolist()
-    rows: list[tuple[tuple[tuple[int, float], ...], str, float]] = []
+    # Shift x = lo + x' so x' >= 0: each row's rhs absorbs its shift, added
+    # term by term in row order. Finite upper bounds become rows of their own.
+    rows = lp.rows
+    row_of = rows.row_ids()
+    shift = np.bincount(row_of, weights=rows.data * lo[rows.indices], minlength=len(rows.rhs))
+    boxed = np.flatnonzero(np.isfinite(lp.upper))
+    rhs = np.concatenate([rows.rhs - shift, lp.upper[boxed] - lo[boxed]])
+    rel = np.concatenate([rows.rel, np.full(len(boxed), LE, dtype=np.int8)])
+    flip = rhs < 0.0  # normalize to b >= 0 by negating the row
+    rhs[flip] = -rhs[flip]
+    rel[flip] = _FLIPPED[rel[flip]]
+    data = np.where(flip[row_of], -rows.data, rows.data)
 
-    def add_row(coeffs, rel: str, rhs: float) -> None:
-        if rhs < 0.0:  # normalize to b >= 0
-            coeffs = tuple((j, -a) for j, a in coeffs)
-            rel, rhs = {"<=": ">=", ">=": "<=", "=": "="}[rel], -rhs
-        rows.append((coeffs, rel, rhs))
-
-    for con in lp.constraints:
-        shift = 0.0
-        for j, coef in con.coeffs:
-            shift += coef * lower[j]
-        add_row(con.coeffs, con.rel, con.rhs - shift)
-    for j in range(n):
-        hi = lp.upper[j]
-        if math.isfinite(hi):
-            add_row(((j, 1.0),), "<=", hi - lower[j])
-
-    # One tableau: structural columns, one slack per inequality row, one
-    # artificial per row without a "<=" slack to start the basis, then rhs.
-    m = len(rows)
-    n_ineq = sum(1 for _, rel, _ in rows if rel != "=")
-    width = n + n_ineq
-    art_rows = [i for i, (_, rel, _) in enumerate(rows) if rel != "<="]
+    # One tableau, filled in place: structural columns, one slack per
+    # inequality row, one artificial per row without a "<=" slack to start
+    # the basis, then rhs.
+    m = len(rhs)
+    ineq = np.flatnonzero(rel != EQ)
+    width = n + len(ineq)
+    art_rows = np.flatnonzero(rel != LE)
+    art_cols = width + np.arange(len(art_rows))
     total = width + len(art_rows)
     T = np.zeros((m, total + 1))
+    T[row_of, rows.indices] = data
+    T[len(rows.rhs) + np.arange(len(boxed)), boxed] = 1.0
+    slack_sign = np.where(rel[ineq] == LE, 1.0, -1.0)
+    T[ineq, n + np.arange(len(ineq))] = slack_sign
+    T[art_rows, art_cols] = 1.0
+    T[:, -1] = rhs
     basis = np.full(m, -1, dtype=int)
-    slack_col = n
-    for i, (coeffs, rel, rhs) in enumerate(rows):
-        for j, a in coeffs:
-            T[i, j] = a
-        T[i, -1] = rhs
-        if rel != "=":
-            T[i, slack_col] = 1.0 if rel == "<=" else -1.0
-            if rel == "<=":
-                basis[i] = slack_col
-            slack_col += 1
-    for offset, i in enumerate(art_rows):
-        T[i, width + offset] = 1.0
-        basis[i] = width + offset
+    basis[ineq[slack_sign > 0]] = n + np.flatnonzero(slack_sign > 0)
+    basis[art_rows] = art_cols
 
     # Extra rhs column of distinct positive values, treated as an infinitesimal
     # perturbation of b: degenerate ratio ties are broken on it, which keeps
     # long runs of zero-step pivots rare.
     P = np.arange(1.0, m + 1.0)
 
-    blocked = np.zeros(total, dtype=bool)  # artificials that may never re-enter
     cost2 = np.zeros(total + 1)
     cost2[:n] = c_min
     cost1 = np.zeros(total + 1)
     cost1[width:total] = 1.0
-    # Price out the initial basis so reduced costs of basic columns are zero.
-    for i in art_rows:
-        cost1 -= T[i]
+    # Price out the initial basis so reduced costs of basic columns are zero:
+    # subtract the artificial rows' nonzero entries, each column's in row order.
+    on_art = rel[row_of] != LE
+    np.subtract.at(
+        cost1,
+        np.concatenate([rows.indices[on_art], n + np.flatnonzero(slack_sign < 0), art_cols,
+                        np.full(len(art_rows), total)]),
+        np.concatenate([data[on_art], slack_sign[slack_sign < 0], np.ones(len(art_rows)),
+                        rhs[art_rows]]),
+    )
 
     state = {"iterations": 0, "bland": False, "stall": 0}
+    flat = T.reshape(-1)
 
-    def pivot(row: int, col: int) -> None:
+    def block(cols) -> None:
+        # An artificial that may never re-enter: an infinite reduced cost
+        # keeps it out of every later pricing.
+        cost1[cols] = np.inf
+        cost2[cols] = np.inf
+
+    def pivot(row: int, col: int, column: np.ndarray) -> None:
+        """Pivot on ``T[row, col]``; ``column`` is a copy of ``T[:, col]``."""
         piv = T[row, col]
         T[row] /= piv
         P[row] /= piv
-        factors = T[:, col].copy()
-        factors[row] = 0.0
+        column[row] = 0.0
         # Rank-1 update restricted to the nonzero rows of the entering column
         # and the nonzero entries of the pivot row: every skipped entry would
         # only have had a zero subtracted.
-        nz_rows = factors.nonzero()[0]
+        nz_rows = column.nonzero()[0]
         nz_cols = T[row].nonzero()[0]
-        T[nz_rows[:, None], nz_cols] -= factors[nz_rows, None] * T[row, nz_cols]
-        P[nz_rows] -= factors[nz_rows] * P[row]
+        factors = column[nz_rows]
+        pivot_row = T[row, nz_cols]
+        cells = (nz_rows * (total + 1))[:, None] + nz_cols  # flat indices into T
+        flat[cells] -= factors[:, None] * pivot_row
+        P[nz_rows] -= factors * P[row]
         for cost in (cost1, cost2):
             if cost[col] != 0.0:
-                cost[nz_cols] -= cost[col] * T[row, nz_cols]
+                cost[nz_cols] -= cost[col] * pivot_row
         leaving = basis[row]
-        if leaving >= width:  # an artificial that leaves never re-enters
-            blocked[leaving] = True
+        if leaving >= width:
+            block(leaving)
         basis[row] = col
 
-    def ratio_row(col: int) -> int | None:
-        column = T[:, col]
+    def ratio_row(column: np.ndarray) -> int | None:
         eligible = column > PIVOT_TOL
         if not eligible.any():
             return None
-        ratios = np.full(m, np.inf)
-        ratios[eligible] = T[eligible, -1] / column[eligible]
+        ratios = np.divide(T[:, -1], column, out=np.full(m, np.inf), where=eligible)
         best = ratios.min()
         candidates = np.flatnonzero(ratios <= best + PIVOT_TOL)
         if len(candidates) > 1:
@@ -242,10 +445,10 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
         return int(candidates[np.argmin(basis[candidates])])
 
     def run_phase(cost: np.ndarray) -> str:
-        while True:
+        reduced = cost[:total]
+        while total:
             if state["iterations"] >= iteration_limit:
                 return "iteration_limit"
-            reduced = np.where(blocked, np.inf, cost[:total])
             if state["bland"]:
                 open_cols = np.flatnonzero(reduced < -PIVOT_TOL)
                 if len(open_cols) == 0:
@@ -255,12 +458,13 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
                 entering = int(np.argmin(reduced))
                 if reduced[entering] >= -PIVOT_TOL:
                     return "optimal"
-            row = ratio_row(entering)
+            column = T[:, entering].copy()
+            row = ratio_row(column)
             if row is None:
                 return "unbounded"
             state["iterations"] += 1
             degenerate = abs(T[row, -1]) <= PIVOT_TOL
-            pivot(row, entering)
+            pivot(row, entering, column)
             if degenerate:
                 state["stall"] += 1
                 if state["stall"] >= DEGENERATE_RUN_LIMIT:
@@ -268,12 +472,13 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
             else:
                 state["stall"] = 0
                 state["bland"] = False
+        return "optimal"
 
-    if art_rows:
+    if len(art_rows):
         status = run_phase(cost1)
         if status == "iteration_limit":
             return LpResult("iteration_limit", None, None, None, state["iterations"])
-        infeas = sum(T[i, -1] for i in range(m) if basis[i] >= width)
+        infeas = sum(T[basis >= width, -1].tolist())
         if infeas > FEAS_TOL:
             return LpResult("infeasible", None, None, None, state["iterations"])
         # Drive remaining artificials out of the basis (or leave them on
@@ -283,8 +488,8 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
                 row_vals = np.abs(T[i, :width])
                 j = int(np.argmax(row_vals))
                 if row_vals[j] > PIVOT_TOL:
-                    pivot(i, j)
-        blocked[width:total] = True
+                    pivot(i, j, T[:, j].copy())
+        block(slice(width, total))
         state["bland"] = False
         state["stall"] = 0
 
@@ -293,12 +498,12 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
         return LpResult(status, None, None, None, state["iterations"])
 
     x_shift = np.zeros(total)
-    for i in range(m):
-        x_shift[basis[i]] = T[i, -1]
+    x_shift[basis] = T[:, -1]
     x = lo + x_shift[:n]
-    in_basis = set(basis.tolist())
-    basic = tuple(j in in_basis for j in range(n))
-    return LpResult("optimal", lp.value_of(x), x, basic, state["iterations"])
+    in_basis = np.zeros(total, dtype=bool)
+    in_basis[basis] = True
+    return LpResult("optimal", lp.value_of(x), x, tuple(in_basis[:n].tolist()),
+                    state["iterations"])
 
 
 def export_lp_text(lp: LinearProgram) -> str:
@@ -312,24 +517,24 @@ def export_lp_text(lp: LinearProgram) -> str:
 
     lines = ["Maximize" if lp.sense == "max" else "Minimize"]
     obj_terms: list[str] = []
-    for j, coef in enumerate(lp.objective):
+    names = lp.names
+    for j, coef in enumerate(lp.objective.tolist()):
         if coef != 0.0:
-            obj_terms.append(term(coef, lp.names[j], not obj_terms))
+            obj_terms.append(term(coef, names[j], not obj_terms))
     if lp.constant != 0.0:
         sign = "- " if lp.constant < 0 else ("" if not obj_terms else "+ ")
         obj_terms.append(sign + _num(abs(lp.constant)))
     lines.append(" obj: " + (" ".join(obj_terms) if obj_terms else "0"))
     lines.append("Subject To")
-    for i, con in enumerate(lp.constraints):
+    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
         parts: list[str] = []
-        for j, coef in con.coeffs:
+        for j, coef in coeffs:
             if coef != 0.0:
-                parts.append(term(coef, lp.names[j], not parts))
-        body = " ".join(parts) if parts else "0 " + lp.names[0]
-        lines.append(f" c{i}: {body} {con.rel} {_num(con.rhs)}")
+                parts.append(term(coef, names[j], not parts))
+        body = " ".join(parts) if parts else "0 " + names[0]
+        lines.append(f" c{i}: {body} {rel} {_num(rhs)}")
     lines.append("Bounds")
-    for j, name in enumerate(lp.names):
-        lo, hi = lp.lower[j], lp.upper[j]
+    for name, lo, hi in zip(names, lp.lower.tolist(), lp.upper.tolist()):
         if math.isfinite(hi):
             lines.append(f" {_num(lo)} <= {name} <= {_num(hi)}")
         elif lo == 0.0:
@@ -341,6 +546,7 @@ def export_lp_text(lp: LinearProgram) -> str:
 
 
 def _num(x: float) -> str:
+    x = float(x)
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
     return repr(x)
@@ -353,7 +559,7 @@ def parse_primal_text(lp: LinearProgram, text: str) -> np.ndarray:
     unknown name or a value that is not a finite number raises ``ValueError``
     naming the line.
     """
-    x = np.array(lp.lower, dtype=float)
+    x = lp.lower.copy()
     index = {name: j for j, name in enumerate(lp.names)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -8,6 +8,22 @@ and every color plus a mistake variable ``xe_j`` per edge:
          xe_j >= xn_v_c                 for every edge j of color c, v in j
          all variables in [0, 1]
 
+Its compact form (``build_ecc_lp(h, compact=True)``) has the same optimal
+value on fewer variables. A distance to a color that none of v's edges has
+occurs only in v's sum row, so it can sit at 1; the node then keeps one
+variable per color of its edges, C_v, with the row
+``sum_{c in C_v} xn_v_c = |C_v| - 1``. A node with one such color has that
+distance at 0 and drops out, and so does a node without edges, as do the
+membership rows of both. :func:`solution_from_vector` with ``compact=True``
+fills the full ``(n, k)`` distances back in: 1 for an absent color, 0 for a
+single-color node's color, and 0 on color 1 for a node without edges, so the
+filled solution passes :meth:`EccLpSolution.violations`. It is an optimum of
+the full model, though not always the basic optimum that the full model's
+simplex returns, so bounds use the compact model and rounding, ``verify``,
+``export`` and externally solved primals keep the full one.
+
+Both builders hand their rows to the LP in one CSR block.
+
 The multiway-cut relaxation is built over the reduced terminal graph (one
 terminal per color, one deletable node per hyperedge, original nodes kept
 undeletable) using the polynomial distance formulation with ``y_u_i`` node-to-
@@ -22,32 +38,65 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypergraph import EdgeColoredHypergraph
-from .lp import LinearProgram, LpResult
+from .lp import EQ, GE, LinearProgram, LpResult
 from .reductions import ecc_to_node_mc
 
 SNAP_TOL = 1e-7
 
 
-def build_ecc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
-    """Build the clustering relaxation for ``h``."""
-    lp = LinearProgram(sense="min")
-    n, k = h.num_nodes, h.num_colors
-    for v in range(n):
-        for i in range(1, k + 1):
-            lp.add_var(f"xn_{v}_{i}", 0.0, 1.0)
-    for j, w in enumerate(h.weights.tolist()):
-        lp.add_var(f"xe_{j}", 0.0, 1.0, obj=w)
-    for v in range(n):
-        lp.add_constraint(
-            [(v * k + i, 1.0) for i in range(k)], "=", float(k - 1)
-        )
-    # One row per membership, in edge order: x_e against x_v of the edge's color.
+def build_ecc_lp(h: EdgeColoredHypergraph, *, compact: bool = False) -> LinearProgram:
+    """Build the clustering relaxation for ``h``, or with ``compact`` its compact form.
+
+    Columns: the node distances, node by node and color by color, then one
+    ``xe_j`` per edge. Rows: one sum row per node with distances, then one
+    row per membership whose node has a distance to the edge's color, in
+    edge order.
+    """
+    n, k, m = h.num_nodes, h.num_colors, h.num_edges
     edge_of = h.member_edges()
-    xe = (n * k + edge_of).tolist()
-    xn = (h.members * k + h.colors[edge_of] - 1).tolist()
-    for a, b in zip(xe, xn):
-        lp.add_constraint([(a, 1.0), (b, -1.0)], ">=", 0.0)
+    slot = h.members * k + h.colors[edge_of] - 1  # full-model column of x_v^c
+    if compact:
+        kept = _node_colors(h)[1]
+        cols = np.flatnonzero(kept)
+        sizes = kept.sum(axis=1)
+        sizes = sizes[sizes > 0]
+        column = np.full(n * k, -1, dtype=np.int64)
+        column[cols] = np.arange(len(cols))
+        var = column[slot]
+        keep = np.flatnonzero(var >= 0)
+        var = var[keep]
+    else:
+        cols = np.arange(n * k)
+        sizes = np.full(n, k)
+        var, keep = slot, slice(None)
+    nv = len(cols)
+
+    def names() -> list[str]:
+        v, i = np.divmod(cols, max(k, 1))
+        return ([f"xn_{a}_{b}" for a, b in zip(v.tolist(), (i + 1).tolist())]
+                + [f"xe_{j}" for j in range(m)])
+
+    lp = LinearProgram(sense="min")
+    lp.add_vars(np.concatenate([np.zeros(nv), h.weights]), 0.0, 1.0, names)
+    # Membership rows read [x_v^c, xe_j] = [-1, 1] >= 0; x_v^c comes first.
+    pairs = np.column_stack([var, nv + edge_of[keep]]).ravel()
+    rows = len(pairs) // 2
+    lp.add_rows(
+        np.concatenate([[0], np.cumsum(sizes), nv + 2 * np.arange(1, rows + 1)]),
+        np.concatenate([np.arange(nv), pairs]),
+        np.concatenate([np.ones(nv), np.tile([-1.0, 1.0], rows)]),
+        np.concatenate([np.full(len(sizes), EQ), np.full(rows, GE)]),
+        np.concatenate([sizes - 1.0, np.zeros(rows)]),
+    )
     return lp
+
+
+def _node_colors(h: EdgeColoredHypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """``(n, k)`` masks: the colors of each node's edges, and the compact
+    model's node variables, which are those colors at nodes with two or more."""
+    present = np.zeros((h.num_nodes, h.num_colors), dtype=bool)
+    present[h.members, h.colors[h.member_edges()] - 1] = True
+    return present, present & (present.sum(axis=1) >= 2)[:, None]
 
 
 def build_nodemc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
@@ -145,9 +194,13 @@ def solution_from_vector(
     h: EdgeColoredHypergraph,
     x,
     tighten: bool = True,
+    *,
+    compact: bool = False,
 ) -> EccLpSolution:
     """Assemble an :class:`EccLpSolution` from a raw primal vector.
 
+    ``x`` is a primal of the full model, or with ``compact`` of the compact
+    one, whose node distances are filled in as the module docstring says.
     Values within ``1e-7`` of a bound are snapped to it. With ``tighten`` the
     edge variables are replaced by the largest member distance of the edge's
     color (exact at optimality); invariant checkers pass ``tighten=False`` so
@@ -155,10 +208,20 @@ def solution_from_vector(
     """
     n, k, m = h.num_nodes, h.num_colors, h.num_edges
     x = np.asarray(x, dtype=float)
-    if x.shape != (n * k + m,):
-        raise ValueError(f"primal vector has length {x.shape}, expected {n * k + m}")
-    x_node = _snap(x[: n * k].reshape(n, k))
-    x_edge = _snap(x[n * k:])
+    if compact:
+        present, kept = _node_colors(h)
+        size = int(kept.sum()) + m
+    else:
+        size = n * k + m
+    if x.shape != (size,):
+        raise ValueError(f"primal vector has length {x.shape}, expected {size}")
+    if compact:
+        x_node = np.where(present, 0.0, 1.0)
+        x_node[~present.any(axis=1), :1] = 0.0
+        x_node[kept] = _snap(x[: size - m])
+    else:
+        x_node = _snap(x[: n * k].reshape(n, k))
+    x_edge = _snap(x[size - m:])
     if tighten:
         x_edge = _reach(h, x_node)
     return EccLpSolution(x_node, x_edge, float(np.dot(h.weights, x_edge)))
@@ -167,11 +230,16 @@ def solution_from_vector(
 def extract_ecc_solution(
     h: EdgeColoredHypergraph,
     result: LpResult | np.ndarray | list,
+    *,
+    compact: bool = False,
 ) -> EccLpSolution:
-    """Extract the solution from a solver result or an external primal vector."""
+    """Extract the solution from a solver result or an external primal vector.
+
+    ``compact`` says that the primal is of ``build_ecc_lp(h, compact=True)``.
+    """
     if isinstance(result, LpResult):
         result.require_optimal()
         vector = result.x
     else:
         vector = result
-    return solution_from_vector(h, vector, tighten=True)
+    return solution_from_vector(h, vector, tighten=True, compact=compact)

@@ -513,7 +513,8 @@ def reference_bad_edge_pairs(h: EdgeColoredHypergraph) -> tuple[tuple[int, int],
 
 
 def reference_bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleResult:
-    """The old branch and bound over the edge objects; the reference for ``bruteforce_ecc``.
+    """The old branch and bound over the edge objects, without the suffix bound: the
+    reference for ``bruteforce_ecc``'s value and witness, and the most states it may explore.
 
     Only nodes of positive degree are enumerated (isolated nodes are fixed to
     color 1); requires ``k ** active_nodes <= cap``.

@@ -192,6 +192,12 @@ class TestMalformedInputExitCodes:
         ("", ["verify", "--invariants", "{gap3}", "--trials", "5", "--interval", "a:b"]),
         ("", ["solve", "{gap3}", "--algo", "match", "--interval", "0.2:0.8"]),
         ("", ["verify", "--invariants", "{gap3}", "--interval", "0.2:0.8"]),
+        ("", ["verify", "--certs", "--trials", "5", "--interval", "0.2:0.8"]),
+        ("", ["verify", "--certs", "--interval", "0.2:0.8"]),
+        ("", ["verify", "--certs", "--solution", "{missing}"]),
+        ("", ["verify", "--certs", "--labels", "{truth}"]),
+        ("", ["verify", "--certs", "--node-labels", "{truth}"]),
+        ("", ["verify", "--invariants", "{gap3}", "--emit-lp", "{missing}"]),
     ], ids=["truth-token", "truth-length", "sizes", "scaling-colors", "scaling-max-size",
             "gen-nodes", "gen-nodes-2**32", "gen-edges", "gen-max-size", "gen-colors",
             "gen-noise", "gen-gap-colors", "solve-pitt-seed", "solve-lp-seed",
@@ -202,7 +208,9 @@ class TestMalformedInputExitCodes:
             "gen-output-unwritable", "solve-output-unwritable", "gen-truth-output-unwritable",
             "reduce-output-unwritable", "export-output-unwritable", "emit-lp-onto-a-file",
             "solve-interval-reversed", "solve-interval-no-colon", "verify-interval-not-numbers",
-            "solve-interval-without-lp", "verify-interval-without-trials"])
+            "solve-interval-without-lp", "verify-interval-without-trials",
+            "certs-trials", "certs-interval", "certs-solution", "certs-labels",
+            "certs-node-labels", "invariants-emit-lp"])
     def test_exit_2_with_error_line(self, truth_text, argv, gap3_file, tmp_path, capsys):
         truth = tmp_path / "gap3.truth"
         truth.write_text(truth_text)
@@ -253,6 +261,27 @@ class TestMalformedInputExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and runs == []
         assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--certs", "--trials", "5"], "--trials applies to --invariants only"),
+        (["--certs", "--trials", "0", "--interval", "0.2:0.8"],
+         "--interval applies to --invariants only"),
+        (["--certs", "--solution", "no-such-file.txt"], "--solution applies to --invariants only"),
+        (["--certs", "--labels", "x", "--node-labels", "y"],
+         "--labels applies to --invariants only"),
+        (["--certs", "--node-labels", "y"], "--node-labels applies to --invariants only"),
+        (["--invariants", "{gap3}", "--emit-lp", "{out}"], "--emit-lp applies to --certs only"),
+    ], ids=["trials", "interval", "solution", "labels", "node-labels", "emit-lp"])
+    def test_verify_rejects_the_other_modes_flags_before_any_work(
+        self, argv, message, gap3_file, tmp_path, monkeypatch, capsys
+    ):
+        work = []
+        monkeypatch.setattr(minecc.cli.certificates, "verify_all", lambda: work.append("certs"))
+        monkeypatch.setattr(minecc.cli, "parse_canonical", lambda text: work.append("parse"))
+        out = tmp_path / "lp-files"
+        assert main(["verify", *(a.format(gap3=gap3_file, out=out) for a in argv)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert work == [] and not out.exists()
 
     PAD = b"#" * 9000 + b"\n"  # past the first read-ahead block: the offset is the file's
 
@@ -481,6 +510,17 @@ class TestExactAndCapacity:
         main(["gen", "random", "--nodes", "2000", "--edges", "100", "--colors", "3",
               "--noise", "0.2", "--seed", "0", "-o", str(inst)])
         assert main(["solve", str(inst), "--algo", "lp"]) == 4
+
+    def test_bound_only_commands_check_the_compact_model(self, tmp_path, monkeypatch, capsys):
+        # gap8: the full model has 232 variables and the compact one 64
+        inst = tmp_path / "gap8.ecc"
+        assert main(["gen", "gap", "--colors", "8", "-o", str(inst)]) == 0
+        monkeypatch.setattr(minecc.cli, "SOLVER_VAR_LIMIT", 100)
+        row = run_csv(capsys, ["solve", str(inst), "--algo", "match", "--with-lp-bound"])
+        assert float(row["lp_bound"]) == pytest.approx(4.0)
+        for algo in ("lp", "lp-simple"):
+            assert main(["solve", str(inst), "--algo", algo]) == 4
+            assert "LP has 232 variables" in capsys.readouterr().err
 
     def test_invariants_with_trials(self, gap3_file, capsys):
         code = main(["verify", "--invariants", gap3_file, "--trials", "2000"])

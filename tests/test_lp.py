@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minecc.certificates import all_cases, case_to_lp
-from minecc.hypergraph import hypergraph
+from minecc.hypergraph import EdgeColoredHypergraph, hypergraph, validate
 from minecc.instances import gen_integrality_gap, gen_random, gen_star
 from minecc.lp import LinearProgram, export_lp_text, parse_primal_text, solve
+from minecc.oracle import bruteforce_ecc
 from minecc.relaxations import (
     build_ecc_lp,
     build_nodemc_lp,
@@ -156,7 +157,7 @@ def generic_lps(draw):
         lp.add_constraint([(j, draw(coef)) for j in support], rel, rhs)
     equalities = [con for con in lp.constraints if con.rel == "="]
     if equalities and draw(st.booleans()):
-        lp.constraints.append(equalities[0])
+        lp.add_constraint(list(equalities[0].coeffs), "=", equalities[0].rhs)
     return lp
 
 
@@ -225,6 +226,145 @@ class TestEccLp:
             zero_colors = np.flatnonzero(sol.x_node[v] == 0.0) + 1
             if len(zero_colors) == 1 and any(v in e.members for e in edges_of(h)):
                 assert zero_colors[0] == planted.truth[v]
+
+
+SHAPES = ["weighted", "gap", "isolated-node", "single-color", "empty-edge", "edgeless"]
+
+
+@st.composite
+def shaped_instances(draw, shape=None, k=None):
+    """Weighted random instances, gap instances, and the shapes that the
+    compact model treats apart: nodes without edges, nodes whose edges all
+    have one color, an edge without members, and no edges at all."""
+    shape = shape or draw(st.sampled_from(SHAPES))
+    if shape == "gap":
+        return gen_integrality_gap(draw(st.integers(3, 6)))
+    k = k or draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    if shape == "edgeless":
+        return hypergraph(n, k, [])
+    h = random_instance(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n,
+                        draw(st.integers(1, 10)), k)
+    weight = st.sampled_from([1.0, 0.0, 2.0, 0.5, 2.5, 1 / 3, 7e-3])
+    edges = [(e.members, e.color, draw(weight)) for e in edges_of(h)]
+    if shape == "isolated-node":
+        n += draw(st.integers(1, 3))
+    elif shape == "single-color":
+        edges = [(members, 1, w) for members, _, w in edges]
+    h = hypergraph(n, k, edges)
+    if shape == "empty-edge":
+        at = draw(st.integers(0, h.num_edges))
+        eptr = np.insert(h.eptr, at, h.eptr[at])
+        h = EdgeColoredHypergraph(n, k, h.members, eptr, np.insert(h.colors, at, 1),
+                                  np.insert(h.weights, at, draw(weight)))
+    return h
+
+
+class TestCompactModel:
+    """``build_ecc_lp(h, compact=True)``: the same optimum on fewer variables,
+    filled back into a full solution that passes the relaxation's checks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shaped_instances())
+    def test_same_value_as_the_full_model(self, h):
+        full, compact = build_ecc_lp(h), build_ecc_lp(h, compact=True)
+        assert compact.num_vars <= full.num_vars and compact.num_rows <= full.num_rows
+        want = solve(full).require_optimal().value
+        assert solve(compact).require_optimal().value == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shaped_instances().filter(lambda h: not validate(h)))
+    def test_filled_solution_is_feasible_with_the_same_objective(self, h):
+        full = extract_ecc_solution(h, solve(build_ecc_lp(h)))
+        filled = extract_ecc_solution(h, solve(build_ecc_lp(h, compact=True)), compact=True)
+        assert filled.x_node.shape == (h.num_nodes, h.num_colors)
+        assert filled.violations(h) == []
+        assert filled.objective == pytest.approx(full.objective, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shaped_instances(shape="weighted", k=2))
+    def test_two_colors_exact(self, h):
+        res = solve(build_ecc_lp(h, compact=True)).require_optimal()
+        assert np.minimum(np.abs(res.x), np.abs(res.x - 1.0)).max(initial=0.0) <= 1e-7
+        assert res.value == pytest.approx(bruteforce_ecc(h).value, abs=1e-7)
+
+    def test_variables_and_rows(self):
+        # node 0: colors 1 and 2; node 1: colors 1, 2, 3; node 2: color 3 only;
+        # node 3: no edges
+        h = hypergraph(4, 3, [((0, 1), 1, 1.0), ((0, 1), 2, 2.0), ((1, 2), 3, 1.0)])
+        lp = build_ecc_lp(h, compact=True)
+        assert lp.names == ["xn_0_1", "xn_0_2", "xn_1_1", "xn_1_2", "xn_1_3",
+                            "xe_0", "xe_1", "xe_2"]
+        assert list(lp.objective) == [0, 0, 0, 0, 0, 1, 2, 1]
+        assert list(lp.constraints) == [
+            (((0, 1.0), (1, 1.0)), "=", 1.0), (((2, 1.0), (3, 1.0), (4, 1.0)), "=", 2.0),
+            (((0, -1.0), (5, 1.0)), ">=", 0.0), (((2, -1.0), (5, 1.0)), ">=", 0.0),
+            (((1, -1.0), (6, 1.0)), ">=", 0.0), (((3, -1.0), (6, 1.0)), ">=", 0.0),
+            (((4, -1.0), (7, 1.0)), ">=", 0.0),
+        ]
+
+    def test_fill(self):
+        h = hypergraph(4, 3, [((0, 1), 1, 1.0), ((0, 1), 2, 2.0), ((1, 2), 3, 1.0)])
+        x = np.array([0.25, 0.75, 0.5, 0.5, 1.0, 0.5, 0.75, 1.0])
+        sol = solution_from_vector(h, x, compact=True)
+        assert sol.x_node.tolist() == [[0.25, 0.75, 1.0], [0.5, 0.5, 1.0], [1.0, 1.0, 0.0],
+                                       [0.0, 1.0, 1.0]]
+        assert sol.x_edge.tolist() == [0.5, 0.75, 1.0]
+        with pytest.raises(ValueError, match="expected 8"):
+            solution_from_vector(h, x[:-1], compact=True)
+
+    def test_edgeless_model_is_empty_and_solves_to_zero(self):
+        h = hypergraph(3, 2, [])
+        lp = build_ecc_lp(h, compact=True)
+        assert (lp.num_vars, lp.num_rows) == (0, 0)
+        res = solve(lp).require_optimal()
+        assert (res.value, res.iterations, res.basic) == (0.0, 0, ())
+        sol = extract_ecc_solution(h, res, compact=True)
+        assert sol.x_node.tolist() == [[0.0, 1.0]] * 3 and sol.objective == 0.0
+
+
+class TestRowStorage:
+    def test_rows_read_back_as_records(self):
+        lp = LinearProgram()
+        for j in range(3):
+            lp.add_var(f"x{j}", 0.0, 1.0)
+        lp.add_constraint([(2, 1.0), (0, 2.0), (2, 0.5)], "<=", 4.0)  # x2 summed, sorted
+        lp.add_rows([0, 0, 2], [0, 1], [1.0, -1.0], [2, 1], [-1.0, 0.0])
+        lp.add_constraint([], "=", 0.0)
+        rows = lp.constraints
+        assert len(rows) == 4 and rows[-1] == ((), "=", 0.0)
+        assert rows[0].coeffs == ((0, 2.0), (2, 1.5)) and rows[0].rel == "<="
+        assert list(rows) == [rows[i] for i in range(4)]
+        assert rows[1] == ((), "=", -1.0) and rows[2] == (((0, 1.0), (1, -1.0)), ">=", 0.0)
+        with pytest.raises(IndexError):
+            rows[4]
+
+    @pytest.mark.parametrize("indptr, indices, rel, message", [
+        ([0, 2], [1, 0], [0], "rise strictly"),
+        ([0, 2], [0, 0], [0], "rise strictly"),
+        ([0, 1], [3], [0], "unknown variable"),
+        ([0, 1], [0], [3], "relation code"),
+        ([1, 1], [0], [0], "do not fit"),
+    ])
+    def test_bad_rows_are_rejected(self, indptr, indices, rel, message):
+        lp = LinearProgram()
+        lp.add_vars(np.zeros(3), 0.0, 1.0, ["a", "b", "c"])
+        with pytest.raises(ValueError, match=message):
+            lp.add_rows(indptr, indices, np.ones(len(indices)), rel, [0.0] * len(rel))
+        assert lp.num_rows == 0
+
+    def test_names_are_made_when_first_read(self):
+        made = []
+        lp = LinearProgram()
+        lp.add_var("a")
+        lp.add_vars([1.0, 2.0], 0.0, [1.0, math.inf], lambda: made.append(1) or ["b", "c"])
+        lp.add_var("d", obj=3.0)
+        assert made == [] and lp.num_vars == 4
+        assert lp.names == ["a", "b", "c", "d"] and lp.index_of("c") == 2 and made == [1]
+        assert list(lp.objective) == [0.0, 1.0, 2.0, 3.0]
+        assert list(lp.upper) == [math.inf, 1.0, math.inf, math.inf]
+        with pytest.raises(ValueError, match="variable y: lower bound"):
+            lp.add_vars([0.0, 0.0], [0.0, 2.0], 1.0, ["x", "y"])
 
 
 class TestNodeMcLp:
