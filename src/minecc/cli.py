@@ -191,6 +191,13 @@ def _oracle_cap() -> int:
         raise CliError(f"ECC_ORACLE_CAP must be an integer, got {raw!r}", EXIT_PARSE) from None
 
 
+def _need_colors(h: EdgeColoredHypergraph, what: str) -> None:
+    """Refuse an instance without colors where ``what`` needs one: the full
+    clustering LP's node rows would read 0 = -1, and the oracle has nothing to assign."""
+    if h.num_colors == 0:
+        raise CliError(f"{what} needs at least one color; the instance has none", EXIT_PARSE)
+
+
 def cmd_gen(args) -> int:
     truth = None
     try:
@@ -296,13 +303,17 @@ def cmd_solve(args) -> int:
     if args.interval and args.algo != "lp":
         raise CliError("--interval needs --algo lp", EXIT_PARSE)
     h, truth, name = _load_instance(args)
+    # A bound alone comes from the compact model; rounding and a supplied
+    # primal need the full one.
+    compact = needs != "lp" and not args.solution
+    if with_lp and not compact:
+        _need_colors(h, "the clustering LP")
+    if args.algo == "exact":
+        _need_colors(h, "the exact oracle")
 
     t0 = time.perf_counter()
     lp_sol = None
     if with_lp:
-        # A bound alone comes from the compact model; rounding and a supplied
-        # primal need the full one.
-        compact = needs != "lp" and not args.solution
         vector = _primal(build_ecc_lp(h, compact=compact), args.solution, "--solution")
         lp_sol = extract_ecc_solution(h, vector, compact=compact)
     built = build_incidence(h) if needs == "incidence" else lp_sol
@@ -432,12 +443,14 @@ def cmd_verify(args) -> int:
     if args.interval and args.trials == 0:
         raise CliError("--interval needs --trials above 0", EXIT_PARSE)
     h, _, name = _load_instance(args)
+    _need_colors(h, "the clustering LP")
     vector = _primal(build_ecc_lp(h), args.solution, "--solution", check=False)
     # A supplied primal is checked as given, so that corrupted inputs stay detectable.
     sol = solution_from_vector(h, vector, tighten=not args.solution)
     problems = sol.violations(h) + rounding_invariant_violations(h, sol)
     checked = "feasibility and threshold invariants"
-    if args.trials > 0 and h.rank >= 2:
+    # The frequency trials round the solution, so they need it to hold first.
+    if args.trials > 0 and h.rank >= 2 and not problems:
         # Empirical per-edge check: the mistake frequency of interval rounding
         # must stay within the guaranteed multiple of each edge variable.
         choice = best_interval(h.num_colors, h.rank)
@@ -473,6 +486,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_export(args) -> int:
     h, _, _ = _load_instance(args)
+    if args.lp == "ecc":
+        _need_colors(h, "the clustering LP")
     lp = build_ecc_lp(h) if args.lp == "ecc" else build_nodemc_lp(h)
     _write_out(export_lp_text(lp), args.output)
     return EXIT_OK

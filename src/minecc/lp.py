@@ -8,8 +8,9 @@ right-hand side. :meth:`LinearProgram.add_var` and
 :meth:`LinearProgram.add_constraint` append one column or row, for programs
 written out by hand; :meth:`LinearProgram.add_vars` and
 :meth:`LinearProgram.add_rows` append whole blocks of arrays, as the
-relaxation builders do. Column names may be given as a function that makes
-them, so a model that is only solved never builds its names.
+relaxation builders do; the single appends are each one call into the block
+appends. Column names may be given as a function that makes them, so a model
+that is only solved never builds its names.
 ``lp.constraints`` is a read-only sequence view of the rows as
 ``(coeffs, rel, rhs)`` records.
 
@@ -111,49 +112,28 @@ class LinearProgram:
 
     Built with :meth:`add_var`/:meth:`add_vars` and
     :meth:`add_constraint`/:meth:`add_rows`; treated as read-only once handed
-    to the solver. Single appends wait in lists until the arrays are read.
+    to the solver. ``objective``, ``lower``, ``upper`` and ``rows`` are the
+    arrays themselves.
     """
 
     def __init__(self, sense: str = "min") -> None:
         self.sense = sense
         self.constant = 0.0
-        self._objective = np.zeros(0)
-        self._lower = np.zeros(0)
-        self._upper = np.zeros(0)
-        self._rows = Rows(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                          np.zeros(0), np.zeros(0, dtype=np.int8), np.zeros(0))
+        self.objective = np.zeros(0)
+        self.lower = np.zeros(0)
+        self.upper = np.zeros(0)
+        self.rows = Rows(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                         np.zeros(0), np.zeros(0, dtype=np.int8), np.zeros(0))
         # Name lists, or functions that make them, in column order.
         self._names: list[list[str] | Callable[[], list[str]]] = []
-        self._new_cols: list[tuple[float, float, float]] = []  # (objective, lower, upper)
-        self._new_rows: list[tuple[list[int], list[float], int, float]] = []
 
     @property
     def num_vars(self) -> int:
-        return len(self._objective) + len(self._new_cols)
+        return len(self.objective)
 
     @property
     def num_rows(self) -> int:
-        return len(self._rows.rhs) + len(self._new_rows)
-
-    @property
-    def objective(self) -> np.ndarray:
-        self._flush()
-        return self._objective
-
-    @property
-    def lower(self) -> np.ndarray:
-        self._flush()
-        return self._lower
-
-    @property
-    def upper(self) -> np.ndarray:
-        self._flush()
-        return self._upper
-
-    @property
-    def rows(self) -> Rows:
-        self._flush()
-        return self._rows
+        return len(self.rows.rhs)
 
     @property
     def constraints(self) -> Sequence[Row]:
@@ -171,13 +151,7 @@ class LinearProgram:
     def add_var(
         self, name: str, lo: float = 0.0, hi: float = math.inf, obj: float = 0.0
     ) -> int:
-        if not (lo <= hi):
-            raise ValueError(f"variable {name}: lower bound {lo} exceeds upper bound {hi}")
-        if not self._names or callable(self._names[-1]):
-            self._names.append([])
-        self._names[-1].append(name)
-        self._new_cols.append((float(obj), float(lo), float(hi)))
-        return self.num_vars - 1
+        return self.add_vars([obj], lo, hi, [name])
 
     def add_vars(
         self, objective, lo, hi, names: list[str] | Callable[[], list[str]]
@@ -197,11 +171,13 @@ class LinearProgram:
             j = int(bad[0])
             name = (names() if callable(names) else names)[j]
             raise ValueError(f"variable {name}: lower bound {lo[j]} exceeds upper bound {hi[j]}")
-        self._flush()
-        self._objective = np.concatenate([self._objective, objective])
-        self._lower = np.concatenate([self._lower, lo])
-        self._upper = np.concatenate([self._upper, hi])
-        self._names.append(names if callable(names) else list(names))
+        self.objective = np.concatenate([self.objective, objective])
+        self.lower = np.concatenate([self.lower, lo])
+        self.upper = np.concatenate([self.upper, hi])
+        if callable(names) or not self._names or callable(self._names[-1]):
+            self._names.append(names if callable(names) else list(names))
+        else:
+            self._names[-1].extend(names)
         return first
 
     def add_constraint(
@@ -216,7 +192,7 @@ class LinearProgram:
                 raise ValueError(f"constraint references unknown variable index {j}")
             merged[j] = merged.get(j, 0.0) + float(a)
         order = sorted(merged)
-        self._new_rows.append((order, [merged[j] for j in order], _CODES[rel], float(rhs)))
+        self.add_rows([0, len(order)], order, [merged[j] for j in order], [_CODES[rel]], [rhs])
 
     def add_rows(self, indptr, indices, data, rel, rhs) -> None:
         """Append rows given in CSR form, ``indptr`` starting at 0 and ``rel`` as codes.
@@ -229,9 +205,8 @@ class LinearProgram:
         data = np.asarray(data, dtype=float)
         rel = np.asarray(rel, dtype=np.int8)
         rhs = np.asarray(rhs, dtype=float)
-        sizes = np.diff(indptr)
         if not (len(indptr) == len(rel) + 1 == len(rhs) + 1 and indptr[0] == 0
-                and np.all(sizes >= 0) and indptr[-1] == len(indices) == len(data)):
+                and np.all(np.diff(indptr) >= 0) and indptr[-1] == len(indices) == len(data)):
             raise ValueError("rows do not fit together: need indptr rising from 0 to the "
                              "number of coefficients, and one relation and rhs per row")
         if np.any((rel < 0) | (rel >= len(RELATIONS))):
@@ -240,36 +215,14 @@ class LinearProgram:
             raise ValueError("rows reference an unknown variable index")
         if not _rising_within_edges(indices, indptr):
             raise ValueError("column indices must rise strictly within each row")
-        self._flush()
-        self._append_rows(sizes, indices, data, rel, rhs)
-
-    def _append_rows(self, sizes, indices, data, rel, rhs) -> None:
-        old = self._rows
-        self._rows = Rows(
-            np.concatenate([old.indptr, old.indptr[-1] + np.cumsum(sizes, dtype=np.int64)]),
+        old = self.rows
+        self.rows = Rows(
+            np.concatenate([old.indptr, old.indptr[-1] + indptr[1:]]),
             np.concatenate([old.indices, indices]),
             np.concatenate([old.data, data]),
             np.concatenate([old.rel, rel]),
             np.concatenate([old.rhs, rhs]),
         )
-
-    def _flush(self) -> None:
-        """Move the single appends into the arrays, in the order they were made."""
-        if self._new_cols:
-            obj, lo, hi = np.array(self._new_cols, dtype=float).T
-            self._objective = np.concatenate([self._objective, obj])
-            self._lower = np.concatenate([self._lower, lo])
-            self._upper = np.concatenate([self._upper, hi])
-            self._new_cols = []
-        if self._new_rows:
-            new, self._new_rows = self._new_rows, []
-            self._append_rows(
-                np.array([len(idx) for idx, _, _, _ in new], dtype=np.int64),
-                np.array([j for idx, _, _, _ in new for j in idx], dtype=np.int64),
-                np.array([a for _, vals, _, _ in new for a in vals], dtype=float),
-                np.array([code for _, _, code, _ in new], dtype=np.int8),
-                np.array([rhs for _, _, _, rhs in new], dtype=float),
-            )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearProgram):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .combinatorial import DeletionSet, find_bad_pair
 from .hypergraph import EdgeColoredHypergraph, hypergraph
+from .lp import _num
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def write_graph(g: WeightedGraph) -> str:
     undeletable nodes), ``e`` edge lines, ``t`` terminal lines."""
     lines = [f"vc {g.num_nodes} {len(g.edges)}"]
     for i in range(g.num_nodes):
-        w = "inf" if i in g.undeletable or math.isinf(g.weights[i]) else _fmt(g.weights[i])
+        w = "inf" if i in g.undeletable or math.isinf(g.weights[i]) else _num(g.weights[i])
         lines.append(f"w {i} {w}")
     for u, v in g.edges:
         lines.append(f"e {u} {v}")
@@ -190,7 +191,7 @@ def write_hmc(th: TerminalHypergraph) -> str:
     lines, ``t <node> <color>`` terminal lines; weights print as in :func:`write_graph`."""
     lines = [f"hmc {th.num_nodes} {len(th.edges)} {len(th.terminals)}"]
     for members, w in zip(th.edges, th.weights):
-        lines.append(f"e {_fmt(w)} " + " ".join(str(v) for v in members))
+        lines.append(f"e {_num(w)} " + " ".join(str(v) for v in members))
     for c, t in enumerate(th.terminals, start=1):
         lines.append(f"t {t} {c}")
     return "\n".join(lines) + "\n"
@@ -235,9 +236,3 @@ def parse_graph(text: str) -> WeightedGraph:
     return WeightedGraph(
         num_nodes, tuple(weights), tuple(edges), tuple(terminals), frozenset(undeletable)
     )
-
-
-def _fmt(w: float) -> str:
-    if w == int(w) and abs(w) < 1e15:
-        return str(int(w))
-    return repr(w)

@@ -22,12 +22,23 @@ the full model, though not always the basic optimum that the full model's
 simplex returns, so bounds use the compact model and rounding, ``verify``,
 ``export`` and externally solved primals keep the full one.
 
-Both builders hand their rows to the LP in one CSR block.
-
 The multiway-cut relaxation is built over the reduced terminal graph (one
 terminal per color, one deletable node per hyperedge, original nodes kept
 undeletable) using the polynomial distance formulation with ``y_u_i`` node-to-
-cluster distances and ``d_j`` deletion variables.
+cluster distances and ``d_j`` deletion variables:
+
+    min  sum_j w_j d_j
+    s.t. y_b_i - y_a_i - d_j <= 0       for every reduced-graph edge (a, b),
+         y_a_i - y_b_i <= 0             b = n + j the node of edge j, every i
+         y_t_c = 0, y_t_i >= 1          for the terminal t of color c, i != c
+         all variables >= 0
+
+Its rows come edge by edge (each member of edge j, then j's terminal), color
+by color within an edge, the two rows of a pair in the order above; then
+the terminal rows, color by color, ``y_t_c = 0`` first.
+
+Both builders compute their rows from the instance arrays and hand them to
+the LP in one CSR block.
 """
 
 from __future__ import annotations
@@ -38,8 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypergraph import EdgeColoredHypergraph
-from .lp import EQ, GE, LinearProgram, LpResult
-from .reductions import ecc_to_node_mc
+from .lp import EQ, GE, LE, LinearProgram, LpResult
 
 SNAP_TOL = 1e-7
 
@@ -105,37 +115,44 @@ def build_nodemc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
     Reduced-graph node indices: original nodes ``0..n-1``, one node per
     hyperedge ``n..n+m-1``, one terminal per color after that. Only hyperedge
     nodes are deletable; everything else has its deletion distance fixed to
-    zero (never encoded as a large weight).
+    zero (never encoded as a large weight). Columns: ``y_u_i`` node by node
+    and color by color, then one ``d_j`` per edge. Rows as the module
+    docstring lays them out.
     """
     n, m, k = h.num_nodes, h.num_edges, h.num_colors
     total_nodes = n + m + k
 
+    def names() -> list[str]:
+        return ([f"y_{u}_{i}" for u in range(total_nodes) for i in range(1, k + 1)]
+                + [f"d_{j}" for j in range(m)])
+
     lp = LinearProgram(sense="min")
-    for u in range(total_nodes):
-        for i in range(1, k + 1):
-            lp.add_var(f"y_{u}_{i}", 0.0, math.inf)
-    d_offset = total_nodes * k
-    for j, w in enumerate(h.weights.tolist()):
-        lp.add_var(f"d_{j}", 0.0, math.inf, obj=w)
-
-    def y(u: int, i: int) -> int:
-        return u * k + (i - 1)
-
-    deletable = {n + j: d_offset + j for j in range(m)}
-    for a, bnode in ecc_to_node_mc(h).edges:
-        for i in range(1, k + 1):
-            # y_b_i <= y_a_i + d_b and the reverse orientation.
-            for u, w in ((bnode, a), (a, bnode)):
-                row = [(y(u, i), 1.0), (y(w, i), -1.0)]
-                if u in deletable:
-                    row.append((deletable[u], -1.0))
-                lp.add_constraint(row, "<=", 0.0)
-    for c in range(1, k + 1):
-        t = n + m + c - 1
-        lp.add_constraint([(y(t, c), 1.0)], "=", 0.0)
-        for i in range(1, k + 1):
-            if i != c:
-                lp.add_constraint([(y(t, i), 1.0)], ">=", 1.0)
+    lp.add_vars(np.concatenate([np.zeros(total_nodes * k), h.weights]), 0.0, math.inf, names)
+    # Reduced-graph edges (a, n + j): each member a of edge j, then j's terminal.
+    a = np.insert(h.members, h.eptr[1:], n + m + h.colors - 1)
+    j = np.repeat(np.arange(m), np.diff(h.eptr) + 1)
+    # Per edge and color i, rows y_b - y_a - d_j <= 0 and y_a - y_b <= 0 with
+    # b = n + j. A member's column comes before y_b, a terminal's after it.
+    ya = (a[:, None] * k + np.arange(k)).ravel()
+    yb = ((n + j)[:, None] * k + np.arange(k)).ravel()
+    member = np.repeat(a < n, k)
+    lo, hi = np.where(member, ya, yb), np.where(member, yb, ya)
+    sign = np.where(member, 1.0, -1.0)  # the coefficient of lo in y_a - y_b
+    d = np.repeat(total_nodes * k + j, k)
+    pairs = len(ya)
+    # Per color c: y_t_c = 0, then y_t_i >= 1 for each other color i in order.
+    colors_first = np.argsort(~np.eye(k, dtype=bool), axis=1, kind="stable")
+    is_own = np.tile(np.arange(k) == 0, k)
+    lp.add_rows(
+        np.concatenate([(5 * np.arange(pairs)[:, None] + [0, 3]).ravel(),
+                        5 * pairs + np.arange(k * k + 1)]),
+        np.concatenate([np.column_stack([lo, hi, d, lo, hi]).ravel(),
+                        ((n + m + np.arange(k))[:, None] * k + colors_first).ravel()]),
+        np.concatenate([np.column_stack([-sign, sign, np.full(pairs, -1.0), sign, -sign]).ravel(),
+                        np.ones(k * k)]),
+        np.concatenate([np.full(2 * pairs, LE), np.where(is_own, EQ, GE)]),
+        np.concatenate([np.zeros(2 * pairs), np.where(is_own, 0.0, 1.0)]),
+    )
     return lp
 
 
@@ -176,10 +193,12 @@ class EccLpSolution:
 
 
 def _reach(h: EdgeColoredHypergraph, x_node: np.ndarray) -> np.ndarray:
-    """Each edge's largest member distance to the edge's color; -inf for an empty edge."""
+    """Each edge's largest member distance to the edge's color; 0 for an edge
+    without members, which no coloring can make a mistake on."""
     edge_of = h.member_edges()
     reach = np.full(h.num_edges, -np.inf)
     np.maximum.at(reach, edge_of, x_node[h.members, h.colors[edge_of] - 1])
+    reach[h.eptr[1:] == h.eptr[:-1]] = 0.0
     return reach
 
 

@@ -562,6 +562,15 @@ class TestLpAndOracleMatchReference:
         assert build_ecc_lp(h) == reference_build_ecc_lp(h)
         assert build_nodemc_lp(h) == reference_build_nodemc_lp(h)
 
+    @pytest.mark.parametrize("h", [
+        hypergraph(2, 0, []),
+        hypergraph(2, 2, []),
+        hypergraph(3, 2, [((1,), 2, 1.5), ((0, 2), 1)]),
+        hypergraph(3, 1, [((0, 1), 1), ((1, 2), 1, 2.0)]),
+    ], ids=["edgeless-no-colors", "edgeless-two-colors", "one-member-edge", "one-color"])
+    def test_nodemc_builder_where_no_instance_is_drawn(self, h):
+        assert build_nodemc_lp(h) == reference_build_nodemc_lp(h)
+
     @SETTINGS
     @given(instances(), st.data())
     def test_lp_solution_checks_and_assembly(self, h, data):

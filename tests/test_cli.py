@@ -198,6 +198,11 @@ class TestMalformedInputExitCodes:
         ("", ["verify", "--certs", "--labels", "{truth}"]),
         ("", ["verify", "--certs", "--node-labels", "{truth}"]),
         ("", ["verify", "--invariants", "{gap3}", "--emit-lp", "{missing}"]),
+        ("ecc 2 0 0\n", ["solve", "{truth}", "--algo", "lp"]),  # nodes but no colors
+        ("ecc 2 0 0\n", ["solve", "{truth}", "--algo", "lp-simple"]),
+        ("ecc 2 0 0\n", ["solve", "{truth}", "--algo", "exact"]),
+        ("ecc 2 0 0\n", ["verify", "--invariants", "{truth}"]),
+        ("ecc 2 0 0\n", ["export", "{truth}", "--lp", "ecc"]),
     ], ids=["truth-token", "truth-length", "sizes", "scaling-colors", "scaling-max-size",
             "gen-nodes", "gen-nodes-2**32", "gen-edges", "gen-max-size", "gen-colors",
             "gen-noise", "gen-gap-colors", "solve-pitt-seed", "solve-lp-seed",
@@ -210,7 +215,8 @@ class TestMalformedInputExitCodes:
             "solve-interval-reversed", "solve-interval-no-colon", "verify-interval-not-numbers",
             "solve-interval-without-lp", "verify-interval-without-trials",
             "certs-trials", "certs-interval", "certs-solution", "certs-labels",
-            "certs-node-labels", "invariants-emit-lp"])
+            "certs-node-labels", "invariants-emit-lp", "no-colors-lp", "no-colors-lp-simple",
+            "no-colors-exact", "no-colors-verify", "no-colors-export-ecc"])
     def test_exit_2_with_error_line(self, truth_text, argv, gap3_file, tmp_path, capsys):
         truth = tmp_path / "gap3.truth"
         truth.write_text(truth_text)
@@ -218,6 +224,36 @@ class TestMalformedInputExitCodes:
         assert main([a.format(gap3=gap3_file, truth=truth, missing=missing) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, what", [
+        (["solve", "{inst}", "--algo", "lp"], "the clustering LP"),
+        (["solve", "{inst}", "--algo", "exact", "--with-lp-bound"], "the exact oracle"),
+        (["verify", "--invariants", "{inst}", "--trials", "5"], "the clustering LP"),
+        (["export", "{inst}"], "the clustering LP"),
+    ], ids=["lp", "exact-with-bound", "verify-trials", "export"])
+    def test_no_colors_exits_before_an_lp_is_built(self, argv, what, tmp_path, monkeypatch,
+                                                   capsys):
+        inst = tmp_path / "nocolor.ecc"
+        inst.write_text("ecc 2 0 0\n")
+        builds = []
+        monkeypatch.setattr(minecc.cli, "build_ecc_lp", lambda *a, **kw: builds.append(a))
+        assert main([a.format(inst=inst) for a in argv]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {what} needs at least one color; the instance has none\n")
+        assert builds == []
+
+    @pytest.mark.parametrize("argv", [
+        *(["solve", "{inst}", "--algo", algo, *bound]
+          for algo in ("mv", "pitt", "match", "hybrid") for bound in ([], ["--with-lp-bound"])),
+        ["compare-lp", "{inst}"],
+        *(["reduce", "{inst}", "--to", to] for to in ("vc", "nodemc", "hypermc")),
+        ["export", "{inst}", "--lp", "nodemc"],
+    ], ids=lambda argv: "-".join(a.strip("-") for a in argv if a != "{inst}"))
+    def test_no_colors_runs_where_no_full_model_is_needed(self, argv, tmp_path, capsys):
+        inst = tmp_path / "nocolor.ecc"
+        inst.write_text("ecc 2 0 0\n")
+        assert main([a.format(inst=inst) for a in argv]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_bad_interval_exits_before_the_lp_is_solved(self, gap3_file, monkeypatch, capsys):
         solves = []
@@ -356,6 +392,17 @@ class TestInfeasibleLpSolutionExitCodes:
         sol.write_text("xe_0 0.5\n")
         assert main(["verify", "--invariants", gap3_file, "--solution", str(sol)]) == 3
         assert "invariant violation" in capsys.readouterr().out
+
+    def test_verify_runs_no_trials_on_a_solution_that_breaks_the_invariants(
+        self, gap3_file, tmp_path, capsys
+    ):
+        sol = tmp_path / "primal.txt"
+        sol.write_text("xe_0 0.5\n")
+        argv = ["verify", "--invariants", gap3_file, "--solution", str(sol)]
+        assert main(argv) == 3
+        without = capsys.readouterr()
+        assert main(argv + ["--trials", "20"]) == 3
+        assert capsys.readouterr() == without
 
 
 class TestWorkDoneOncePerSolve:

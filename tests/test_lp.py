@@ -353,6 +353,39 @@ class TestRowStorage:
             lp.add_rows(indptr, indices, np.ones(len(indices)), rel, [0.0] * len(rel))
         assert lp.num_rows == 0
 
+    def test_single_appends_equal_block_appends(self):
+        one = LinearProgram()
+        one.add_var("a", 0.0, 1.0, obj=2.0)
+        one.add_var("b", -1.0)
+        one.add_var("c", 0.0, 0.0, obj=-1.5)
+        one.add_constraint([(2, 1.0), (0, 2.0), (2, 0.5)], "<=", 4.0)  # x2 summed, sorted
+        one.add_constraint([], "=", 0.0)
+        one.add_constraint([(1, -1.0)], ">=", -3.0)
+        block = LinearProgram()
+        block.add_vars([2.0], 0.0, 1.0, ["a"])
+        block.add_vars([0.0, -1.5], [-1.0, 0.0], [math.inf, 0.0], lambda: ["b", "c"])
+        block.add_rows([0, 2, 2, 3], [0, 2, 1], [2.0, 1.5, -1.0], [0, 2, 1], [4.0, 0.0, -3.0])
+        assert one == block
+        block.add_constraint([(0, 1.0)], "<=", 1.0)
+        assert one != block
+
+    @pytest.mark.parametrize("append, message", [
+        (lambda lp: lp.add_var("z", 1.0, 0.0), "variable z: lower bound"),
+        (lambda lp: lp.add_var("z", math.nan), "variable z: lower bound"),
+        (lambda lp: lp.add_constraint([(0, 1.0), (3, 1.0)], "<=", 1.0), "unknown variable index 3"),
+        (lambda lp: lp.add_constraint([(-1, 1.0)], "<=", 1.0), "unknown variable index -1"),
+        (lambda lp: lp.add_constraint([(0, 1.0)], "<", 1.0), "unknown relation"),
+    ], ids=["bounds", "nan-bound", "index-past-end", "negative-index", "relation"])
+    def test_rejected_single_append_changes_nothing(self, append, message):
+        lp = LinearProgram()
+        for name in "abc":
+            lp.add_var(name)
+        lp.add_constraint([(0, 1.0)], ">=", 0.0)
+        before = (lp.num_vars, lp.num_rows, list(lp.names))
+        with pytest.raises(ValueError, match=message):
+            append(lp)
+        assert (lp.num_vars, lp.num_rows, lp.names) == before
+
     def test_names_are_made_when_first_read(self):
         made = []
         lp = LinearProgram()
@@ -399,6 +432,12 @@ class TestExtract:
         assert sol.x_edge[0] == pytest.approx(0.5)
         loose = solution_from_vector(h, raw, tighten=False)
         assert loose.x_edge[0] == pytest.approx(0.9)
+
+    def test_edge_without_members_reaches_zero(self):
+        h = EdgeColoredHypergraph(2, 2, [0, 1], [0, 2, 2], [1, 2], [1.0, 1.0])
+        sol = solution_from_vector(h, [0.0, 1.0, 0.0, 1.0, 0.0, 0.0], tighten=True)
+        assert sol.x_edge.tolist() == [0.0, 0.0] and sol.objective == 0.0
+        assert sol.violations(h) == []
 
     def test_rejects_non_optimal_result(self):
         h = hypergraph(2, 1, [((0, 1), 1)])
