@@ -18,8 +18,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .lp import LinearProgram, solve
+# The exact check needs no numpy; the LP layer is imported only by the float
+# export and cross-check at the end.
+if TYPE_CHECKING:
+    from .lp import LinearProgram
 
 HALF = Fraction(1, 2)
 
@@ -602,16 +606,25 @@ def case_to_lp(case: AuxLpCase, var_bound: float = 16.0) -> LinearProgram:
     variable into ``[0, var_bound]``; the exact certificate check above needs no
     such box.
     """
+    from .lp import LE, LinearProgram
+
     lp = LinearProgram(sense="max")
-    for name, coef in zip(case.var_names, case.objective):
-        lp.add_var(name, 0.0, var_bound, obj=float(coef))
+    lp.add_vars([float(c) for c in case.objective], 0.0, var_bound, list(case.var_names))
     lp.constant = float(case.constant)
-    for _, coeffs, rhs in case.rows:
-        lp.add_constraint([(j, float(c)) for j, c in coeffs.items()], "<=", float(rhs))
+    indptr, indices, data = [0], [], []
+    for _, coeffs, _ in case.rows:
+        for j in sorted(coeffs):
+            indices.append(j)
+            data.append(float(coeffs[j]))
+        indptr.append(len(indices))
+    rhs = [float(b) for _, _, b in case.rows]
+    lp.add_rows(indptr, indices, data, [LE] * len(rhs), rhs)
     return lp
 
 
 def solve_aux_numeric(case: AuxLpCase) -> float:
     """Primal optimum of a case via the reference simplex (cross-check only)."""
+    from .lp import solve
+
     result = solve(case_to_lp(case)).require_optimal()
     return float(result.value)

@@ -12,43 +12,14 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import certificates
-from .combinatorial import (
-    LowerBoundBundle,
-    a_posteriori_ratio,
-    majority_vote,
-    match_coloring,
-    mv_lower_bound,
-    pitt_coloring,
-    recolor_uncovered_with_cost,
-)
-from .hypergraph import EdgeColoredHypergraph, accuracy, build_incidence, objective_cost, validate
-from .instances import (
-    ParseError,
-    gen_integrality_gap,
-    gen_random,
-    gen_star,
-    parse_benchmark,
-    parse_canonical,
-    parse_int_words,
-    write_canonical,
-    write_int_lines,
-)
-from .lp import export_lp_text, parse_primal_text, solve
-from .oracle import DEFAULT_CAP, CapExceededError, bruteforce_ecc
-from .reductions import ecc_to_hyper_mc, ecc_to_node_mc, ecc_to_vertex_cover, write_graph, write_hmc
-from .relaxations import build_ecc_lp, build_nodemc_lp, extract_ecc_solution, solution_from_vector
-from .rounding import (
-    Interval,
-    best_interval,
-    estimate_mistake_prob,
-    gen_color_round,
-    rounding_invariant_violations,
-    simple_round,
-)
+# Library modules are imported inside the functions that call them, so each
+# subcommand loads only what it runs: `gen` never loads the LP layer, and
+# `verify --certs` never loads numpy.
+if TYPE_CHECKING:
+    from .hypergraph import EdgeColoredHypergraph
+    from .rounding import Interval
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -139,6 +110,9 @@ def _load_instance(args) -> tuple[EdgeColoredHypergraph, list[int] | None, str]:
     A truth option of the other mode is an error, not ignored: ``--truth``
     reads canonical mode's colors file, ``--node-labels`` benchmark mode's.
     """
+    from .hypergraph import validate
+    from .instances import ParseError, parse_benchmark, parse_canonical
+
     name = os.path.splitext(os.path.basename(args.instance))[0]
     truth_path = getattr(args, "truth", None)
     if args.labels and truth_path:
@@ -166,6 +140,8 @@ def _load_instance(args) -> tuple[EdgeColoredHypergraph, list[int] | None, str]:
 
 
 def _read_truth(path: str) -> list[int]:
+    from .instances import parse_int_words
+
     try:
         return parse_int_words(_read(path))
     except ValueError:
@@ -174,6 +150,8 @@ def _read_truth(path: str) -> list[int]:
 
 def _interval(text: str) -> Interval:
     """The argparse type of ``--interval``, so a bad value exits before any work."""
+    from .rounding import Interval
+
     try:
         lo, hi = text.split(":")
         return Interval(float(lo), float(hi))
@@ -182,6 +160,8 @@ def _interval(text: str) -> Interval:
 
 
 def _oracle_cap() -> int:
+    from .oracle import DEFAULT_CAP
+
     raw = os.environ.get("ECC_ORACLE_CAP")
     if not raw:
         return DEFAULT_CAP
@@ -199,6 +179,14 @@ def _need_colors(h: EdgeColoredHypergraph, what: str) -> None:
 
 
 def cmd_gen(args) -> int:
+    from .instances import (
+        gen_integrality_gap,
+        gen_random,
+        gen_star,
+        write_canonical,
+        write_int_lines,
+    )
+
     truth = None
     try:
         if args.kind == "gap":
@@ -227,6 +215,8 @@ def _primal(lp, solution: str | None, flag: str, check: bool = True):
     ``SOLVER_VAR_LIMIT`` variables are refused with the capacity exit code;
     ``flag`` names the option that supplies an external solution.
     """
+    from .lp import parse_primal_text, solve
+
     if solution:
         try:
             x = parse_primal_text(lp, _read(solution))
@@ -246,23 +236,37 @@ def _primal(lp, solution: str | None, flag: str, check: bool = True):
 
 
 # One-seed runs: (h, args, seed, order_seed, built) -> (coloring, match_bound, mv_bound,
-# report), ``report`` being set when the run scored the coloring already. They call the
-# library through this module's globals, so tracing and tests can rebind those names.
+# report), ``report`` being set when the run scored the coloring already. Each imports
+# what it calls when it is called, so it reads the owning module's current binding:
+# tracing and tests rebind the name there.
 def _run_mv(h, args, seed, order_seed, built):
+    from .combinatorial import majority_vote, mv_lower_bound
+
     coloring = majority_vote(h)
     return coloring, None, mv_lower_bound(h, coloring), None
 
 
 def _run_pitt(h, args, seed, order_seed, built):
+    from .combinatorial import pitt_coloring
+
     return pitt_coloring(h, seed, order_seed, built)[1], None, None, None
 
 
 def _run_match(h, args, seed, order_seed, built):
+    from .combinatorial import match_coloring
+
     _, coloring, match_bound = match_coloring(h, order_seed, built)
     return coloring, match_bound, None, None
 
 
 def _run_hybrid(h, args, seed, order_seed, built):
+    from .combinatorial import (
+        majority_vote,
+        match_coloring,
+        mv_lower_bound,
+        recolor_uncovered_with_cost,
+    )
+
     # hybrid() step by step, keeping the bounds of both steps
     dels, base, match_bound = match_coloring(h, order_seed, built)
     mv = majority_vote(h)
@@ -271,16 +275,26 @@ def _run_hybrid(h, args, seed, order_seed, built):
 
 
 def _run_lp(h, args, seed, order_seed, built):
+    from .rounding import best_interval, gen_color_round
+
     interval = args.interval or best_interval(h.num_colors, max(h.rank, 2)).interval
     return gen_color_round(h, built, interval, seed), None, None, None
 
 
 def _run_lp_simple(h, args, seed, order_seed, built):
+    from .rounding import simple_round
+
     return simple_round(built), None, None, None
 
 
 def _run_exact(h, args, seed, order_seed, built):
-    return list(bruteforce_ecc(h, cap=_oracle_cap()).witness), None, None, None
+    from .oracle import CapExceededError, bruteforce_ecc
+
+    try:
+        result = bruteforce_ecc(h, cap=_oracle_cap())
+    except CapExceededError as exc:
+        raise CliError(str(exc), EXIT_CAPACITY) from None
+    return list(result.witness), None, None, None
 
 
 # --algo name: (one-seed run, what it needs built first, linear-time for bench-scaling)
@@ -296,6 +310,9 @@ ALGORITHMS = {
 
 
 def cmd_solve(args) -> int:
+    from .combinatorial import LowerBoundBundle, a_posteriori_ratio
+    from .hypergraph import accuracy, build_incidence, objective_cost
+
     run, needs, _ = ALGORITHMS[args.algo]
     with_lp = needs == "lp" or args.with_lp_bound
     if args.solution and not with_lp:
@@ -314,6 +331,8 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     lp_sol = None
     if with_lp:
+        from .relaxations import build_ecc_lp, extract_ecc_solution
+
         vector = _primal(build_ecc_lp(h, compact=compact), args.solution, "--solution")
         lp_sol = extract_ecc_solution(h, vector, compact=compact)
     built = build_incidence(h) if needs == "incidence" else lp_sol
@@ -361,6 +380,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench_scaling(args) -> int:
+    import numpy as np
+
+    from .instances import gen_random
+
     try:
         sizes = [int(float(s)) for s in args.sizes.split(",")]
     except (ValueError, OverflowError):  # not a number, nan, or an infinity
@@ -393,6 +416,8 @@ def cmd_bench_scaling(args) -> int:
 
 
 def cmd_compare_lp(args) -> int:
+    from .relaxations import build_ecc_lp, build_nodemc_lp
+
     h, _, name = _load_instance(args)
     ecc_lp = build_ecc_lp(h, compact=not args.ecc_solution)  # the value alone is needed
     mc_lp = build_nodemc_lp(h)
@@ -417,13 +442,15 @@ def cmd_verify(args) -> int:
     elif args.emit_lp:
         raise CliError("--emit-lp applies to --certs only", EXIT_PARSE)
     if args.certs:
+        from .certificates import all_cases, case_to_lp, verify_all
+
         if args.emit_lp:
             try:
                 os.makedirs(args.emit_lp, exist_ok=True)
             except OSError as exc:
                 raise CliError(f"cannot write {args.emit_lp}: {exc}", EXIT_PARSE) from exc
         try:
-            report = certificates.verify_all()
+            report = verify_all()
         except RuntimeError as exc:
             print(f"certificate verification failed: {exc}", file=sys.stderr)
             return EXIT_VERIFY
@@ -434,14 +461,19 @@ def cmd_verify(args) -> int:
             f"max bound {report.max_bound}"
         )
         if args.emit_lp:
-            for case in certificates.all_cases():
+            from .lp import export_lp_text
+
+            for case in all_cases():
                 fname = case.case_id.replace(" ", "_").replace("=", "") + ".lp"
-                lp_text = export_lp_text(certificates.case_to_lp(case))
+                lp_text = export_lp_text(case_to_lp(case))
                 _write_out(lp_text, os.path.join(args.emit_lp, fname))
         return EXIT_OK
 
     if args.interval and args.trials == 0:
         raise CliError("--interval needs --trials above 0", EXIT_PARSE)
+    from .relaxations import build_ecc_lp, solution_from_vector
+    from .rounding import best_interval, estimate_mistake_prob, rounding_invariant_violations
+
     h, _, name = _load_instance(args)
     _need_colors(h, "the clustering LP")
     vector = _primal(build_ecc_lp(h), args.solution, "--solution", check=False)
@@ -473,6 +505,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .reductions import (
+        ecc_to_hyper_mc,
+        ecc_to_node_mc,
+        ecc_to_vertex_cover,
+        write_graph,
+        write_hmc,
+    )
+
     h, _, _ = _load_instance(args)
     if args.to == "vc":
         text = write_graph(ecc_to_vertex_cover(h).graph)
@@ -485,6 +525,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .lp import export_lp_text
+    from .relaxations import build_ecc_lp, build_nodemc_lp
+
     h, _, _ = _load_instance(args)
     if args.lp == "ecc":
         _need_colors(h, "the clustering LP")
@@ -582,12 +625,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

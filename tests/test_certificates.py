@@ -20,7 +20,7 @@ from minecc.certificates import (
     verify_all,
     verify_certificate,
 )
-from minecc.lp import export_lp_text
+from minecc.lp import LinearProgram, export_lp_text
 
 F = Fraction
 
@@ -193,3 +193,15 @@ class TestNumericCrossCheck:
     def test_case_exports_as_lp_text(self):
         text = export_lp_text(case_to_lp(build_lp_b(1, 1)))
         assert "Maximize" in text and "chi" in text
+
+    def test_block_build_equals_the_row_by_row_model(self):
+        # case_to_lp appends all columns and all rows in one call each; the
+        # model is the one that add_var and add_constraint write out by hand.
+        for case in all_cases():
+            lp = LinearProgram(sense="max")
+            for name, coef in zip(case.var_names, case.objective):
+                lp.add_var(name, 0.0, 16.0, obj=float(coef))
+            lp.constant = float(case.constant)
+            for _, coeffs, rhs in case.rows:
+                lp.add_constraint([(j, float(c)) for j, c in coeffs.items()], "<=", float(rhs))
+            assert case_to_lp(case) == lp, case.case_id

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -6,8 +7,15 @@ from collections import Counter
 
 import pytest
 
+import minecc
+import minecc.certificates
 import minecc.cli
 import minecc.combinatorial
+import minecc.instances
+import minecc.lp
+import minecc.oracle
+import minecc.relaxations
+import minecc.rounding
 from minecc.cli import CSV_HEADER, build_parser, main
 from minecc.combinatorial import (
     hybrid,
@@ -22,6 +30,9 @@ from minecc.lp import solve as lp_solve
 from minecc.oracle import bruteforce_ecc
 from minecc.relaxations import build_ecc_lp, extract_ecc_solution
 from minecc.rounding import best_interval, gen_color_round, simple_round
+
+# The module: the package attribute minecc.hypergraph is its function of that name.
+hypergraph_module = importlib.import_module("minecc.hypergraph")
 
 # The csv header as README documents it: written out here, not derived from the code.
 HEADER = "dataset,algo,seed,mistakes,satisfaction,lp_bound,match_bound,mv_bound,ratio,accuracy,seconds"
@@ -42,7 +53,83 @@ def run_csv(capsys, argv) -> dict:
     return dict(zip(HEADER.split(","), out[1].split(",")))
 
 
+def run_python(code: str, *argv: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports minecc from this tree."""
+    src = os.path.dirname(os.path.dirname(minecc.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+# Runs one command with its output discarded, then prints its exit code, the minecc
+# submodules loaded and whether numpy is loaded.
+LOADS = (
+    "import contextlib, io, json, sys\n"
+    "from minecc.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m.split('.', 1)[1] for m in sys.modules\n"
+    "                               if m.startswith('minecc.')), 'numpy' in sys.modules]))\n"
+)
+STARTUP_COMMANDS = {
+    "gen": ["gen", "gap", "--colors", "3", "-o", "{tmp}/gen.ecc"],
+    **{f"solve-{algo}": ["solve", "{inst}", "--algo", algo] for algo in ALGOS},
+    "solve-match-with-lp-bound": ["solve", "{inst}", "--algo", "match", "--with-lp-bound"],
+    "bench-scaling": ["bench-scaling", "--algo", "mv", "--sizes", "300", "--colors", "3"],
+    "compare-lp": ["compare-lp", "{inst}"],
+    "verify-certs": ["verify", "--certs"],
+    "verify-invariants": ["verify", "--invariants", "{inst}"],
+    "reduce": ["reduce", "{inst}", "--to", "vc"],
+    "export": ["export", "{inst}"],
+}
+
+
 class TestImportCost:
+    @pytest.fixture(scope="class")
+    def loads(self, tmp_path_factory):
+        """Per command of STARTUP_COMMANDS, in a fresh process: (exit code,
+        loaded minecc submodules, whether numpy is loaded)."""
+        tmp = tmp_path_factory.mktemp("startup")
+        inst = tmp / "gap3.ecc"
+        assert main(["gen", "gap", "--colors", "3", "-o", str(inst)]) == 0
+        out = {}
+        for label, argv in STARTUP_COMMANDS.items():
+            code, modules, numpy = json.loads(
+                run_python(LOADS, *(a.format(tmp=tmp, inst=inst) for a in argv)))
+            out[label] = (code, set(modules), numpy)
+        return out
+
+    def test_every_command_runs(self, loads):
+        assert {label: code for label, (code, _, _) in loads.items()} == dict.fromkeys(loads, 0)
+
+    def test_verify_certs_loads_no_numpy(self, loads):
+        assert loads["verify-certs"][1:] == ({"cli", "certificates"}, False)
+
+    def test_gen_loads_only_the_instance_layer(self, loads):
+        assert loads["gen"][1] == {"cli", "instances", "hypergraph"}
+
+    def test_only_verify_certs_loads_certificates(self, loads):
+        assert {label for label, (_, mods, _) in loads.items() if "certificates" in mods} == {
+            "verify-certs"}
+
+    def test_only_lp_rounding_commands_load_rounding(self, loads):
+        assert {label for label, (_, mods, _) in loads.items() if "rounding" in mods} == {
+            "solve-lp", "solve-lp-simple", "verify-invariants"}
+
+    def test_import_minecc_loads_no_submodule(self):
+        out = run_python("import sys, minecc\n"
+                         "print(sorted(m for m in sys.modules if m.startswith('minecc')),\n"
+                         "      'numpy' in sys.modules)\n")
+        assert out == "['minecc'] False\n"
+
+    def test_every_export_resolves_to_its_owning_module(self):
+        for name in minecc.__all__:
+            value = getattr(minecc, name)
+            assert getattr(sys.modules[value.__module__], name) is value, name
+        assert set(minecc.__all__) <= set(dir(minecc))
+        with pytest.raises(AttributeError):
+            minecc.no_such_name
+
     def test_cli_and_parse_leave_out_numpy_ma_and_scipy(self):
         # np.unique or a table-kind np.isin imports numpy.ma: every cold command would pay,
         # gen too, which writes what it generates.
@@ -54,11 +141,7 @@ class TestImportCost:
             "write_int_lines([1, -2])\n"
             "print(sorted({'numpy.ma', 'scipy'} & set(sys.modules)))\n"
         )
-        src = os.path.dirname(os.path.dirname(minecc.cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert out == "[]\n"
+        assert run_python(code) == "[]\n"
 
 
 class TestGen:
@@ -236,7 +319,7 @@ class TestMalformedInputExitCodes:
         inst = tmp_path / "nocolor.ecc"
         inst.write_text("ecc 2 0 0\n")
         builds = []
-        monkeypatch.setattr(minecc.cli, "build_ecc_lp", lambda *a, **kw: builds.append(a))
+        monkeypatch.setattr(minecc.relaxations, "build_ecc_lp", lambda *a, **kw: builds.append(a))
         assert main([a.format(inst=inst) for a in argv]) == 2
         assert capsys.readouterr() == (
             "", f"error: {what} needs at least one color; the instance has none\n")
@@ -257,7 +340,7 @@ class TestMalformedInputExitCodes:
 
     def test_bad_interval_exits_before_the_lp_is_solved(self, gap3_file, monkeypatch, capsys):
         solves = []
-        monkeypatch.setattr(minecc.cli, "solve", lambda lp: solves.append(lp))
+        monkeypatch.setattr(minecc.lp, "solve", lambda lp: solves.append(lp))
         assert main(["solve", gap3_file, "--algo", "lp", "--interval", "0.9:0.1"]) == 2
         assert main(["verify", "--invariants", gap3_file, "--trials", "5", "--interval", "x"]) == 2
         assert solves == []
@@ -273,7 +356,7 @@ class TestMalformedInputExitCodes:
     @pytest.mark.parametrize("algo", [a for a in ALGOS if a != "lp"])
     def test_interval_without_lp_rounding(self, algo, gap3_file, monkeypatch, capsys):
         loads = []
-        monkeypatch.setattr(minecc.cli, "parse_canonical", lambda text: loads.append(text))
+        monkeypatch.setattr(minecc.instances, "parse_canonical", lambda text: loads.append(text))
         assert main(["solve", gap3_file, "--algo", algo, "--interval", "0.2:0.8"]) == 2
         assert capsys.readouterr().err == "error: --interval needs --algo lp\n"
         assert loads == []
@@ -281,7 +364,7 @@ class TestMalformedInputExitCodes:
     @pytest.mark.parametrize("trials", [[], ["--trials", "0"]], ids=["default", "zero"])
     def test_interval_without_trials(self, trials, gap3_file, monkeypatch, capsys):
         loads = []
-        monkeypatch.setattr(minecc.cli, "parse_canonical", lambda text: loads.append(text))
+        monkeypatch.setattr(minecc.instances, "parse_canonical", lambda text: loads.append(text))
         argv = ["verify", "--invariants", gap3_file, "--interval", "0.2:0.8", *trials]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: --interval needs --trials above 0\n"
@@ -292,7 +375,7 @@ class TestMalformedInputExitCodes:
         path = tmp_path / "cases"
         path.write_text("")
         runs = []
-        monkeypatch.setattr(minecc.cli.certificates, "verify_all", lambda: runs.append(1))
+        monkeypatch.setattr(minecc.certificates, "verify_all", lambda: runs.append(1))
         assert main(["verify", "--certs", "--emit-lp", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and runs == []
@@ -312,8 +395,8 @@ class TestMalformedInputExitCodes:
         self, argv, message, gap3_file, tmp_path, monkeypatch, capsys
     ):
         work = []
-        monkeypatch.setattr(minecc.cli.certificates, "verify_all", lambda: work.append("certs"))
-        monkeypatch.setattr(minecc.cli, "parse_canonical", lambda text: work.append("parse"))
+        monkeypatch.setattr(minecc.certificates, "verify_all", lambda: work.append("certs"))
+        monkeypatch.setattr(minecc.instances, "parse_canonical", lambda text: work.append("parse"))
         out = tmp_path / "lp-files"
         assert main(["verify", *(a.format(gap3=gap3_file, out=out) for a in argv)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -406,22 +489,29 @@ class TestInfeasibleLpSolutionExitCodes:
 
 
 class TestWorkDoneOncePerSolve:
-    COUNTED = ("build_incidence", "match_coloring", "majority_vote", "pitt_coloring",
-               "mv_lower_bound", "gen_color_round", "simple_round", "bruteforce_ecc")
+    # Each counted function by its owning module, which the CLI imports it from
+    # at call time.
+    COUNTED = {
+        "build_incidence": hypergraph_module, "match_coloring": minecc.combinatorial,
+        "majority_vote": minecc.combinatorial, "pitt_coloring": minecc.combinatorial,
+        "mv_lower_bound": minecc.combinatorial, "gen_color_round": minecc.rounding,
+        "simple_round": minecc.rounding, "bruteforce_ecc": minecc.oracle,
+    }
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        # Counted through the names bound in minecc.cli, and in combinatorial,
-        # whose walks build the incidence themselves when not handed one.
+        # Counted through the names bound in the owning modules, and in
+        # combinatorial, whose walks build the incidence themselves when not
+        # handed one.
         counts = Counter()
-        for name in self.COUNTED:
-            original = getattr(minecc.cli, name)
+        for name, owner in self.COUNTED.items():
+            original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
                 return _original(*args, **kwargs)
 
-            for module in (minecc.cli, minecc.combinatorial):
+            for module in (owner, minecc.combinatorial):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         return counts
@@ -458,7 +548,7 @@ class TestWorkDoneOncePerSolve:
         # solve reuses the chosen one's cost and adds its accuracy.
         scored = []
         original = minecc.combinatorial.objective_cost
-        for module in (minecc.cli, minecc.combinatorial):
+        for module in (hypergraph_module, minecc.combinatorial):
             monkeypatch.setattr(module, "objective_cost",
                                 lambda *args: scored.append(args) or original(*args))
         truth = tmp_path / "gap3.truth"
@@ -681,8 +771,8 @@ class TestBenchScaling:
     def test_times_the_solve_run_of_each_linear_algorithm(self, algo, counted, monkeypatch, capsys):
         # Two sizes, best of two each: four one-seed runs, bounds included.
         calls = []
-        original = getattr(minecc.cli, counted)
-        monkeypatch.setattr(minecc.cli, counted, lambda *a: calls.append(a) or original(*a))
+        original = getattr(minecc.combinatorial, counted)
+        monkeypatch.setattr(minecc.combinatorial, counted, lambda *a: calls.append(a) or original(*a))
         argv = ["bench-scaling", "--algo", algo, "--sizes", "3000,6000", "--colors", "4"]
         assert main(argv) == 0
         out = capsys.readouterr().out
