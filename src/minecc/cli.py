@@ -625,6 +625,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except MemoryError as exc:  # sizes that pass every check but do not fit
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_CAPACITY
 
 
 if __name__ == "__main__":

@@ -148,6 +148,14 @@ def _rising_within_edges(members: np.ndarray, eptr: np.ndarray) -> bool:
     return bool(rising.all())
 
 
+def _num(x: float) -> str:
+    """A number as the LP and reduction writers print it."""
+    x = float(x)
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return repr(x)
+
+
 def from_flat(num_nodes: int, num_colors: int, members, sizes, colors, weights) -> EdgeColoredHypergraph:
     """Build an instance from flat member ids, edge sizes, colors and weights.
 

@@ -18,12 +18,15 @@ take as an improvement is still reached, in the same order, so ``value`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .combinatorial import majority_vote
 from .hypergraph import EdgeColoredHypergraph, objective_cost
-from .reductions import WeightedGraph
+
+if TYPE_CHECKING:
+    from .reductions import WeightedGraph
 
 DEFAULT_CAP = 10**7
 # The pruning test scales cost + bound down by this factor. Float sums of a

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .combinatorial import DeletionSet, find_bad_pair
-from .hypergraph import EdgeColoredHypergraph, hypergraph
-from .lp import _num
+from .hypergraph import EdgeColoredHypergraph, _num, hypergraph
 
 
 @dataclass(frozen=True)

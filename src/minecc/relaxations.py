@@ -22,6 +22,10 @@ the full model, though not always the basic optimum that the full model's
 simplex returns, so bounds use the compact model and rounding, ``verify``,
 ``export`` and externally solved primals keep the full one.
 
+The two models differ only in which nodes get a sum row and which
+``(node, color)`` cells a column (:func:`_node_colors`), so one column map
+builds both and one fill reads both primals back.
+
 The multiway-cut relaxation is built over the reduced terminal graph (one
 terminal per color, one deletable node per hyperedge, original nodes kept
 undeletable) using the polynomial distance formulation with ``y_u_i`` node-to-
@@ -63,22 +67,15 @@ def build_ecc_lp(h: EdgeColoredHypergraph, *, compact: bool = False) -> LinearPr
     edge order.
     """
     n, k, m = h.num_nodes, h.num_colors, h.num_edges
+    _, has_row, kept = _node_colors(h, compact)
+    cols = np.flatnonzero(kept)
+    sizes = kept.sum(axis=1)[has_row]
+    column = np.full(n * k, -1, dtype=np.int64)
+    column[cols] = np.arange(len(cols))
     edge_of = h.member_edges()
-    slot = h.members * k + h.colors[edge_of] - 1  # full-model column of x_v^c
-    if compact:
-        kept = _node_colors(h)[1]
-        cols = np.flatnonzero(kept)
-        sizes = kept.sum(axis=1)
-        sizes = sizes[sizes > 0]
-        column = np.full(n * k, -1, dtype=np.int64)
-        column[cols] = np.arange(len(cols))
-        var = column[slot]
-        keep = np.flatnonzero(var >= 0)
-        var = var[keep]
-    else:
-        cols = np.arange(n * k)
-        sizes = np.full(n, k)
-        var, keep = slot, slice(None)
+    var = column[h.members * k + h.colors[edge_of] - 1]  # column of x_v^c, or -1
+    keep = np.flatnonzero(var >= 0)
+    var = var[keep]
     nv = len(cols)
 
     def names() -> list[str]:
@@ -101,12 +98,17 @@ def build_ecc_lp(h: EdgeColoredHypergraph, *, compact: bool = False) -> LinearPr
     return lp
 
 
-def _node_colors(h: EdgeColoredHypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """``(n, k)`` masks: the colors of each node's edges, and the compact
-    model's node variables, which are those colors at nodes with two or more."""
+def _node_colors(h: EdgeColoredHypergraph, compact: bool) -> tuple[np.ndarray, ...]:
+    """Masks: the colors of each node's edges, and the model's sum rows and
+    node variables. The full model has every row (at ``k = 0``, each an empty
+    ``0 = -1``) and variable; the compact one has them at nodes whose edges
+    have two or more colors, for those colors."""
     present = np.zeros((h.num_nodes, h.num_colors), dtype=bool)
     present[h.members, h.colors[h.member_edges()] - 1] = True
-    return present, present & (present.sum(axis=1) >= 2)[:, None]
+    if not compact:
+        return present, np.ones(h.num_nodes, dtype=bool), np.ones_like(present)
+    rows = present.sum(axis=1) >= 2
+    return present, rows, present & rows[:, None]
 
 
 def build_nodemc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
@@ -219,27 +221,22 @@ def solution_from_vector(
     """Assemble an :class:`EccLpSolution` from a raw primal vector.
 
     ``x`` is a primal of the full model, or with ``compact`` of the compact
-    one, whose node distances are filled in as the module docstring says.
+    one; the distances that the model has no column for are filled in as the
+    module docstring says.
     Values within ``1e-7`` of a bound are snapped to it. With ``tighten`` the
     edge variables are replaced by the largest member distance of the edge's
     color (exact at optimality); invariant checkers pass ``tighten=False`` so
     corrupted inputs stay detectable.
     """
-    n, k, m = h.num_nodes, h.num_colors, h.num_edges
+    m = h.num_edges
     x = np.asarray(x, dtype=float)
-    if compact:
-        present, kept = _node_colors(h)
-        size = int(kept.sum()) + m
-    else:
-        size = n * k + m
+    present, _, kept = _node_colors(h, compact)
+    size = int(kept.sum()) + m
     if x.shape != (size,):
         raise ValueError(f"primal vector has length {x.shape}, expected {size}")
-    if compact:
-        x_node = np.where(present, 0.0, 1.0)
-        x_node[~present.any(axis=1), :1] = 0.0
-        x_node[kept] = _snap(x[: size - m])
-    else:
-        x_node = _snap(x[: n * k].reshape(n, k))
+    x_node = np.where(present, 0.0, 1.0)
+    x_node[~present.any(axis=1), :1] = 0.0
+    x_node[kept] = _snap(x[: size - m])
     x_edge = _snap(x[size - m:])
     if tighten:
         x_edge = _reach(h, x_node)

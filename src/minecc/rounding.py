@@ -60,24 +60,31 @@ def best_interval(k: int, r: int) -> IntervalChoice:
     return IntervalChoice(interval, factor)
 
 
-def _draw_threshold(rng: np.random.Generator, interval: Interval) -> float:
-    # Open interval: reject boundary draws of the unit sample.
-    while True:
-        u = rng.random()
-        if 0.0 < u < 1.0:
-            return interval.lo + (interval.hi - interval.lo) * u
-
-
 def _check_feasible(h: EdgeColoredHypergraph, x: EccLpSolution) -> None:
     problems = x.violations(h)
     if problems:
         raise ValueError("infeasible relaxation solution: " + "; ".join(problems[:3]))
 
 
-def _assign(x_node: np.ndarray, rho: float, priority: np.ndarray) -> np.ndarray:
-    # Highest priority among colors below the threshold; color 1 if none is.
-    score = np.where(x_node < rho, priority[None, :], -1)
-    return score.argmax(axis=1) + 1
+def _round_rows(
+    rows: np.ndarray, interval: Interval, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Round the rows of a distance matrix ``trials`` times: ``(trials, rows)``
+    0-based colors. All thresholds are drawn first, then all permutations; a
+    row no color wants below its threshold gets color index 0."""
+    u = rng.random(trials)
+    boundary = (u <= 0.0) | (u >= 1.0)
+    while boundary.any():
+        u[boundary] = rng.random(int(boundary.sum()))
+        boundary = (u <= 0.0) | (u >= 1.0)
+    rho = interval.lo + (interval.hi - interval.lo) * u
+    k = rows.shape[1]
+    # perms[t, step] = color; for one trial, the draw of rng.permutation(k).
+    perms = rng.permuted(np.tile(np.arange(k), (trials, 1)), axis=1)
+    priority = np.empty_like(perms)
+    np.put_along_axis(priority, perms, np.broadcast_to(np.arange(k), perms.shape), axis=1)
+    score = np.where(rows[None, :, :] < rho[:, None, None], priority[:, None, :], -1)
+    return score.argmax(axis=2)
 
 
 def gen_color_round(
@@ -88,13 +95,8 @@ def gen_color_round(
 ) -> list[int]:
     """Round a feasible fractional solution to a node coloring, deterministically per seed."""
     _check_feasible(h, x)
-    k = h.num_colors
-    rng = np.random.default_rng(seed)
-    rho = _draw_threshold(rng, interval)
-    perm = rng.permutation(k)  # perm[step] = color index assigned at that step
-    priority = np.empty(k, dtype=np.int64)
-    priority[perm] = np.arange(k)
-    return [int(c) for c in _assign(x.x_node, rho, priority)]
+    colors = _round_rows(x.x_node, interval, 1, np.random.default_rng(seed))[0] + 1
+    return [int(c) for c in colors]
 
 
 def simple_round(x: EccLpSolution) -> list[int]:
@@ -144,34 +146,18 @@ def estimate_mistake_prob(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the probability that rounding mis-colors one edge.
 
-    Returns ``(estimate, standard error)``. Trials redraw the threshold and the
-    priority permutation exactly as :func:`gen_color_round` does; only the
-    colors of the edge's members are materialized. An edge index outside
-    ``[0, m)`` raises IndexError, as in :func:`color_thresholds`.
+    Returns ``(estimate, standard error)``. It runs :func:`gen_color_round`'s
+    kernel on the edge's member rows with ``trials`` trials, so each trial
+    rounds as :func:`gen_color_round` does, and only the colors of the edge's
+    members are materialized. An edge index outside ``[0, m)`` raises
+    IndexError, as in :func:`color_thresholds`.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     _check_feasible(h, x)
     members, color = _edge(h, edge_index)
-    k = h.num_colors
-    rng = np.random.default_rng(seed)
-
-    u = rng.random(trials)
-    boundary = (u <= 0.0) | (u >= 1.0)
-    while boundary.any():
-        u[boundary] = rng.random(int(boundary.sum()))
-        boundary = (u <= 0.0) | (u >= 1.0)
-    rho = interval.lo + (interval.hi - interval.lo) * u
-
-    perms = rng.permuted(np.tile(np.arange(k), (trials, 1)), axis=1)
-    priority = np.empty_like(perms)
-    np.put_along_axis(priority, perms, np.broadcast_to(np.arange(k), perms.shape), axis=1)
-
-    mistake = np.zeros(trials, dtype=bool)
-    for v in members.tolist():
-        wanted = x.x_node[v][None, :] < rho[:, None]
-        score = np.where(wanted, priority, -1)
-        mistake |= score.argmax(axis=1) != color - 1
+    colors = _round_rows(x.x_node[members], interval, trials, np.random.default_rng(seed))
+    mistake = (colors != color - 1).any(axis=1)
     p = float(mistake.mean())
     stderr = math.sqrt(p * (1.0 - p) / trials)
     return p, stderr

@@ -21,10 +21,12 @@ from minecc.hypergraph import (
 )
 from minecc.instances import ParseError, PlantedInstance
 from minecc.oracle import DEFAULT_CAP, CapExceededError, OracleResult
-from minecc.relaxations import EccLpSolution, _snap
+from minecc.relaxations import EccLpSolution, _reach, _snap
 from minecc.lp import (
     DEGENERATE_RUN_LIMIT,
+    EQ,
     FEAS_TOL,
+    GE,
     PIVOT_TOL,
     LinearProgram,
     LpResult,
@@ -493,6 +495,127 @@ def reference_solution_from_vector(h: EdgeColoredHypergraph, x, tighten: bool = 
             x_edge[j] = max(x_node[v, e.color - 1] for v in e.members)
     weights = np.array([e.weight for e in edges])
     return EccLpSolution(x_node, x_edge, float(np.dot(weights, x_edge)))
+
+
+def reference_node_colors(h: EdgeColoredHypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """The colors of each node's edges, and the compact model's node variables."""
+    present = np.zeros((h.num_nodes, h.num_colors), dtype=bool)
+    present[h.members, h.colors[h.member_edges()] - 1] = True
+    return present, present & (present.sum(axis=1) >= 2)[:, None]
+
+
+def reference_build_compact_ecc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
+    """The compact branch of the two-branch builder; the reference for
+    ``build_ecc_lp(h, compact=True)``."""
+    n, k, m = h.num_nodes, h.num_colors, h.num_edges
+    edge_of = h.member_edges()
+    slot = h.members * k + h.colors[edge_of] - 1
+    kept = reference_node_colors(h)[1]
+    cols = np.flatnonzero(kept)
+    sizes = kept.sum(axis=1)
+    sizes = sizes[sizes > 0]
+    column = np.full(n * k, -1, dtype=np.int64)
+    column[cols] = np.arange(len(cols))
+    var = column[slot]
+    keep = np.flatnonzero(var >= 0)
+    var = var[keep]
+    nv = len(cols)
+
+    def names() -> list[str]:
+        v, i = np.divmod(cols, max(k, 1))
+        return ([f"xn_{a}_{b}" for a, b in zip(v.tolist(), (i + 1).tolist())]
+                + [f"xe_{j}" for j in range(m)])
+
+    lp = LinearProgram(sense="min")
+    lp.add_vars(np.concatenate([np.zeros(nv), h.weights]), 0.0, 1.0, names)
+    pairs = np.column_stack([var, nv + edge_of[keep]]).ravel()
+    rows = len(pairs) // 2
+    lp.add_rows(
+        np.concatenate([[0], np.cumsum(sizes), nv + 2 * np.arange(1, rows + 1)]),
+        np.concatenate([np.arange(nv), pairs]),
+        np.concatenate([np.ones(nv), np.tile([-1.0, 1.0], rows)]),
+        np.concatenate([np.full(len(sizes), EQ), np.full(rows, GE)]),
+        np.concatenate([sizes - 1.0, np.zeros(rows)]),
+    )
+    return lp
+
+
+def reference_compact_solution_from_vector(
+    h: EdgeColoredHypergraph, x, tighten: bool = True
+) -> EccLpSolution:
+    """The compact fill of the two-branch assembly; the reference for
+    ``solution_from_vector(..., compact=True)``."""
+    m = h.num_edges
+    x = np.asarray(x, dtype=float)
+    present, kept = reference_node_colors(h)
+    size = int(kept.sum()) + m
+    if x.shape != (size,):
+        raise ValueError(f"primal vector has length {x.shape}, expected {size}")
+    x_node = np.where(present, 0.0, 1.0)
+    x_node[~present.any(axis=1), :1] = 0.0
+    x_node[kept] = _snap(x[: size - m])
+    x_edge = _snap(x[size - m:])
+    if tighten:
+        x_edge = _reach(h, x_node)
+    return EccLpSolution(x_node, x_edge, float(np.dot(h.weights, x_edge)))
+
+
+def reference_check_feasible(h: EdgeColoredHypergraph, x: EccLpSolution) -> None:
+    problems = x.violations(h)
+    if problems:
+        raise ValueError("infeasible relaxation solution: " + "; ".join(problems[:3]))
+
+
+def reference_gen_color_round(h: EdgeColoredHypergraph, x: EccLpSolution, interval, seed: int) -> list[int]:
+    """The scalar-threshold rounding; the reference for ``gen_color_round``."""
+    reference_check_feasible(h, x)
+    k = h.num_colors
+    rng = np.random.default_rng(seed)
+    while True:  # open interval: reject boundary draws of the unit sample
+        u = rng.random()
+        if 0.0 < u < 1.0:
+            break
+    rho = interval.lo + (interval.hi - interval.lo) * u
+    perm = rng.permutation(k)  # perm[step] = color index assigned at that step
+    priority = np.empty(k, dtype=np.int64)
+    priority[perm] = np.arange(k)
+    score = np.where(x.x_node < rho, priority[None, :], -1)
+    return [int(c) for c in score.argmax(axis=1) + 1]
+
+
+def reference_estimate_mistake_prob(
+    h: EdgeColoredHypergraph, x: EccLpSolution, interval, edge_index: int, trials: int, seed: int
+) -> tuple[float, float]:
+    """The per-member trial loop; the reference for ``estimate_mistake_prob``."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    reference_check_feasible(h, x)
+    if not (0 <= edge_index < h.num_edges):
+        raise IndexError(f"edge index {edge_index} out of range")
+    members = h.members[h.eptr[edge_index]:h.eptr[edge_index + 1]]
+    color = int(h.colors[edge_index])
+    k = h.num_colors
+    rng = np.random.default_rng(seed)
+
+    u = rng.random(trials)
+    boundary = (u <= 0.0) | (u >= 1.0)
+    while boundary.any():
+        u[boundary] = rng.random(int(boundary.sum()))
+        boundary = (u <= 0.0) | (u >= 1.0)
+    rho = interval.lo + (interval.hi - interval.lo) * u
+
+    perms = rng.permuted(np.tile(np.arange(k), (trials, 1)), axis=1)
+    priority = np.empty_like(perms)
+    np.put_along_axis(priority, perms, np.broadcast_to(np.arange(k), perms.shape), axis=1)
+
+    mistake = np.zeros(trials, dtype=bool)
+    for v in members.tolist():
+        wanted = x.x_node[v][None, :] < rho[:, None]
+        score = np.where(wanted, priority, -1)
+        mistake |= score.argmax(axis=1) != color - 1
+    p = float(mistake.mean())
+    stderr = math.sqrt(p * (1.0 - p) / trials)
+    return p, stderr
 
 
 def reference_bad_edge_pairs(h: EdgeColoredHypergraph) -> tuple[tuple[int, int], ...]:

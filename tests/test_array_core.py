@@ -51,6 +51,7 @@ from minecc.instances import (
 from minecc.oracle import CapExceededError, bruteforce_ecc
 from minecc.reductions import bad_edge_pairs
 from minecc.relaxations import EccLpSolution, build_ecc_lp, build_nodemc_lp, solution_from_vector
+from minecc.rounding import Interval, estimate_mistake_prob, gen_color_round
 
 from conftest import (
     Edge,
@@ -59,13 +60,18 @@ from conftest import (
     reference_accuracy,
     reference_bad_edge_pairs,
     reference_bruteforce_ecc,
+    reference_build_compact_ecc_lp,
     reference_build_ecc_lp,
     reference_build_incidence,
     reference_build_nodemc_lp,
     reference_color_survivors,
+    reference_compact_solution_from_vector,
+    reference_estimate_mistake_prob,
+    reference_gen_color_round,
     reference_hypergraph,
     reference_majority_vote,
     reference_mv_lower_bound,
+    reference_node_colors,
     reference_objective_cost,
     reference_parse_benchmark,
     reference_parse_canonical,
@@ -100,6 +106,35 @@ def instances(draw, weight_values=WEIGHTS):
         return h
     w = draw(st.lists(weight_values, min_size=m, max_size=m))
     return hypergraph(n, h.num_colors, [(e.members, e.color, x) for e, x in zip(edges_of(h), w)])
+
+
+# Instances without edges, including those without colors (k = 0).
+EDGELESS = st.builds(lambda n, k: hypergraph(n, k, []), st.integers(0, 8), st.integers(0, 4))
+
+
+@st.composite
+def feasible_solutions(draw, h: EdgeColoredHypergraph) -> EccLpSolution:
+    """A feasible clustering-LP solution of ``h``: each node's distances are
+    ``1 - a/d`` for a composition ``a`` of ``d``, on the grid of the interval
+    ends below, so a threshold finds no color, one or several below it; each
+    edge variable is the edge's reach or a draw between it and 1."""
+    n, k, m = h.num_nodes, h.num_colors, h.num_edges
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    x_node = 1.0 - rng.multinomial(d, np.full(k, 1.0 / k), size=n) / d
+    slack = rng.random(m) * draw(st.sampled_from([0.0, 1.0]))
+    x = np.concatenate([x_node.ravel(), np.zeros(m)])
+    reach = reference_solution_from_vector(h, x).x_edge
+    return EccLpSolution(x_node, reach + (1.0 - reach) * slack, 0.0)
+
+
+SOLVED = instances().flatmap(lambda h: st.tuples(st.just(h), feasible_solutions(h)))
+INTERVALS = st.one_of(
+    st.sampled_from([Interval(0.5, 0.875), Interval(0.5, 0.75), Interval(0.5, 2 / 3),
+                     Interval(0.9, 1.0), Interval(0.0, 1.0), Interval(0.25, 0.75)]),
+    st.tuples(st.integers(0, 7), st.integers(1, 8)).filter(lambda t: t[0] < t[1]).map(
+        lambda t: Interval(t[0] / 8, t[1] / 8)),
+)
 
 
 # Words of 15 to 20 digits, around the longest words decoded without int()/float().
@@ -557,10 +592,31 @@ class TestTruthWords:
 
 class TestLpAndOracleMatchReference:
     @SETTINGS
-    @given(instances())
+    @given(instances() | EDGELESS)
     def test_lp_builders_give_the_same_rows(self, h):
+        # At k = 0 the full model keeps one empty sum row, 0 = -1, per node.
         assert build_ecc_lp(h) == reference_build_ecc_lp(h)
         assert build_nodemc_lp(h) == reference_build_nodemc_lp(h)
+
+    @SETTINGS
+    @given(instances() | EDGELESS)
+    def test_compact_builder_gives_the_same_rows(self, h):
+        assert build_ecc_lp(h, compact=True) == reference_build_compact_ecc_lp(h)
+
+    @SETTINGS
+    @given(instances() | EDGELESS, st.data())
+    def test_compact_fill_gives_the_same_solution(self, h, data):
+        size = int(reference_node_colors(h)[1].sum()) + h.num_edges
+        value = st.sampled_from([0.0, 1.0, 0.5, 1 / 3, 1e-8, 1 - 1e-8, -1e-3, 1.01])
+        x = np.array(data.draw(st.lists(value, min_size=size, max_size=size)), dtype=float)
+        for tighten in (True, False):
+            got = solution_from_vector(h, x, tighten, compact=True)
+            want = reference_compact_solution_from_vector(h, x, tighten)
+            assert got.x_node.tobytes() == want.x_node.tobytes()
+            assert got.x_edge.tobytes() == want.x_edge.tobytes()
+            assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+        with pytest.raises(ValueError, match=f"expected {size}"):
+            solution_from_vector(h, np.append(x, 0.0), compact=True)
 
     @pytest.mark.parametrize("h", [
         hypergraph(2, 0, []),
@@ -610,6 +666,34 @@ class TestLpAndOracleMatchReference:
             assert (got.value, got.witness, got.within_cap) == (
                 expected.value, expected.witness, expected.within_cap)
             assert got.explored <= expected.explored
+
+
+class TestRoundingMatchesReference:
+    """One rounding kernel for ``gen_color_round`` and ``estimate_mistake_prob``
+    gives what the scalar-threshold rounding and the per-member trial loop gave."""
+
+    @SETTINGS
+    @given(SOLVED, INTERVALS, st.integers(0, 2**32 - 1))
+    def test_same_coloring(self, hx, interval, seed):
+        h, x = hx
+        assert gen_color_round(h, x, interval, seed) == reference_gen_color_round(h, x, interval, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(SOLVED, INTERVALS, st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 500]))
+    def test_same_estimates(self, hx, interval, seed, trials):
+        h, x = hx
+        for j in range(h.num_edges):
+            got = estimate_mistake_prob(h, x, interval, j, trials, seed)
+            want = reference_estimate_mistake_prob(h, x, interval, j, trials, seed)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("h", [hypergraph(2, 0, []), hypergraph(2, 3, [((0, 1), 1)])])
+    def test_same_error_on_an_infeasible_solution(self, h):
+        x = EccLpSolution(np.zeros((2, h.num_colors)), np.zeros(h.num_edges), 0.0)
+        with pytest.raises(ValueError) as want:
+            reference_gen_color_round(h, x, Interval(0.5, 0.75), 0)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            gen_color_round(h, x, Interval(0.5, 0.75), 0)
 
 
 class TestConstruction:

@@ -116,6 +116,12 @@ class TestImportCost:
         assert {label for label, (_, mods, _) in loads.items() if "rounding" in mods} == {
             "solve-lp", "solve-lp-simple", "verify-invariants"}
 
+    def test_solve_exact_loads_no_lp_layer(self, loads):
+        # The oracle builds no LP: the number formatter lives in hypergraph, and
+        # the vertex-cover oracle names WeightedGraph only in an annotation.
+        assert loads["solve-exact"][1] == {
+            "cli", "instances", "hypergraph", "combinatorial", "oracle"}
+
     def test_import_minecc_loads_no_submodule(self):
         out = run_python("import sys, minecc\n"
                          "print(sorted(m for m in sys.modules if m.startswith('minecc')),\n"
@@ -658,6 +664,25 @@ class TestExactAndCapacity:
         for algo in ("lp", "lp-simple"):
             assert main(["solve", str(inst), "--algo", algo]) == 4
             assert "LP has 232 variables" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("owner, name, argv", [
+        (minecc.rounding, "estimate_mistake_prob",
+         ["verify", "--invariants", "{inst}", "--trials", "1000000000"]),
+        (minecc.instances, "gen_random",
+         ["gen", "random", "--nodes", "1000", "--edges", "400000000", "-o", "{tmp}/r.ecc"]),
+        (minecc.instances, "gen_random", ["bench-scaling", "--algo", "mv", "--sizes", "1e10"]),
+    ], ids=["verify-trials", "gen-edges", "bench-scaling-sizes"])
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.45 GiB for an array", ""])
+    def test_out_of_memory_exits_with_the_capacity_code(
+            self, owner, name, argv, message, gap3_file, tmp_path, monkeypatch, capsys):
+        # Sizes that pass every check but do not fit; nothing is allocated here.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(owner, name, out_of_memory)
+        assert main([a.format(inst=gap3_file, tmp=tmp_path) for a in argv]) == 4
+        assert capsys.readouterr().err == (
+            f"error: out of memory: {message}\n" if message else "error: out of memory\n")
 
     def test_invariants_with_trials(self, gap3_file, capsys):
         code = main(["verify", "--invariants", gap3_file, "--trials", "2000"])
