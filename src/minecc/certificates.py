@@ -606,11 +606,8 @@ def case_to_lp(case: AuxLpCase, var_bound: float = 16.0) -> LinearProgram:
     variable into ``[0, var_bound]``; the exact certificate check above needs no
     such box.
     """
-    from .lp import LE, LinearProgram
+    from .lp import LE, LinearProgram, Rows
 
-    lp = LinearProgram(sense="max")
-    lp.add_vars([float(c) for c in case.objective], 0.0, var_bound, list(case.var_names))
-    lp.constant = float(case.constant)
     indptr, indices, data = [0], [], []
     for _, coeffs, _ in case.rows:
         for j in sorted(coeffs):
@@ -618,8 +615,9 @@ def case_to_lp(case: AuxLpCase, var_bound: float = 16.0) -> LinearProgram:
             data.append(float(coeffs[j]))
         indptr.append(len(indices))
     rhs = [float(b) for _, _, b in case.rows]
-    lp.add_rows(indptr, indices, data, [LE] * len(rhs), rhs)
-    return lp
+    return LinearProgram([float(c) for c in case.objective], 0.0, var_bound, case.var_names,
+                         Rows(indptr, indices, data, [LE] * len(rhs), rhs),
+                         sense="max", constant=float(case.constant))
 
 
 def solve_aux_numeric(case: AuxLpCase) -> float:

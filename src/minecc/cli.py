@@ -264,13 +264,13 @@ def _run_hybrid(h, args, seed, order_seed, built):
         majority_vote,
         match_coloring,
         mv_lower_bound,
-        recolor_uncovered_with_cost,
+        recolor_uncovered,
     )
 
     # hybrid() step by step, keeping the bounds of both steps
     dels, base, match_bound = match_coloring(h, order_seed, built)
     mv = majority_vote(h)
-    coloring, report = recolor_uncovered_with_cost(h, dels, base, mv)
+    coloring, report = recolor_uncovered(h, dels, base, mv)
     return coloring, match_bound, mv_lower_bound(h, mv), report
 
 

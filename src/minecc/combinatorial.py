@@ -264,26 +264,19 @@ def hybrid(
     """
     inc = incidence if incidence is not None else build_incidence(h)
     dels, base, _ = match_coloring(h, order_seed, inc)
-    return recolor_uncovered(h, dels, base, majority_vote(h))
+    return recolor_uncovered(h, dels, base, majority_vote(h))[0]
 
 
 def recolor_uncovered(
     h: EdgeColoredHypergraph, dels: DeletionSet, base: list[int], mv: list[int]
-) -> list[int]:
+) -> tuple[list[int], CostReport]:
     """Give nodes in no surviving edge of ``dels`` their majority color ``mv``.
 
     ``base`` is the deletion coloring. Recoloring can in contrived overlaps
     cost more than it saves, so ``base`` is kept whenever it is strictly
-    cheaper.
+    cheaper. Returns the coloring with the cost report (no accuracy) that
+    chose it.
     """
-    return recolor_uncovered_with_cost(h, dels, base, mv)[0]
-
-
-def recolor_uncovered_with_cost(
-    h: EdgeColoredHypergraph, dels: DeletionSet, base: list[int], mv: list[int]
-) -> tuple[list[int], CostReport]:
-    """:func:`recolor_uncovered`, with the cost report (no accuracy) of the
-    coloring it returns, which it scores to choose."""
     deleted = _deletion_flags(h, dels.indices)
     covered = np.zeros(h.num_nodes, dtype=bool)
     covered[h.members[~deleted[h.member_edges()]]] = True

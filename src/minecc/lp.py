@@ -1,18 +1,14 @@
 """Generic linear programs and a self-contained dense simplex solver.
 
-A :class:`LinearProgram` holds its columns as arrays (objective, lower and
-upper bounds) and its rows in CSR form: ``indptr``, ``indices`` and ``data``
-give each row's coefficients, with column indices strictly rising within a
-row, and each row has a relation code (an index into ``RELATIONS``) and a
-right-hand side. :meth:`LinearProgram.add_var` and
-:meth:`LinearProgram.add_constraint` append one column or row, for programs
-written out by hand; :meth:`LinearProgram.add_vars` and
-:meth:`LinearProgram.add_rows` append whole blocks of arrays, as the
-relaxation builders do; the single appends are each one call into the block
-appends. Column names may be given as a function that makes them, so a model
-that is only solved never builds its names.
-``lp.constraints`` is a read-only sequence view of the rows as
-``(coeffs, rel, rhs)`` records.
+A :class:`LinearProgram` is built once, by one constructor call, from its
+columns as arrays (objective, lower and upper bounds) and its rows in CSR
+form: ``indptr``, ``indices`` and ``data`` give each row's coefficients, with
+column indices strictly rising within a row, and each row has a relation
+code (an index into ``RELATIONS``) and a right-hand side. The constructor
+copies and checks its inputs; the model is read-only after. Column names may
+be given as a function that makes them, so a model that is only solved never
+builds its names. ``lp.constraints`` is a read-only sequence view of the rows
+as ``(coeffs, rel, rhs)`` records.
 
 The solver is a two-phase primal simplex on one dense standard-form tableau,
 filled in place from the CSR rows. Each pivot updates only the rows where the
@@ -57,7 +53,6 @@ DEGENERATE_RUN_LIMIT = 100
 
 RELATIONS = ("<=", ">=", "=")  # a row's relation code indexes this
 LE, GE, EQ = range(3)
-_CODES = {rel: code for code, rel in enumerate(RELATIONS)}
 _FLIPPED = np.array([GE, LE, EQ], dtype=np.int8)  # the relation of a negated row
 
 
@@ -110,22 +105,57 @@ class _RowView(Sequence):
 class LinearProgram:
     """A linear program in the usual min/max c'x subject to rows and box bounds form.
 
-    Built with :meth:`add_var`/:meth:`add_vars` and
-    :meth:`add_constraint`/:meth:`add_rows`; treated as read-only once handed
-    to the solver. ``objective``, ``lower``, ``upper`` and ``rows`` are the
-    arrays themselves.
+    Built once from its arrays and read-only after: ``objective``,
+    ``lower``, ``upper`` and ``rows`` are the model's own copies of the
+    inputs, with writing switched off. ``lower`` and ``upper`` are arrays
+    with one entry per column or one value for every column. ``names`` is
+    the list of column names, or a function that makes it when the names
+    are first read. ``rows`` is a :class:`Rows` of array-likes, each row's
+    column indices rising strictly; None means no rows. A column whose lower
+    bound is not at most its upper bound, or rows that do not fit together
+    or reference an unknown column, raise ``ValueError``.
     """
 
-    def __init__(self, sense: str = "min") -> None:
+    def __init__(
+        self,
+        objective,
+        lower,
+        upper,
+        names: list[str] | Callable[[], list[str]],
+        rows: Rows | None = None,
+        *,
+        sense: str = "min",
+        constant: float = 0.0,
+    ) -> None:
         self.sense = sense
-        self.constant = 0.0
-        self.objective = np.zeros(0)
-        self.lower = np.zeros(0)
-        self.upper = np.zeros(0)
-        self.rows = Rows(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                         np.zeros(0), np.zeros(0, dtype=np.int8), np.zeros(0))
-        # Name lists, or functions that make them, in column order.
-        self._names: list[list[str] | Callable[[], list[str]]] = []
+        self.constant = float(constant)
+        self._names = names if callable(names) else list(names)
+        objective = np.array(objective, dtype=float)
+        lower = np.full(objective.shape, lower, dtype=float)
+        upper = np.full(objective.shape, upper, dtype=float)
+        bad = np.flatnonzero(~(lower <= upper))
+        if len(bad):
+            j = int(bad[0])
+            raise ValueError(f"variable {self.names[j]}: lower bound {lower[j]} exceeds "
+                             f"upper bound {upper[j]}")
+        if rows is None:
+            rows = Rows([0], [], [], [], [])
+        indptr, indices, data, rel, rhs = (
+            np.array(a, dtype=t) for a, t in zip(rows, (np.int64, np.int64, float, np.int8, float)))
+        if not (len(indptr) == len(rel) + 1 == len(rhs) + 1 and indptr[0] == 0
+                and np.all(np.diff(indptr) >= 0) and indptr[-1] == len(indices) == len(data)):
+            raise ValueError("rows do not fit together: need indptr rising from 0 to the "
+                             "number of coefficients, and one relation and rhs per row")
+        if np.any((rel < 0) | (rel >= len(RELATIONS))):
+            raise ValueError("unknown relation code")
+        if len(indices) and not (0 <= indices.min() and indices.max() < len(objective)):
+            raise ValueError("rows reference an unknown variable index")
+        if not _rising_within_edges(indices, indptr):
+            raise ValueError("column indices must rise strictly within each row")
+        self.objective, self.lower, self.upper = objective, lower, upper
+        self.rows = Rows(indptr, indices, data, rel, rhs)
+        for a in (objective, lower, upper, *self.rows):
+            a.flags.writeable = False
 
     @property
     def num_vars(self) -> int:
@@ -141,94 +171,9 @@ class LinearProgram:
 
     @property
     def names(self) -> list[str]:
-        if len(self._names) != 1 or callable(self._names[0]):
-            merged: list[str] = []
-            for part in self._names:
-                merged.extend(part() if callable(part) else part)
-            self._names = [merged]
-        return self._names[0]
-
-    def add_var(
-        self, name: str, lo: float = 0.0, hi: float = math.inf, obj: float = 0.0
-    ) -> int:
-        """Append one column and return its index. Each call copies the whole
-        model, so this suits hand-written models only; see :meth:`add_vars`."""
-        return self.add_vars([obj], lo, hi, [name])
-
-    def add_vars(
-        self, objective, lo, hi, names: list[str] | Callable[[], list[str]]
-    ) -> int:
-        """Append one column per entry of ``objective``; returns the first new index.
-
-        ``lo`` and ``hi`` are arrays of the same length or one value for all.
-        ``names`` is the list of the new columns' names, or a function that
-        makes that list when the names are first read.
-        """
-        objective = np.array(objective, dtype=float)
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), objective.shape)
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), objective.shape)
-        first = self.num_vars
-        bad = np.flatnonzero(~(lo <= hi))
-        if len(bad):
-            j = int(bad[0])
-            name = (names() if callable(names) else names)[j]
-            raise ValueError(f"variable {name}: lower bound {lo[j]} exceeds upper bound {hi[j]}")
-        self.objective = np.concatenate([self.objective, objective])
-        self.lower = np.concatenate([self.lower, lo])
-        self.upper = np.concatenate([self.upper, hi])
-        if callable(names) or not self._names or callable(self._names[-1]):
-            self._names.append(names if callable(names) else list(names))
-        else:
-            self._names[-1].extend(names)
-        return first
-
-    def add_constraint(
-        self, coeffs: list[tuple[int, float]], rel: str, rhs: float
-    ) -> None:
-        """Append one row; repeated variables are summed into one coefficient.
-
-        Each call copies the whole model (31.8 µs per two-term row over 1000
-        rows, 48.8 µs over 4000, 2-core host), so this suits hand-written
-        models only; see :meth:`add_rows`."""
-        if rel not in _CODES:
-            raise ValueError(f"unknown relation {rel!r}")
-        merged: dict[int, float] = {}
-        for j, a in coeffs:
-            if not (0 <= j < self.num_vars):
-                raise ValueError(f"constraint references unknown variable index {j}")
-            merged[j] = merged.get(j, 0.0) + float(a)
-        order = sorted(merged)
-        self.add_rows([0, len(order)], order, [merged[j] for j in order], [_CODES[rel]], [rhs])
-
-    def add_rows(self, indptr, indices, data, rel, rhs) -> None:
-        """Append rows given in CSR form, ``indptr`` starting at 0 and ``rel`` as codes.
-
-        Each row's column indices must rise strictly, as :meth:`add_constraint`
-        leaves them.
-        """
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        data = np.asarray(data, dtype=float)
-        rel = np.asarray(rel, dtype=np.int8)
-        rhs = np.asarray(rhs, dtype=float)
-        if not (len(indptr) == len(rel) + 1 == len(rhs) + 1 and indptr[0] == 0
-                and np.all(np.diff(indptr) >= 0) and indptr[-1] == len(indices) == len(data)):
-            raise ValueError("rows do not fit together: need indptr rising from 0 to the "
-                             "number of coefficients, and one relation and rhs per row")
-        if np.any((rel < 0) | (rel >= len(RELATIONS))):
-            raise ValueError("unknown relation code")
-        if len(indices) and not (0 <= indices.min() and indices.max() < self.num_vars):
-            raise ValueError("rows reference an unknown variable index")
-        if not _rising_within_edges(indices, indptr):
-            raise ValueError("column indices must rise strictly within each row")
-        old = self.rows
-        self.rows = Rows(
-            np.concatenate([old.indptr, old.indptr[-1] + indptr[1:]]),
-            np.concatenate([old.indices, indices]),
-            np.concatenate([old.data, data]),
-            np.concatenate([old.rel, rel]),
-            np.concatenate([old.rhs, rhs]),
-        )
+        if callable(self._names):
+            self._names = self._names()
+        return self._names
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearProgram):
@@ -239,9 +184,6 @@ class LinearProgram:
                 and all(np.array_equal(a, b) for a, b in zip(mine, theirs)))
 
     __hash__ = None
-
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
 
     def value_of(self, x) -> float:
         """Objective value (in the program's own sense) of a primal vector."""

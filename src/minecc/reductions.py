@@ -13,6 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .combinatorial import DeletionSet, find_bad_pair
 from .hypergraph import EdgeColoredHypergraph, _num, hypergraph
 
@@ -94,8 +96,9 @@ def cover_to_deletions(reduction: CoverReduction, cover) -> DeletionSet:
     for u, v in reduction.graph.edges:
         if u not in chosen and v not in chosen:
             raise ValueError(f"not a cover: edge ({u}, {v}) uncovered")
-    weights = reduction.instance.weights.tolist()
-    return DeletionSet(chosen, sum(weights[j] for j in chosen))
+    flags = np.zeros(reduction.instance.num_edges, dtype=bool)
+    flags[list(chosen)] = True
+    return DeletionSet.from_flags(reduction.instance, flags)
 
 
 def deletions_to_cover(reduction: CoverReduction, dels: DeletionSet) -> set[int]:

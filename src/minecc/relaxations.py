@@ -41,8 +41,8 @@ Its rows come edge by edge (each member of edge j, then j's terminal), color
 by color within an edge, the two rows of a pair in the order above; then
 the terminal rows, color by color, ``y_t_c = 0`` first.
 
-Both builders compute their rows from the instance arrays and hand them to
-the LP in one CSR block.
+Both builders compute their columns and rows from the instance arrays and
+make the LP in one constructor call.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypergraph import EdgeColoredHypergraph
-from .lp import EQ, GE, LE, LinearProgram, LpResult
+from .lp import EQ, GE, LE, LinearProgram, LpResult, Rows
 
 SNAP_TOL = 1e-7
 
@@ -83,19 +83,16 @@ def build_ecc_lp(h: EdgeColoredHypergraph, *, compact: bool = False) -> LinearPr
         return ([f"xn_{a}_{b}" for a, b in zip(v.tolist(), (i + 1).tolist())]
                 + [f"xe_{j}" for j in range(m)])
 
-    lp = LinearProgram(sense="min")
-    lp.add_vars(np.concatenate([np.zeros(nv), h.weights]), 0.0, 1.0, names)
     # Membership rows read [x_v^c, xe_j] = [-1, 1] >= 0; x_v^c comes first.
     pairs = np.column_stack([var, nv + edge_of[keep]]).ravel()
     rows = len(pairs) // 2
-    lp.add_rows(
+    return LinearProgram(np.concatenate([np.zeros(nv), h.weights]), 0.0, 1.0, names, Rows(
         np.concatenate([[0], np.cumsum(sizes), nv + 2 * np.arange(1, rows + 1)]),
         np.concatenate([np.arange(nv), pairs]),
         np.concatenate([np.ones(nv), np.tile([-1.0, 1.0], rows)]),
         np.concatenate([np.full(len(sizes), EQ), np.full(rows, GE)]),
         np.concatenate([sizes - 1.0, np.zeros(rows)]),
-    )
-    return lp
+    ))
 
 
 def _node_colors(h: EdgeColoredHypergraph, compact: bool) -> tuple[np.ndarray, ...]:
@@ -128,8 +125,6 @@ def build_nodemc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
         return ([f"y_{u}_{i}" for u in range(total_nodes) for i in range(1, k + 1)]
                 + [f"d_{j}" for j in range(m)])
 
-    lp = LinearProgram(sense="min")
-    lp.add_vars(np.concatenate([np.zeros(total_nodes * k), h.weights]), 0.0, math.inf, names)
     # Reduced-graph edges (a, n + j): each member a of edge j, then j's terminal.
     a = np.insert(h.members, h.eptr[1:], n + m + h.colors - 1)
     j = np.repeat(np.arange(m), np.diff(h.eptr) + 1)
@@ -145,7 +140,8 @@ def build_nodemc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
     # Per color c: y_t_c = 0, then y_t_i >= 1 for each other color i in order.
     colors_first = np.argsort(~np.eye(k, dtype=bool), axis=1, kind="stable")
     is_own = np.tile(np.arange(k) == 0, k)
-    lp.add_rows(
+    objective = np.concatenate([np.zeros(total_nodes * k), h.weights])
+    return LinearProgram(objective, 0.0, math.inf, names, Rows(
         np.concatenate([(5 * np.arange(pairs)[:, None] + [0, 3]).ravel(),
                         5 * pairs + np.arange(k * k + 1)]),
         np.concatenate([np.column_stack([lo, hi, d, lo, hi]).ravel(),
@@ -154,8 +150,7 @@ def build_nodemc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
                         np.ones(k * k)]),
         np.concatenate([np.full(2 * pairs, LE), np.where(is_own, EQ, GE)]),
         np.concatenate([np.zeros(2 * pairs), np.where(is_own, 0.0, 1.0)]),
-    )
-    return lp
+    ))
 
 
 @dataclass(frozen=True)

@@ -81,9 +81,14 @@ def _round_rows(
     k = rows.shape[1]
     # perms[t, step] = color; for one trial, the draw of rng.permutation(k).
     perms = rng.permuted(np.tile(np.arange(k), (trials, 1)), axis=1)
-    priority = np.empty_like(perms)
-    np.put_along_axis(priority, perms, np.broadcast_to(np.arange(k), perms.shape), axis=1)
-    score = np.where(rows[None, :, :] < rho[:, None, None], priority[:, None, :], -1)
+    # rank[t, c] = 1 + the step at which trial t draws color c. A wanted color
+    # scores its rank and an unwanted one 0, so argmax takes the last-drawn
+    # wanted color, or index 0 if none. The smallest unsigned type that holds
+    # k (uint8 up to k = 255) keeps the (trials, rows, k) score at one byte
+    # per cell.
+    rank = np.empty(perms.shape, dtype=np.min_scalar_type(k))
+    np.put_along_axis(rank, perms, np.broadcast_to(np.arange(1, k + 1), perms.shape), axis=1)
+    score = (rows[None, :, :] < rho[:, None, None]) * rank[:, None, :]
     return score.argmax(axis=2)
 
 

@@ -24,12 +24,12 @@ from minecc.oracle import DEFAULT_CAP, CapExceededError, OracleResult
 from minecc.relaxations import EccLpSolution, _reach, _snap
 from minecc.lp import (
     DEGENERATE_RUN_LIMIT,
-    EQ,
     FEAS_TOL,
-    GE,
     PIVOT_TOL,
+    RELATIONS,
     LinearProgram,
     LpResult,
+    Rows,
 )
 
 
@@ -389,25 +389,37 @@ def reference_recolor_uncovered(h: EdgeColoredHypergraph, dels: DeletionSet, bas
     return recolored
 
 
+def lp_from_rows(sense: str, cols, rows, constant: float = 0.0) -> LinearProgram:
+    """A model written out by hand: ``cols`` as ``(name, lo, hi, obj)`` and
+    ``rows`` as ``(coeffs, rel, rhs)`` with ``(column, coefficient)`` pairs in
+    any order, made with one constructor call."""
+    indptr, indices, data = [0], [], []
+    for coeffs, _, _ in rows:
+        for j, a in sorted(coeffs):
+            indices.append(j)
+            data.append(a)
+        indptr.append(len(indices))
+    names, lo, hi, obj = zip(*cols) if cols else ((),) * 4
+    return LinearProgram(
+        obj, lo, hi, names,
+        Rows(indptr, indices, data, [RELATIONS.index(rel) for _, rel, _ in rows],
+             [rhs for _, _, rhs in rows]),
+        sense=sense, constant=constant,
+    )
+
+
 def reference_build_ecc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
     """The old per-edge builder; the reference for ``build_ecc_lp``."""
-    lp = LinearProgram(sense="min")
     n, k = h.num_nodes, h.num_colors
     edges = edges_of(h)
-    for v in range(n):
-        for i in range(1, k + 1):
-            lp.add_var(f"xn_{v}_{i}", 0.0, 1.0)
-    for j, e in enumerate(edges):
-        lp.add_var(f"xe_{j}", 0.0, 1.0, obj=e.weight)
-    for v in range(n):
-        lp.add_constraint(
-            [(v * k + i, 1.0) for i in range(k)], "=", float(k - 1)
-        )
+    cols = [(f"xn_{v}_{i}", 0.0, 1.0, 0.0) for v in range(n) for i in range(1, k + 1)]
+    cols += [(f"xe_{j}", 0.0, 1.0, e.weight) for j, e in enumerate(edges)]
+    rows = [([(v * k + i, 1.0) for i in range(k)], "=", float(k - 1)) for v in range(n)]
     for j, e in enumerate(edges):
         xe = n * k + j
         for v in e.members:
-            lp.add_constraint([(xe, 1.0), (v * k + e.color - 1, -1.0)], ">=", 0.0)
-    return lp
+            rows.append(([(xe, 1.0), (v * k + e.color - 1, -1.0)], ">=", 0.0))
+    return lp_from_rows("min", cols, rows)
 
 
 def reference_build_nodemc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
@@ -416,13 +428,10 @@ def reference_build_nodemc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
     n, m, k = h.num_nodes, len(edges), h.num_colors
     total_nodes = n + m + k
 
-    lp = LinearProgram(sense="min")
-    for u in range(total_nodes):
-        for i in range(1, k + 1):
-            lp.add_var(f"y_{u}_{i}", 0.0, math.inf)
+    cols = [(f"y_{u}_{i}", 0.0, math.inf, 0.0)
+            for u in range(total_nodes) for i in range(1, k + 1)]
     d_offset = total_nodes * k
-    for j, e in enumerate(edges):
-        lp.add_var(f"d_{j}", 0.0, math.inf, obj=e.weight)
+    cols += [(f"d_{j}", 0.0, math.inf, e.weight) for j, e in enumerate(edges)]
 
     def y(u: int, i: int) -> int:
         return u * k + (i - 1)
@@ -435,24 +444,25 @@ def reference_build_nodemc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
         graph_edges.append((n + m + e.color - 1, enode))
 
     deletable = {n + j: d_offset + j for j in range(m)}
+    rows = []
     for a, bnode in graph_edges:
         for i in range(1, k + 1):
             # y_b_i <= y_a_i + d_b and the reverse orientation.
             row = [(y(bnode, i), 1.0), (y(a, i), -1.0)]
             if bnode in deletable:
                 row.append((deletable[bnode], -1.0))
-            lp.add_constraint(row, "<=", 0.0)
+            rows.append((row, "<=", 0.0))
             row = [(y(a, i), 1.0), (y(bnode, i), -1.0)]
             if a in deletable:
                 row.append((deletable[a], -1.0))
-            lp.add_constraint(row, "<=", 0.0)
+            rows.append((row, "<=", 0.0))
     for c in range(1, k + 1):
         t = n + m + c - 1
-        lp.add_constraint([(y(t, c), 1.0)], "=", 0.0)
+        rows.append(([(y(t, c), 1.0)], "=", 0.0))
         for i in range(1, k + 1):
             if i != c:
-                lp.add_constraint([(y(t, i), 1.0)], ">=", 1.0)
-    return lp
+                rows.append(([(y(t, i), 1.0)], ">=", 1.0))
+    return lp_from_rows("min", cols, rows)
 
 
 def reference_violations(x: EccLpSolution, h: EdgeColoredHypergraph, tol: float = 1e-6) -> list[str]:
@@ -505,39 +515,27 @@ def reference_node_colors(h: EdgeColoredHypergraph) -> tuple[np.ndarray, np.ndar
 
 
 def reference_build_compact_ecc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
-    """The compact branch of the two-branch builder; the reference for
-    ``build_ecc_lp(h, compact=True)``."""
-    n, k, m = h.num_nodes, h.num_colors, h.num_edges
-    edge_of = h.member_edges()
-    slot = h.members * k + h.colors[edge_of] - 1
+    """The compact model written out row by row from its node-color mask;
+    the reference for ``build_ecc_lp(h, compact=True)``."""
+    n, k = h.num_nodes, h.num_colors
     kept = reference_node_colors(h)[1]
-    cols = np.flatnonzero(kept)
-    sizes = kept.sum(axis=1)
-    sizes = sizes[sizes > 0]
-    column = np.full(n * k, -1, dtype=np.int64)
-    column[cols] = np.arange(len(cols))
-    var = column[slot]
-    keep = np.flatnonzero(var >= 0)
-    var = var[keep]
-    nv = len(cols)
-
-    def names() -> list[str]:
-        v, i = np.divmod(cols, max(k, 1))
-        return ([f"xn_{a}_{b}" for a, b in zip(v.tolist(), (i + 1).tolist())]
-                + [f"xe_{j}" for j in range(m)])
-
-    lp = LinearProgram(sense="min")
-    lp.add_vars(np.concatenate([np.zeros(nv), h.weights]), 0.0, 1.0, names)
-    pairs = np.column_stack([var, nv + edge_of[keep]]).ravel()
-    rows = len(pairs) // 2
-    lp.add_rows(
-        np.concatenate([[0], np.cumsum(sizes), nv + 2 * np.arange(1, rows + 1)]),
-        np.concatenate([np.arange(nv), pairs]),
-        np.concatenate([np.ones(nv), np.tile([-1.0, 1.0], rows)]),
-        np.concatenate([np.full(len(sizes), EQ), np.full(rows, GE)]),
-        np.concatenate([sizes - 1.0, np.zeros(rows)]),
-    )
-    return lp
+    column: dict[tuple[int, int], int] = {}
+    cols, rows = [], []
+    for v in range(n):
+        mine = []
+        for i in np.flatnonzero(kept[v]).tolist():
+            column[v, i] = len(cols)
+            mine.append((len(cols), 1.0))
+            cols.append((f"xn_{v}_{i + 1}", 0.0, 1.0, 0.0))
+        if mine:
+            rows.append((mine, "=", len(mine) - 1.0))
+    xe = len(cols)
+    cols += [(f"xe_{j}", 0.0, 1.0, w) for j, w in enumerate(h.weights.tolist())]
+    for j, c in enumerate(h.colors.tolist()):
+        for v in h.members[h.eptr[j]:h.eptr[j + 1]].tolist():
+            if (v, c - 1) in column:
+                rows.append(([(column[v, c - 1], -1.0), (xe + j, 1.0)], ">=", 0.0))
+    return lp_from_rows("min", cols, rows)
 
 
 def reference_compact_solution_from_vector(

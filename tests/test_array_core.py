@@ -528,15 +528,18 @@ def assert_reads_like_reference(texts):
         with pytest.raises(ParseError) as got:
             parse_benchmark(*texts)
         assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        return
     except OverflowError:  # an id or a label beyond 64 bits: the old reader had no error for it
+        expected = None
+    # Nor for the id word 2**63, which is 2**63 - 1 once shifted to 0-based
+    if expected is None or expected[0].num_nodes >= 2**63:
         with pytest.raises(ParseError, match="integer beyond 64 bits in (edges|labels) file"):
             parse_benchmark(*texts)
+    elif not all(-(2**63) <= c < 2**63 for c in expected[1] or ()):  # nor for such a truth
+        with pytest.raises(ParseError, match="integer beyond 64 bits in node labels file"):
+            parse_benchmark(*texts)
     else:
-        if not all(-(2**63) <= c < 2**63 for c in expected[1] or ()):  # nor for such a truth
-            with pytest.raises(ParseError, match="integer beyond 64 bits in node labels file"):
-                parse_benchmark(*texts)
-        else:
-            assert parse_benchmark(*texts) == expected
+        assert parse_benchmark(*texts) == expected
 
 
 class TestBenchmarkParse:
@@ -552,6 +555,7 @@ class TestBenchmarkParse:
         ["0 1\n1 x\n", "1\n1\n"], ["1 2\n", "0\n", "1\n"], ["1 2\n", " 1 2\n"],
         ["1 99999999999999999999\n", "1\n", "1\n2\n"],
         ["1 99999999999999999999\n", "1\n"], ["1 2\n", "1\n", "1\n99999999999999999999\n"],
+        ["1 \n1 \n9223372036854775808 ", "1 \n1 \n1 "],
     ])
     def test_edge_cases(self, texts):
         assert_reads_like_reference(texts)
@@ -770,7 +774,7 @@ class TestEvaluation:
         assert sorted(dels.indices) == [j for j in range(m) if flags[j]]
         base = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
         mv = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
-        assert recolor_uncovered(h, dels, base, mv) == reference_recolor_uncovered(h, dels, base, mv)
+        assert recolor_uncovered(h, dels, base, mv)[0] == reference_recolor_uncovered(h, dels, base, mv)
 
 
 class TestIncidenceBuild:

@@ -20,7 +20,9 @@ from minecc.certificates import (
     verify_all,
     verify_certificate,
 )
-from minecc.lp import LinearProgram, export_lp_text
+from minecc.lp import export_lp_text
+
+from conftest import lp_from_rows
 
 F = Fraction
 
@@ -195,13 +197,14 @@ class TestNumericCrossCheck:
         assert "Maximize" in text and "chi" in text
 
     def test_block_build_equals_the_row_by_row_model(self):
-        # case_to_lp appends all columns and all rows in one call each; the
-        # model is the one that add_var and add_constraint write out by hand.
+        # case_to_lp builds its rows as CSR arrays; the model is the one
+        # written out row by row, with each row's pairs in the case's order.
         for case in all_cases():
-            lp = LinearProgram(sense="max")
-            for name, coef in zip(case.var_names, case.objective):
-                lp.add_var(name, 0.0, 16.0, obj=float(coef))
-            lp.constant = float(case.constant)
-            for _, coeffs, rhs in case.rows:
-                lp.add_constraint([(j, float(c)) for j, c in coeffs.items()], "<=", float(rhs))
+            lp = lp_from_rows(
+                "max",
+                [(name, 0.0, 16.0, float(coef)) for name, coef in zip(case.var_names, case.objective)],
+                [([(j, float(c)) for j, c in coeffs.items()], "<=", float(rhs))
+                 for _, coeffs, rhs in case.rows],
+                constant=float(case.constant),
+            )
             assert case_to_lp(case) == lp, case.case_id

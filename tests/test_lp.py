@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from minecc.certificates import all_cases, case_to_lp
 from minecc.hypergraph import EdgeColoredHypergraph, hypergraph, validate
 from minecc.instances import gen_integrality_gap, gen_random, gen_star
-from minecc.lp import LinearProgram, export_lp_text, parse_primal_text, solve
+from minecc.lp import LinearProgram, Rows, export_lp_text, parse_primal_text, solve
 from minecc.oracle import bruteforce_ecc
 from minecc.relaxations import (
     build_ecc_lp,
@@ -18,7 +18,7 @@ from minecc.relaxations import (
     solution_from_vector,
 )
 
-from conftest import edges_of, random_instance, reference_simplex
+from conftest import edges_of, lp_from_rows, random_instance, reference_simplex
 
 
 def ecc_value(h) -> float:
@@ -31,48 +31,37 @@ def nodemc_value(h) -> float:
 
 class TestSimplex:
     def test_min_with_lower_constraint(self):
-        lp = LinearProgram(sense="min")
-        lp.add_var("x", 0, 10, obj=1.0)
-        lp.add_constraint([(0, 1.0)], ">=", 2.0)
+        lp = lp_from_rows("min", [("x", 0, 10, 1.0)], [([(0, 1.0)], ">=", 2.0)])
         res = solve(lp)
         assert res.status == "optimal"
         assert res.value == pytest.approx(2.0)
 
     def test_unbounded(self):
-        lp = LinearProgram(sense="max")
-        lp.add_var("x", 0, math.inf, obj=1.0)
+        lp = lp_from_rows("max", [("x", 0, math.inf, 1.0)], [])
         assert solve(lp).status == "unbounded"
 
     def test_infeasible(self):
-        lp = LinearProgram(sense="min")
-        lp.add_var("x", 0, 1, obj=1.0)
-        lp.add_constraint([(0, 1.0)], ">=", 3.0)
+        lp = lp_from_rows("min", [("x", 0, 1, 1.0)], [([(0, 1.0)], ">=", 3.0)])
         assert solve(lp).status == "infeasible"
 
     def test_redundant_equalities(self):
         # Duplicate equality rows leave an artificial stuck on a zero row.
-        lp = LinearProgram(sense="min")
-        lp.add_var("x", 0, 5, obj=1.0)
-        lp.add_var("y", 0, 5, obj=1.0)
-        for _ in range(3):
-            lp.add_constraint([(0, 1.0), (1, 1.0)], "=", 2.0)
+        lp = lp_from_rows("min", [("x", 0, 5, 1.0), ("y", 0, 5, 1.0)],
+                          [([(0, 1.0), (1, 1.0)], "=", 2.0)] * 3)
         res = solve(lp).require_optimal()
         assert res.value == pytest.approx(2.0)
 
     def test_equality_and_negative_rhs(self):
-        lp = LinearProgram(sense="min")
-        lp.add_var("x", 0, 5, obj=1.0)
-        lp.add_var("y", 0, 5, obj=2.0)
-        lp.add_constraint([(0, 1.0), (1, 1.0)], "=", 3.0)
-        lp.add_constraint([(0, -1.0)], "<=", -1.0)  # x >= 1
+        lp = lp_from_rows("min", [("x", 0, 5, 1.0), ("y", 0, 5, 2.0)], [
+            ([(0, 1.0), (1, 1.0)], "=", 3.0),
+            ([(0, -1.0)], "<=", -1.0),  # x >= 1
+        ])
         res = solve(lp).require_optimal()
         assert res.value == pytest.approx(3.0)
         assert res.x[0] == pytest.approx(3.0)
 
     def test_max_sense_value(self):
-        lp = LinearProgram(sense="max")
-        lp.add_var("x", 0, 4, obj=2.0)
-        lp.constant = 1.0
+        lp = lp_from_rows("max", [("x", 0, 4, 2.0)], [], constant=1.0)
         res = solve(lp).require_optimal()
         assert res.value == pytest.approx(9.0)
 
@@ -144,21 +133,23 @@ def generic_lps(draw):
     """Small LPs with every row relation, negative rhs, shifted or boxed
     variables, either sense, and optionally a repeated equality row."""
     coef = st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0])
-    lp = LinearProgram(sense=draw(st.sampled_from(["min", "max"])))
+    sense = draw(st.sampled_from(["min", "max"]))
     n = draw(st.integers(1, 6))
+    cols = []
     for j in range(n):
         lo = draw(st.sampled_from([0.0, 0.0, -2.0, -0.5, 1.0]))
         width = draw(st.sampled_from([math.inf, 0.0, 1.0, 2.5, 4.0]))
-        lp.add_var(f"x{j}", lo, lo + width, obj=draw(coef))
+        cols.append((f"x{j}", lo, lo + width, draw(coef)))
+    rows = []
     for _ in range(draw(st.integers(0, 6))):
         support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         rel = draw(st.sampled_from(["<=", ">=", "="]))
         rhs = draw(st.sampled_from([-4.0, -1.0, 0.0, 1.0, 2.5, 6.0]))
-        lp.add_constraint([(j, draw(coef)) for j in support], rel, rhs)
-    equalities = [con for con in lp.constraints if con.rel == "="]
+        rows.append(([(j, draw(coef)) for j in support], rel, rhs))
+    equalities = [row for row in rows if row[1] == "="]
     if equalities and draw(st.booleans()):
-        lp.add_constraint(list(equalities[0].coeffs), "=", equalities[0].rhs)
-    return lp
+        rows.append(equalities[0])
+    return lp_from_rows(sense, cols, rows)
 
 
 class TestSparsePivotMatchesReference:
@@ -325,12 +316,9 @@ class TestCompactModel:
 
 class TestRowStorage:
     def test_rows_read_back_as_records(self):
-        lp = LinearProgram()
-        for j in range(3):
-            lp.add_var(f"x{j}", 0.0, 1.0)
-        lp.add_constraint([(2, 1.0), (0, 2.0), (2, 0.5)], "<=", 4.0)  # x2 summed, sorted
-        lp.add_rows([0, 0, 2], [0, 1], [1.0, -1.0], [2, 1], [-1.0, 0.0])
-        lp.add_constraint([], "=", 0.0)
+        lp = LinearProgram(np.zeros(3), 0.0, 1.0, ["x0", "x1", "x2"],
+                           Rows([0, 2, 2, 4, 4], [0, 2, 0, 1], [2.0, 1.5, 1.0, -1.0],
+                                [0, 2, 1, 2], [4.0, -1.0, 0.0, 0.0]))
         rows = lp.constraints
         assert len(rows) == 4 and rows[-1] == ((), "=", 0.0)
         assert rows[0].coeffs == ((0, 2.0), (2, 1.5)) and rows[0].rel == "<="
@@ -343,61 +331,42 @@ class TestRowStorage:
         ([0, 2], [1, 0], [0], "rise strictly"),
         ([0, 2], [0, 0], [0], "rise strictly"),
         ([0, 1], [3], [0], "unknown variable"),
+        ([0, 1], [-1], [0], "unknown variable"),
         ([0, 1], [0], [3], "relation code"),
         ([1, 1], [0], [0], "do not fit"),
     ])
     def test_bad_rows_are_rejected(self, indptr, indices, rel, message):
-        lp = LinearProgram()
-        lp.add_vars(np.zeros(3), 0.0, 1.0, ["a", "b", "c"])
+        rows = Rows(indptr, indices, np.ones(len(indices)), rel, [0.0] * len(rel))
         with pytest.raises(ValueError, match=message):
-            lp.add_rows(indptr, indices, np.ones(len(indices)), rel, [0.0] * len(rel))
-        assert lp.num_rows == 0
+            LinearProgram(np.zeros(3), 0.0, 1.0, ["a", "b", "c"], rows)
 
-    def test_single_appends_equal_block_appends(self):
-        one = LinearProgram()
-        one.add_var("a", 0.0, 1.0, obj=2.0)
-        one.add_var("b", -1.0)
-        one.add_var("c", 0.0, 0.0, obj=-1.5)
-        one.add_constraint([(2, 1.0), (0, 2.0), (2, 0.5)], "<=", 4.0)  # x2 summed, sorted
-        one.add_constraint([], "=", 0.0)
-        one.add_constraint([(1, -1.0)], ">=", -3.0)
-        block = LinearProgram()
-        block.add_vars([2.0], 0.0, 1.0, ["a"])
-        block.add_vars([0.0, -1.5], [-1.0, 0.0], [math.inf, 0.0], lambda: ["b", "c"])
-        block.add_rows([0, 2, 2, 3], [0, 2, 1], [2.0, 1.5, -1.0], [0, 2, 1], [4.0, 0.0, -3.0])
-        assert one == block
-        block.add_constraint([(0, 1.0)], "<=", 1.0)
-        assert one != block
-
-    @pytest.mark.parametrize("append, message", [
-        (lambda lp: lp.add_var("z", 1.0, 0.0), "variable z: lower bound"),
-        (lambda lp: lp.add_var("z", math.nan), "variable z: lower bound"),
-        (lambda lp: lp.add_constraint([(0, 1.0), (3, 1.0)], "<=", 1.0), "unknown variable index 3"),
-        (lambda lp: lp.add_constraint([(-1, 1.0)], "<=", 1.0), "unknown variable index -1"),
-        (lambda lp: lp.add_constraint([(0, 1.0)], "<", 1.0), "unknown relation"),
-    ], ids=["bounds", "nan-bound", "index-past-end", "negative-index", "relation"])
-    def test_rejected_single_append_changes_nothing(self, append, message):
-        lp = LinearProgram()
-        for name in "abc":
-            lp.add_var(name)
-        lp.add_constraint([(0, 1.0)], ">=", 0.0)
-        before = (lp.num_vars, lp.num_rows, list(lp.names))
+    @pytest.mark.parametrize("lower, upper, message", [
+        ([0.0, 1.0, 0.0], [1.0, 0.0, math.inf], "variable b: lower bound 1.0 exceeds upper bound 0.0"),
+        ([0.0, 0.0, math.nan], math.inf, "variable c: lower bound nan exceeds upper bound inf"),
+    ], ids=["bounds", "nan-bound"])
+    def test_bad_bounds_are_rejected(self, lower, upper, message):
         with pytest.raises(ValueError, match=message):
-            append(lp)
-        assert (lp.num_vars, lp.num_rows, lp.names) == before
+            LinearProgram(np.zeros(3), lower, upper, ["a", "b", "c"])
+
+    def test_inputs_are_copied_and_read_only(self):
+        objective, rhs = np.array([1.0, 2.0]), np.array([1.0])
+        lp = LinearProgram(objective, 0.0, 1.0, ["a", "b"], Rows([0, 2], [0, 1], [1.0, 1.0], [0], rhs))
+        objective[0] = rhs[0] = 5.0
+        assert list(lp.objective) == [1.0, 2.0] and list(lp.rows.rhs) == [1.0]
+        for a in (lp.objective, lp.lower, lp.upper, *lp.rows):
+            with pytest.raises(ValueError, match="read-only"):
+                a[:1] = 0
 
     def test_names_are_made_when_first_read(self):
         made = []
-        lp = LinearProgram()
-        lp.add_var("a")
-        lp.add_vars([1.0, 2.0], 0.0, [1.0, math.inf], lambda: made.append(1) or ["b", "c"])
-        lp.add_var("d", obj=3.0)
+        lp = LinearProgram([0.0, 1.0, 2.0, 3.0], 0.0, [math.inf, 1.0, math.inf, math.inf],
+                           lambda: made.append(1) or ["a", "b", "c", "d"])
         assert made == [] and lp.num_vars == 4
-        assert lp.names == ["a", "b", "c", "d"] and lp.index_of("c") == 2 and made == [1]
+        assert lp.names == ["a", "b", "c", "d"] and lp.names.index("c") == 2 and made == [1]
         assert list(lp.objective) == [0.0, 1.0, 2.0, 3.0]
         assert list(lp.upper) == [math.inf, 1.0, math.inf, math.inf]
         with pytest.raises(ValueError, match="variable y: lower bound"):
-            lp.add_vars([0.0, 0.0], [0.0, 2.0], 1.0, ["x", "y"])
+            LinearProgram([0.0, 0.0], [0.0, 2.0], 1.0, lambda: ["x", "y"])
 
 
 class TestNodeMcLp:
@@ -441,10 +410,7 @@ class TestExtract:
 
     def test_rejects_non_optimal_result(self):
         h = hypergraph(2, 1, [((0, 1), 1)])
-        lp = LinearProgram(sense="min")
-        lp.add_var("x", 0, 1, obj=1.0)
-        lp.add_constraint([(0, 1.0)], ">=", 2.0)
-        res = solve(lp)
+        res = solve(lp_from_rows("min", [("x", 0, 1, 1.0)], [([(0, 1.0)], ">=", 2.0)]))
         with pytest.raises(RuntimeError):
             extract_ecc_solution(h, res)
 
@@ -515,9 +481,7 @@ def _parse_lp_text(text: str):
 
 class TestExport:
     def test_sections_present(self):
-        lp = LinearProgram(sense="min")
-        lp.add_var("x", 0, 1, obj=1.0)
-        text = export_lp_text(lp)
+        text = export_lp_text(lp_from_rows("min", [("x", 0, 1, 1.0)], []))
         for token in ("Minimize", "Subject To", "Bounds", "End"):
             assert token in text
 
@@ -584,8 +548,7 @@ class TestPrimalImport:
         assert sol.objective == pytest.approx(1.5, abs=1e-9)
 
     def test_unknown_name_rejected(self):
-        lp = LinearProgram()
-        lp.add_var("x")
+        lp = lp_from_rows("min", [("x", 0.0, math.inf, 0.0)], [])
         with pytest.raises(ValueError):
             parse_primal_text(lp, "y 1.0\n")
 
@@ -593,12 +556,11 @@ class TestPrimalImport:
 class TestViolation:
     @staticmethod
     def small_lp() -> LinearProgram:
-        lp = LinearProgram()
-        a, b = lp.add_var("a", 0.0, 1.0), lp.add_var("b", -1.0)
-        lp.add_constraint([(a, 1.0), (b, 1.0)], "<=", 1.5)
-        lp.add_constraint([(a, 2.0)], ">=", 1.0)
-        lp.add_constraint([(a, 1.0), (b, -1.0)], "=", 0.5)
-        return lp
+        return lp_from_rows("min", [("a", 0.0, 1.0, 0.0), ("b", -1.0, math.inf, 0.0)], [
+            ([(0, 1.0), (1, 1.0)], "<=", 1.5),
+            ([(0, 2.0)], ">=", 1.0),
+            ([(0, 1.0), (1, -1.0)], "=", 0.5),
+        ])
 
     @pytest.mark.parametrize("x, expected", [
         ([0.5, 0.0], None),

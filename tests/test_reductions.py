@@ -21,7 +21,7 @@ from minecc.reductions import (
 )
 from minecc.relaxations import build_nodemc_lp
 
-from conftest import edges_of
+from conftest import edges_of, lp_from_rows
 
 
 def triangle() -> WeightedGraph:
@@ -102,6 +102,21 @@ class TestCoverDeletionMaps:
         red = ecc_to_vertex_cover(h)
         assert cover_to_deletions(red, set()).indices == frozenset()
 
+    def test_weight_is_added_in_edge_order(self):
+        # Edges 0/1, 32/33 and 64/65 are the only conflicting pairs, each on
+        # its own shared node; every other edge is alone on its node. The
+        # cover {1, 33, 65} iterates as 65, 1, 33, whose sum is 2.5000000000000004.
+        edges = [((j,), 1, 1.0) for j in range(66)]
+        for first, shared, weight in ((0, 66, 0.1), (32, 67, 0.2), (64, 68, 2.2)):
+            edges[first] = ((first, shared), 1, 1.0)
+            edges[first + 1] = ((first + 1, shared), 2, weight)
+        h = hypergraph(69, 2, edges)
+        red = ecc_to_vertex_cover(h)
+        assert red.graph.edges == ((0, 1), (32, 33), (64, 65))
+        dels = cover_to_deletions(red, {1, 33, 65})
+        assert dels == DeletionSet.from_flags(h, [j in (1, 33, 65) for j in range(66)])
+        assert dels.total_weight == 2.5
+
     def test_match_deletions_are_covers(self):
         for seed in range(10):
             h = gen_random(10, 16, 3, 3, 0.6, seed=seed).hypergraph
@@ -179,38 +194,36 @@ class TestEccToNodeMc:
         assert set(g.edges) == {(0, 2), (1, 2), (3, 2)}
 
     def test_lp_value_matches_direct_build(self):
-        from minecc.lp import LinearProgram
-
         for seed in range(3):
             h = gen_random(7, 10, 3, 3, 0.5, seed=seed).hypergraph
             direct = solve(build_nodemc_lp(h)).require_optimal().value
             g = ecc_to_node_mc(h)
 
-            lp = LinearProgram(sense="min")
             k = h.num_colors
-            for u in range(g.num_nodes):
-                for i in range(1, k + 1):
-                    lp.add_var(f"y_{u}_{i}")
+            cols = [(f"y_{u}_{i}", 0.0, math.inf, 0.0)
+                    for u in range(g.num_nodes) for i in range(1, k + 1)]
             dvar = {}
             for u in range(g.num_nodes):
                 if u not in g.undeletable:
-                    dvar[u] = lp.add_var(f"d_{u}", obj=g.weights[u])
+                    dvar[u] = len(cols)
+                    cols.append((f"d_{u}", 0.0, math.inf, g.weights[u]))
+            rows = []
             for a, b in g.edges:
                 for i in range(k):
                     row = [(b * k + i, 1.0), (a * k + i, -1.0)]
                     if b in dvar:
                         row.append((dvar[b], -1.0))
-                    lp.add_constraint(row, "<=", 0.0)
+                    rows.append((row, "<=", 0.0))
                     row = [(a * k + i, 1.0), (b * k + i, -1.0)]
                     if a in dvar:
                         row.append((dvar[a], -1.0))
-                    lp.add_constraint(row, "<=", 0.0)
+                    rows.append((row, "<=", 0.0))
             for t, c in g.terminals:
-                lp.add_constraint([(t * k + c - 1, 1.0)], "=", 0.0)
+                rows.append(([(t * k + c - 1, 1.0)], "=", 0.0))
                 for i in range(1, k + 1):
                     if i != c:
-                        lp.add_constraint([(t * k + i - 1, 1.0)], ">=", 1.0)
-            via_graph = solve(lp).require_optimal().value
+                        rows.append(([(t * k + i - 1, 1.0)], ">=", 1.0))
+            via_graph = solve(lp_from_rows("min", cols, rows)).require_optimal().value
             assert via_graph == pytest.approx(direct, abs=1e-6)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -263,3 +265,17 @@ class TestEstimateMistakeProb:
         assert p_mid == pytest.approx(1 / 2, abs=3 * err_mid + 0.01)
         p_hi, err_hi = estimate_mistake_prob(h, sol, Interval(0.86, 0.874), 0, 20000, seed=6)
         assert p_hi == pytest.approx(2 / 3, abs=3 * err_hi + 0.01)
+
+    def test_trials_on_a_large_edge_stay_small(self):
+        # gap8's edge 0 has 7 members and k = 8: the (trials, members, k)
+        # score takes one byte per cell, 1.1 MB at 20000 trials (8.96 MB as int64).
+        h = gen_integrality_gap(8)
+        sol = lp_solution(h)
+        interval = best_interval(8, h.rank).interval
+        tracemalloc.start()
+        try:
+            estimate_mistake_prob(h, sol, interval, 0, 20000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
