@@ -26,7 +26,8 @@ EXIT_PARSE = 2
 EXIT_VERIFY = 3
 EXIT_CAPACITY = 4
 
-SOLVER_VAR_LIMIT = 5000  # the simplex tableau takes about 1 GB here; beyond this, export instead
+# Counted on the model solved: the compact clustering LP, or compare-lp's multiway-cut LP.
+SOLVER_VAR_LIMIT = 5000  # the tableau takes about 1 GB here; beyond this, export instead
 
 
 @dataclass
@@ -172,8 +173,8 @@ def _oracle_cap() -> int:
 
 
 def _need_colors(h: EdgeColoredHypergraph, what: str) -> None:
-    """Refuse an instance without colors where ``what`` needs one: the full
-    clustering LP's node rows would read 0 = -1, and the oracle has nothing to assign."""
+    """Refuse an instance without colors where ``what`` needs one: the full clustering
+    LP's node rows would read 0 = -1, and rounding and the oracle have no color to give."""
     if h.num_colors == 0:
         raise CliError(f"{what} needs at least one color; the instance has none", EXIT_PARSE)
 
@@ -320,10 +321,9 @@ def cmd_solve(args) -> int:
     if args.interval and args.algo != "lp":
         raise CliError("--interval needs --algo lp", EXIT_PARSE)
     h, truth, name = _load_instance(args)
-    # A bound alone comes from the compact model; rounding and a supplied
-    # primal need the full one.
-    compact = needs != "lp" and not args.solution
-    if with_lp and not compact:
+    # The simplex solves the compact model; a supplied primal names the full one's columns.
+    compact = not args.solution
+    if needs == "lp" or args.solution:
         _need_colors(h, "the clustering LP")
     if args.algo == "exact":
         _need_colors(h, "the exact oracle")
@@ -476,19 +476,21 @@ def cmd_verify(args) -> int:
 
     h, _, name = _load_instance(args)
     _need_colors(h, "the clustering LP")
-    vector = _primal(build_ecc_lp(h), args.solution, "--solution", check=False)
+    compact = not args.solution
+    vector = _primal(build_ecc_lp(h, compact=compact), args.solution, "--solution", check=False)
     # A supplied primal is checked as given, so that corrupted inputs stay detectable.
-    sol = solution_from_vector(h, vector, tighten=not args.solution)
+    sol = solution_from_vector(h, vector, tighten=not args.solution, compact=compact)
     problems = sol.violations(h) + rounding_invariant_violations(h, sol)
     checked = "feasibility and threshold invariants"
-    # The frequency trials round the solution, so they need it to hold first.
+    # The frequency trials round the solution, so they need it to hold, checked once here.
     if args.trials > 0 and h.rank >= 2 and not problems:
         # Empirical per-edge check: the mistake frequency of interval rounding
         # must stay within the guaranteed multiple of each edge variable.
         choice = best_interval(h.num_colors, h.rank)
         interval = args.interval or choice.interval
         for j in range(h.num_edges):
-            p, err = estimate_mistake_prob(h, sol, interval, j, args.trials, args.seed + j)
+            p, err = estimate_mistake_prob(h, sol, interval, j, args.trials, args.seed + j,
+                                           check=False)
             if p > choice.factor * float(sol.x_edge[j]) + 3 * err:
                 problems.append(
                     f"edge {j}: mistake frequency {p:.4f} exceeds "

@@ -17,10 +17,22 @@ distance at 0 and drops out, and so does a node without edges, as do the
 membership rows of both. :func:`solution_from_vector` with ``compact=True``
 fills the full ``(n, k)`` distances back in: 1 for an absent color, 0 for a
 single-color node's color, and 0 on color 1 for a node without edges, so the
-filled solution passes :meth:`EccLpSolution.violations`. It is an optimum of
-the full model, though not always the basic optimum that the full model's
-simplex returns, so bounds use the compact model and rounding, ``verify``,
-``export`` and externally solved primals keep the full one.
+filled solution passes :meth:`EccLpSolution.violations`.
+
+A basic optimum of the compact model fills to a basic optimum of the full
+one, so the compact model is the one to solve for rounding as well as for a
+bound. Fixing the absent colors' distances at 1, and the distances of
+single-color and edgeless nodes at the fill's values, sets variables at their
+bounds, so it cuts a face out of the full polytope. That face is the compact
+model: under the fixing, each sum row left reads
+``sum_{c in C_v} xn_v_c = |C_v| - 1``, the other sum rows hold, and each
+membership row dropped reads ``xe_j >= 0``. A vertex of a face is a vertex of
+the polytope, so the filled point is a vertex of the full model, and an
+optimal one, as both models have the same optimal value. In particular it is
+0/1 at ``k = 2``, as every vertex of the full model is there (criterion 9
+of the acceptance tests). Only a primal that
+carries the full model's ``xn_v_i`` names (a ``--solution`` file, ``export``)
+needs the full model built.
 
 The two models differ only in which nodes get a sum row and which
 ``(node, color)`` cells a column (:func:`_node_colors`), so one column map

@@ -88,6 +88,7 @@ def _round_rows(
     # per cell.
     rank = np.empty(perms.shape, dtype=np.min_scalar_type(k))
     np.put_along_axis(rank, perms, np.broadcast_to(np.arange(1, k + 1), perms.shape), axis=1)
+    del perms  # read no further: free it before the larger score array
     score = (rows[None, :, :] < rho[:, None, None]) * rank[:, None, :]
     return score.argmax(axis=2)
 
@@ -148,6 +149,8 @@ def estimate_mistake_prob(
     edge_index: int,
     trials: int,
     seed: int,
+    *,
+    check: bool = True,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the probability that rounding mis-colors one edge.
 
@@ -155,11 +158,14 @@ def estimate_mistake_prob(
     kernel on the edge's member rows with ``trials`` trials, so each trial
     rounds as :func:`gen_color_round` does, and only the colors of the edge's
     members are materialized. An edge index outside ``[0, m)`` raises
-    IndexError, as in :func:`color_thresholds`.
+    IndexError, as in :func:`color_thresholds`. An infeasible ``x`` raises
+    ValueError; a caller that estimates every edge of one solution checks it
+    once with :meth:`EccLpSolution.violations` and passes ``check=False``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    _check_feasible(h, x)
+    if check:
+        _check_feasible(h, x)
     members, color = _edge(h, edge_index)
     colors = _round_rows(x.x_node[members], interval, trials, np.random.default_rng(seed))
     mistake = (colors != color - 1).any(axis=1)
@@ -209,25 +215,28 @@ def rounding_invariant_violations(
 
     For every edge, ``1 - z_1 <= x_e``. On graphs (rank 2) also, for every
     integer ``t <= k/2``, ``t <= x_e + z_t + ... + z_{2t-1}``. Violations are
-    reported with the edge index; an empty list means all checks pass.
+    reported with the edge index, edge by edge; an empty list means all
+    checks pass. An edge without members has no threshold and breaks neither.
     """
-    problems: list[str] = []
-    k = h.num_colors
+    k, m = h.num_colors, h.num_edges
     if k <= 1:
-        return problems
-    t_max = k // 2 if h.rank == 2 else 1
-    for j in range(h.num_edges):
-        z = color_thresholds(h, x, j).values
-        xe = x.x_edge[j]
-        if 1.0 - z[0] > xe + tol:
-            problems.append(
-                f"edge {j}: first threshold bound fails (1 - {z[0]:.9f} > {xe:.9f})"
-            )
-        for t in range(2, t_max + 1):
-            window = sum(z[i - 1] for i in range(t, 2 * t))
-            if t > xe + window + tol:
-                problems.append(
-                    f"edge {j}: threshold sum bound fails at t={t} "
-                    f"({t} > {xe:.9f} + {window:.9f})"
-                )
-    return problems
+        return []
+    # mins[j, i]: the smallest distance to color i + 1 over edge j's members
+    # (inf for an edge without members); z[j]: the k - 1 entries of colors
+    # other than j's own, sorted, so z[j, t - 1] is the edge's z_t.
+    mins = np.full((m, k), np.inf)
+    filled = np.flatnonzero(np.diff(h.eptr) > 0)
+    mins[filled] = np.minimum.reduceat(x.x_node[h.members], h.eptr[filled], axis=0)
+    own = np.arange(k) == (h.colors - 1)[:, None]
+    z = np.sort(mins[~own].reshape(m, k - 1), axis=1)
+    xe = x.x_edge
+    found = [(j, 1, f"edge {j}: first threshold bound fails (1 - {z[j, 0]:.9f} > {xe[j]:.9f})")
+             for j in np.flatnonzero(1.0 - z[:, 0] > xe + tol).tolist()]
+    for t in range(2, (k // 2 if h.rank == 2 else 1) + 1):
+        window = np.zeros(m)
+        for i in range(t - 1, 2 * t - 1):  # left to right, as z_t + ... + z_2t-1 reads
+            window += z[:, i]
+        found += [(j, t, f"edge {j}: threshold sum bound fails at t={t} "
+                         f"({t} > {xe[j]:.9f} + {window[j]:.9f})")
+                  for j in np.flatnonzero(t > xe + window + tol).tolist()]
+    return [problem for _, _, problem in sorted(found)]

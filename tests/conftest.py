@@ -22,6 +22,7 @@ from minecc.hypergraph import (
 from minecc.instances import ParseError, PlantedInstance
 from minecc.oracle import DEFAULT_CAP, CapExceededError, OracleResult
 from minecc.relaxations import EccLpSolution, _reach, _snap
+from minecc.rounding import color_thresholds
 from minecc.lp import (
     DEGENERATE_RUN_LIMIT,
     FEAS_TOL,
@@ -614,6 +615,33 @@ def reference_estimate_mistake_prob(
     p = float(mistake.mean())
     stderr = math.sqrt(p * (1.0 - p) / trials)
     return p, stderr
+
+
+def reference_rounding_invariant_violations(
+    h: EdgeColoredHypergraph, x: EccLpSolution, tol: float = 1e-7
+) -> list[str]:
+    """The per-edge loop over ``color_thresholds``; the reference for
+    ``rounding_invariant_violations`` on instances without empty edges."""
+    problems: list[str] = []
+    k = h.num_colors
+    if k <= 1:
+        return problems
+    t_max = k // 2 if h.rank == 2 else 1
+    for j in range(h.num_edges):
+        z = color_thresholds(h, x, j).values
+        xe = x.x_edge[j]
+        if 1.0 - z[0] > xe + tol:
+            problems.append(
+                f"edge {j}: first threshold bound fails (1 - {z[0]:.9f} > {xe:.9f})"
+            )
+        for t in range(2, t_max + 1):
+            window = sum(z[i - 1] for i in range(t, 2 * t))
+            if t > xe + window + tol:
+                problems.append(
+                    f"edge {j}: threshold sum bound fails at t={t} "
+                    f"({t} > {xe:.9f} + {window:.9f})"
+                )
+    return problems
 
 
 def reference_bad_edge_pairs(h: EdgeColoredHypergraph) -> tuple[tuple[int, int], ...]:

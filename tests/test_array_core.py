@@ -51,7 +51,12 @@ from minecc.instances import (
 from minecc.oracle import CapExceededError, bruteforce_ecc
 from minecc.reductions import bad_edge_pairs
 from minecc.relaxations import EccLpSolution, build_ecc_lp, build_nodemc_lp, solution_from_vector
-from minecc.rounding import Interval, estimate_mistake_prob, gen_color_round
+from minecc.rounding import (
+    Interval,
+    estimate_mistake_prob,
+    gen_color_round,
+    rounding_invariant_violations,
+)
 
 from conftest import (
     Edge,
@@ -76,6 +81,7 @@ from conftest import (
     reference_parse_benchmark,
     reference_parse_canonical,
     reference_recolor_uncovered,
+    reference_rounding_invariant_violations,
     reference_solution_from_vector,
     reference_truth_words,
     reference_validate,
@@ -690,6 +696,19 @@ class TestRoundingMatchesReference:
             got = estimate_mistake_prob(h, x, interval, j, trials, seed)
             want = reference_estimate_mistake_prob(h, x, interval, j, trials, seed)
             assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 12), st.integers(1, 8),
+           st.integers(1, 4), st.sampled_from([1, 2, 3, 4, 8]), st.sampled_from([1e-7, 0.1]))
+    def test_same_invariant_problems(self, seed, n, m, k, max_size, d, tol):
+        # Distances and edge variables on a grid of step 1/d, feasible or not,
+        # so that both bounds fail on some edges; rank 2 with up to 8 colors
+        # reaches the threshold sums up to t = 4.
+        rng = np.random.default_rng(seed)
+        h = random_instance(rng, n, m, k, max_size)
+        x = EccLpSolution(rng.integers(0, d + 1, (n, k)) / d, rng.integers(0, d + 1, m) / d, 0.0)
+        assert (rounding_invariant_violations(h, x, tol)
+                == reference_rounding_invariant_violations(h, x, tol))
 
     @pytest.mark.parametrize("h", [hypergraph(2, 0, []), hypergraph(2, 3, [((0, 1), 1)])])
     def test_same_error_on_an_infeasible_solution(self, h):

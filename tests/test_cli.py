@@ -581,7 +581,8 @@ def library_coloring(h, algo: str, seed: int, order_seed):
         return hybrid(h, order_seed)
     if algo == "exact":
         return list(bruteforce_ecc(h).witness)
-    lp_sol = extract_ecc_solution(h, lp_solve(build_ecc_lp(h)).require_optimal().x)
+    lp_sol = extract_ecc_solution(h, lp_solve(build_ecc_lp(h, compact=True)).require_optimal().x,
+                                  compact=True)
     if algo == "lp-simple":
         return simple_round(lp_sol)
     interval = best_interval(h.num_colors, max(h.rank, 2)).interval
@@ -649,21 +650,33 @@ class TestExactAndCapacity:
         assert main(["solve", gap3_file, "--algo", "exact"]) == 4
 
     def test_lp_capacity_exit_code(self, tmp_path, capsys):
+        # The compact model has 5132 variables (the full one 9000), so the
+        # limit refuses the model that would be solved, before solving it.
         inst = tmp_path / "big.ecc"
-        main(["gen", "random", "--nodes", "2000", "--edges", "100", "--colors", "3",
-              "--noise", "0.2", "--seed", "0", "-o", str(inst)])
-        assert main(["solve", str(inst), "--algo", "lp"]) == 4
+        assert main(["gen", "random", "--nodes", "1500", "--edges", "3000", "--colors", "4",
+                     "--noise", "0.2", "--seed", "0", "-o", str(inst)]) == 0
+        for argv in (["solve", str(inst), "--algo", "lp"],
+                     ["solve", str(inst), "--algo", "lp-simple"],
+                     ["solve", str(inst), "--algo", "match", "--with-lp-bound"],
+                     ["verify", "--invariants", str(inst)]):
+            assert main(argv) == 4
+            assert "LP has 5132 variables" in capsys.readouterr().err
 
-    def test_bound_only_commands_check_the_compact_model(self, tmp_path, monkeypatch, capsys):
+    def test_in_house_solves_check_the_compact_model(self, tmp_path, monkeypatch, capsys):
         # gap8: the full model has 232 variables and the compact one 64
-        inst = tmp_path / "gap8.ecc"
-        assert main(["gen", "gap", "--colors", "8", "-o", str(inst)]) == 0
-        monkeypatch.setattr(minecc.cli, "SOLVER_VAR_LIMIT", 100)
-        row = run_csv(capsys, ["solve", str(inst), "--algo", "match", "--with-lp-bound"])
-        assert float(row["lp_bound"]) == pytest.approx(4.0)
-        for algo in ("lp", "lp-simple"):
-            assert main(["solve", str(inst), "--algo", algo]) == 4
-            assert "LP has 232 variables" in capsys.readouterr().err
+        inst = str(tmp_path / "gap8.ecc")
+        assert main(["gen", "gap", "--colors", "8", "-o", inst]) == 0
+        commands = [["solve", inst, "--algo", "match", "--with-lp-bound"],
+                    ["solve", inst, "--algo", "lp"], ["solve", inst, "--algo", "lp-simple"],
+                    ["verify", "--invariants", inst, "--trials", "500"]]
+        monkeypatch.setattr(minecc.cli, "SOLVER_VAR_LIMIT", 64)
+        for argv in commands:
+            assert main(argv) == 0
+        assert "lp_bound=4 " in capsys.readouterr().out
+        monkeypatch.setattr(minecc.cli, "SOLVER_VAR_LIMIT", 63)
+        for argv in commands:
+            assert main(argv) == 4
+            assert "LP has 64 variables" in capsys.readouterr().err
 
     @pytest.mark.parametrize("owner, name, argv", [
         (minecc.rounding, "estimate_mistake_prob",
@@ -688,6 +701,65 @@ class TestExactAndCapacity:
         code = main(["verify", "--invariants", gap3_file, "--trials", "2000"])
         assert code == 0
         assert "rounding frequencies" in capsys.readouterr().out
+
+
+class TestClusteringLpModel:
+    """Every in-house solve of the clustering LP runs on the compact model; the
+    full one is built only where a primal carries its ``xn_v_i`` names."""
+
+    def test_two_colors_round_to_the_optimum(self, tmp_path, monkeypatch, capsys):
+        # Criterion 9 through the CLI: at k = 2 the filled compact optimum is
+        # 0/1 and its rounding costs OPT.
+        filled = []
+        extract = minecc.relaxations.extract_ecc_solution
+        monkeypatch.setattr(minecc.relaxations, "extract_ecc_solution",
+                            lambda *a, **kw: filled.append(extract(*a, **kw)) or filled[-1])
+        inst = tmp_path / "k2.ecc"
+        for seed in range(20):
+            assert main(["gen", "random", "--nodes", str(6 + seed % 5), "--edges",
+                         str(8 + seed % 7), "--max-size", "3", "--colors", "2", "--noise", "0.4",
+                         "--seed", str(seed), "-o", str(inst)]) == 0
+            row = run_csv(capsys, ["solve", str(inst), "--algo", "lp", "--seed", str(seed)])
+            opt = bruteforce_ecc(parse_canonical(inst.read_text())).value
+            assert float(row["mistakes"]) == pytest.approx(opt, abs=1e-9)
+            assert float(row["lp_bound"]) == pytest.approx(opt, abs=1e-9)
+            sol = filled[-1]
+            assert set(sol.x_node.ravel().tolist()) | set(sol.x_edge.tolist()) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("argv, compact", [
+        (["solve", "{inst}", "--algo", "lp"], True),
+        (["solve", "{inst}", "--algo", "lp-simple"], True),
+        (["solve", "{inst}", "--algo", "match", "--with-lp-bound"], True),
+        (["verify", "--invariants", "{inst}", "--trials", "100"], True),
+        (["compare-lp", "{inst}"], True),
+        (["solve", "{inst}", "--algo", "lp", "--solution", "{sol}"], False),
+        (["solve", "{inst}", "--algo", "lp-simple", "--solution", "{sol}"], False),
+        (["solve", "{inst}", "--algo", "match", "--with-lp-bound", "--solution", "{sol}"], False),
+        (["verify", "--invariants", "{inst}", "--solution", "{sol}"], False),
+        (["compare-lp", "{inst}", "--ecc-solution", "{sol}"], False),
+        (["export", "{inst}"], False),
+    ], ids=lambda v: "-".join(a.strip("-{}") for a in v) if isinstance(v, list) else str(v))
+    def test_which_model_is_built(self, argv, compact, gap3_file, tmp_path, monkeypatch, capsys):
+        h = parse_canonical(open(gap3_file).read())
+        lp = build_ecc_lp(h)
+        sol = tmp_path / "gap3.sol"
+        sol.write_text("".join(f"{name} {value!r}\n" for name, value in
+                               zip(lp.names, lp_solve(lp).require_optimal().x.tolist())))
+        built = []
+        build = minecc.relaxations.build_ecc_lp
+        monkeypatch.setattr(minecc.relaxations, "build_ecc_lp",
+                            lambda h, **kw: built.append(kw.get("compact", False)) or build(h, **kw))
+        assert main([a.format(inst=gap3_file, sol=sol) for a in argv]) == 0
+        assert built == [compact]
+
+    def test_verify_checks_the_solution_once(self, gap3_file, monkeypatch, capsys):
+        calls = []
+        violations = minecc.relaxations.EccLpSolution.violations
+        monkeypatch.setattr(minecc.relaxations.EccLpSolution, "violations",
+                            lambda self, *a, **kw: calls.append(a) or violations(self, *a, **kw))
+        assert main(["verify", "--invariants", gap3_file, "--trials", "100"]) == 0
+        assert "100-trial rounding frequencies hold" in capsys.readouterr().out
+        assert len(calls) == 1
 
 
 class TestCompareLp:

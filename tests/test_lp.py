@@ -17,6 +17,7 @@ from minecc.relaxations import (
     extract_ecc_solution,
     solution_from_vector,
 )
+from minecc.rounding import rounding_invariant_violations
 
 from conftest import edges_of, lp_from_rows, random_instance, reference_simplex
 
@@ -270,6 +271,7 @@ class TestCompactModel:
         filled = extract_ecc_solution(h, solve(build_ecc_lp(h, compact=True)), compact=True)
         assert filled.x_node.shape == (h.num_nodes, h.num_colors)
         assert filled.violations(h) == []
+        assert rounding_invariant_violations(h, filled) == []
         assert filled.objective == pytest.approx(full.objective, rel=1e-9, abs=1e-9)
 
     @settings(max_examples=100, deadline=None)

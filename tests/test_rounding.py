@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from minecc.hypergraph import hypergraph, objective_cost
+from minecc.hypergraph import EdgeColoredHypergraph, hypergraph, objective_cost
 from minecc.instances import gen_integrality_gap, gen_random
 from minecc.lp import solve
 from minecc.relaxations import EccLpSolution, build_ecc_lp, extract_ecc_solution
@@ -85,6 +85,11 @@ class TestGenColorRound:
         bad = EccLpSolution(np.array([[0.0, 0.0], [0.0, 0.0]]), np.zeros(1), 0.0)
         with pytest.raises(ValueError):
             gen_color_round(h, bad, Interval(0.5, 0.875), 0)
+        with pytest.raises(ValueError, match="infeasible relaxation solution"):
+            estimate_mistake_prob(h, bad, Interval(0.5, 0.875), 0, 10, seed=0)
+        # A caller that has checked the solution itself skips the check.
+        p, _ = estimate_mistake_prob(h, bad, Interval(0.5, 0.875), 0, 10, seed=0, check=False)
+        assert 0.0 <= p <= 1.0
 
     def test_output_always_valid_coloring(self):
         for seed in range(5):
@@ -173,6 +178,15 @@ class TestInvariantChecks:
         corrupted = EccLpSolution(sol.x_node, sol.x_edge / 2.0, sol.objective / 2.0)
         problems = rounding_invariant_violations(h, corrupted)
         assert any("first threshold" in p for p in problems)
+
+    def test_edge_without_members_has_no_thresholds_to_break(self):
+        # edge 1 is empty: its minima are all inf, so neither bound can fail
+        h = EdgeColoredHypergraph(2, 3, [0, 1], [0, 2, 2], [1, 2], [1.0, 1.0])
+        sol = EccLpSolution(np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]), np.zeros(2), 0.0)
+        assert rounding_invariant_violations(h, sol) == []
+        corrupted = EccLpSolution(np.array([[0.0, 0.5, 1.0], [0.0, 1.0, 1.0]]), np.zeros(2), 0.0)
+        assert rounding_invariant_violations(h, corrupted) == [
+            "edge 0: first threshold bound fails (1 - 0.500000000 > 0.000000000)"]
 
     def test_threshold_sum_bound_rank_two(self):
         for seed in range(4):
