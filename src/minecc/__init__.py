@@ -38,10 +38,7 @@ _EXPORTS = {
         "deletions_to_cover", "ecc_to_hyper_mc", "ecc_to_node_mc", "ecc_to_vertex_cover",
         "vertex_cover_to_ecc",
     ),
-    "relaxations": (
-        "EccLpSolution", "build_ecc_lp", "build_nodemc_lp", "extract_ecc_solution",
-        "solution_from_vector",
-    ),
+    "relaxations": ("EccLpSolution", "build_ecc_lp", "build_nodemc_lp", "extract_ecc_solution"),
     "rounding": (
         "ColorThresholds", "Interval", "IntervalChoice", "best_interval", "color_thresholds",
         "estimate_mistake_prob", "gen_color_round", "make_synthetic_solution",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -236,6 +237,15 @@ def _primal(lp, solution: str | None, flag: str, check: bool = True):
     return solve(lp).require_optimal().x
 
 
+def _clustering_solution(h: EdgeColoredHypergraph, solution: str | None, check: bool = True):
+    """The clustering LP's solution: the ``solution`` file's primal of the full
+    model, or the compact model solved here; ``check`` as in :func:`_primal`."""
+    from .relaxations import build_ecc_lp, extract_ecc_solution
+
+    lp = build_ecc_lp(h, compact=not solution)
+    return extract_ecc_solution(h, _primal(lp, solution, "--solution", check))
+
+
 # One-seed runs: (h, args, seed, order_seed, built) -> (coloring, match_bound, mv_bound,
 # report), ``report`` being set when the run scored the coloring already. Each imports
 # what it calls when it is called, so it reads the owning module's current binding:
@@ -261,17 +271,9 @@ def _run_match(h, args, seed, order_seed, built):
 
 
 def _run_hybrid(h, args, seed, order_seed, built):
-    from .combinatorial import (
-        majority_vote,
-        match_coloring,
-        mv_lower_bound,
-        recolor_uncovered,
-    )
+    from .combinatorial import hybrid, mv_lower_bound
 
-    # hybrid() step by step, keeping the bounds of both steps
-    dels, base, match_bound = match_coloring(h, order_seed, built)
-    mv = majority_vote(h)
-    coloring, report = recolor_uncovered(h, dels, base, mv)
+    coloring, report, match_bound, mv = hybrid(h, order_seed, built)
     return coloring, match_bound, mv_lower_bound(h, mv), report
 
 
@@ -315,26 +317,20 @@ def cmd_solve(args) -> int:
     from .hypergraph import accuracy, build_incidence, objective_cost
 
     run, needs, _ = ALGORITHMS[args.algo]
-    with_lp = needs == "lp" or args.with_lp_bound
-    if args.solution and not with_lp:
-        raise CliError("--solution needs --algo lp or lp-simple, or --with-lp-bound", EXIT_PARSE)
+    if args.solution and needs != "lp":
+        raise CliError("--solution needs --algo lp or lp-simple", EXIT_PARSE)
     if args.interval and args.algo != "lp":
         raise CliError("--interval needs --algo lp", EXIT_PARSE)
     h, truth, name = _load_instance(args)
-    # The simplex solves the compact model; a supplied primal names the full one's columns.
-    compact = not args.solution
-    if needs == "lp" or args.solution:
+    if needs == "lp":
         _need_colors(h, "the clustering LP")
     if args.algo == "exact":
         _need_colors(h, "the exact oracle")
 
     t0 = time.perf_counter()
     lp_sol = None
-    if with_lp:
-        from .relaxations import build_ecc_lp, extract_ecc_solution
-
-        vector = _primal(build_ecc_lp(h, compact=compact), args.solution, "--solution")
-        lp_sol = extract_ecc_solution(h, vector, compact=compact)
+    if needs == "lp" or args.with_lp_bound:
+        lp_sol = _clustering_solution(h, args.solution)
     built = build_incidence(h) if needs == "incidence" else lp_sol
     best = None
     for trial in range(args.runs):
@@ -351,7 +347,8 @@ def cmd_solve(args) -> int:
     seconds = time.perf_counter() - t0
 
     report, seed, match_bound, mv_bound = best
-    lp_bound = lp_sol.objective if lp_sol is not None else None
+    # A supplied primal is feasible, not shown optimal, so its value bounds nothing.
+    lp_bound = lp_sol.objective if lp_sol is not None and not args.solution else None
     bounds = LowerBoundBundle(lp_bound, match_bound, mv_bound)
     ratio = None
     if report.total_cost == 0 or bounds.best() is not None:
@@ -471,15 +468,11 @@ def cmd_verify(args) -> int:
 
     if args.interval and args.trials == 0:
         raise CliError("--interval needs --trials above 0", EXIT_PARSE)
-    from .relaxations import build_ecc_lp, solution_from_vector
     from .rounding import best_interval, estimate_mistake_prob, rounding_invariant_violations
 
     h, _, name = _load_instance(args)
     _need_colors(h, "the clustering LP")
-    compact = not args.solution
-    vector = _primal(build_ecc_lp(h, compact=compact), args.solution, "--solution", check=False)
-    # A supplied primal is checked as given, so that corrupted inputs stay detectable.
-    sol = solution_from_vector(h, vector, tighten=not args.solution, compact=compact)
+    sol = _clustering_solution(h, args.solution, check=False)
     problems = sol.violations(h) + rounding_invariant_violations(h, sol)
     checked = "feasibility and threshold invariants"
     # The frequency trials round the solution, so they need it to hold, checked once here.
@@ -489,8 +482,11 @@ def cmd_verify(args) -> int:
         choice = best_interval(h.num_colors, h.rank)
         interval = args.interval or choice.interval
         for j in range(h.num_edges):
-            p, err = estimate_mistake_prob(h, sol, interval, j, args.trials, args.seed + j,
-                                           check=False)
+            p, _ = estimate_mistake_prob(h, sol, interval, j, args.trials, args.seed + j,
+                                         check=False)
+            # The error of a frequency whose probability sits at the bound b.
+            b = min(max(choice.factor * float(sol.x_edge[j]), 0.0), 1.0)
+            err = math.sqrt(b * (1.0 - b) / args.trials)
             if p > choice.factor * float(sol.x_edge[j]) + 3 * err:
                 problems.append(
                     f"edge {j}: mistake frequency {p:.4f} exceeds "

@@ -256,15 +256,19 @@ def hybrid(
     h: EdgeColoredHypergraph,
     order_seed: int | None = None,
     incidence: ColorSortedIncidence | None = None,
-) -> list[int]:
+) -> tuple[list[int], CostReport, float, list[int]]:
     """Pair deletion followed by majority-vote recoloring of uncovered nodes.
 
     The composition of :func:`match_coloring` and :func:`recolor_uncovered`;
-    the result is never worse than :func:`match_coloring`.
+    the coloring is never worse than :func:`match_coloring`'s. Returns the
+    coloring, its cost report, the matching lower bound and the majority-vote
+    coloring, from which :func:`mv_lower_bound` reads its bound.
     """
     inc = incidence if incidence is not None else build_incidence(h)
-    dels, base, _ = match_coloring(h, order_seed, inc)
-    return recolor_uncovered(h, dels, base, majority_vote(h))[0]
+    dels, base, match_bound = match_coloring(h, order_seed, inc)
+    mv = majority_vote(h)
+    coloring, report = recolor_uncovered(h, dels, base, mv)
+    return coloring, report, match_bound, mv
 
 
 def recolor_uncovered(

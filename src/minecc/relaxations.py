@@ -14,10 +14,11 @@ occurs only in v's sum row, so it can sit at 1; the node then keeps one
 variable per color of its edges, C_v, with the row
 ``sum_{c in C_v} xn_v_c = |C_v| - 1``. A node with one such color has that
 distance at 0 and drops out, and so does a node without edges, as do the
-membership rows of both. :func:`solution_from_vector` with ``compact=True``
-fills the full ``(n, k)`` distances back in: 1 for an absent color, 0 for a
-single-color node's color, and 0 on color 1 for a node without edges, so the
-filled solution passes :meth:`EccLpSolution.violations`.
+membership rows of both. :func:`extract_ecc_solution` tells a compact primal
+by its length and fills the full ``(n, k)`` distances back in: 1 for an
+absent color, 0 for a single-color node's color, and 0 on color 1 for a node
+without edges, so the filled solution passes :meth:`EccLpSolution.violations`.
+Where the two lengths agree, the models have the same columns.
 
 A basic optimum of the compact model fills to a basic optimum of the full
 one, so the compact model is the one to solve for rounding as well as for a
@@ -218,51 +219,28 @@ def _snap(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def solution_from_vector(
-    h: EdgeColoredHypergraph,
-    x,
-    tighten: bool = True,
-    *,
-    compact: bool = False,
+def extract_ecc_solution(
+    h: EdgeColoredHypergraph, x: LpResult | np.ndarray | list
 ) -> EccLpSolution:
-    """Assemble an :class:`EccLpSolution` from a raw primal vector.
+    """The :class:`EccLpSolution` of a primal of the full or the compact model.
 
-    ``x`` is a primal of the full model, or with ``compact`` of the compact
-    one; the distances that the model has no column for are filled in as the
-    module docstring says.
-    Values within ``1e-7`` of a bound are snapped to it. With ``tighten`` the
-    edge variables are replaced by the largest member distance of the edge's
-    color (exact at optimality); invariant checkers pass ``tighten=False`` so
-    corrupted inputs stay detectable.
+    ``x`` is an optimal :class:`LpResult` or a raw vector; its length says
+    which model it is a primal of, and the distances that the model has no
+    column for are filled in as the module docstring says. Values within
+    ``1e-7`` of a bound are snapped to it; the edge variables are kept as
+    given, so a checker sees the primal's own ``x_e``.
     """
+    if isinstance(x, LpResult):
+        x = x.require_optimal().x
     m = h.num_edges
     x = np.asarray(x, dtype=float)
-    present, _, kept = _node_colors(h, compact)
+    full = h.num_nodes * h.num_colors + m
+    present, _, kept = _node_colors(h, compact=x.size != full)
     size = int(kept.sum()) + m
     if x.shape != (size,):
-        raise ValueError(f"primal vector has length {x.shape}, expected {size}")
+        raise ValueError(f"primal vector has length {x.shape}, expected {size} or {full}")
     x_node = np.where(present, 0.0, 1.0)
     x_node[~present.any(axis=1), :1] = 0.0
     x_node[kept] = _snap(x[: size - m])
     x_edge = _snap(x[size - m:])
-    if tighten:
-        x_edge = _reach(h, x_node)
     return EccLpSolution(x_node, x_edge, float(np.dot(h.weights, x_edge)))
-
-
-def extract_ecc_solution(
-    h: EdgeColoredHypergraph,
-    result: LpResult | np.ndarray | list,
-    *,
-    compact: bool = False,
-) -> EccLpSolution:
-    """Extract the solution from a solver result or an external primal vector.
-
-    ``compact`` says that the primal is of ``build_ecc_lp(h, compact=True)``.
-    """
-    if isinstance(result, LpResult):
-        result.require_optimal()
-        vector = result.x
-    else:
-        vector = result
-    return solution_from_vector(h, vector, tighten=True, compact=compact)

@@ -21,7 +21,7 @@ from minecc.hypergraph import (
 )
 from minecc.instances import ParseError, PlantedInstance
 from minecc.oracle import DEFAULT_CAP, CapExceededError, OracleResult
-from minecc.relaxations import EccLpSolution, _reach, _snap
+from minecc.relaxations import EccLpSolution, _snap
 from minecc.rounding import color_thresholds
 from minecc.lp import (
     DEGENERATE_RUN_LIMIT,
@@ -492,8 +492,8 @@ def reference_violations(x: EccLpSolution, h: EdgeColoredHypergraph, tol: float 
     return problems
 
 
-def reference_solution_from_vector(h: EdgeColoredHypergraph, x, tighten: bool = True) -> EccLpSolution:
-    """The old per-edge assembly; the reference for ``solution_from_vector``."""
+def reference_extract_ecc_solution(h: EdgeColoredHypergraph, x) -> EccLpSolution:
+    """The old assembly of a full-model primal; the reference for ``extract_ecc_solution``."""
     edges = edges_of(h)
     n, k, m = h.num_nodes, h.num_colors, len(edges)
     x = np.asarray(x, dtype=float)
@@ -501,9 +501,6 @@ def reference_solution_from_vector(h: EdgeColoredHypergraph, x, tighten: bool = 
         raise ValueError(f"primal vector has length {x.shape}, expected {n * k + m}")
     x_node = _snap(x[: n * k].reshape(n, k))
     x_edge = _snap(x[n * k:])
-    if tighten:
-        for j, e in enumerate(edges):
-            x_edge[j] = max(x_node[v, e.color - 1] for v in e.members)
     weights = np.array([e.weight for e in edges])
     return EccLpSolution(x_node, x_edge, float(np.dot(weights, x_edge)))
 
@@ -539,11 +536,9 @@ def reference_build_compact_ecc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
     return lp_from_rows("min", cols, rows)
 
 
-def reference_compact_solution_from_vector(
-    h: EdgeColoredHypergraph, x, tighten: bool = True
-) -> EccLpSolution:
+def reference_compact_extract_ecc_solution(h: EdgeColoredHypergraph, x) -> EccLpSolution:
     """The compact fill of the two-branch assembly; the reference for
-    ``solution_from_vector(..., compact=True)``."""
+    ``extract_ecc_solution`` on a compact-model primal."""
     m = h.num_edges
     x = np.asarray(x, dtype=float)
     present, kept = reference_node_colors(h)
@@ -554,8 +549,6 @@ def reference_compact_solution_from_vector(
     x_node[~present.any(axis=1), :1] = 0.0
     x_node[kept] = _snap(x[: size - m])
     x_edge = _snap(x[size - m:])
-    if tighten:
-        x_edge = _reach(h, x_node)
     return EccLpSolution(x_node, x_edge, float(np.dot(h.weights, x_edge)))
 
 

@@ -195,7 +195,7 @@ def test_criterion_7_combinatorial_two_approx(capsys):
         opt = bruteforce_ecc(h).value
         dels, coloring, bound = match_coloring(h)
         match_cost = objective_cost(h, coloring).total_cost
-        hybrid_cost = objective_cost(h, hybrid(h)).total_cost
+        hybrid_cost = objective_cost(h, hybrid(h)[0]).total_cost
         ok = ok and match_cost <= 2 * bound + 1e-9
         ok = ok and match_cost <= 2 * opt + 1e-9
         ok = ok and hybrid_cost <= 2 * opt + 1e-9

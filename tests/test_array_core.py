@@ -50,7 +50,7 @@ from minecc.instances import (
 )
 from minecc.oracle import CapExceededError, bruteforce_ecc
 from minecc.reductions import bad_edge_pairs
-from minecc.relaxations import EccLpSolution, build_ecc_lp, build_nodemc_lp, solution_from_vector
+from minecc.relaxations import EccLpSolution, build_ecc_lp, build_nodemc_lp, extract_ecc_solution
 from minecc.rounding import (
     Interval,
     estimate_mistake_prob,
@@ -70,8 +70,9 @@ from conftest import (
     reference_build_incidence,
     reference_build_nodemc_lp,
     reference_color_survivors,
-    reference_compact_solution_from_vector,
+    reference_compact_extract_ecc_solution,
     reference_estimate_mistake_prob,
+    reference_extract_ecc_solution,
     reference_gen_color_round,
     reference_hypergraph,
     reference_majority_vote,
@@ -82,7 +83,6 @@ from conftest import (
     reference_parse_canonical,
     reference_recolor_uncovered,
     reference_rounding_invariant_violations,
-    reference_solution_from_vector,
     reference_truth_words,
     reference_validate,
     reference_violations,
@@ -129,8 +129,7 @@ def feasible_solutions(draw, h: EdgeColoredHypergraph) -> EccLpSolution:
     d = draw(st.sampled_from([1, 2, 3, 4, 8]))
     x_node = 1.0 - rng.multinomial(d, np.full(k, 1.0 / k), size=n) / d
     slack = rng.random(m) * draw(st.sampled_from([0.0, 1.0]))
-    x = np.concatenate([x_node.ravel(), np.zeros(m)])
-    reach = reference_solution_from_vector(h, x).x_edge
+    reach = np.array([max(x_node[v, e.color - 1] for v in e.members) for e in edges_of(h)])
     return EccLpSolution(x_node, reach + (1.0 - reach) * slack, 0.0)
 
 
@@ -619,14 +618,15 @@ class TestLpAndOracleMatchReference:
         size = int(reference_node_colors(h)[1].sum()) + h.num_edges
         value = st.sampled_from([0.0, 1.0, 0.5, 1 / 3, 1e-8, 1 - 1e-8, -1e-3, 1.01])
         x = np.array(data.draw(st.lists(value, min_size=size, max_size=size)), dtype=float)
-        for tighten in (True, False):
-            got = solution_from_vector(h, x, tighten, compact=True)
-            want = reference_compact_solution_from_vector(h, x, tighten)
-            assert got.x_node.tobytes() == want.x_node.tobytes()
-            assert got.x_edge.tobytes() == want.x_edge.tobytes()
-            assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
-        with pytest.raises(ValueError, match=f"expected {size}"):
-            solution_from_vector(h, np.append(x, 0.0), compact=True)
+        # Where the compact model has every column, the vector reads as the full model's.
+        got = extract_ecc_solution(h, x)
+        want = reference_compact_extract_ecc_solution(h, x)
+        assert got.x_node.tobytes() == want.x_node.tobytes()
+        assert got.x_edge.tobytes() == want.x_edge.tobytes()
+        assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+        full = h.num_nodes * h.num_colors + h.num_edges
+        with pytest.raises(ValueError, match=f"expected {size} or {full}"):
+            extract_ecc_solution(h, np.zeros(size + 1 + (size + 1 == full)))
 
     @pytest.mark.parametrize("h", [
         hypergraph(2, 0, []),
@@ -643,14 +643,13 @@ class TestLpAndOracleMatchReference:
         n, k, m = h.num_nodes, h.num_colors, h.num_edges
         value = st.sampled_from([0.0, 1.0, 0.5, 1 / 3, 2 / 3, 0.25, 1e-8, 1 - 1e-8, -1e-3, 1.01])
         x = np.array(data.draw(st.lists(value, min_size=n * k + m, max_size=n * k + m)))
-        for tighten in (True, False):
-            got = solution_from_vector(h, x, tighten)
-            want = reference_solution_from_vector(h, x, tighten)
-            assert got.x_node.tobytes() == want.x_node.tobytes()
-            assert got.x_edge.tobytes() == want.x_edge.tobytes()
-            assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
-            for tol in (1e-6, 0.1):
-                assert got.violations(h, tol) == reference_violations(got, h, tol)
+        got = extract_ecc_solution(h, x)
+        want = reference_extract_ecc_solution(h, x)
+        assert got.x_node.tobytes() == want.x_node.tobytes()
+        assert got.x_edge.tobytes() == want.x_edge.tobytes()
+        assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+        for tol in (1e-6, 0.1):
+            assert got.violations(h, tol) == reference_violations(got, h, tol)
         short = EccLpSolution(got.x_node, got.x_edge[:-1], 0.0)
         assert short.violations(h) == reference_violations(short, h)
 

@@ -1,9 +1,12 @@
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +151,20 @@ class TestImportCost:
             "print(sorted({'numpy.ma', 'scipy'} & set(sys.modules)))\n"
         )
         assert run_python(code) == "[]\n"
+
+
+class TestTracedNames:
+    def test_every_name_perfbench_traces_resolves(self):
+        # Read, not imported: a missing name would otherwise show only when a
+        # traced benchmark run fails to install its recorder.
+        spans = Path(minecc.cli.__file__).parents[2] / "perfbench" / "spans.py"
+        targets = next(node.value for node in ast.parse(spans.read_text()).body
+                       if isinstance(node, ast.Assign) and node.targets[0].id == "TARGETS")
+        names = [ast.literal_eval(key) for key in targets.keys]
+        assert "relaxations.extract_ecc_solution" in names
+        for name in names:
+            module, function = name.split(".")
+            assert callable(getattr(importlib.import_module(f"minecc.{module}"), function)), name
 
 
 class TestGen:
@@ -352,12 +369,15 @@ class TestMalformedInputExitCodes:
         assert solves == []
         assert capsys.readouterr().err.count("error: bad --interval") == 2
 
+    @pytest.mark.parametrize("bound", [[], ["--with-lp-bound"]], ids=["alone", "with-lp-bound"])
     @pytest.mark.parametrize("algo", ["mv", "pitt", "match", "hybrid", "exact"])
-    def test_solution_without_an_lp_to_solve(self, algo, gap3_file, tmp_path, capsys):
-        sol = tmp_path / "primal.txt"
-        sol.write_text("xe_0 1\n")
-        assert main(["solve", gap3_file, "--algo", algo, "--solution", str(sol)]) == 2
-        assert capsys.readouterr().err.startswith("error: --solution ")
+    def test_solution_without_an_lp_to_solve(self, algo, bound, gap3_file, monkeypatch, capsys):
+        # A supplied primal is only rounded: its value bounds nothing.
+        reads = []
+        monkeypatch.setattr(minecc.cli, "_read", lambda path: reads.append(path))
+        assert main(["solve", gap3_file, "--algo", algo, "--solution", "primal.txt", *bound]) == 2
+        assert capsys.readouterr().err == "error: --solution needs --algo lp or lp-simple\n"
+        assert reads == []
 
     @pytest.mark.parametrize("algo", [a for a in ALGOS if a != "lp"])
     def test_interval_without_lp_rounding(self, algo, gap3_file, monkeypatch, capsys):
@@ -456,7 +476,7 @@ class TestInfeasibleLpSolutionExitCodes:
     @pytest.mark.parametrize("argv", [
         ["solve", "{gap3}", "--algo", "lp", "--solution", "{sol}"],
         ["solve", "{gap3}", "--algo", "lp-simple", "--solution", "{sol}"],
-        ["solve", "{gap3}", "--algo", "match", "--with-lp-bound", "--solution", "{sol}"],
+        ["solve", "{gap3}", "--algo", "lp", "--with-lp-bound", "--solution", "{sol}"],
         ["compare-lp", "{gap3}", "--ecc-solution", "{sol}"],
     ], ids=["solve-lp", "solve-lp-simple", "solve-lp-bound", "compare-lp"])
     def test_exit_2_naming_the_row_or_bound(
@@ -564,7 +584,7 @@ class TestWorkDoneOncePerSolve:
         assert len(scored) == 2
         got = json.loads(capsys.readouterr().out)[0]
         h = parse_canonical(open(gap3_file).read())
-        expected = original(h, hybrid(h), [1, 3, 3])
+        expected = original(h, hybrid(h)[0], [1, 3, 3])
         assert (got["mistakes"], got["satisfaction"], got["accuracy"]) == (
             expected.total_cost, expected.edge_satisfaction, expected.accuracy)
 
@@ -578,11 +598,10 @@ def library_coloring(h, algo: str, seed: int, order_seed):
     if algo == "match":
         return match_coloring(h, order_seed)[1]
     if algo == "hybrid":
-        return hybrid(h, order_seed)
+        return hybrid(h, order_seed)[0]
     if algo == "exact":
         return list(bruteforce_ecc(h).witness)
-    lp_sol = extract_ecc_solution(h, lp_solve(build_ecc_lp(h, compact=True)).require_optimal().x,
-                                  compact=True)
+    lp_sol = extract_ecc_solution(h, lp_solve(build_ecc_lp(h, compact=True)))
     if algo == "lp-simple":
         return simple_round(lp_sol)
     interval = best_interval(h.num_colors, max(h.rank, 2)).interval
@@ -734,7 +753,6 @@ class TestClusteringLpModel:
         (["compare-lp", "{inst}"], True),
         (["solve", "{inst}", "--algo", "lp", "--solution", "{sol}"], False),
         (["solve", "{inst}", "--algo", "lp-simple", "--solution", "{sol}"], False),
-        (["solve", "{inst}", "--algo", "match", "--with-lp-bound", "--solution", "{sol}"], False),
         (["verify", "--invariants", "{inst}", "--solution", "{sol}"], False),
         (["compare-lp", "{inst}", "--ecc-solution", "{sol}"], False),
         (["export", "{inst}"], False),
@@ -760,6 +778,34 @@ class TestClusteringLpModel:
         assert main(["verify", "--invariants", gap3_file, "--trials", "100"]) == 0
         assert "100-trial rounding frequencies hold" in capsys.readouterr().out
         assert len(calls) == 1
+
+
+class TestSuppliedPrimalGivesNoBound:
+    """A supplied primal is feasible, not shown optimal. On gap3 (OPT 2) the
+    primal of the coloring (3, 3, 1) has value 3, so it bounds nothing."""
+
+    @pytest.fixture
+    def primal(self, tmp_path):
+        zeros = {"xn_0_3", "xn_1_3", "xn_2_1"}
+        lines = [f"xn_{v}_{i} {int(f'xn_{v}_{i}' not in zeros)}"
+                 for v in range(3) for i in range(1, 4)] + [f"xe_{j} 1" for j in range(3)]
+        path = tmp_path / "gap3-331.sol"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("bound", [[], ["--with-lp-bound"]], ids=["alone", "with-lp-bound"])
+    @pytest.mark.parametrize("algo", ["lp", "lp-simple"])
+    def test_rounding_it_reports_no_lp_bound(self, algo, bound, gap3_file, primal, capsys):
+        row = run_csv(capsys, ["solve", gap3_file, "--algo", algo, "--solution", primal, *bound])
+        assert (row["mistakes"], row["lp_bound"], row["ratio"]) == ("3", "", "")
+
+    @pytest.mark.parametrize("algo", ["exact", "match"])
+    def test_bounding_with_it_exits_2(self, algo, gap3_file, primal, capsys):
+        argv = ["solve", gap3_file, "--algo", algo, "--with-lp-bound", "--solution", primal]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --solution needs --algo lp or lp-simple\n"
+        assert captured.out == ""
 
 
 class TestCompareLp:
@@ -822,6 +868,42 @@ class TestVerify:
         assert code == 3
         out = capsys.readouterr().out
         assert "first threshold" in out
+
+    def test_invariants_check_the_simplex_edge_variables(self, gap3_file, monkeypatch, capsys):
+        # The simplex's x_e is checked as returned, not replaced by its members' maximum.
+        solve = minecc.lp.solve
+
+        def low_edge(lp):
+            res = solve(lp)
+            x = res.x.copy()
+            x[lp.names.index("xe_1")] = 0.0
+            return replace(res, x=x)
+
+        monkeypatch.setattr(minecc.lp, "solve", low_edge)
+        assert main(["verify", "--invariants", gap3_file]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            "  edge 1: x_e = 0.000000000 below max member distance 0.500000000",
+            "  edge 1: first threshold bound fails (1 - 0.500000000 > 0.000000000)",
+        ]
+
+    @pytest.mark.parametrize("trials", [10, 20, 50, 100])
+    def test_trials_allow_for_sampling_error_at_the_bound(self, trials, tmp_path, capsys):
+        # gap8's guarantee is tight on some edges: a frequency of 1 over few
+        # trials is within three standard errors of the bound 0.875.
+        inst = tmp_path / "gap8.ecc"
+        assert main(["gen", "gap", "--colors", "8", "-o", str(inst)]) == 0
+        assert main(["verify", "--invariants", str(inst), "--trials", str(trials)]) == 0
+        assert f"{trials}-trial rounding frequencies hold" in capsys.readouterr().out
+
+    def test_trials_flag_an_interval_without_the_guarantee(self, tmp_path, capsys):
+        inst = tmp_path / "gap8.ecc"
+        assert main(["gen", "gap", "--colors", "8", "-o", str(inst)]) == 0
+        argv = ["verify", "--invariants", str(inst), "--trials", "500", "--interval", "0.1:0.3"]
+        assert main(argv) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(": 7 invariant violation(s)")
+        assert all("mistake frequency" in line for line in lines[1:]) and len(lines) == 8
 
 
 class TestReduceExport:

@@ -237,7 +237,7 @@ class TestColoringFromDeletions:
 class TestHybrid:
     def test_two_edge_example(self):
         h = two_edge_conflict()
-        coloring = hybrid(h)
+        coloring = hybrid(h)[0]
         # Deletions isolate all three nodes; majority recoloring satisfies one edge.
         assert coloring == [1, 1, 2]
         assert objective_cost(h, coloring).total_cost == 1
@@ -246,16 +246,24 @@ class TestHybrid:
     def test_no_conflicts_matches_deletion_coloring(self):
         h = hypergraph(4, 2, [((0, 1), 1), ((2, 3), 2)])
         _, base, _ = match_coloring(h)
-        assert hybrid(h) == base
+        assert hybrid(h)[0] == base
 
     def test_never_worse_than_match(self):
         for seed in range(40):
             h = gen_random(10, 18, 3, 3, 0.6, seed=seed).hypergraph
             _, base, _ = match_coloring(h)
             assert (
-                objective_cost(h, hybrid(h)).total_cost
+                objective_cost(h, hybrid(h)[0]).total_cost
                 <= objective_cost(h, base).total_cost
             )
+
+    def test_returns_the_report_and_both_bounds_inputs(self):
+        for seed in range(20):
+            h = gen_random(10, 18, 3, 3, 0.6, seed=seed).hypergraph
+            coloring, report, match_bound, mv = hybrid(h, seed, build_incidence(h))
+            assert report == objective_cost(h, coloring)
+            assert match_bound == match_coloring(h, seed)[2]
+            assert mv == majority_vote(h)
 
     def test_guard_against_bad_recoloring(self):
         # Crafted so majority recoloring of the lone uncovered node (2) breaks
@@ -275,7 +283,7 @@ class TestHybrid:
             ],
         )
         _, base, _ = match_coloring(h)
-        result = hybrid(h)
+        result = hybrid(h)[0]
         assert result == base
         assert objective_cost(h, result).total_cost == 2
 

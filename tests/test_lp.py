@@ -15,7 +15,6 @@ from minecc.relaxations import (
     build_ecc_lp,
     build_nodemc_lp,
     extract_ecc_solution,
-    solution_from_vector,
 )
 from minecc.rounding import rounding_invariant_violations
 
@@ -268,7 +267,7 @@ class TestCompactModel:
     @given(shaped_instances().filter(lambda h: not validate(h)))
     def test_filled_solution_is_feasible_with_the_same_objective(self, h):
         full = extract_ecc_solution(h, solve(build_ecc_lp(h)))
-        filled = extract_ecc_solution(h, solve(build_ecc_lp(h, compact=True)), compact=True)
+        filled = extract_ecc_solution(h, solve(build_ecc_lp(h, compact=True)))
         assert filled.x_node.shape == (h.num_nodes, h.num_colors)
         assert filled.violations(h) == []
         assert rounding_invariant_violations(h, filled) == []
@@ -299,12 +298,16 @@ class TestCompactModel:
     def test_fill(self):
         h = hypergraph(4, 3, [((0, 1), 1, 1.0), ((0, 1), 2, 2.0), ((1, 2), 3, 1.0)])
         x = np.array([0.25, 0.75, 0.5, 0.5, 1.0, 0.5, 0.75, 1.0])
-        sol = solution_from_vector(h, x, compact=True)
+        sol = extract_ecc_solution(h, x)
         assert sol.x_node.tolist() == [[0.25, 0.75, 1.0], [0.5, 0.5, 1.0], [1.0, 1.0, 0.0],
                                        [0.0, 1.0, 1.0]]
         assert sol.x_edge.tolist() == [0.5, 0.75, 1.0]
-        with pytest.raises(ValueError, match="expected 8"):
-            solution_from_vector(h, x[:-1], compact=True)
+        with pytest.raises(ValueError, match="expected 8 or 15"):
+            extract_ecc_solution(h, x[:-1])
+        # The full model's 15 columns read as such: node by node, color by color.
+        full = extract_ecc_solution(h, np.concatenate([sol.x_node.ravel(), sol.x_edge]))
+        assert full.x_node.tobytes() == sol.x_node.tobytes()
+        assert (full.x_edge.tobytes(), full.objective) == (sol.x_edge.tobytes(), sol.objective)
 
     def test_edgeless_model_is_empty_and_solves_to_zero(self):
         h = hypergraph(3, 2, [])
@@ -312,7 +315,7 @@ class TestCompactModel:
         assert (lp.num_vars, lp.num_rows) == (0, 0)
         res = solve(lp).require_optimal()
         assert (res.value, res.iterations, res.basic) == (0.0, 0, ())
-        sol = extract_ecc_solution(h, res, compact=True)
+        sol = extract_ecc_solution(h, res)
         assert sol.x_node.tolist() == [[0.0, 1.0]] * 3 and sol.objective == 0.0
 
 
@@ -393,20 +396,20 @@ class TestExtract:
     def test_snapping(self):
         h = hypergraph(2, 2, [((0, 1), 1)])
         raw = np.array([1e-9, 1 - 1e-9, 1e-9, 1 - 1e-9, 1e-9])
-        sol = solution_from_vector(h, raw)
+        sol = extract_ecc_solution(h, raw)
         assert sol.x_node[0, 0] == 0.0 and sol.x_node[0, 1] == 1.0
+        assert sol.x_edge[0] == 0.0
 
-    def test_tighten_sets_edge_to_member_max(self):
+    @pytest.mark.parametrize("x_e, problems", [(0.9, 0), (0.5, 0), (0.25, 1)])
+    def test_edge_variable_kept_as_given(self, x_e, problems):
         h = hypergraph(2, 2, [((0, 1), 1)])
-        raw = np.array([0.25, 0.75, 0.5, 0.5, 0.9])
-        sol = solution_from_vector(h, raw, tighten=True)
-        assert sol.x_edge[0] == pytest.approx(0.5)
-        loose = solution_from_vector(h, raw, tighten=False)
-        assert loose.x_edge[0] == pytest.approx(0.9)
+        sol = extract_ecc_solution(h, [0.25, 0.75, 0.5, 0.5, x_e])
+        assert sol.x_edge.tolist() == [x_e] and sol.objective == x_e
+        assert len(sol.violations(h)) == problems
 
     def test_edge_without_members_reaches_zero(self):
         h = EdgeColoredHypergraph(2, 2, [0, 1], [0, 2, 2], [1, 2], [1.0, 1.0])
-        sol = solution_from_vector(h, [0.0, 1.0, 0.0, 1.0, 0.0, 0.0], tighten=True)
+        sol = extract_ecc_solution(h, [0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
         assert sol.x_edge.tolist() == [0.0, 0.0] and sol.objective == 0.0
         assert sol.violations(h) == []
 
