@@ -20,11 +20,12 @@ of the benchmark format's edge list:
 Parsing, validation, evaluation and majority vote are single array passes
 over these; the incidence build is one sort of packed 64-bit words
 (:func:`build_incidence`); none of them creates per-edge Python objects. The
-arrays are copied on construction and marked read-only, so an instance can be
-shared by concurrent workers and passed between calls without defensive
-copies. They are the only edge representation: the LP, rounding, oracle and
-reduction code reads them too, taking ``.tolist()`` copies where a loop stays
-in Python.
+constructor copies the arrays it is given and marks them read-only, so an
+instance can be shared by concurrent workers and passed between calls
+without defensive copies; the parsers and generators hand over the arrays
+they built instead of having them copied. The arrays are the only edge
+representation: the LP, rounding, oracle and reduction code reads them too,
+taking ``.tolist()`` copies where a loop stays in Python.
 """
 
 from __future__ import annotations
@@ -60,9 +61,30 @@ class EdgeColoredHypergraph:
 
     def __post_init__(self):
         for name, dtype in _ARRAYS:
-            a = np.array(getattr(self, name), dtype=dtype)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
+        self._seal()
+
+    @classmethod
+    def _adopt(cls, num_nodes: int, num_colors: int, *arrays) -> "EdgeColoredHypergraph":
+        """An instance that keeps the four given arrays themselves.
+
+        Each is converted only where its dtype differs, and copied only where
+        it is a view of another array. The caller must hold none of them
+        afterwards: :func:`from_flat` hands over the arrays it built.
+        """
+        h = object.__new__(cls)
+        object.__setattr__(h, "num_nodes", num_nodes)
+        object.__setattr__(h, "num_colors", num_colors)
+        for (name, dtype), a in zip(_ARRAYS, arrays):
+            a = np.asarray(a, dtype=dtype)
+            object.__setattr__(h, name, a if a.base is None else a.copy())
+        h._seal()
+        return h
+
+    def _seal(self) -> None:
+        """Switch off writing to the arrays and check that they fit together."""
+        for name, _ in _ARRAYS:
+            getattr(self, name).flags.writeable = False
         m = len(self.colors)
         shaped = all(getattr(self, name).ndim == 1 for name, _ in _ARRAYS)
         if not (shaped and len(self.weights) == m and len(self.eptr) == m + 1
@@ -149,9 +171,9 @@ def _rising_within_edges(members: np.ndarray, eptr: np.ndarray) -> bool:
 
 
 def _num(x: float) -> str:
-    """A number as the LP and reduction writers print it."""
+    """A number as the LP and reduction writers print it: ``inf`` and ``-inf`` as such."""
     x = float(x)
-    if x == int(x) and abs(x) < 1e15:
+    if math.isfinite(x) and x == int(x) and abs(x) < 1e15:
         return str(int(x))
     return repr(x)
 
@@ -161,8 +183,17 @@ def from_flat(num_nodes: int, num_colors: int, members, sizes, colors, weights) 
 
     Each edge's members (the next ``sizes[j]`` ids) are sorted and
     deduplicated; an edge without members is rejected. Range checks are left
-    to :func:`validate`.
+    to :func:`validate`. The instance holds copies of the caller's arrays.
     """
+    return _from_own_flat(num_nodes, num_colors, np.array(members, dtype=np.int64), sizes,
+                          np.array(colors, dtype=np.int64), np.array(weights, dtype=np.float64))
+
+
+def _from_own_flat(num_nodes: int, num_colors: int, members, sizes, colors,
+                   weights) -> EdgeColoredHypergraph:
+    """:func:`from_flat` for a caller that hands over ``members``, ``colors``
+    and ``weights``: the instance keeps them without a copy, so the caller
+    must hold none of them afterwards."""
     members = np.asarray(members, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
     if np.any(sizes == 0):
@@ -175,7 +206,7 @@ def from_flat(num_nodes: int, num_colors: int, members, sizes, colors, weights) 
         if repeat.any():
             members = members[~repeat]
             np.cumsum(np.bincount(edge_of[~repeat], minlength=len(sizes)), out=eptr[1:])
-    return EdgeColoredHypergraph(num_nodes, num_colors, members, eptr, colors, weights)
+    return EdgeColoredHypergraph._adopt(num_nodes, num_colors, members, eptr, colors, weights)
 
 
 def hypergraph(

@@ -12,10 +12,10 @@ Two text formats are supported:
 
 Both readers tokenize a text as one array of code points and check its words
 as flat arrays, with no Python string per word (:func:`_tokenize`,
-:func:`_convert`), then build the instance with :func:`from_flat`. The
-canonical reader does so one block of about ``_BLOCK`` characters at a time
-(:func:`parse_canonical`); truth files go through the same kernels
-(:func:`parse_int_words`).
+:func:`_convert`), then hand their arrays to the instance uncopied
+(:func:`_from_own_flat`). The canonical reader does so one block of about
+``_BLOCK`` characters at a time (:func:`parse_canonical`); truth files go
+through the same kernels (:func:`parse_int_words`).
 
 The writers use the same digit columns the other way round: every word's
 place comes from its digit count, and its digits are written one column at
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hypergraph import EdgeColoredHypergraph, _per_edge_count, from_flat, hypergraph
+from .hypergraph import EdgeColoredHypergraph, _from_own_flat, _per_edge_count, hypergraph
 
 
 class ParseError(ValueError):
@@ -369,7 +369,7 @@ def parse_canonical(text: str) -> EdgeColoredHypergraph:
     n = m = k = 0
     room = 0  # edge lines still declared by the header
     line0 = 0  # lines before the block
-    parts = []  # per block: members, sizes, colors and weights
+    parts = ([], [], [], [])  # members, sizes, colors and weights of each block
     for block in _blocks(text):
         codes, starts, ends, line_ptr = _tokenize(block)
         counts = np.diff(line_ptr)
@@ -409,15 +409,18 @@ def parse_canonical(text: str) -> EdgeColoredHypergraph:
                 raise ParseError(f"more than the declared {m} edges", line0 + first_bad + 1)
             tokens = _line_words(block, starts, ends, line_ptr, first_bad)
             raise ParseError(_edge_line_error(tokens, n, k), line0 + first_bad + 1)
-        parts.append((members, sizes, colors, weights))
+        for part, a in zip(parts, (members, sizes, colors, weights)):
+            part.append(a)
         line0 += len(counts) - 1
     if header is None:
         raise ParseError("empty input, no header found")
     if room:
         raise ParseError(f"header declares {m} edges but file has {m - room}")
-    columns = [np.concatenate(arrays) for arrays in zip(*parts)]
-    del parts  # only the gathered arrays stay
-    return from_flat(n, k, *columns)
+    columns = []
+    for part in parts:  # each column's blocks are freed once it is gathered
+        columns.append(np.concatenate(part))
+        part.clear()
+    return _from_own_flat(n, k, *columns)
 
 
 _INT64_MIN = -(1 << 63)
@@ -534,8 +537,8 @@ def parse_benchmark(
         num_colors = max(num_colors, max(truth, default=0))
     for what, f in files.items():
         _raise_first(f, what, (f.wide, f"integer beyond 64 bits in {what}"))
-    h = from_flat(num_nodes, num_colors, edges.values - 1, edges.counts, labels.values,
-                  np.ones(len(edges.counts)))
+    h = _from_own_flat(num_nodes, num_colors, edges.values - 1, edges.counts, labels.values,
+                       np.ones(len(edges.counts)))
     return h, truth
 
 
@@ -643,7 +646,7 @@ def gen_random(
     )
     members = nodes[np.repeat(pool_start[chosen], take) + local]
     colors = np.where(noisy, resampled, target[chosen] + 1)
-    h = from_flat(n, k, members, take, colors, np.ones(m))
+    h = _from_own_flat(n, k, members, take, colors, np.ones(m))
     return PlantedInstance(h, truth.tolist(), noise)
 
 

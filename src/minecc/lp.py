@@ -11,16 +11,23 @@ builds its names. ``lp.constraints`` is a read-only sequence view of the rows
 as ``(coeffs, rel, rhs)`` records.
 
 The solver is a two-phase primal simplex on one dense standard-form tableau,
-filled in place from the CSR rows. Each pivot updates only the rows where the
-entering column is nonzero and the columns where the pivot row is nonzero; on
-the clustering LP both are a few percent of the tableau. Measured on
-``build_ecc_lp(gen_random(n, 1.6 n, 3, 6, 0.2, 1).hypergraph)`` for n = 100,
-200, 400 (two runs, 2-core host, numpy 2.4):
+filled in place from the CSR rows. Its m constraint rows are followed by the
+phase-1 and the phase-2 reduced-cost rows, and its columns (structural,
+slack, artificial) by a column of tie-break perturbations and the rhs. So
+each pivot is one division of the pivot row and one rank-1 update, which
+touches only the rows where the entering column is nonzero (cost rows
+included) and the columns where the pivot row is nonzero (perturbation and
+rhs included); on the clustering LP both are a few percent of the tableau.
+On models this small a pivot costs its numpy calls more than its
+arithmetic. Measured on ``build_ecc_lp(gen_random(n, 1.6 n, 3, 6, 0.2,
+1).hypergraph)`` for n = 100, 200, 400 (two runs each, alternating with the
+solver that kept its cost rows and perturbations apart, 2-core host, numpy
+2.4):
 
-    variables   solve time     peak RSS (whole process)
-    760         0.17-0.19 s     59 MB
-    1520        0.47-0.57 s    130 MB
-    3040        1.8-2.5 s      409 MB
+    variables   solve time     before        peak RSS (whole process)
+    760         0.05 s         0.07-0.08 s    60 MB
+    1520        0.19-0.21 s    0.24-0.27 s   130 MB
+    3040        0.70-0.72 s    0.89-0.96 s   407 MB
 
 The tableau has about 1.65 rows and 3.2 columns per variable, so its memory
 grows with the square of the model: about 1 GB at 5000 variables. That
@@ -257,96 +264,89 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
     rel[flip] = _FLIPPED[rel[flip]]
     data = np.where(flip[row_of], -rows.data, rows.data)
 
-    # One tableau, filled in place: structural columns, one slack per
-    # inequality row, one artificial per row without a "<=" slack to start
-    # the basis, then rhs.
+    # One tableau, filled in place. Its columns are the structural columns,
+    # one slack per inequality row, one artificial per row without a "<="
+    # slack to start the basis, the perturbation column and the rhs. Below
+    # the m constraint rows sit the phase-1 and the phase-2 reduced costs,
+    # so one rank-1 update per pivot keeps every part current.
     m = len(rhs)
     ineq = np.flatnonzero(rel != EQ)
     width = n + len(ineq)
     art_rows = np.flatnonzero(rel != LE)
     art_cols = width + np.arange(len(art_rows))
     total = width + len(art_rows)
-    T = np.zeros((m, total + 1))
+    T = np.zeros((m + 2, total + 2))
     T[row_of, rows.indices] = data
     T[len(rows.rhs) + np.arange(len(boxed)), boxed] = 1.0
     slack_sign = np.where(rel[ineq] == LE, 1.0, -1.0)
     T[ineq, n + np.arange(len(ineq))] = slack_sign
     T[art_rows, art_cols] = 1.0
-    T[:, -1] = rhs
+    # The perturbation column holds distinct positive values, an
+    # infinitesimal perturbation of b: degenerate ratio ties are broken on
+    # it, which keeps long runs of zero-step pivots rare.
+    T[:m, -2] = np.arange(1.0, m + 1.0)
+    T[:m, -1] = rhs
     basis = np.full(m, -1, dtype=int)
     basis[ineq[slack_sign > 0]] = n + np.flatnonzero(slack_sign > 0)
     basis[art_rows] = art_cols
 
-    # Extra rhs column of distinct positive values, treated as an infinitesimal
-    # perturbation of b: degenerate ratio ties are broken on it, which keeps
-    # long runs of zero-step pivots rare.
-    P = np.arange(1.0, m + 1.0)
-
-    cost2 = np.zeros(total + 1)
-    cost2[:n] = c_min
-    cost1 = np.zeros(total + 1)
-    cost1[width:total] = 1.0
+    T[m + 1, :n] = c_min
+    T[m, width:total] = 1.0
     # Price out the initial basis so reduced costs of basic columns are zero:
     # subtract the artificial rows' nonzero entries, each column's in row order.
     on_art = rel[row_of] != LE
     np.subtract.at(
-        cost1,
+        T[m],
         np.concatenate([rows.indices[on_art], n + np.flatnonzero(slack_sign < 0), art_cols,
-                        np.full(len(art_rows), total)]),
+                        np.full(len(art_rows), total + 1)]),
         np.concatenate([data[on_art], slack_sign[slack_sign < 0], np.ones(len(art_rows)),
                         rhs[art_rows]]),
     )
 
     state = {"iterations": 0, "bland": False, "stall": 0}
     flat = T.reshape(-1)
+    row_starts = np.arange(m + 2) * (total + 2)  # flat index of each row's first cell
+    perturbation, b = T[:m, -2], T[:m, -1]  # views of the constraint rows' last two columns
 
     def block(cols) -> None:
         # An artificial that may never re-enter: an infinite reduced cost
         # keeps it out of every later pricing.
-        cost1[cols] = np.inf
-        cost2[cols] = np.inf
+        T[m:, cols] = np.inf
 
     def pivot(row: int, col: int, column: np.ndarray) -> None:
         """Pivot on ``T[row, col]``; ``column`` is a copy of ``T[:, col]``."""
-        piv = T[row, col]
-        T[row] /= piv
-        P[row] /= piv
+        pivot_row = T[row]
+        pivot_row /= pivot_row[col]
         column[row] = 0.0
         # Rank-1 update restricted to the nonzero rows of the entering column
-        # and the nonzero entries of the pivot row: every skipped entry would
-        # only have had a zero subtracted.
+        # (cost rows included) and the nonzero entries of the pivot row
+        # (perturbation and rhs included): every skipped entry would only
+        # have had a zero subtracted.
         nz_rows = column.nonzero()[0]
-        nz_cols = T[row].nonzero()[0]
-        factors = column[nz_rows]
-        pivot_row = T[row, nz_cols]
-        cells = (nz_rows * (total + 1))[:, None] + nz_cols  # flat indices into T
-        flat[cells] -= factors[:, None] * pivot_row
-        P[nz_rows] -= factors * P[row]
-        for cost in (cost1, cost2):
-            if cost[col] != 0.0:
-                cost[nz_cols] -= cost[col] * pivot_row
+        nz_cols = pivot_row.nonzero()[0]
+        flat[np.add.outer(row_starts[nz_rows], nz_cols)] -= np.multiply.outer(
+            column[nz_rows], pivot_row[nz_cols])
         leaving = basis[row]
         if leaving >= width:
             block(leaving)
         basis[row] = col
 
     def ratio_row(column: np.ndarray) -> int | None:
-        eligible = column > PIVOT_TOL
-        if not eligible.any():
+        eligible = (column[:m] > PIVOT_TOL).nonzero()[0]
+        if not len(eligible):
             return None
-        ratios = np.divide(T[:, -1], column, out=np.full(m, np.inf), where=eligible)
-        best = ratios.min()
-        candidates = np.flatnonzero(ratios <= best + PIVOT_TOL)
+        ratios = b[eligible] / column[eligible]
+        # x[x.argmin()] is x.min(), without the Python wrapper around min
+        candidates = eligible[ratios <= ratios[ratios.argmin()] + PIVOT_TOL]
         if len(candidates) > 1:
             # Tie: prefer the row whose perturbed rhs leaves first, then the
             # smallest basis variable index (Bland-compatible).
-            pratios = P[candidates] / column[candidates]
-            pbest = pratios.min()
-            candidates = candidates[pratios <= pbest + PIVOT_TOL]
-        return int(candidates[np.argmin(basis[candidates])])
+            pratios = perturbation[candidates] / column[candidates]
+            candidates = candidates[pratios <= pratios[pratios.argmin()] + PIVOT_TOL]
+        return int(candidates[basis[candidates].argmin()])
 
-    def run_phase(cost: np.ndarray) -> str:
-        reduced = cost[:total]
+    def run_phase(cost_row: int) -> str:
+        reduced = T[cost_row, :total]
         while total:
             if state["iterations"] >= iteration_limit:
                 return "iteration_limit"
@@ -356,7 +356,7 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
                     return "optimal"
                 entering = int(open_cols[0])
             else:
-                entering = int(np.argmin(reduced))
+                entering = int(reduced.argmin())
                 if reduced[entering] >= -PIVOT_TOL:
                     return "optimal"
             column = T[:, entering].copy()
@@ -364,7 +364,7 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
             if row is None:
                 return "unbounded"
             state["iterations"] += 1
-            degenerate = abs(T[row, -1]) <= PIVOT_TOL
+            degenerate = abs(b[row]) <= PIVOT_TOL
             pivot(row, entering, column)
             if degenerate:
                 state["stall"] += 1
@@ -376,10 +376,10 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
         return "optimal"
 
     if len(art_rows):
-        status = run_phase(cost1)
+        status = run_phase(m)
         if status == "iteration_limit":
             return LpResult("iteration_limit", None, None, None, state["iterations"])
-        infeas = sum(T[basis >= width, -1].tolist())
+        infeas = sum(b[basis >= width].tolist())
         if infeas > FEAS_TOL:
             return LpResult("infeasible", None, None, None, state["iterations"])
         # Drive remaining artificials out of the basis (or leave them on
@@ -394,12 +394,12 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
         state["bland"] = False
         state["stall"] = 0
 
-    status = run_phase(cost2)
+    status = run_phase(m + 1)
     if status != "optimal":
         return LpResult(status, None, None, None, state["iterations"])
 
     x_shift = np.zeros(total)
-    x_shift[basis] = T[:, -1]
+    x_shift[basis] = b
     x = lo + x_shift[:n]
     in_basis = np.zeros(total, dtype=bool)
     in_basis[basis] = True
@@ -436,10 +436,12 @@ def export_lp_text(lp: LinearProgram) -> str:
         lines.append(f" c{i}: {body} {rel} {_num(rhs)}")
     lines.append("Bounds")
     for name, lo, hi in zip(names, lp.lower.tolist(), lp.upper.tolist()):
-        if math.isfinite(hi):
+        if hi != math.inf:
             lines.append(f" {_num(lo)} <= {name} <= {_num(hi)}")
         elif lo == 0.0:
             lines.append(f" {name} >= 0")
+        elif lo == -math.inf:
+            lines.append(f" {name} free")
         else:
             lines.append(f" {name} >= {_num(lo)}")
     lines.append("End")

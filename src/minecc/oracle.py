@@ -71,6 +71,10 @@ def bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleRe
         incident[pos[v]].append(j)
 
     colors, weights = h.colors.tolist(), h.weights.tolist()
+    # breaks[i][c - 1]: the (edge, weight) pairs at position i that color c
+    # breaks, in incidence order.
+    breaks = [[[(j, weights[j]) for j in edges if colors[j] != c] for c in range(1, k + 1)]
+              for edges in incident]
     broken = bytearray(h.num_edges)
     suffix = _suffix_bounds(incident, colors, weights)
     # Sums of whole weights below 2**53 are exact, so a tie is pruned as well.
@@ -91,15 +95,15 @@ def bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleRe
             best_cost = cost
             best_assignment = assignment[:i]
             return
-        for c in range(1, k + 1):
+        for c, pairs in enumerate(breaks[i], start=1):
             explored += 1
             newly: list[int] = []
             added = 0.0
-            for j in incident[i]:
-                if not broken[j] and colors[j] != c:
+            for j, w in pairs:
+                if not broken[j]:
                     broken[j] = 1
                     newly.append(j)
-                    added += weights[j]
+                    added += w
             assignment[i] = c
             dfs(i + 1, cost + added)
             for j in newly:

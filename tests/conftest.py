@@ -20,12 +20,16 @@ from minecc.hypergraph import (
     objective_cost,
 )
 from minecc.instances import ParseError, PlantedInstance
-from minecc.oracle import DEFAULT_CAP, CapExceededError, OracleResult
+from minecc.oracle import DEFAULT_CAP, PRUNE_SHRINK, CapExceededError, OracleResult, _suffix_bounds
 from minecc.relaxations import EccLpSolution, _snap
 from minecc.rounding import color_thresholds
+from minecc import lp as lp_module
 from minecc.lp import (
+    _FLIPPED,
     DEGENERATE_RUN_LIMIT,
+    EQ,
     FEAS_TOL,
+    LE,
     PIVOT_TOL,
     RELATIONS,
     LinearProgram,
@@ -718,6 +722,69 @@ def reference_bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -
     return OracleResult(best_cost, tuple(witness), explored)
 
 
+def reference_pruned_bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleResult:
+    """The branch and bound with the suffix bound that tests each incident edge's
+    color at every branch: the reference for ``bruteforce_ecc``'s value, witness
+    and explored count.
+    """
+    n, k = h.num_nodes, h.num_colors
+    degrees = h.degrees()
+    active = [v for v in range(n) if degrees[v] > 0]
+    if k > 1 and k ** len(active) > cap:
+        raise CapExceededError(
+            f"{k}^{len(active)} colorings exceed the cap of {cap}"
+        )
+    if k < 1:
+        raise ValueError("instance has no colors")
+
+    # Position of each active node in enumeration order, edges indexed by it.
+    pos = {v: i for i, v in enumerate(active)}
+    incident: list[list[int]] = [[] for _ in active]
+    for v, j in zip(h.members.tolist(), h.member_edges().tolist()):
+        incident[pos[v]].append(j)
+
+    colors, weights = h.colors.tolist(), h.weights.tolist()
+    broken = bytearray(h.num_edges)
+    suffix = _suffix_bounds(incident, colors, weights)
+    # Sums of whole weights below 2**53 are exact, so a tie is pruned as well.
+    whole = bool(np.all(h.weights == np.floor(h.weights))) and h.total_weight() < 2.0**53
+    shrink = 1.0 if whole else PRUNE_SHRINK
+
+    start = majority_vote(h)
+    best_cost = objective_cost(h, start).total_cost
+    best_assignment = [start[v] for v in active]
+    assignment = [0] * len(active)
+    explored = 0
+
+    def dfs(i: int, cost: float) -> None:
+        nonlocal best_cost, best_assignment, explored
+        if cost >= best_cost or (cost + suffix[i]) * shrink >= best_cost:
+            return
+        if i == len(active):
+            best_cost = cost
+            best_assignment = assignment[:i]
+            return
+        for c in range(1, k + 1):
+            explored += 1
+            newly: list[int] = []
+            added = 0.0
+            for j in incident[i]:
+                if not broken[j] and colors[j] != c:
+                    broken[j] = 1
+                    newly.append(j)
+                    added += weights[j]
+            assignment[i] = c
+            dfs(i + 1, cost + added)
+            for j in newly:
+                broken[j] = 0
+
+    dfs(0, 0.0)
+    witness = [1] * n
+    for i, v in enumerate(active):
+        witness[v] = best_assignment[i]
+    return OracleResult(best_cost, tuple(witness), explored)
+
+
 def reference_truth_words(text: str) -> list[int]:
     """The old body of ``cli._read_truth``; the reference for ``parse_int_words``."""
     return [int(t) for t in text.split()]
@@ -989,6 +1056,180 @@ def reference_simplex(lp: LinearProgram, iteration_limit: int = 200_000) -> LpRe
     in_basis = set(basis.tolist())
     basic = tuple(j in in_basis for j in range(n))
     return LpResult("optimal", lp.value_of(x), x, basic, state["iterations"])
+
+
+def reference_solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
+    """The sparse-update simplex with its perturbation and cost rows kept apart from
+    the tableau; the reference for ``solve``'s pivots. ``DEGENERATE_RUN_LIMIT``
+    is read from ``minecc.lp`` at call time, so a test can change it on both sides.
+    """
+    n = lp.num_vars
+    lo = lp.lower
+    if not np.all(np.isfinite(lo)):
+        raise ValueError("simplex requires finite lower bounds")
+    c_min = lp.objective if lp.sense == "min" else -lp.objective
+
+    # Shift x = lo + x' so x' >= 0: each row's rhs absorbs its shift, added
+    # term by term in row order. Finite upper bounds become rows of their own.
+    rows = lp.rows
+    row_of = rows.row_ids()
+    shift = np.bincount(row_of, weights=rows.data * lo[rows.indices], minlength=len(rows.rhs))
+    boxed = np.flatnonzero(np.isfinite(lp.upper))
+    rhs = np.concatenate([rows.rhs - shift, lp.upper[boxed] - lo[boxed]])
+    rel = np.concatenate([rows.rel, np.full(len(boxed), LE, dtype=np.int8)])
+    flip = rhs < 0.0  # normalize to b >= 0 by negating the row
+    rhs[flip] = -rhs[flip]
+    rel[flip] = _FLIPPED[rel[flip]]
+    data = np.where(flip[row_of], -rows.data, rows.data)
+
+    # One tableau, filled in place: structural columns, one slack per
+    # inequality row, one artificial per row without a "<=" slack to start
+    # the basis, then rhs.
+    m = len(rhs)
+    ineq = np.flatnonzero(rel != EQ)
+    width = n + len(ineq)
+    art_rows = np.flatnonzero(rel != LE)
+    art_cols = width + np.arange(len(art_rows))
+    total = width + len(art_rows)
+    T = np.zeros((m, total + 1))
+    T[row_of, rows.indices] = data
+    T[len(rows.rhs) + np.arange(len(boxed)), boxed] = 1.0
+    slack_sign = np.where(rel[ineq] == LE, 1.0, -1.0)
+    T[ineq, n + np.arange(len(ineq))] = slack_sign
+    T[art_rows, art_cols] = 1.0
+    T[:, -1] = rhs
+    basis = np.full(m, -1, dtype=int)
+    basis[ineq[slack_sign > 0]] = n + np.flatnonzero(slack_sign > 0)
+    basis[art_rows] = art_cols
+
+    # Extra rhs column of distinct positive values, treated as an infinitesimal
+    # perturbation of b: degenerate ratio ties are broken on it, which keeps
+    # long runs of zero-step pivots rare.
+    P = np.arange(1.0, m + 1.0)
+
+    cost2 = np.zeros(total + 1)
+    cost2[:n] = c_min
+    cost1 = np.zeros(total + 1)
+    cost1[width:total] = 1.0
+    # Price out the initial basis so reduced costs of basic columns are zero:
+    # subtract the artificial rows' nonzero entries, each column's in row order.
+    on_art = rel[row_of] != LE
+    np.subtract.at(
+        cost1,
+        np.concatenate([rows.indices[on_art], n + np.flatnonzero(slack_sign < 0), art_cols,
+                        np.full(len(art_rows), total)]),
+        np.concatenate([data[on_art], slack_sign[slack_sign < 0], np.ones(len(art_rows)),
+                        rhs[art_rows]]),
+    )
+
+    state = {"iterations": 0, "bland": False, "stall": 0}
+    flat = T.reshape(-1)
+
+    def block(cols) -> None:
+        # An artificial that may never re-enter: an infinite reduced cost
+        # keeps it out of every later pricing.
+        cost1[cols] = np.inf
+        cost2[cols] = np.inf
+
+    def pivot(row: int, col: int, column: np.ndarray) -> None:
+        """Pivot on ``T[row, col]``; ``column`` is a copy of ``T[:, col]``."""
+        piv = T[row, col]
+        T[row] /= piv
+        P[row] /= piv
+        column[row] = 0.0
+        # Rank-1 update restricted to the nonzero rows of the entering column
+        # and the nonzero entries of the pivot row: every skipped entry would
+        # only have had a zero subtracted.
+        nz_rows = column.nonzero()[0]
+        nz_cols = T[row].nonzero()[0]
+        factors = column[nz_rows]
+        pivot_row = T[row, nz_cols]
+        cells = (nz_rows * (total + 1))[:, None] + nz_cols  # flat indices into T
+        flat[cells] -= factors[:, None] * pivot_row
+        P[nz_rows] -= factors * P[row]
+        for cost in (cost1, cost2):
+            if cost[col] != 0.0:
+                cost[nz_cols] -= cost[col] * pivot_row
+        leaving = basis[row]
+        if leaving >= width:
+            block(leaving)
+        basis[row] = col
+
+    def ratio_row(column: np.ndarray) -> int | None:
+        eligible = column > PIVOT_TOL
+        if not eligible.any():
+            return None
+        ratios = np.divide(T[:, -1], column, out=np.full(m, np.inf), where=eligible)
+        best = ratios.min()
+        candidates = np.flatnonzero(ratios <= best + PIVOT_TOL)
+        if len(candidates) > 1:
+            # Tie: prefer the row whose perturbed rhs leaves first, then the
+            # smallest basis variable index (Bland-compatible).
+            pratios = P[candidates] / column[candidates]
+            pbest = pratios.min()
+            candidates = candidates[pratios <= pbest + PIVOT_TOL]
+        return int(candidates[np.argmin(basis[candidates])])
+
+    def run_phase(cost: np.ndarray) -> str:
+        reduced = cost[:total]
+        while total:
+            if state["iterations"] >= iteration_limit:
+                return "iteration_limit"
+            if state["bland"]:
+                open_cols = np.flatnonzero(reduced < -PIVOT_TOL)
+                if len(open_cols) == 0:
+                    return "optimal"
+                entering = int(open_cols[0])
+            else:
+                entering = int(np.argmin(reduced))
+                if reduced[entering] >= -PIVOT_TOL:
+                    return "optimal"
+            column = T[:, entering].copy()
+            row = ratio_row(column)
+            if row is None:
+                return "unbounded"
+            state["iterations"] += 1
+            degenerate = abs(T[row, -1]) <= PIVOT_TOL
+            pivot(row, entering, column)
+            if degenerate:
+                state["stall"] += 1
+                if state["stall"] >= lp_module.DEGENERATE_RUN_LIMIT:
+                    state["bland"] = True
+            else:
+                state["stall"] = 0
+                state["bland"] = False
+        return "optimal"
+
+    if len(art_rows):
+        status = run_phase(cost1)
+        if status == "iteration_limit":
+            return LpResult("iteration_limit", None, None, None, state["iterations"])
+        infeas = sum(T[basis >= width, -1].tolist())
+        if infeas > FEAS_TOL:
+            return LpResult("infeasible", None, None, None, state["iterations"])
+        # Drive remaining artificials out of the basis (or leave them on
+        # redundant all-zero rows, where they stay at value zero).
+        for i in range(m):
+            if basis[i] >= width:
+                row_vals = np.abs(T[i, :width])
+                j = int(np.argmax(row_vals))
+                if row_vals[j] > PIVOT_TOL:
+                    pivot(i, j, T[:, j].copy())
+        block(slice(width, total))
+        state["bland"] = False
+        state["stall"] = 0
+
+    status = run_phase(cost2)
+    if status != "optimal":
+        return LpResult(status, None, None, None, state["iterations"])
+
+    x_shift = np.zeros(total)
+    x_shift[basis] = T[:, -1]
+    x = lo + x_shift[:n]
+    in_basis = np.zeros(total, dtype=bool)
+    in_basis[basis] = True
+    return LpResult("optimal", lp.value_of(x), x, tuple(in_basis[:n].tolist()),
+                    state["iterations"])
 
 
 def reference_gen_random(

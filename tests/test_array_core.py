@@ -30,8 +30,10 @@ from minecc.combinatorial import (
 )
 from minecc.hypergraph import (
     EdgeColoredHypergraph,
+    _from_own_flat,
     accuracy,
     build_incidence,
+    from_flat,
     hypergraph,
     objective_cost,
     validate,
@@ -847,6 +849,48 @@ class TestReadOnlyArrays:
         for name in ("members", "eptr", "colors", "weights"):
             with pytest.raises(ValueError):
                 getattr(h, name)[0] = 0
+
+    @pytest.mark.parametrize("build", ["from_flat", "hypergraph"])
+    def test_callers_arrays_stay_theirs(self, build):
+        # from_flat keeps the arrays it builds without a copy, but never one
+        # that the caller still holds, sorted or not, in any dtype.
+        for members, colors in ((np.array([0, 1, 2, 3]), np.array([1, 2])),
+                                (np.array([1, 0, 3, 2]), np.array([1, 2], dtype=np.int32)),
+                                (np.array([0, 0, 1, 2, 3]), np.array([1, 2]))):
+            weights = np.array([1.0, 2.0])
+            sizes = [len(members) - 2, 2]
+            if build == "from_flat":
+                h = from_flat(4, 2, members, sizes, colors, weights)
+            else:
+                edges = np.split(members, [sizes[0]])
+                h = hypergraph(4, 2, [(e, c, w) for e, c, w in zip(edges, colors, weights)])
+            before = (h.members.tolist(), h.eptr.tolist(), h.colors.tolist(), h.weights.tolist())
+            for a in (members, colors, weights):
+                a[:] = 3
+            assert (h.members.tolist(), h.eptr.tolist(), h.colors.tolist(),
+                    h.weights.tolist()) == before
+            for name in ("members", "eptr", "colors", "weights"):
+                a = getattr(h, name)
+                assert a.base is None
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+
+    def test_handed_over_arrays_are_kept(self):
+        members, colors, weights = np.array([0, 1, 1, 2]), np.array([1, 2]), np.array([1.0, 2.0])
+        h = _from_own_flat(3, 2, members, [2, 2], colors, weights)
+        assert h.members is members and h.colors is colors and h.weights is weights
+        assert not members.flags.writeable
+
+    def test_parsed_and_generated_arrays_are_read_only(self):
+        planted = gen_random(30, 60, 4, 3, 0.2, seed=1)
+        parsed = parse_canonical(write_canonical(planted.hypergraph))
+        assert parsed == planted.hypergraph
+        benchmark = parse_benchmark("1 2\n3 2 1\n", "1\n2\n")[0]
+        assert benchmark == hypergraph(3, 2, [((0, 1), 1), ((0, 1, 2), 2)])
+        for h in (planted.hypergraph, parsed, benchmark):
+            for name in ("members", "eptr", "colors", "weights"):
+                a = getattr(h, name)
+                assert a.base is None and not a.flags.writeable
 
     @pytest.mark.parametrize("eptr, colors, weights", [
         ([0, 2], [1, 2], [1.0, 1.0]),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minecc.lp
 from minecc.certificates import all_cases, case_to_lp
 from minecc.hypergraph import EdgeColoredHypergraph, hypergraph, validate
 from minecc.instances import gen_integrality_gap, gen_random, gen_star
@@ -18,7 +19,7 @@ from minecc.relaxations import (
 )
 from minecc.rounding import rounding_invariant_violations
 
-from conftest import edges_of, lp_from_rows, random_instance, reference_simplex
+from conftest import edges_of, lp_from_rows, random_instance, reference_simplex, reference_solve
 
 
 def ecc_value(h) -> float:
@@ -176,6 +177,106 @@ class TestSparsePivotMatchesReference:
     @pytest.mark.parametrize("case", all_cases(), ids=lambda case: f"{case.family}-p{case.p}-q{case.q}")
     def test_certificate_lps(self, case):
         assert_same_as_reference(case_to_lp(case))
+
+
+def assert_same_pivots(lp, iteration_limit=200_000):
+    """Equal to ``reference_solve`` to the byte: it does the same float
+    operations in the same order."""
+    got = solve(lp, iteration_limit)
+    want = reference_solve(lp, iteration_limit)
+    assert (got.status, got.iterations, got.basic) == (want.status, want.iterations, want.basic)
+    assert (got.x is None) == (want.x is None) and got.value == want.value
+    assert got.x is None or got.x.tobytes() == want.x.tobytes()
+    return got
+
+
+def random_csr_lp(seed: int) -> LinearProgram:
+    """A model given straight as CSR rows: every relation, right-hand sides of
+    either sign, finite and infinite upper bounds and either sense. Most rows
+    hold at a point drawn inside the bounds: about two draws in three are
+    optimal, and the others split between infeasible and unbounded."""
+    rng = np.random.default_rng(seed)
+    n, num_rows = int(rng.integers(1, 8)), int(rng.integers(0, 7))
+    support = [np.flatnonzero(rng.random(n) < 0.6) for _ in range(num_rows)]
+    indptr = np.cumsum([0] + [len(c) for c in support])
+    indices = np.concatenate([[], *support]).astype(int)
+    data = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 1.5, 3.0], indptr[-1])
+    lower = rng.choice([0.0, 0.0, -1.0, 2.0], n)
+    upper = lower + rng.choice([math.inf, math.inf, 0.0, 1.0, 3.0], n)
+    point = lower + rng.choice([0.0, 0.5, 1.0], n) * np.minimum(upper - lower, 2.0)
+    rel = rng.choice([0, 0, 0, 1, 1, 2], num_rows)
+    at_point = np.bincount(np.repeat(np.arange(num_rows), np.diff(indptr)),
+                           weights=data * point[indices], minlength=num_rows)
+    slack = rng.choice([0.0, 1.0, 2.0], num_rows) * np.where(rel == 0, 1.0, -1.0) * (rel != 2)
+    rhs = np.where(rng.random(num_rows) < 0.85, at_point + slack,
+                   rng.choice([-3.0, -1.0, 0.0, 1.0, 2.0, 5.0], num_rows))
+    return LinearProgram(rng.choice([-1.0, 0.0, 1.0, 2.0], n), lower, upper,
+                         [f"x{j}" for j in range(n)], Rows(indptr, indices, data, rel, rhs),
+                         sense=str(rng.choice(["min", "max"])))
+
+
+def gap_models():
+    """gap3-8 as compact, full and multiway-cut models."""
+    for k in range(3, 9):
+        h = gen_integrality_gap(k)
+        yield f"gap{k}-compact", build_ecc_lp(h, compact=True)
+        yield f"gap{k}-full", build_ecc_lp(h)
+        yield f"gap{k}-nodemc", build_nodemc_lp(h)
+
+
+def desk_models():
+    """The clustering models of desk-lp's instances: the gap models, and the
+    rand1, rand2 and exact14 shapes at seeds 0-9 as compact and full models."""
+    yield from gap_models()
+    shapes = {"rand1": (50, 80, 3, 6, 0.2, 1), "rand2": (50, 80, 3, 6, 0.2, 2),
+              "exact14": (14, 100, 2, 3, 1.0, 2)}
+    for seed in range(10):
+        for name, (n, m, size, k, noise, offset) in shapes.items():
+            h = gen_random(n, m, size, k, noise, seed=10 * seed + offset).hypergraph
+            yield f"{name}-{seed}-compact", build_ecc_lp(h, compact=True)
+            yield f"{name}-{seed}-full", build_ecc_lp(h)
+
+
+class TestTableauPivotsMatchReference:
+    """``solve`` keeps both cost rows and the perturbation column in its
+    tableau and takes exactly the pivots of the reference that keeps them
+    apart: status, iterations, basis, primal bytes and value are equal."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), iteration_limit=st.sampled_from([200_000, 200_000, 1, 3]))
+    def test_drawn_csr_models(self, seed, iteration_limit):
+        assert_same_pivots(random_csr_lp(seed), iteration_limit)
+
+    def test_drawn_models_reach_every_status(self):
+        statuses = [assert_same_pivots(random_csr_lp(seed)).status for seed in range(300)]
+        assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+
+    def test_desk_models(self):
+        for name, lp in desk_models():
+            assert assert_same_pivots(lp).status == "optimal", name
+
+    @pytest.mark.parametrize("limit", [1, 2])
+    def test_blands_rule_from_the_first_degenerate_pivots(self, monkeypatch, limit):
+        # A run limit of 1 or 2 switches both solvers to Bland's rule almost at
+        # once; the gap models' degenerate pivots make the switch change the path.
+        default = {name: solve(lp).iterations for name, lp in gap_models()}
+        monkeypatch.setattr(minecc.lp, "DEGENERATE_RUN_LIMIT", limit)
+        changed = [name for name, lp in gap_models()
+                   if assert_same_pivots(lp).iterations != default[name]]
+        assert changed
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), limit=st.sampled_from([1, 2]))
+    def test_blands_rule_on_drawn_models(self, seed, limit):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(minecc.lp, "DEGENERATE_RUN_LIMIT", limit)
+            assert_same_pivots(random_csr_lp(seed))
+
+    @pytest.mark.parametrize("limit", [0, 1, 5, 40, 120])
+    def test_iteration_limit(self, limit):
+        lp = build_ecc_lp(gen_random(50, 80, 3, 6, 0.2, seed=1).hypergraph, compact=True)
+        res = assert_same_pivots(lp, limit)
+        assert (res.status, res.iterations) == ("iteration_limit", limit)
 
 
 class TestEccLp:
@@ -495,6 +596,14 @@ class TestExport:
         text = export_lp_text(build_ecc_lp(h))
         rows = [l for l in text.splitlines() if l.startswith(" c") and "xe_0" in l]
         assert len(rows) == 2  # one per (edge, member) pair
+
+    def test_bounds_of_unbounded_columns(self):
+        lp = LinearProgram([1.0, 2.0, 3.0, 4.0, 5.0], [-math.inf, -math.inf, 0.0, -1.5, 2.0],
+                           [math.inf, 4.0, math.inf, math.inf, 2.5], ["a", "b", "c", "d", "e"])
+        text = export_lp_text(lp)
+        bounds = text[text.index("Bounds\n") + len("Bounds\n"):text.index("End\n")]
+        assert bounds.splitlines() == [" a free", " -inf <= b <= 4", " c >= 0", " d >= -1.5",
+                                       " 2 <= e <= 2.5"]
 
     @staticmethod
     def _solve_exported(text: str) -> float:

@@ -1,11 +1,14 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minecc.hypergraph import hypergraph, objective_cost
 from minecc.instances import gen_integrality_gap, gen_random, gen_star
 from minecc.oracle import CapExceededError, bruteforce_ecc, bruteforce_vc
 from minecc.reductions import WeightedGraph
 
-from conftest import exhaustive_ecc, naive_cost, random_instance
+from conftest import exhaustive_ecc, naive_cost, random_instance, reference_pruned_bruteforce_ecc
 
 
 class TestBruteforceEcc:
@@ -49,6 +52,39 @@ class TestBruteforceEcc:
     def test_weighted(self):
         h = hypergraph(2, 2, [((0, 1), 1, 5.0), ((0, 1), 2, 1.0)])
         assert bruteforce_ecc(h).value == pytest.approx(1.0)
+
+
+class TestBreaksListsMatchReference:
+    """The search over per-position lists of the edges each color breaks
+    explores the same states, and finds the same value and witness, as the
+    search that tests every incident edge's color at each branch."""
+
+    @staticmethod
+    def assert_same(h):
+        got, want = bruteforce_ecc(h), reference_pruned_bruteforce_ecc(h)
+        assert (got.value, got.witness, got.explored) == (want.value, want.witness, want.explored)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), weighted=st.booleans())
+    def test_criterion_7_shapes(self, seed, k, weighted):
+        # Criterion 7's instances: 12, 10 or 8 nodes, 10 to 18 edges of up to
+        # three members; weighted ones draw weights that tie and miss in float sums.
+        rng = np.random.default_rng(seed)
+        n = {2: 12, 3: 10, 4: 8}[k]
+        h = gen_random(n, int(rng.integers(10, 19)), 3, k, float(rng.uniform(0.3, 0.8)),
+                       seed=int(rng.integers(10**6))).hypergraph
+        if weighted:
+            w = rng.choice([0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 2.5], h.num_edges)
+            h = type(h)(h.num_nodes, k, h.members, h.eptr, h.colors, w)
+        self.assert_same(h)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_desk_exact14_shapes(self, seed):
+        self.assert_same(gen_random(14, 100, 2, 3, 1.0, seed=10 * seed + 2).hypergraph)
+
+    def test_desk_counts(self):
+        assert bruteforce_ecc(gen_random(14, 100, 2, 3, 1.0, seed=2).hypergraph).explored == 7299
+        assert bruteforce_ecc(gen_integrality_gap(5)).explored == 7205
 
 
 class TestBruteforceVc:
