@@ -19,9 +19,8 @@ import types
 # Each exported name, by the submodule that defines it.
 _EXPORTS = {
     "combinatorial": (
-        "DeletionSet", "LowerBoundBundle", "a_posteriori_ratio", "coloring_from_deletions",
-        "find_bad_pair", "hybrid", "majority_vote", "match_coloring", "mv_lower_bound",
-        "pitt_coloring",
+        "DeletionSet", "a_posteriori_ratio", "coloring_from_deletions", "find_bad_pair",
+        "hybrid", "majority_vote", "match_coloring", "mv_lower_bound", "pitt_coloring",
     ),
     "hypergraph": (
         "ColorSortedIncidence", "CostReport", "EdgeColoredHypergraph", "accuracy",
@@ -40,9 +39,9 @@ _EXPORTS = {
     ),
     "relaxations": ("EccLpSolution", "build_ecc_lp", "build_nodemc_lp", "extract_ecc_solution"),
     "rounding": (
-        "ColorThresholds", "Interval", "IntervalChoice", "best_interval", "color_thresholds",
-        "estimate_mistake_prob", "gen_color_round", "make_synthetic_solution",
-        "rounding_invariant_violations", "simple_round",
+        "Interval", "IntervalChoice", "best_interval", "estimate_mistake_prob",
+        "gen_color_round", "make_synthetic_solution", "rounding_invariant_violations",
+        "simple_round",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -598,14 +598,14 @@ def verify_all() -> CertificateReport:
     return CertificateReport(True, tuple(lines), max_bound, count)
 
 
-def case_to_lp(case: AuxLpCase, var_bound: float = 16.0) -> LinearProgram:
-    """Float version of a case for the numeric cross-check and for text export.
+# The printed cases leave some variables without finite upper bounds (they are
+# ratios with implicit domain limits), so the numeric program boxes every
+# variable into [0, VAR_BOUND]; the exact certificate check needs no such box.
+VAR_BOUND = 16.0
 
-    The printed cases leave some variables without finite upper bounds (they are
-    ratios with implicit domain limits), so the numeric program boxes every
-    variable into ``[0, var_bound]``; the exact certificate check above needs no
-    such box.
-    """
+
+def case_to_lp(case: AuxLpCase) -> LinearProgram:
+    """Float version of a case for the numeric cross-check and for text export."""
     from .lp import LE, LinearProgram, Rows
 
     indptr, indices, data = [0], [], []
@@ -615,7 +615,7 @@ def case_to_lp(case: AuxLpCase, var_bound: float = 16.0) -> LinearProgram:
             data.append(float(coeffs[j]))
         indptr.append(len(indices))
     rhs = [float(b) for _, _, b in case.rows]
-    return LinearProgram([float(c) for c in case.objective], 0.0, var_bound, case.var_names,
+    return LinearProgram([float(c) for c in case.objective], 0.0, VAR_BOUND, case.var_names,
                          Rows(indptr, indices, data, [LE] * len(rhs), rhs),
                          sense="max", constant=float(case.constant))
 

@@ -28,7 +28,7 @@ EXIT_VERIFY = 3
 EXIT_CAPACITY = 4
 
 # Counted on the model solved: the compact clustering LP, or compare-lp's multiway-cut LP.
-SOLVER_VAR_LIMIT = 5000  # the tableau takes about 1 GB here; beyond this, export instead
+SOLVER_VAR_LIMIT = 5000  # solves near it take 20+ s and 1+ GB; beyond it, export instead
 
 
 @dataclass
@@ -313,7 +313,7 @@ ALGORITHMS = {
 
 
 def cmd_solve(args) -> int:
-    from .combinatorial import LowerBoundBundle, a_posteriori_ratio
+    from .combinatorial import a_posteriori_ratio
     from .hypergraph import accuracy, build_incidence, objective_cost
 
     run, needs, _ = ALGORITHMS[args.algo]
@@ -349,10 +349,6 @@ def cmd_solve(args) -> int:
     report, seed, match_bound, mv_bound = best
     # A supplied primal is feasible, not shown optimal, so its value bounds nothing.
     lp_bound = lp_sol.objective if lp_sol is not None and not args.solution else None
-    bounds = LowerBoundBundle(lp_bound, match_bound, mv_bound)
-    ratio = None
-    if report.total_cost == 0 or bounds.best() is not None:
-        ratio = a_posteriori_ratio(report.total_cost, bounds)
     values = asdict(RunRecord(
         dataset=name,
         algo=args.algo,
@@ -362,7 +358,7 @@ def cmd_solve(args) -> int:
         lp_bound=lp_bound,
         match_bound=match_bound,
         mv_bound=mv_bound,
-        ratio=ratio,
+        ratio=a_posteriori_ratio(report.total_cost, lp_bound, match_bound, mv_bound),
         accuracy=report.accuracy,
         seconds=seconds,
     ))

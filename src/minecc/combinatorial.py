@@ -39,26 +39,10 @@ class DeletionSet:
     indices: frozenset[int]
     total_weight: float
 
-    def __contains__(self, j: int) -> bool:
-        return j in self.indices
-
     @classmethod
     def from_flags(cls, h: EdgeColoredHypergraph, flags) -> "DeletionSet":
         chosen = np.flatnonzero(np.asarray(flags))
         return cls(frozenset(chosen.tolist()), _ordered_sum(h.weights[chosen]))
-
-
-@dataclass(frozen=True)
-class LowerBoundBundle:
-    """Instance-specific lower bounds on the optimal cost (any may be absent)."""
-
-    lp_bound: float | None = None
-    matching_bound: float | None = None
-    mv_bound: float | None = None
-
-    def best(self) -> float | None:
-        present = [b for b in (self.lp_bound, self.matching_bound, self.mv_bound) if b is not None]
-        return max(present) if present else None
 
 
 def find_bad_pair(
@@ -291,13 +275,13 @@ def recolor_uncovered(
     return recolored, recolored_cost
 
 
-def a_posteriori_ratio(cost: float, bounds: LowerBoundBundle) -> float:
-    """Cost divided by the best available lower bound (1 when the cost is zero)."""
+def a_posteriori_ratio(cost: float, *bounds: float | None) -> float | None:
+    """Cost divided by the best of the given lower bounds, skipping ``None``.
+
+    1 when the cost is zero; None when no bound is positive, since then no
+    finite ratio is shown.
+    """
     if cost == 0.0:
         return 1.0
-    best = bounds.best()
-    if best is None:
-        raise ValueError("no lower bound available")
-    if best <= 0.0:
-        return float("inf")
-    return cost / best
+    best = max((b for b in bounds if b is not None), default=0.0)
+    return cost / best if best > 0.0 else None

@@ -19,13 +19,13 @@ of the benchmark format's edge list:
 
 Parsing, validation, evaluation and majority vote are single array passes
 over these; the incidence build is one sort of packed 64-bit words
-(:func:`build_incidence`); none of them creates per-edge Python objects. The
-constructor copies the arrays it is given and marks them read-only, so an
-instance can be shared by concurrent workers and passed between calls
-without defensive copies; the parsers and generators hand over the arrays
-they built instead of having them copied. The arrays are the only edge
-representation: the LP, rounding, oracle and reduction code reads them too,
-taking ``.tolist()`` copies where a loop stays in Python.
+(:func:`build_incidence`). Only evaluation, listing mistake edges,
+makes per-edge Python objects. The constructor copies the arrays it is
+given and marks them read-only, so an instance can be shared by concurrent
+workers and passed between calls without defensive copies; the parsers and
+generators hand over the arrays they built uncopied. The arrays are the
+only edge representation: the LP, rounding, oracle and reduction code reads
+them, taking ``.tolist()`` copies where a loop stays in Python.
 """
 
 from __future__ import annotations

@@ -18,20 +18,19 @@ each pivot is one division of the pivot row and one rank-1 update, which
 touches only the rows where the entering column is nonzero (cost rows
 included) and the columns where the pivot row is nonzero (perturbation and
 rhs included); on the clustering LP both are a few percent of the tableau.
-On models this small a pivot costs its numpy calls more than its
-arithmetic. Measured on ``build_ecc_lp(gen_random(n, 1.6 n, 3, 6, 0.2,
-1).hypergraph)`` for n = 100, 200, 400 (two runs each, alternating with the
-solver that kept its cost rows and perturbations apart, 2-core host, numpy
-2.4):
+Measured on the compact model (``build_ecc_lp(h, compact=True)``) of
+``gen_random(n, 1.6 n, 3, 6, 0.2, 1).hypergraph`` for n = 400, 800, 1600
+(two runs each, 2-core host, numpy 2.4):
 
-    variables   solve time     before        peak RSS (whole process)
-    760         0.05 s         0.07-0.08 s    60 MB
-    1520        0.19-0.21 s    0.24-0.27 s   130 MB
-    3040        0.70-0.72 s    0.89-0.96 s   407 MB
+    variables   rows    solve time     peak RSS (whole process)
+    1026         985    0.11-0.14 s      95 MB
+    2205        2326    1.7-2.4 s       341 MB
+    4310        4421    21.1-21.2 s    1169 MB
 
-The tableau has about 1.65 rows and 3.2 columns per variable, so its memory
-grows with the square of the model: about 1 GB at 5000 variables. That
-memory, not the solve time, is what bounds the CLI's 5000-variable limit.
+The tableau's memory grows with the square of the model and the solve time
+faster still, so near the CLI's 5000-variable limit a solve takes tens of
+seconds and more than 1 GB. The multiway-cut model of a 50-node, 80-edge
+instance (896 columns, 3456 rows) takes 12-14 s.
 Larger models should be exported with :func:`export_lp_text` and solved
 externally, after which the primal vector can be read back with
 :func:`parse_primal_text`.

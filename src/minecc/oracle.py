@@ -45,7 +45,6 @@ class OracleResult:
     value: float
     witness: tuple[int, ...]
     explored: int
-    within_cap: bool = True
 
 
 def bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleResult:

@@ -31,9 +31,6 @@ class Interval:
         if not (0.0 <= self.lo < self.hi <= 1.0):
             raise ValueError(f"need 0 <= lo < hi <= 1, got ({self.lo}, {self.hi})")
 
-    def __str__(self) -> str:
-        return f"({self.lo}, {self.hi})"
-
 
 class IntervalChoice(NamedTuple):
     interval: Interval
@@ -110,38 +107,6 @@ def simple_round(x: EccLpSolution) -> list[int]:
     return [int(c) for c in x.x_node.argmin(axis=1) + 1]
 
 
-@dataclass(frozen=True)
-class ColorThresholds:
-    """Sorted per-edge thresholds: crossing ``values[i-1]`` means at least ``i``
-    colors other than the edge's own want some member node."""
-
-    values: tuple[float, ...]
-
-    @property
-    def z1(self) -> float:
-        return self.values[0]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def _edge(h: EdgeColoredHypergraph, edge_index: int) -> tuple[np.ndarray, int]:
-    """Members and color of one edge; IndexError unless ``0 <= edge_index < m``."""
-    if not (0 <= edge_index < h.num_edges):
-        raise IndexError(f"edge index {edge_index} out of range")
-    return h.members[h.eptr[edge_index]:h.eptr[edge_index + 1]], int(h.colors[edge_index])
-
-
-def color_thresholds(
-    h: EdgeColoredHypergraph, x: EccLpSolution, edge_index: int
-) -> ColorThresholds:
-    """Compute the ``k - 1`` color thresholds of one edge under solution ``x``."""
-    members, color = _edge(h, edge_index)
-    mins = x.x_node[members].min(axis=0)
-    others = np.delete(mins, color - 1)
-    return ColorThresholds(tuple(float(z) for z in np.sort(others)))
-
-
 def estimate_mistake_prob(
     h: EdgeColoredHypergraph,
     x: EccLpSolution,
@@ -158,17 +123,19 @@ def estimate_mistake_prob(
     kernel on the edge's member rows with ``trials`` trials, so each trial
     rounds as :func:`gen_color_round` does, and only the colors of the edge's
     members are materialized. An edge index outside ``[0, m)`` raises
-    IndexError, as in :func:`color_thresholds`. An infeasible ``x`` raises
-    ValueError; a caller that estimates every edge of one solution checks it
-    once with :meth:`EccLpSolution.violations` and passes ``check=False``.
+    IndexError. An infeasible ``x`` raises ValueError; a caller that estimates
+    every edge of one solution checks it once with
+    :meth:`EccLpSolution.violations` and passes ``check=False``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if check:
         _check_feasible(h, x)
-    members, color = _edge(h, edge_index)
+    if not (0 <= edge_index < h.num_edges):
+        raise IndexError(f"edge index {edge_index} out of range")
+    members = h.members[h.eptr[edge_index]:h.eptr[edge_index + 1]]
     colors = _round_rows(x.x_node[members], interval, trials, np.random.default_rng(seed))
-    mistake = (colors != color - 1).any(axis=1)
+    mistake = (colors != h.colors[edge_index] - 1).any(axis=1)
     p = float(mistake.mean())
     stderr = math.sqrt(p * (1.0 - p) / trials)
     return p, stderr

@@ -22,7 +22,6 @@ from minecc.hypergraph import (
 from minecc.instances import ParseError, PlantedInstance
 from minecc.oracle import DEFAULT_CAP, PRUNE_SHRINK, CapExceededError, OracleResult, _suffix_bounds
 from minecc.relaxations import EccLpSolution, _snap
-from minecc.rounding import color_thresholds
 from minecc import lp as lp_module
 from minecc.lp import (
     _FLIPPED,
@@ -617,15 +616,18 @@ def reference_estimate_mistake_prob(
 def reference_rounding_invariant_violations(
     h: EdgeColoredHypergraph, x: EccLpSolution, tol: float = 1e-7
 ) -> list[str]:
-    """The per-edge loop over ``color_thresholds``; the reference for
-    ``rounding_invariant_violations`` on instances without empty edges."""
+    """A per-edge loop over each edge's sorted color thresholds; the reference
+    for ``rounding_invariant_violations`` on instances without empty edges."""
     problems: list[str] = []
     k = h.num_colors
     if k <= 1:
         return problems
     t_max = k // 2 if h.rank == 2 else 1
     for j in range(h.num_edges):
-        z = color_thresholds(h, x, j).values
+        members = h.members[h.eptr[j]:h.eptr[j + 1]].tolist()
+        own = int(h.colors[j]) - 1
+        # z[t - 1] is z_t: the t-th smallest of the member minima of the other colors
+        z = sorted(min(float(x.x_node[v, c]) for v in members) for c in range(k) if c != own)
         xe = x.x_edge[j]
         if 1.0 - z[0] > xe + tol:
             problems.append(

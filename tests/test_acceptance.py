@@ -371,7 +371,7 @@ def test_criterion_12_benchmark_ratios(capsys):
     """Data-dependent and optional: checks the majority-vote ratio against the
     published LP bounds when the benchmark files and external LP solutions are
     available locally. The large proprietary rows are excluded by design."""
-    from minecc.combinatorial import LowerBoundBundle, a_posteriori_ratio, majority_vote
+    from minecc.combinatorial import a_posteriori_ratio, majority_vote
     from minecc.instances import parse_benchmark
 
     ok = True
@@ -390,7 +390,7 @@ def test_criterion_12_benchmark_ratios(capsys):
         h, _ = parse_benchmark(edges_text, labels_text)
         mv = majority_vote(h)
         cost = objective_cost(h, mv).total_cost
-        ratio = a_posteriori_ratio(cost, LowerBoundBundle(lp_bound=lp_bound))
+        ratio = a_posteriori_ratio(cost, lp_bound)
         details.append(f"{name}: ratio={ratio:.3f} expected={expected}")
         ok = ok and abs(ratio - expected) <= 0.02
     with capsys.disabled():

@@ -204,6 +204,25 @@ class TestSolve:
         assert row["mistakes"] == "0"
         assert row["ratio"] == "1"
 
+    def test_no_positive_bound_leaves_ratio_out(self, tmp_path, capsys):
+        # One mistake, but the match bound is 0 and no other bound is computed:
+        # no finite ratio is shown, and strict JSON has no Infinity to print.
+        inst = tmp_path / "zero.ecc"
+        inst.write_text("ecc 2 2 2\n2 1 0 1\n1 0 1\n")
+        argv = ["solve", str(inst), "--algo", "match"]
+        row = run_csv(capsys, argv)
+        assert (row["mistakes"], row["match_bound"], row["ratio"]) == ("1", "0", "")
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "match_bound=0 " in text and "ratio" not in text
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert main(argv + ["--format", "json"]) == 0
+        (record,) = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert (record["mistakes"], record["match_bound"], record["ratio"]) == (1.0, 0.0, None)
+
     def test_same_seed_rows_identical_except_time(self, gap3_file, capsys):
         rows = []
         for _ in range(2):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from minecc.combinatorial import (
     DeletionSet,
-    LowerBoundBundle,
     a_posteriori_ratio,
     coloring_from_deletions,
     find_bad_pair,
@@ -290,21 +289,22 @@ class TestHybrid:
 
 class TestAPosterioriRatio:
     def test_lp_bound(self):
-        assert a_posteriori_ratio(2.0, LowerBoundBundle(lp_bound=1.5)) == pytest.approx(4 / 3)
+        assert a_posteriori_ratio(2.0, 1.5) == pytest.approx(4 / 3)
 
     def test_zero_cost(self):
-        assert a_posteriori_ratio(0.0, LowerBoundBundle()) == 1.0
+        assert a_posteriori_ratio(0.0) == 1.0
+        assert a_posteriori_ratio(0.0, None, 0.0) == 1.0
 
     def test_takes_best_bound(self):
-        bundle = LowerBoundBundle(lp_bound=1.0, matching_bound=2.0, mv_bound=0.5)
-        assert a_posteriori_ratio(4.0, bundle) == pytest.approx(2.0)
+        assert a_posteriori_ratio(4.0, 1.0, 2.0, 0.5) == pytest.approx(2.0)
+        assert a_posteriori_ratio(4.0, None, 2.0, None) == pytest.approx(2.0)
 
-    def test_zero_bounds_infinite(self):
-        assert a_posteriori_ratio(3.0, LowerBoundBundle(mv_bound=0.0)) == float("inf")
+    def test_zero_bounds_give_none(self):
+        assert a_posteriori_ratio(3.0, None, None, 0.0) is None
 
-    def test_no_bounds_raises(self):
-        with pytest.raises(ValueError):
-            a_posteriori_ratio(3.0, LowerBoundBundle())
+    def test_no_bounds_give_none(self):
+        assert a_posteriori_ratio(3.0) is None
+        assert a_posteriori_ratio(3.0, None, None, None) is None
 
 
 class TestVisitOrder:

@@ -10,7 +10,6 @@ from minecc.relaxations import EccLpSolution, build_ecc_lp, extract_ecc_solution
 from minecc.rounding import (
     Interval,
     best_interval,
-    color_thresholds,
     estimate_mistake_prob,
     gen_color_round,
     make_synthetic_solution,
@@ -129,39 +128,27 @@ class TestSimpleRound:
 
 class TestColorThresholds:
     def test_direct_definition(self):
+        # Per-color minima over members: color 2 -> 0.6, color 3 -> 0.7, so z_1 = 0.6.
         h = hypergraph(2, 3, [((0, 1), 1)])
         x_node = np.array([[0.4, 0.6, 0.7], [0.4, 0.9, 0.8]])
-        sol = EccLpSolution(x_node, np.array([0.4]), 0.4)
-        z = color_thresholds(h, sol, 0)
-        # Per-color minima over members: color 2 -> 0.6, color 3 -> 0.7.
-        assert z.values == pytest.approx((0.6, 0.7))
-        assert z.z1 == pytest.approx(0.6)
+        assert rounding_invariant_violations(h, EccLpSolution(x_node, np.array([0.4]), 0.4)) == []
+        assert rounding_invariant_violations(h, EccLpSolution(x_node, np.array([0.39]), 0.39)) == [
+            "edge 0: first threshold bound fails (1 - 0.600000000 > 0.390000000)"]
 
     def test_single_color_empty(self):
         h = hypergraph(2, 1, [((0, 1), 1)])
         sol = EccLpSolution(np.zeros((2, 1)), np.zeros(1), 0.0)
-        assert len(color_thresholds(h, sol, 0)) == 0
+        assert rounding_invariant_violations(h, sol) == []
 
     def test_first_threshold_bound_on_lp_optimum(self):
         for seed in range(4):
             h = gen_random(8, 12, 2, 4, 0.4, seed=seed).hypergraph
-            sol = lp_solution(h)
-            for j in range(h.num_edges):
-                z1 = color_thresholds(h, sol, j).z1
-                assert 1.0 - z1 <= sol.x_edge[j] + 1e-9
+            assert rounding_invariant_violations(h, lp_solution(h)) == []
 
-    def test_bad_index(self):
-        h = hypergraph(2, 2, [((0, 1), 1)])
-        sol = EccLpSolution(np.ones((2, 2)) * 0.5, np.array([0.5]), 0.5)
-        with pytest.raises(IndexError):
-            color_thresholds(h, sol, 5)
-
-    def test_edge_index_out_of_range_raises_in_both(self):
+    def test_edge_index_out_of_range_raises(self):
         h = gen_integrality_gap(4)
         sol = lp_solution(h)
         for j in (-1, h.num_edges):
-            with pytest.raises(IndexError, match=f"edge index {j} out of range"):
-                color_thresholds(h, sol, j)
             with pytest.raises(IndexError, match=f"edge index {j} out of range"):
                 estimate_mistake_prob(h, sol, Interval(0.5, 0.75), j, 100, seed=0)
 
