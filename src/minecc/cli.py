@@ -499,21 +499,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    from .reductions import (
-        ecc_to_hyper_mc,
-        ecc_to_node_mc,
-        ecc_to_vertex_cover,
-        write_graph,
-        write_hmc,
-    )
+    from . import reductions as red
 
     h, _, _ = _load_instance(args)
-    if args.to == "vc":
-        text = write_graph(ecc_to_vertex_cover(h).graph)
-    elif args.to == "nodemc":
-        text = write_graph(ecc_to_node_mc(h))
+    if args.to == "hypermc":
+        text = red.write_hmc(red.ecc_to_hyper_mc(h))
     else:
-        text = write_hmc(ecc_to_hyper_mc(h))
+        text = red.write_graph(red.ecc_to_vertex_cover(h).graph if args.to == "vc"
+                               else red.ecc_to_node_mc(h))
     _write_out(text, args.output)
     return EXIT_OK
 

@@ -32,32 +32,51 @@ from .hypergraph import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeletionSet:
-    """Edges removed so that no conflicting pair survives."""
+    """Edges removed so that no conflicting pair survives: ``flags``, one
+    read-only bool per edge, set at each deleted edge, and their total weight."""
 
-    indices: frozenset[int]
+    flags: np.ndarray
     total_weight: float
 
-    @classmethod
-    def from_flags(cls, h: EdgeColoredHypergraph, flags) -> "DeletionSet":
-        chosen = np.flatnonzero(np.asarray(flags))
-        return cls(frozenset(chosen.tolist()), _ordered_sum(h.weights[chosen]))
+    def __post_init__(self):
+        object.__setattr__(self, "flags", np.array(self.flags, dtype=bool))
+        self.flags.flags.writeable = False
+
+    @property
+    def indices(self) -> np.ndarray:
+        """The deleted edge ids, ascending (int64)."""
+        return np.flatnonzero(self.flags)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, DeletionSet) and self.total_weight == other.total_weight
+                and np.array_equal(self.flags, other.flags))
+
+
+def _checked_flags(h: EdgeColoredHypergraph, flags) -> np.ndarray:
+    """``flags`` as a bool array, which must hold one flag per edge of ``h``."""
+    flags = np.asarray(flags, dtype=bool)
+    if flags.shape != (h.num_edges,):
+        raise ValueError(f"deletion flags have shape {flags.shape}, need one flag per edge")
+    return flags
 
 
 def find_bad_pair(
-    h: EdgeColoredHypergraph, deleted=(), incidence: ColorSortedIncidence | None = None
+    h: EdgeColoredHypergraph, deleted=None, incidence: ColorSortedIncidence | None = None
 ) -> tuple[int, int] | None:
     """A surviving pair of overlapping, differently colored edges, or None.
 
-    The pair is the first surviving edge of the lowest node whose surviving
-    edges have more than one color, with the first of that node's surviving
-    edges (in incidence order) whose color differs from it. The node is found
-    in one array pass: survivors of different colors meet next to each other
+    ``deleted`` holds one flag per edge (None: no edge is deleted). The pair
+    is the first surviving edge of the lowest node whose surviving edges have
+    more than one color, with the first of that node's surviving edges (in
+    incidence order) whose color differs from it. The node is found in one
+    array pass: survivors of different colors meet next to each other
     somewhere in its list.
     """
+    gone = np.zeros(h.num_edges, dtype=bool) if deleted is None else _checked_flags(h, deleted)
     inc = incidence if incidence is not None else build_incidence(h)
-    kept = np.flatnonzero(~_deletion_flags(h, deleted)[inc.edge_ids])
+    kept = np.flatnonzero(~gone[inc.edge_ids])
     node = np.repeat(np.arange(len(inc)), np.diff(inc.indptr))[kept]
     color = h.colors[inc.edge_ids[kept]]
     mixed = np.flatnonzero((node[1:] == node[:-1]) & (color[1:] != color[:-1]))
@@ -66,14 +85,6 @@ def find_bad_pair(
     edges = inc.edge_ids[kept[node == node[mixed[0]]]].tolist()
     first = h.colors[edges[0]]
     return next((edges[0], j) for j in edges if h.colors[j] != first)
-
-
-def _deletion_flags(h: EdgeColoredHypergraph, deleted) -> np.ndarray:
-    """One flag per edge, set for the edge indices in ``deleted``; others are ignored."""
-    gone = np.fromiter(deleted, dtype=np.int64)
-    flags = np.zeros(h.num_edges, dtype=bool)
-    flags[gone[(gone >= 0) & (gone < h.num_edges)]] = True
-    return flags
 
 
 def _visit_order(n: int, order_seed: int | None) -> range | memoryview:
@@ -125,8 +136,8 @@ def _walk(
     order_seed: int | None,
     incidence: ColorSortedIncidence | None,
     rand=None,
-) -> tuple[bytearray, float]:
-    """Resolve every conflicting cursor pair; returns deletion flags and matching bound.
+) -> tuple[DeletionSet, float]:
+    """Resolve every conflicting cursor pair; returns the deletions and matching bound.
 
     With ``rand`` (a uniform [0, 1) sampler) one edge of each pair is deleted,
     the back edge with probability proportional to the front edge's weight
@@ -165,7 +176,8 @@ def _walk(
             else:
                 deleted[ef] = 1
                 f += 1
-    return deleted, bound
+    flags = np.frombuffer(deleted, dtype=bool)
+    return DeletionSet(flags, _ordered_sum(h.weights[flags])), bound
 
 
 def _uniforms(rng: np.random.Generator):
@@ -191,8 +203,8 @@ def pitt_coloring(
     proportional to the *other* edge's weight, then colors nodes by their
     surviving edges. Deterministic given the seeds.
     """
-    deleted, _ = _walk(h, order_seed, incidence, _uniforms(np.random.default_rng(seed)))
-    return DeletionSet.from_flags(h, deleted), _color_survivors(h, deleted)
+    dels, _ = _walk(h, order_seed, incidence, _uniforms(np.random.default_rng(seed)))
+    return dels, _color_survivors(h, dels.flags)
 
 
 def match_coloring(
@@ -208,14 +220,14 @@ def match_coloring(
     non-uniform weights the bound is still valid but the factor-2 guarantee is
     not asserted.
     """
-    deleted, bound = _walk(h, order_seed, incidence)
-    return DeletionSet.from_flags(h, deleted), _color_survivors(h, deleted), bound
+    dels, bound = _walk(h, order_seed, incidence)
+    return dels, _color_survivors(h, dels.flags), bound
 
 
-def _color_survivors(h: EdgeColoredHypergraph, deleted) -> list[int]:
+def _color_survivors(h: EdgeColoredHypergraph, deleted: np.ndarray) -> list[int]:
     """Color each node by the last surviving edge (in index order) that holds it; 1 if none."""
     edge_of = h.member_edges()
-    alive = np.flatnonzero(np.asarray(deleted)[edge_of] == 0)
+    alive = np.flatnonzero(~deleted[edge_of])
     last = np.full(h.num_nodes, -1, dtype=np.int64)
     np.maximum.at(last, h.members[alive], alive)
     held = last >= 0
@@ -230,10 +242,10 @@ def coloring_from_deletions(h: EdgeColoredHypergraph, dels: DeletionSet) -> list
     Raises if the deletion set leaves a conflicting pair, since then the
     surviving color at a node is not well defined.
     """
-    pair = find_bad_pair(h, dels.indices)
+    pair = find_bad_pair(h, dels.flags)
     if pair is not None:
         raise ValueError(f"deletion set leaves conflicting edge pair {pair}")
-    return _color_survivors(h, _deletion_flags(h, dels.indices))
+    return _color_survivors(h, dels.flags)
 
 
 def hybrid(
@@ -265,7 +277,7 @@ def recolor_uncovered(
     cheaper. Returns the coloring with the cost report (no accuracy) that
     chose it.
     """
-    deleted = _deletion_flags(h, dels.indices)
+    deleted = _checked_flags(h, dels.flags)
     covered = np.zeros(h.num_nodes, dtype=bool)
     covered[h.members[~deleted[h.member_edges()]]] = True
     recolored = np.where(covered, base, mv).tolist()

@@ -19,11 +19,11 @@ of the benchmark format's edge list:
 
 Parsing, validation, evaluation and majority vote are single array passes
 over these; the incidence build is one sort of packed 64-bit words
-(:func:`build_incidence`). Only evaluation, listing mistake edges,
-makes per-edge Python objects. The constructor copies the arrays it is
-given and marks them read-only, so an instance can be shared by concurrent
-workers and passed between calls without defensive copies; the parsers and
-generators hand over the arrays they built uncopied. The arrays are the
+(:func:`build_incidence`), and none makes a Python object per edge. The
+constructor copies the arrays it is given and marks them read-only, so an
+instance can be shared by concurrent workers and passed between calls
+without defensive copies; the parsers and generators hand over the arrays
+they built uncopied. The arrays are the
 only edge representation: the LP, rounding, oracle and reduction code reads
 them, taking ``.tolist()`` copies where a loop stays in Python.
 """
@@ -280,7 +280,6 @@ class CostReport:
     """
 
     total_cost: float
-    mistake_edges: tuple[int, ...]
     edge_satisfaction: float
     accuracy: float | None = None
 
@@ -306,13 +305,11 @@ def objective_cost(
         v = int(outside[0])
         raise ValueError(f"coloring gives node {v} color {coloring[v]}, outside [1, {top}]")
     wrong = node_colors[h.members] != h.colors[h.member_edges()]
-    mistakes = np.flatnonzero(_per_edge_count(wrong, h.eptr))
+    mistakes = _per_edge_count(wrong, h.eptr) > 0
     m = h.num_edges
-    satisfaction = 1.0 if m == 0 else 1.0 - len(mistakes) / m
+    satisfaction = 1.0 if m == 0 else 1.0 - np.count_nonzero(mistakes) / m
     acc = accuracy(coloring, truth) if truth is not None else None
-    return CostReport(
-        _ordered_sum(h.weights[mistakes]), tuple(mistakes.tolist()), satisfaction, acc
-    )
+    return CostReport(_ordered_sum(h.weights[mistakes]), satisfaction, acc)
 
 
 def accuracy(coloring: NodeColoring, truth: NodeColoring) -> float:
@@ -330,28 +327,22 @@ class ColorSortedIncidence:
 
     Stored in compressed form: ``edge_ids[indptr[v]:indptr[v+1]]`` is node
     ``v``'s list. The cursor walks of the deletion-based algorithms index
-    these two arrays through memoryviews, with no per-node list; the
-    ``neighbor_list`` and item views build one for a single node.
+    these two arrays through memoryviews, with no per-node list; the item
+    view builds one for a single node.
     """
 
     indptr: "np.ndarray"
     edge_ids: "np.ndarray"
 
     def __getitem__(self, v: int) -> tuple[int, ...]:
-        return tuple(self.neighbor_list(v))
-
-    def neighbor_list(self, v: int) -> list[int]:
-        return self.edge_ids[self.indptr[v]:self.indptr[v + 1]].tolist()
+        return tuple(self.edge_ids[self.indptr[v]:self.indptr[v + 1]].tolist())
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ColorSortedIncidence):
-            return NotImplemented
-        return np.array_equal(self.indptr, other.indptr) and np.array_equal(
-            self.edge_ids, other.edge_ids
-        )
+        return (isinstance(other, ColorSortedIncidence) and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.edge_ids, other.edge_ids))
 
 
 def build_incidence(h: EdgeColoredHypergraph) -> ColorSortedIncidence:

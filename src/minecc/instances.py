@@ -136,14 +136,21 @@ def _fill(size: int, parts: list[tuple[_Words, np.ndarray]]) -> np.ndarray:
     return text
 
 
-def write_int_lines(values) -> str:
-    """``"".join(f"{v}\\n" for v in values)`` for 64-bit integers, through the
-    digit columns of :func:`write_canonical`; the inverse of
-    :func:`parse_int_words` on its own output."""
-    words = _words(np.asarray(values, dtype=np.int64))
-    ends = np.cumsum(words.lengths + np.int64(1))
-    text = _fill(int(ends[-1]) if len(ends) else 0, [(words, ends - 2)])
-    text[ends - 1] = ord("\n")
+def write_int_lines(values, head: str = "", other=(), texts=()) -> str:
+    """A line per row of 64-bit integers (per entry when 1-D): ``head``, then
+    the row's words joined by spaces, the entries at flat positions ``other``
+    written as ``texts``, through the digit columns of :func:`write_canonical`;
+    the inverse of :func:`parse_int_words` on its own 1-D output."""
+    rows = np.asarray(values, dtype=np.int64)
+    rows = rows[:, None] if rows.ndim == 1 else rows
+    words = _words(rows.ravel(), other, texts)
+    # The characters up to each word's following space or line break.
+    ends = np.cumsum(words.lengths + np.int64(1)).reshape(rows.shape)
+    ends += len(head) * np.arange(1, len(rows) + 1)[:, None]
+    text = _fill(int(ends[-1, -1]) if ends.size else 0, [(words, ends.ravel() - 2)])
+    text[ends[:, -1] - 1] = ord("\n")
+    starts = np.append(0, ends[:-1, -1])[:len(rows)]
+    text[starts[:, None] + np.arange(len(head))] = np.frombuffer(head.encode("ascii"), np.uint8)
     return text.tobytes().decode("ascii")
 
 

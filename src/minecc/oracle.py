@@ -54,8 +54,7 @@ def bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleRe
     color 1); requires ``k ** active_nodes <= cap``.
     """
     n, k = h.num_nodes, h.num_colors
-    degrees = h.degrees()
-    active = [v for v in range(n) if degrees[v] > 0]
+    active = [v for v, d in enumerate(h.degrees()) if d > 0]
     if k > 1 and k ** len(active) > cap:
         raise CapExceededError(
             f"{k}^{len(active)} colorings exceed the cap of {cap}"
@@ -109,10 +108,9 @@ def bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleRe
                 broken[j] = 0
 
     dfs(0, 0.0)
-    witness = [1] * n
-    for i, v in enumerate(active):
-        witness[v] = best_assignment[i]
-    return OracleResult(best_cost, tuple(witness), explored)
+    witness = np.ones(n, dtype=np.int64)
+    witness[active] = best_assignment
+    return OracleResult(best_cost, tuple(witness.tolist()), explored)
 
 
 def _suffix_bounds(incident: list[list[int]], colors: list[int], weights: list[float]) -> list[float]:
@@ -145,26 +143,22 @@ def bruteforce_vc(g: WeightedGraph, cap: int = DEFAULT_CAP) -> OracleResult:
     Degree-0 nodes are pruned first; requires ``2 ** remaining_nodes <= cap``.
     The witness is a 0/1 membership tuple over all graph nodes.
     """
-    degrees = g.degrees()
-    active = sum(1 for d in degrees if d > 0)
+    active = int(np.count_nonzero(g.degrees()))
     if 2**active > cap:
         raise CapExceededError(f"2^{active} covers exceed the cap of {cap}")
-    if g.undeletable & {u for edge in g.edges for u in edge}:
+    if g.undeletable[g.edges].any():
         raise ValueError("vertex cover oracle does not handle undeletable nodes")
 
-    edges = list(g.edges)
-    in_cover = bytearray(g.num_nodes)
-    best_cost = float("inf")
-    best_cover: set[int] = set()
-    explored = 0
-
+    edges, weights = g.edges.tolist(), g.weights.tolist()
     # Greedy warm start: cover every edge by its cheaper endpoint.
+    in_cover = bytearray(g.num_nodes)
     for u, v in edges:
         if not in_cover[u] and not in_cover[v]:
-            in_cover[u if g.weights[u] <= g.weights[v] else v] = 1
-    best_cover = {u for u in range(g.num_nodes) if in_cover[u]}
-    best_cost = sum(g.weights[u] for u in best_cover)
+            in_cover[u if weights[u] <= weights[v] else v] = 1
+    best_cover = bytes(in_cover)
+    best_cost = sum(w for w, chosen in zip(weights, best_cover) if chosen)
     in_cover = bytearray(g.num_nodes)
+    explored = 0
 
     def first_uncovered(start: int) -> int:
         for idx in range(start, len(edges)):
@@ -173,24 +167,19 @@ def bruteforce_vc(g: WeightedGraph, cap: int = DEFAULT_CAP) -> OracleResult:
                 return idx
         return -1
 
-    def dfs(edge_idx: int, cost: float, chosen: set[int]) -> None:
+    def dfs(edge_idx: int, cost: float) -> None:
         nonlocal best_cost, best_cover, explored
         if cost >= best_cost:
             return
         idx = first_uncovered(edge_idx)
         if idx < 0:
-            best_cost = cost
-            best_cover = set(chosen)
+            best_cost, best_cover = cost, bytes(in_cover)
             return
-        u, v = edges[idx]
-        for node in (u, v):
+        for node in edges[idx]:
             explored += 1
             in_cover[node] = 1
-            chosen.add(node)
-            dfs(idx, cost + g.weights[node], chosen)
-            chosen.discard(node)
+            dfs(idx, cost + weights[node])
             in_cover[node] = 0
 
-    dfs(0, 0.0, set())
-    witness = tuple(1 if u in best_cover else 0 for u in range(g.num_nodes))
-    return OracleResult(best_cost, witness, explored)
+    dfs(0, 0.0)
+    return OracleResult(best_cost, tuple(best_cover), explored)

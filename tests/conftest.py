@@ -14,6 +14,7 @@ from minecc.hypergraph import (
     ColorSortedIncidence,
     CostReport,
     EdgeColoredHypergraph,
+    _num,
     build_incidence,
     from_flat,
     hypergraph,
@@ -117,7 +118,7 @@ def reference_pitt_coloring(
     rng = np.random.default_rng(seed)
     rand = rng.random
     for v in _visit_order(h.num_nodes, order_seed):
-        lst = inc.neighbor_list(v)
+        lst = inc[v]
         f, b = 0, len(lst) - 1
         while f < b:
             ef, eb = lst[f], lst[b]
@@ -141,8 +142,8 @@ def reference_pitt_coloring(
             else:
                 deleted[ef] = 1
                 f += 1
-    dels = DeletionSet.from_flags(h, deleted)
-    return dels, _color_survivors(h, deleted)
+    dels = DeletionSet(deleted, float(sum(w for w, gone in zip(weights, deleted) if gone)))
+    return dels, _color_survivors(h, dels.flags)
 
 
 def reference_match_coloring(
@@ -157,7 +158,7 @@ def reference_match_coloring(
     deleted = bytearray(h.num_edges)
     bound = 0.0
     for v in _visit_order(h.num_nodes, order_seed):
-        lst = inc.neighbor_list(v)
+        lst = inc[v]
         f, b = 0, len(lst) - 1
         while f < b:
             ef, eb = lst[f], lst[b]
@@ -174,8 +175,8 @@ def reference_match_coloring(
             bound += min(weights[ef], weights[eb])
             f += 1
             b -= 1
-    dels = DeletionSet.from_flags(h, deleted)
-    return dels, _color_survivors(h, deleted), bound
+    dels = DeletionSet(deleted, float(sum(w for w, gone in zip(weights, deleted) if gone)))
+    return dels, _color_survivors(h, dels.flags), bound
 
 
 # The per-edge loops that the array code of ``hypergraph``, ``instances``,
@@ -284,7 +285,7 @@ def reference_objective_cost(h: EdgeColoredHypergraph, coloring, truth=None) -> 
     m = h.num_edges
     satisfaction = 1.0 if m == 0 else 1.0 - len(mistakes) / m
     acc = reference_accuracy(coloring, truth) if truth is not None else None
-    return CostReport(cost, tuple(mistakes), satisfaction, acc)
+    return CostReport(cost, satisfaction, acc)
 
 
 def reference_accuracy(coloring, truth) -> float:
@@ -327,7 +328,7 @@ def reference_find_bad_pair(
     colors = h.colors.tolist()
     for v in range(h.num_nodes):
         first = -1
-        for j in inc.neighbor_list(v):
+        for j in inc[v]:
             if j in deleted:
                 continue
             if first < 0:
@@ -381,7 +382,7 @@ def reference_recolor_uncovered(h: EdgeColoredHypergraph, dels: DeletionSet, bas
     """The old per-edge cover loop; the reference for ``recolor_uncovered``."""
     covered = bytearray(h.num_nodes)
     for j, e in enumerate(edges_of(h)):
-        if j not in dels.indices:
+        if not dels.flags[j]:
             for v in e.members:
                 covered[v] = 1
     recolored = [base[v] if covered[v] else mv[v] for v in range(h.num_nodes)]
@@ -658,6 +659,44 @@ def reference_bad_edge_pairs(h: EdgeColoredHypergraph) -> tuple[tuple[int, int],
                 if edges[e].color != edges[f].color:
                     pairs.add((e, f) if e < f else (f, e))
     return tuple(sorted(pairs))
+
+
+def reference_ecc_to_node_mc(h: EdgeColoredHypergraph):
+    """The old per-edge terminal-graph loop; the reference for ``ecc_to_node_mc``.
+
+    Returns the old object layout (num_nodes, weights, edges, terminals,
+    undeletable), tuples and a frozenset.
+    """
+    n, m, k = h.num_nodes, h.num_edges, h.num_colors
+    weights = [math.inf] * n + h.weights.tolist() + [math.inf] * k
+    members, bounds = h.members.tolist(), h.eptr.tolist()
+    edges: list[tuple[int, int]] = []
+    for j, (a, b, c) in enumerate(zip(bounds, bounds[1:], h.colors.tolist())):
+        edges.extend((v, n + j) for v in members[a:b])
+        edges.append((n + m + c - 1, n + j))
+    terminals = tuple((n + m + c - 1, c) for c in range(1, k + 1))
+    undeletable = frozenset(range(n)) | frozenset(range(n + m, n + m + k))
+    return (n + m + k, tuple(weights), tuple(edges), terminals, undeletable)
+
+
+def graph_layout(g):
+    """A ``WeightedGraph`` in the old object layout of ``reference_ecc_to_node_mc``."""
+    return (g.num_nodes, tuple(g.weights.tolist()), tuple(map(tuple, g.edges.tolist())),
+            tuple(map(tuple, g.terminals.tolist())), frozenset(np.flatnonzero(g.undeletable).tolist()))
+
+
+def reference_write_graph(layout) -> str:
+    """The old per-line writer over the old graph layout; the reference for ``write_graph``."""
+    num_nodes, weights, edges, terminals, undeletable = layout
+    lines = [f"vc {num_nodes} {len(edges)}"]
+    for i in range(num_nodes):
+        w = "inf" if i in undeletable or math.isinf(weights[i]) else _num(weights[i])
+        lines.append(f"w {i} {w}")
+    for u, v in edges:
+        lines.append(f"e {u} {v}")
+    for node, color in terminals:
+        lines.append(f"t {node} {color}")
+    return "\n".join(lines) + "\n"
 
 
 def reference_bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleResult:

@@ -3,8 +3,9 @@
 The references are the old loops, kept in ``conftest.py``. Every function
 must give the same result (floats bit for bit), and the parsers the same
 ``ParseError`` message and line for every malformed text. The LP builders,
-LP-solution checks, conflict pairs and exact oracle, which read the removed
-per-edge view, are held to their old code on weighted instances; the oracle
+LP-solution checks, conflict pairs, reduced graphs and their text, and exact
+oracle, which read the removed per-edge view or tuples, are held to their old
+code on weighted instances; the oracle
 only to the old value and witness, since its pruning now explores fewer
 states.
 """
@@ -51,7 +52,13 @@ from minecc.instances import (
     write_int_lines,
 )
 from minecc.oracle import CapExceededError, bruteforce_ecc
-from minecc.reductions import bad_edge_pairs
+from minecc.reductions import (
+    WeightedGraph,
+    bad_edge_pairs,
+    ecc_to_node_mc,
+    ecc_to_vertex_cover,
+    write_graph,
+)
 from minecc.relaxations import EccLpSolution, build_ecc_lp, build_nodemc_lp, extract_ecc_solution
 from minecc.rounding import (
     Interval,
@@ -63,6 +70,7 @@ from minecc.rounding import (
 from conftest import (
     Edge,
     edges_of,
+    graph_layout,
     random_instance,
     reference_accuracy,
     reference_bad_edge_pairs,
@@ -73,6 +81,7 @@ from conftest import (
     reference_build_nodemc_lp,
     reference_color_survivors,
     reference_compact_extract_ecc_solution,
+    reference_ecc_to_node_mc,
     reference_estimate_mistake_prob,
     reference_extract_ecc_solution,
     reference_gen_color_round,
@@ -89,6 +98,7 @@ from conftest import (
     reference_validate,
     reference_violations,
     reference_write_canonical,
+    reference_write_graph,
     reference_write_truth,
 )
 
@@ -656,9 +666,36 @@ class TestLpAndOracleMatchReference:
         assert short.violations(h) == reference_violations(short, h)
 
     @SETTINGS
-    @given(instances())
+    @given(instances() | EDGELESS)
     def test_same_conflict_pairs(self, h):
-        assert bad_edge_pairs(h) == reference_bad_edge_pairs(h)
+        pairs = bad_edge_pairs(h)
+        assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
+        assert list(map(tuple, pairs.tolist())) == list(reference_bad_edge_pairs(h))
+
+    @SETTINGS
+    @given(instances() | EDGELESS)
+    def test_same_reduced_graphs_and_text(self, h):
+        g = ecc_to_node_mc(h)
+        assert graph_layout(g) == reference_ecc_to_node_mc(h)
+        assert write_graph(g) == reference_write_graph(reference_ecc_to_node_mc(h))
+        cover = ecc_to_vertex_cover(h).graph
+        assert write_graph(cover) == reference_write_graph(graph_layout(cover))
+
+    @SETTINGS
+    @given(st.data())
+    def test_same_text_for_any_graph(self, data):
+        n = data.draw(st.integers(0, 8))
+        weight = st.sampled_from([1.0, 0.0, -2.0, -0.0, 2.5, 1 / 3, 1e15, 1e20, 5e-324,
+                                  math.inf, -math.inf, math.nan])
+        node = st.integers(0, max(n - 1, 0))
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=12 if n else 0))
+        g = WeightedGraph(
+            n, data.draw(st.lists(weight, min_size=n, max_size=n)),
+            [(u, v) for u, v in pairs if u != v],
+            [(t, c) for c, t in enumerate(data.draw(st.permutations(range(n)))[:3], start=1)],
+            data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        )
+        assert write_graph(g) == reference_write_graph(graph_layout(g))
 
     @settings(max_examples=120, deadline=None)
     @given(instances(WEIGHTS | st.sampled_from([0.1, 0.2, 0.3, 0.7])), st.sampled_from([10**7, 300]))
@@ -787,10 +824,10 @@ class TestEvaluation:
     @given(instances(), st.data())
     def test_survivors_and_recoloring(self, h, data):
         n, m, k = h.num_nodes, h.num_edges, h.num_colors
-        flags = bytearray(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+        flags = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
         assert _color_survivors(h, flags) == reference_color_survivors(h, flags)
-        dels = DeletionSet.from_flags(h, flags)
-        assert sorted(dels.indices) == [j for j in range(m) if flags[j]]
+        dels = DeletionSet(flags, 0.0)
+        assert dels.indices.tolist() == [j for j in range(m) if flags[j]]
         base = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
         mv = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
         assert recolor_uncovered(h, dels, base, mv)[0] == reference_recolor_uncovered(h, dels, base, mv)

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -141,13 +142,16 @@ class TestImportCost:
 
     def test_cli_and_parse_leave_out_numpy_ma_and_scipy(self):
         # np.unique or a table-kind np.isin imports numpy.ma: every cold command would pay,
-        # gen too, which writes what it generates.
+        # gen too, which writes what it generates, and reduce, which builds a graph.
         code = (
             "import sys, minecc.cli\n"
             "from minecc.instances import parse_canonical, write_canonical, write_int_lines\n"
+            "from minecc.reductions import ecc_to_node_mc, ecc_to_vertex_cover, write_graph\n"
             "parse_canonical('ecc 2 1 1\\n1 1 0 1\\n')\n"
             "write_canonical(parse_canonical('ecc 2 1 1\\u2028\\uff11 0.5 0 1\\n'))\n"
             "write_int_lines([1, -2])\n"
+            "h = parse_canonical('ecc 3 2 2\\n1 1 0 1\\n2 0.5 1 2\\n')\n"
+            "write_graph(ecc_to_vertex_cover(h).graph), write_graph(ecc_to_node_mc(h))\n"
             "print(sorted({'numpy.ma', 'scipy'} & set(sys.modules)))\n"
         )
         assert run_python(code) == "[]\n"
@@ -923,6 +927,54 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].endswith(": 7 invariant violation(s)")
         assert all("mistake frequency" in line for line in lines[1:]) and len(lines) == 8
+
+
+# SHA-256 of `reduce --to vc|nodemc|hypermc` stdout, recorded with the per-edge
+# reduction loops that the array code replaced.
+REDUCE_SHA256 = {
+    ("gap3", "vc"): "ee1261f2a00e7991477f3965fe8954f8347fb4e803ca845778bc3ae997d96b51",
+    ("gap3", "nodemc"): "ea29d7619afec8fc243b3bb13cefd4f149cfe710996b547b8793888ac64a58f3",
+    ("gap3", "hypermc"): "adaa63bf29f6b3f3b3f8ac6e51ab517e61077a95b2ea4eff4e10040646528b06",
+    ("gap4", "vc"): "cdf22f943ebe69d70e60588cf85ac7c20cf5e09836468fc434cb150f175c164f",
+    ("gap4", "nodemc"): "c178cee2631d20a9110c948c655ccccc616cf1ff95873e95d4139601bda3736c",
+    ("gap4", "hypermc"): "a01480f01d3febc1da6690cf656032e2436e03e062797bb2acc9e7be320146f7",
+    ("gap5", "vc"): "56f9fb5b096c0e6e83fa365022533cf99caebc10bd3cf091c7e31e6b31132fb2",
+    ("gap5", "nodemc"): "275b0cd90fb0980f395c2b00c09d4621579e8fc1aa4e946ed062bc6a25a34552",
+    ("gap5", "hypermc"): "e1c2c941652016f6d4510c37f7187f746ed00b73835c48fef779b6af0ab717e9",
+    ("gap6", "vc"): "a5e7964cdb34f4a4b566b15e65fc095f5f17e03b5027179a7914083aff0b1d97",
+    ("gap6", "nodemc"): "247fb8a030d7788441c18e2daa073b7be3db0f595a53c21339fd8bbb26033265",
+    ("gap6", "hypermc"): "5dc32d30a61e3e8c7b9de2d3a9cda7828f60dced2fffc9b956ba1e31db9ed447",
+    ("gap7", "vc"): "b55b1bf66c5361625c0c57df930cd7d906bdb0a56936b0a791464b97193a0960",
+    ("gap7", "nodemc"): "3096c3304055baa267351a98069af68925961079492f93160c2387ae9c52db78",
+    ("gap7", "hypermc"): "45a9fc49faaf702eefbccf2f64f38e4a2500b4e3900042bddc40edcd64ee305e",
+    ("gap8", "vc"): "9cb5452523e1eb43a86bbc29fd7c35d168384d424905407d6b02c95a7993c418",
+    ("gap8", "nodemc"): "85977f2121c871490141b15352e516a80b1af8e5e212fb978f8d1e54fa0d6170",
+    ("gap8", "hypermc"): "386de490869abab0e6091b3675e1919ceef91f0e7e355a1b1b02d5eaa7f417d2",
+    ("rand-s1", "vc"): "a19d399019d6cba9ec33c72e84b5aa3d25dd7b4c9c466063ea8666b58413d212",
+    ("rand-s1", "nodemc"): "bdfc8823595e7d017668cee8e09c4bb9a4e60bc1b29f2e604b99e2538d522960",
+    ("rand-s1", "hypermc"): "25b6bdaee02fe2e3b354e3f2b965fe692bfe9ec92e36a1f9999d028d1042311c",
+    ("rand-s2", "vc"): "d7247d90827c2fd17e3a919e8924a7c3cb7532b522b099433fb3bbab61031a20",
+    ("rand-s2", "nodemc"): "8008b1971e715272d96a20b6cc07d7a68649f242329ada128b1a5f25ca6eaee7",
+    ("rand-s2", "hypermc"): "aad7be78369bcb723b3ffd6ce917926f0a10ea4382dcc3f31d147b419c366603",
+}
+REDUCE_INSTANCES = {
+    **{f"gap{k}": ["gap", "--colors", str(k)] for k in range(3, 9)},
+    "rand-s1": ["random", "--nodes", "40", "--edges", "80", "--max-size", "4", "--colors", "3",
+                "--seed", "1"],
+    "rand-s2": ["random", "--nodes", "60", "--edges", "150", "--max-size", "5", "--colors", "5",
+                "--noise", "0.5", "--seed", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCE_INSTANCES))
+def test_reduce_outputs_are_pinned(name, tmp_path, capsys):
+    path = str(tmp_path / f"{name}.ecc")
+    assert main(["gen", *REDUCE_INSTANCES[name], "-o", path]) == 0
+    for to in ("vc", "nodemc", "hypermc"):
+        capsys.readouterr()
+        assert main(["reduce", path, "--to", to]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == REDUCE_SHA256[name, to], to
 
 
 class TestReduceExport:

@@ -13,6 +13,7 @@ from minecc.combinatorial import (
     match_coloring,
     mv_lower_bound,
     pitt_coloring,
+    recolor_uncovered,
 )
 from minecc.hypergraph import (
     EdgeColoredHypergraph,
@@ -95,14 +96,14 @@ class TestPittColoring:
     def test_no_conflicts_no_deletions(self):
         h = hypergraph(4, 2, [((0, 1), 1), ((2, 3), 2)])
         dels, coloring = pitt_coloring(h, seed=0)
-        assert dels.indices == frozenset()
+        assert dels.indices.tolist() == []
         assert objective_cost(h, coloring).total_cost == 0
 
     def test_survivors_conflict_free(self):
         for seed in range(20):
             h = gen_random(12, 24, 3, 4, 0.6, seed=seed).hypergraph
             dels, _ = pitt_coloring(h, seed=seed)
-            assert find_bad_pair(h, dels.indices) is None
+            assert find_bad_pair(h, dels.flags) is None
 
     def test_mean_within_twice_optimum(self):
         rng = np.random.default_rng(0)
@@ -154,21 +155,21 @@ class TestPittColoring:
     def test_zero_weight_pair_deletes_both(self):
         h = hypergraph(2, 2, [((0, 1), 1, 0.0), ((0, 1), 2, 0.0)])
         dels, _ = pitt_coloring(h, seed=0)
-        assert dels.indices == frozenset({0, 1})
+        assert dels.indices.tolist() == [0, 1]
 
 
 class TestMatchColoring:
     def test_deletes_both(self):
         h = two_edge_conflict()
         dels, coloring, bound = match_coloring(h)
-        assert dels.indices == frozenset({0, 1})
+        assert dels.indices.tolist() == [0, 1]
         assert bound == 1
         assert objective_cost(h, coloring).total_cost <= 2
 
     def test_no_conflicts(self):
         h = hypergraph(4, 2, [((0, 1), 1), ((2, 3), 2)])
         dels, coloring, bound = match_coloring(h)
-        assert bound == 0 and dels.indices == frozenset()
+        assert bound == 0 and dels.indices.tolist() == []
         assert objective_cost(h, coloring).total_cost == 0
 
     def test_gap3(self):
@@ -206,18 +207,18 @@ class TestMatchColoring:
         for seed in range(20):
             h = gen_random(12, 24, 3, 4, 0.6, seed=seed).hypergraph
             dels, _, _ = match_coloring(h)
-            assert find_bad_pair(h, dels.indices) is None
+            assert find_bad_pair(h, dels.flags) is None
 
 
 class TestColoringFromDeletions:
     def test_empty_deletions_conflict_free(self):
         h = hypergraph(4, 2, [((0, 1), 1), ((2, 3), 2)])
-        coloring = coloring_from_deletions(h, DeletionSet(frozenset(), 0.0))
+        coloring = coloring_from_deletions(h, DeletionSet([False, False], 0.0))
         assert objective_cost(h, coloring).total_cost == 0
 
     def test_delete_everything(self):
         h = two_edge_conflict()
-        coloring = coloring_from_deletions(h, DeletionSet(frozenset({0, 1}), 2.0))
+        coloring = coloring_from_deletions(h, DeletionSet([True, True], 2.0))
         assert coloring == [1, 1, 1]
 
     def test_cost_at_most_deleted_weight(self):
@@ -230,7 +231,21 @@ class TestColoringFromDeletions:
     def test_rejects_conflicting_deletions(self):
         h = two_edge_conflict()
         with pytest.raises(ValueError):
-            coloring_from_deletions(h, DeletionSet(frozenset(), 0.0))
+            coloring_from_deletions(h, DeletionSet([False, False], 0.0))
+
+    def test_flags_of_another_length_rejected(self):
+        # Ids outside [0, m) were once dropped without a word: find_bad_pair
+        # read [-1] as no deletion and gave (0, 1), and {0, 1, 99} passed.
+        h = gen_integrality_gap(3)
+        stray = DeletionSet(np.isin(np.arange(100), [0, 1, 99]), 2.0)
+        with pytest.raises(ValueError, match="one flag per edge"):
+            find_bad_pair(h, [-1])
+        with pytest.raises(ValueError, match="one flag per edge"):
+            coloring_from_deletions(h, stray)
+        with pytest.raises(ValueError, match="one flag per edge"):
+            recolor_uncovered(h, stray, [1, 1, 1], [1, 1, 1])
+        assert find_bad_pair(h, [True, True, False]) is None
+        assert find_bad_pair(h, [False, True, False]) == (0, 2)
 
 
 class TestHybrid:
@@ -358,8 +373,8 @@ class TestWalkMatchesReference:
         pdels, pcoloring = pitt_coloring(h, seed, order_seed)
         assert (pdels, pcoloring) == reference_pitt_coloring(h, seed, order_seed)
 
-        assert find_bad_pair(h, dels.indices) is None
-        assert find_bad_pair(h, pdels.indices) is None
+        assert find_bad_pair(h, dels.flags) is None
+        assert find_bad_pair(h, pdels.flags) is None
         if all(e.weight == 1.0 for e in edges_of(h)):
             cost = objective_cost(h, coloring).total_cost
             assert bound <= cost <= 2 * bound
@@ -376,11 +391,14 @@ class TestFindBadPairMatchesReference:
         chosen = data.draw(st.frozensets(st.integers(0, m - 1)) if m else st.just(frozenset()))
         dels, _, _ = match_coloring(h)
         inc = build_incidence(h)
-        for deleted in (chosen, dels.indices, dels.indices - {min(dels.indices, default=0)}, ()):
+        ids = set(dels.indices.tolist())
+        for deleted in (chosen, ids, ids - {min(ids, default=0)}, ()):
             expected = reference_find_bad_pair(h, deleted)
-            assert find_bad_pair(h, deleted) == expected
-            assert find_bad_pair(h, deleted, inc) == expected
-        assert find_bad_pair(h, dels.indices) is None
+            flags = np.isin(np.arange(m), sorted(deleted))
+            assert find_bad_pair(h, flags) == expected
+            assert find_bad_pair(h, flags, inc) == expected
+        assert find_bad_pair(h) == reference_find_bad_pair(h)
+        assert find_bad_pair(h, dels.flags) is None
 
 
 class TestFlatWalkAtScale:
@@ -414,6 +432,6 @@ class TestFlatWalkAtScale:
         h = hypergraph(1, 2, [((0,), colors[0]), ((0,), colors[1])])
         assert validate(h) != []
         assert match_coloring(h) == reference_match_coloring(h)
-        assert match_coloring(h)[0].indices == frozenset({0, 1})
+        assert match_coloring(h)[0].indices.tolist() == [0, 1]
         assert pitt_coloring(h, 3) == reference_pitt_coloring(h, 3)
         assert len(pitt_coloring(h, 3)[0].indices) == 1

@@ -117,6 +117,13 @@ class TestBruteforceVc:
             assert all(u in cover or v in cover for u, v in edges)
             assert sum(g.weights[u] for u in cover) == pytest.approx(result.value)
 
+    def test_refuses_undeletable_endpoints(self):
+        g = WeightedGraph(3, (1.0,) * 3, ((0, 1),), undeletable=[False, True, False])
+        with pytest.raises(ValueError, match="undeletable"):
+            bruteforce_vc(g)
+        g = WeightedGraph(3, (1.0, 2.0, 1.0), ((0, 1),), undeletable=[False, False, True])
+        assert bruteforce_vc(g).witness == (1, 0, 0)
+
     def test_cap_refusal(self):
         n = 40
         edges = tuple((i, (i + 1) % n) for i in range(n))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from minecc.combinatorial import DeletionSet, match_coloring
@@ -21,7 +22,7 @@ from minecc.reductions import (
 )
 from minecc.relaxations import build_nodemc_lp
 
-from conftest import edges_of, lp_from_rows
+from conftest import edges_of, graph_layout, lp_from_rows
 
 
 def triangle() -> WeightedGraph:
@@ -45,18 +46,34 @@ class TestWeightedGraph:
         with pytest.raises(ValueError):
             WeightedGraph(2, (1.0, 1.0), (), terminals=((0, 1), (0, 2)))
 
+    def test_rejects_weights_of_another_length(self):
+        # Once accepted, after which bruteforce_vc raised IndexError.
+        with pytest.raises(ValueError, match="as many weights"):
+            WeightedGraph(3, (1.0, 1.0), ((0, 1), (1, 2)))
+
+    def test_rejects_negative_node_count(self):
+        with pytest.raises(ValueError, match="node count of 0 or more"):
+            WeightedGraph(-1, (), ())
+
+    def test_holds_read_only_arrays(self):
+        g = WeightedGraph(3, [1, 2, 3], [(0, 1)], undeletable=[False, True, False])
+        assert g.edges.shape == (1, 2) and g.terminals.shape == (0, 2)
+        assert g.weights.dtype == np.float64 and g.undeletable.tolist() == [False, True, False]
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 2
+
 
 class TestEccToVertexCover:
     def test_gap3_gives_triangle(self):
         red = ecc_to_vertex_cover(gen_integrality_gap(3))
         assert red.graph.num_nodes == 3
-        assert set(red.graph.edges) == {(0, 1), (0, 2), (1, 2)}
+        assert red.graph.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
         assert bruteforce_vc(red.graph).value == 2 == bruteforce_ecc(red.instance).value
 
     def test_conflict_free_instance(self):
         h = hypergraph(4, 2, [((0, 1), 1), ((2, 3), 2)])
         red = ecc_to_vertex_cover(h)
-        assert red.graph.edges == ()
+        assert red.graph.edges.shape == (0, 2)
         assert bruteforce_vc(red.graph).value == 0
 
     def test_edge_count_equals_bad_pairs(self):
@@ -76,7 +93,7 @@ class TestEccToVertexCover:
     def test_weights_propagate(self):
         h = hypergraph(2, 2, [((0, 1), 1, 2.5), ((0, 1), 2, 1.5)])
         red = ecc_to_vertex_cover(h)
-        assert red.graph.weights == (2.5, 1.5)
+        assert red.graph.weights.tolist() == [2.5, 1.5]
         assert bruteforce_vc(red.graph).value == pytest.approx(1.5)
 
 
@@ -84,7 +101,7 @@ class TestCoverDeletionMaps:
     def test_triangle_cover_round_trip(self):
         red = ecc_to_vertex_cover(gen_integrality_gap(3))
         dels = cover_to_deletions(red, {0, 1})
-        assert dels.indices == frozenset({0, 1})
+        assert dels.indices.tolist() == [0, 1]
         assert deletions_to_cover(red, dels) == {0, 1}
 
     def test_rejects_non_cover(self):
@@ -92,15 +109,23 @@ class TestCoverDeletionMaps:
         with pytest.raises(ValueError):
             cover_to_deletions(red, {0})
 
+    @pytest.mark.parametrize("stray", [-1, 7])
+    def test_rejects_ids_outside_the_edges(self, stray):
+        # -1 once wrapped to edge 2 (deleting {0, 1, 2}, weight 3.0), and 7
+        # raised a bare IndexError.
+        red = ecc_to_vertex_cover(gen_integrality_gap(3))
+        with pytest.raises(ValueError, match=f"cover id {stray} outside"):
+            cover_to_deletions(red, {0, 1, stray})
+
     def test_rejects_conflicting_deletions(self):
         red = ecc_to_vertex_cover(gen_integrality_gap(3))
         with pytest.raises(ValueError):
-            deletions_to_cover(red, DeletionSet(frozenset({0}), 1.0))
+            deletions_to_cover(red, DeletionSet([True, False, False], 1.0))
 
     def test_empty_cover_on_conflict_free(self):
         h = hypergraph(4, 2, [((0, 1), 1), ((2, 3), 2)])
         red = ecc_to_vertex_cover(h)
-        assert cover_to_deletions(red, set()).indices == frozenset()
+        assert cover_to_deletions(red, set()).indices.tolist() == []
 
     def test_weight_is_added_in_edge_order(self):
         # Edges 0/1, 32/33 and 64/65 are the only conflicting pairs, each on
@@ -112,9 +137,9 @@ class TestCoverDeletionMaps:
             edges[first + 1] = ((first + 1, shared), 2, weight)
         h = hypergraph(69, 2, edges)
         red = ecc_to_vertex_cover(h)
-        assert red.graph.edges == ((0, 1), (32, 33), (64, 65))
+        assert red.graph.edges.tolist() == [[0, 1], [32, 33], [64, 65]]
         dels = cover_to_deletions(red, {1, 33, 65})
-        assert dels == DeletionSet.from_flags(h, [j in (1, 33, 65) for j in range(66)])
+        assert dels.indices.tolist() == [1, 33, 65]
         assert dels.total_weight == 2.5
 
     def test_match_deletions_are_covers(self):
@@ -122,7 +147,7 @@ class TestCoverDeletionMaps:
             h = gen_random(10, 16, 3, 3, 0.6, seed=seed).hypergraph
             red = ecc_to_vertex_cover(h)
             dels, _, _ = match_coloring(h)
-            assert deletions_to_cover(red, dels) == set(dels.indices)
+            assert deletions_to_cover(red, dels) == set(dels.indices.tolist())
 
 
 class TestVertexCoverToEcc:
@@ -182,16 +207,15 @@ class TestEccToNodeMc:
         star = gen_star()
         g = ecc_to_node_mc(star)
         assert len(g.terminals) == 3
-        assert len(g.undeletable) == 4 + 3  # original nodes plus terminals
-        deletable = [u for u in range(g.num_nodes) if u not in g.undeletable]
-        assert len(deletable) == 3
+        assert g.undeletable.sum() == 4 + 3  # original nodes plus terminals
+        assert np.flatnonzero(~g.undeletable).tolist() == [4, 5, 6]
         assert all(math.isinf(g.weights[t]) for t, _ in g.terminals)
 
     def test_single_edge(self):
         h = hypergraph(2, 1, [((0, 1), 1)])
         g = ecc_to_node_mc(h)
         # Members attach to the edge node, the edge node to its terminal.
-        assert set(g.edges) == {(0, 2), (1, 2), (3, 2)}
+        assert g.edges.tolist() == [[0, 2], [1, 2], [3, 2]]
 
     def test_lp_value_matches_direct_build(self):
         for seed in range(3):
@@ -203,12 +227,11 @@ class TestEccToNodeMc:
             cols = [(f"y_{u}_{i}", 0.0, math.inf, 0.0)
                     for u in range(g.num_nodes) for i in range(1, k + 1)]
             dvar = {}
-            for u in range(g.num_nodes):
-                if u not in g.undeletable:
-                    dvar[u] = len(cols)
-                    cols.append((f"d_{u}", 0.0, math.inf, g.weights[u]))
+            for u in np.flatnonzero(~g.undeletable).tolist():
+                dvar[u] = len(cols)
+                cols.append((f"d_{u}", 0.0, math.inf, float(g.weights[u])))
             rows = []
-            for a, b in g.edges:
+            for a, b in g.edges.tolist():
                 for i in range(k):
                     row = [(b * k + i, 1.0), (a * k + i, -1.0)]
                     if b in dvar:
@@ -218,7 +241,7 @@ class TestEccToNodeMc:
                     if a in dvar:
                         row.append((dvar[a], -1.0))
                     rows.append((row, "<=", 0.0))
-            for t, c in g.terminals:
+            for t, c in g.terminals.tolist():
                 rows.append(([(t * k + c - 1, 1.0)], "=", 0.0))
                 for i in range(1, k + 1):
                     if i != c:
@@ -248,7 +271,7 @@ class TestGraphSerialization:
     def test_round_trip(self):
         g = ecc_to_node_mc(gen_star())
         again = parse_graph(write_graph(g))
-        assert again == g
+        assert graph_layout(again) == graph_layout(g)
 
     def test_header(self):
         text = write_graph(triangle())
@@ -257,3 +280,19 @@ class TestGraphSerialization:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_graph("nonsense 1 2\n")
+
+    @pytest.mark.parametrize("text, detail", [
+        # Each of these once raised a bare IndexError or was accepted.
+        ("vc 3 1\ne 0\n", "line 2: 'e' record needs two fields"),
+        ("vc 3 0\nw 5 1\n", "line 2: node 5 out of range"),
+        ("vc 3 1\nw 0 1\ne 0 1 2\n", "line 3: 'e' record needs two fields"),
+        ("vc -1 0\n", "line 1: negative count"),
+        ("# comment\nvc 2 5\n", "line 2: header declares 5 edges, found 0"),
+        ("vc 2 1\ne 0 x\n", "line 2: invalid literal"),
+        ("vc 2 0\nvc 2 0\n", "line 2: unknown record 'vc'"),
+        ("w 0 1\n", "line 1: expected 'vc <n> <m>' header"),
+        ("", "missing 'vc' header"),
+    ])
+    def test_parse_names_the_line_of_a_malformed_record(self, text, detail):
+        with pytest.raises(ValueError, match=detail):
+            parse_graph(text)

@@ -17,6 +17,8 @@ from minecc.rounding import (
     simple_round,
 )
 
+from conftest import naive_cost
+
 
 def lp_solution(h) -> EccLpSolution:
     return extract_ecc_solution(h, solve(build_ecc_lp(h)).require_optimal())
@@ -224,7 +226,7 @@ class TestEstimateMistakeProb:
         interval = Interval(0.5, 0.75)
         p, err = estimate_mistake_prob(h, sol, interval, 0, 4000, seed=9)
         hits = sum(
-            0 in objective_cost(h, gen_color_round(h, sol, interval, s)).mistake_edges
+            0 in naive_cost(h, gen_color_round(h, sol, interval, s))[1]
             for s in range(4000)
         )
         direct = hits / 4000
