@@ -170,14 +170,6 @@ def _rising_within_edges(members: np.ndarray, eptr: np.ndarray) -> bool:
     return bool(rising.all())
 
 
-def _num(x: float) -> str:
-    """A number as the LP and reduction writers print it: ``inf`` and ``-inf`` as such."""
-    x = float(x)
-    if math.isfinite(x) and x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
-
-
 def from_flat(num_nodes: int, num_colors: int, members, sizes, colors, weights) -> EdgeColoredHypergraph:
     """Build an instance from flat member ids, edge sizes, colors and weights.
 
@@ -348,20 +340,25 @@ class ColorSortedIncidence:
 def build_incidence(h: EdgeColoredHypergraph) -> ColorSortedIncidence:
     """Build the color-sorted incidence structure in O(sum of edge sizes).
 
-    Each membership becomes one ``uint64`` word: its ``(node, color)`` key
-    (less the smallest key) above its edge index. Two words are equal only
-    when key and edge both are, so one unstable ``np.sort`` of the words (a
-    SIMD sort on x86) puts the edges in the order of a stable sort on the
-    key, ascending by index within a color; they are read back from the low
-    bits. Keys too wide to share a word with the edge index take a stable
-    argsort instead.
+    Each membership becomes one ``uint64`` word: its key ``node * span +
+    color - least`` (``span`` the range of colors present, so that no color
+    outside ``[1, k]`` reaches the next node's keys) above its edge index.
+    Two words are equal only when key and edge both are, so one unstable
+    ``np.sort`` of the words (a SIMD sort on x86) puts the edges in the order
+    of a stable sort on the key, ascending by index within a color; they are
+    read back from the low bits. Keys too wide to share a word with the edge
+    index take a stable argsort instead.
     """
-    n, k, m = h.num_nodes, h.num_colors, h.num_edges
+    n, m = h.num_nodes, h.num_edges
     sizes = np.diff(h.eptr)
-    key = h.members * np.int64(k + 1) + np.repeat(h.colors, sizes)
+    colors = h.colors
+    least, most = (int(colors.min()), int(colors.max())) if m else (0, 0)
+    if (most - least + 1) * max(n, 1) >= 1 << 63:  # colors too far apart: use their ranks
+        colors, least, most = np.searchsorted(np.sort(colors), colors), 0, m - 1
+    key = h.members * np.int64(most - least + 1) + np.repeat(colors - least, sizes)
     shift = m.bit_length()
-    if len(key) and (int(key.max()) - int(key.min())).bit_length() + shift <= 64:
-        packed = (key - key.min()).astype(np.uint64) << np.uint64(shift)
+    if len(key) and int(key.max()).bit_length() + shift <= 64:
+        packed = key.astype(np.uint64) << np.uint64(shift)
         packed |= np.repeat(np.arange(m, dtype=np.uint64), sizes)
         packed.sort()
         edge_ids = (packed & np.uint64((1 << shift) - 1)).astype(np.int32)

@@ -20,8 +20,9 @@ through the same kernels (:func:`parse_int_words`).
 The writers use the same digit columns the other way round: every word's
 place comes from its digit count, and its digits are written one column at
 a time into one ASCII buffer, with no Python string per word
-(:func:`write_canonical`, one block of edge lines at a time;
-:func:`write_int_lines` for truth files).
+(:func:`_write_lines`, which every writer of the package goes through).
+Numbers print by one rule (:func:`_num`), and every reader that names a bad
+line raises :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -39,12 +40,18 @@ from .hypergraph import EdgeColoredHypergraph, _from_own_flat, _per_edge_count, 
 
 
 class ParseError(ValueError):
-    """Malformed instance text; ``line`` is the offending 1-based line number."""
+    """Malformed text (an instance, a graph, a primal); ``line`` is the offending 1-based line."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
+
+
+def _num(x: float) -> str:
+    """``x`` as every writer prints a number (:func:`_words`): a whole number
+    below ``1e15`` as digits, anything else as its ``repr``."""
+    return _write_lines("", [], np.array([x], dtype=np.float64), np.arange(2))[:-1]
 
 
 _WRITE_BLOCK = 1 << 16  # words per write block, about 2**18 characters of planted text
@@ -53,21 +60,14 @@ _WRITE_BLOCK = 1 << 16  # words per write block, about 2**18 characters of plant
 def write_canonical(h: EdgeColoredHypergraph) -> str:
     """Serialize to canonical text; edges in index order, members sorted.
 
-    Weights that are whole numbers below ``1e15`` print as integers, others
-    as their ``repr``. The edge lines are encoded in blocks of about
-    ``_WRITE_BLOCK`` words (:func:`_edge_lines`) into one ASCII buffer,
-    decoded once at the end, with no Python string per word: the 2.6 MB
-    text of a 400k-incidence instance is written in 20-23 ms (best of 7)
-    with a peak 6.3 MB above the start (tracemalloc), where one string per
-    word took 0.22-0.27 s and 61.7 MB (2-core host).
+    Weights print by :func:`_num`. Through the digit columns
+    (:func:`_write_lines`), the 2.6 MB text of a 400k-incidence instance is
+    written in 19-25 ms (best of 7) with a peak 6.3 MB above the start
+    (tracemalloc), where one string per word took 0.22-0.27 s and 61.7 MB
+    (2-core host).
     """
-    m = h.num_edges
-    text = bytearray(f"ecc {h.num_nodes} {m} {h.num_colors}\n", "ascii")
-    line_words = h.eptr + 2 * np.arange(m + 1)  # words before each edge line
-    cuts = np.searchsorted(line_words, np.arange(0, line_words[-1], _WRITE_BLOCK)).tolist()
-    for a, b in itertools.pairwise(sorted({*cuts, m})):
-        text += memoryview(_edge_lines(h, a, b))
-    return text.decode("ascii")
+    return (f"ecc {h.num_nodes} {h.num_edges} {h.num_colors}\n"
+            + _write_lines("", [h.colors, h.weights], h.members, h.eptr))
 
 
 class _Words(NamedTuple):
@@ -82,12 +82,19 @@ class _Words(NamedTuple):
     texts: list[str]
 
 
-def _words(values: np.ndarray, other=(), texts=()) -> _Words:
-    """``values`` (int64) as :class:`_Words`: the negative ones, and those at
-    ``other``, as their ``str`` or as ``texts``."""
+def _words(values: np.ndarray) -> _Words:
+    """``values`` as :class:`_Words`: integers in decimal, floats as
+    :func:`_num` prints them; the negative ones and the floats that are not
+    whole numbers below ``1e15`` by their ``str`` or ``repr``."""
+    other, texts = np.empty(0, dtype=np.int64), []
+    if values.dtype.kind == "f":
+        whole = (values == np.floor(values)) & (np.abs(values) < 1e15)
+        other = np.flatnonzero(~whole)
+        texts = list(map(repr, values[other].tolist()))
+        values = np.where(whole, values, 0).astype(np.int64)
     negative = np.flatnonzero(values < 0)
-    other = np.concatenate([np.asarray(other, dtype=np.int64), negative])
-    texts = [*texts, *map(str, values[negative].tolist())]
+    other = np.concatenate([other, negative])
+    texts += map(str, values[negative].tolist())
     digits = np.maximum(values, 0)
     digits[other] = 0
     top = int(digits.max(initial=0))
@@ -136,62 +143,68 @@ def _fill(size: int, parts: list[tuple[_Words, np.ndarray]]) -> np.ndarray:
     return text
 
 
-def write_int_lines(values, head: str = "", other=(), texts=()) -> str:
+def write_int_lines(values, head: str = "") -> str:
     """A line per row of 64-bit integers (per entry when 1-D): ``head``, then
-    the row's words joined by spaces, the entries at flat positions ``other``
-    written as ``texts``, through the digit columns of :func:`write_canonical`;
-    the inverse of :func:`parse_int_words` on its own 1-D output."""
+    the row's words joined by spaces (:func:`_write_lines`); the inverse of
+    :func:`parse_int_words` on its own 1-D output."""
     rows = np.asarray(values, dtype=np.int64)
     rows = rows[:, None] if rows.ndim == 1 else rows
-    words = _words(rows.ravel(), other, texts)
-    # The characters up to each word's following space or line break.
-    ends = np.cumsum(words.lengths + np.int64(1)).reshape(rows.shape)
-    ends += len(head) * np.arange(1, len(rows) + 1)[:, None]
-    text = _fill(int(ends[-1, -1]) if ends.size else 0, [(words, ends.ravel() - 2)])
-    text[ends[:, -1] - 1] = ord("\n")
-    starts = np.append(0, ends[:-1, -1])[:len(rows)]
-    text[starts[:, None] + np.arange(len(head))] = np.frombuffer(head.encode("ascii"), np.uint8)
-    return text.tobytes().decode("ascii")
+    return _write_lines(head, list(rows[:, :-1].T), rows[:, -1], np.arange(len(rows) + 1))
 
 
-def _edge_lines(h: EdgeColoredHypergraph, a: int, b: int) -> np.ndarray:
-    """The text of edge lines ``a`` to ``b - 1`` as ASCII codes.
+def _write_lines(lead: str, columns: list[np.ndarray], members: np.ndarray,
+                 eptr: np.ndarray) -> str:
+    """A line per row ``i``: ``lead``, the row's entry of every column, then
+    ``members[eptr[i]:eptr[i + 1]]``, written as :func:`_words` writes them;
+    in blocks of about ``_WRITE_BLOCK`` words (:func:`_lines`)."""
+    count = len(eptr) - 1
+    line_words = eptr + len(columns) * np.arange(count + 1)  # words before each line
+    cuts = np.searchsorted(line_words, np.arange(0, line_words[-1], _WRITE_BLOCK)).tolist()
+    text = bytearray()
+    for a, b in itertools.pairwise(sorted({*cuts, count})):
+        text += memoryview(_lines(lead, [column[a:b] for column in columns],
+                                  members[eptr[a]:eptr[b]], eptr[a:b + 1] - eptr[a]))
+    return text.decode("ascii")
+
+
+def _lines(lead: str, columns: list[np.ndarray], members: np.ndarray,
+           eptr: np.ndarray) -> np.ndarray:
+    """The ASCII codes of one block of :func:`_write_lines`.
 
     Every word's place comes from the word lengths by cumulative sums: the
-    members' last characters from one ``cumsum`` over the members, with
-    each edge's head words (color, weight and their spaces) added at its
-    first member.
+    members' last characters from one ``cumsum`` over the members, with each
+    line's head (``lead`` and the column words, with their spaces) added at
+    its first member.
     """
-    eptr = h.eptr[a:b + 1] - h.eptr[a]
-    w = h.weights[a:b]
-    whole = (w == np.floor(w)) & (np.abs(w) < 1e15)
-    other = np.flatnonzero(~whole)
-    colors = _words(h.colors[a:b])
-    weights = _words(np.where(whole, w, 0).astype(np.int64), other,
-                     map(repr, w[other].tolist()))
-    members = _words(h.members[h.eptr[a]:h.eptr[b]])
-    # Characters of the head words (color, weight and their spaces) of every
-    # line up to each.
-    heads = np.cumsum(colors.lengths + weights.lengths.astype(np.int64) + 2)
+    heads = [_words(column) for column in columns]
+    tails = _words(members)
+    # Characters of the heads of every line up to each.
+    head_chars = np.full(len(eptr) - 1, len(lead) + len(heads), dtype=np.int64)
+    for words in heads:
+        head_chars += words.lengths
+    np.cumsum(head_chars, out=head_chars)
     # A member's last character follows the members up to it, each with its
     # space, and the heads of its line and those before: the heads go in at
     # each line's first member, less 2 for the member's own space and for
     # counting from 0.
     filled = np.flatnonzero(eptr[1:] > eptr[:-1])
-    member_last = np.add(members.lengths, 1, dtype=np.int64)
-    member_last[eptr[filled]] += np.diff(heads[filled], prepend=2)
+    member_last = np.add(tails.lengths, 1, dtype=np.int64)
+    member_last[eptr[filled]] += np.diff(head_chars[filled], prepend=2)
     np.cumsum(member_last, out=member_last)
     # Characters of the members of every line up to each, with their spaces;
     # a line with no members repeats the line before.
-    through = np.zeros(b - a, dtype=np.int64)
-    through[filled] = member_last[eptr[filled + 1] - 1] - heads[filled] + 2
+    through = np.zeros(len(eptr) - 1, dtype=np.int64)
+    through[filled] = member_last[eptr[filled + 1] - 1] - head_chars[filled] + 2
     np.maximum.accumulate(through, out=through)
-    breaks = heads + through - 1
-    color_last = np.append(-1, breaks[:-1]) + colors.lengths
-    weight_last = color_last + 1 + weights.lengths
-    text = _fill(int(breaks[-1]) + 1, [(colors, color_last), (weights, weight_last),
-                                       (members, member_last)])
+    breaks = head_chars + through - 1
+    starts = np.append(0, breaks[:-1] + 1)
+    parts, last = [], starts + (len(lead) - 2)
+    for words in heads:
+        last = last + 1 + words.lengths
+        parts.append((words, last))
+    text = _fill(int(breaks[-1]) + 1, parts + [(tails, member_last)])
     text[breaks] = ord("\n")
+    text[starts[:, None] + np.arange(len(lead))] = np.frombuffer(lead.encode("ascii"), np.uint8)
     return text
 
 

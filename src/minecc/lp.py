@@ -7,8 +7,9 @@ column indices strictly rising within a row, and each row has a relation
 code (an index into ``RELATIONS``) and a right-hand side. The constructor
 copies and checks its inputs; the model is read-only after. Column names may
 be given as a function that makes them, so a model that is only solved never
-builds its names. ``lp.constraints`` is a read-only sequence view of the rows
-as ``(coeffs, rel, rhs)`` records.
+builds its names. ``lp.constraints`` lists the rows as ``(coeffs, rel, rhs)``
+records, made when read, for the benchmark harness and the tests; the
+package itself reads only the arrays.
 
 The solver is a two-phase primal simplex on one dense standard-form tableau,
 filled in place from the CSR rows. Its m constraint rows are followed by the
@@ -45,16 +46,18 @@ totally unimodular systems yield integral optima.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .hypergraph import _num, _rising_within_edges
+from .hypergraph import _rising_within_edges
+from .instances import ParseError, _num, _write_lines
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
+VIOLATION_TOL = 1e-6  # how far a checked LP solution may miss a bound or row
 DEGENERATE_RUN_LIMIT = 100
 
 RELATIONS = ("<=", ">=", "=")  # a row's relation code indexes this
@@ -82,30 +85,6 @@ class Rows(NamedTuple):
     def row_ids(self) -> np.ndarray:
         """The row of every coefficient."""
         return np.repeat(np.arange(len(self.rhs)), np.diff(self.indptr))
-
-
-class _RowView(Sequence):
-    """``lp.constraints``: the rows as :class:`Row` records, made when read."""
-
-    def __init__(self, lp: "LinearProgram") -> None:
-        self._lp = lp
-
-    def __len__(self) -> int:
-        return self._lp.num_rows
-
-    def __getitem__(self, i: int) -> Row:
-        rows = self._lp.rows
-        r = range(len(rows.rhs))[i]  # negative indices and IndexError as a list's
-        s, e = rows.indptr[r], rows.indptr[r + 1]
-        coeffs = tuple(zip(rows.indices[s:e].tolist(), rows.data[s:e].tolist()))
-        return Row(coeffs, RELATIONS[rows.rel[r]], float(rows.rhs[r]))
-
-    def __iter__(self):
-        rows = self._lp.rows
-        indptr, indices, data = rows.indptr.tolist(), rows.indices.tolist(), rows.data.tolist()
-        for r, (rel, rhs) in enumerate(zip(rows.rel.tolist(), rows.rhs.tolist())):
-            s, e = indptr[r], indptr[r + 1]
-            yield Row(tuple(zip(indices[s:e], data[s:e])), RELATIONS[rel], rhs)
 
 
 class LinearProgram:
@@ -172,8 +151,12 @@ class LinearProgram:
         return len(self.rows.rhs)
 
     @property
-    def constraints(self) -> Sequence[Row]:
-        return _RowView(self)
+    def constraints(self) -> list[Row]:
+        """The rows as :class:`Row` records, made when read."""
+        rows = self.rows
+        ptr, indices, data = rows.indptr.tolist(), rows.indices.tolist(), rows.data.tolist()
+        return [Row(tuple(zip(indices[s:e], data[s:e])), RELATIONS[rel], rhs)
+                for s, e, rel, rhs in zip(ptr, ptr[1:], rows.rel.tolist(), rows.rhs.tolist())]
 
     @property
     def names(self) -> list[str]:
@@ -195,22 +178,19 @@ class LinearProgram:
         """Objective value (in the program's own sense) of a primal vector."""
         return self.constant + float(np.dot(self.objective, np.asarray(x, dtype=float)))
 
-    def violation(self, x, tol: float = 1e-6) -> str | None:
-        """Describe what ``x`` breaks by more than ``tol``; None when it is feasible.
+    def violation(self, x) -> str | None:
+        """Describe what ``x`` breaks by more than ``VIOLATION_TOL``; None when it is feasible.
 
         Lower bounds are checked first, then upper bounds, then the rows in
         order, and the first break found is named. Rows are named ``c<i>`` by
         their position, as in :func:`export_lp_text`.
         """
-        x = np.asarray(x, dtype=float)
-        below = np.flatnonzero(x < self.lower - tol)
-        if len(below):
-            j = int(below[0])
-            return f"{self.names[j]} = {x[j]:.9g} is below its lower bound {_num(self.lower[j])}"
-        above = np.flatnonzero(x > self.upper + tol)
-        if len(above):
-            j = int(above[0])
-            return f"{self.names[j]} = {x[j]:.9g} is above its upper bound {_num(self.upper[j])}"
+        x, tol = np.asarray(x, dtype=float), VIOLATION_TOL
+        for out, side, bound in ((x < self.lower - tol, "below its lower", self.lower),
+                                 (x > self.upper + tol, "above its upper", self.upper)):
+            if out.any():
+                j = int(np.argmax(out))
+                return f"{self.names[j]} = {x[j]:.9g} is {side} bound {_num(bound[j])}"
         rows = self.rows
         # bincount adds each row's terms in order, as a loop over the row would
         lhs = np.bincount(rows.row_ids(), weights=rows.data * x[rows.indices],
@@ -406,71 +386,78 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
                     state["iterations"])
 
 
+def _nums(values: np.ndarray) -> np.ndarray:
+    """Every value as :func:`~minecc.instances._num` prints it, in an object array."""
+    text = _write_lines("", [], values, np.arange(len(values) + 1))
+    return np.array(text.split("\n")[:-1], dtype=object)
+
+
+def _bodies(names: np.ndarray, indptr, cols: np.ndarray, coefs: np.ndarray) -> list[str]:
+    """The terms (``- 2 x + y``) of each CSR row that ``indptr`` bounds, zeros left out."""
+    keep = indptr[0] + np.flatnonzero(coefs[indptr[0]:indptr[-1]])
+    ptr = np.searchsorted(keep, indptr)  # the kept terms before each line
+    cols, coefs = cols[keep], coefs[keep]
+    text = np.where(coefs < 0, "- ", "+ ").astype(object)
+    first = ptr[:-1][np.diff(ptr) > 0]  # a line's first term has no plus sign
+    text[first[~(coefs[first] < 0)]] = ""
+    scaled = np.flatnonzero(np.abs(coefs) != 1.0)
+    text[scaled] += _nums(np.abs(coefs[scaled])) + " "
+    terms, ptr = (text + names[cols]).tolist(), ptr.tolist()
+    return [" ".join(terms[a:b]) for a, b in zip(ptr, ptr[1:])]
+
+
+_EXPORT_ROWS = 1 << 15  # rows per block of export_lp_text: one block's terms are held at once
+
+
 def export_lp_text(lp: LinearProgram) -> str:
-    """Render the program in the standard LP file format (Minimize/Subject To/...)."""
+    """Render the program in the standard LP file format (Minimize/Subject To/...).
 
-    def term(coef: float, name: str, first: bool) -> str:
-        sign = "- " if coef < 0 else ("" if first else "+ ")
-        mag = abs(coef)
-        body = name if mag == 1.0 else f"{_num(mag)} {name}"
-        return sign + body
-
-    lines = ["Maximize" if lp.sense == "max" else "Minimize"]
-    obj_terms: list[str] = []
-    names = lp.names
-    for j, coef in enumerate(lp.objective.tolist()):
-        if coef != 0.0:
-            obj_terms.append(term(coef, names[j], not obj_terms))
+    The terms, right-hand sides and bounds are made from the model's arrays,
+    the rows in blocks of ``_EXPORT_ROWS``, and each line joins its terms.
+    """
+    names, rows = np.array(lp.names, dtype=object), lp.rows
+    obj = _bodies(names, [0, lp.num_vars], np.arange(lp.num_vars), lp.objective)[0]
     if lp.constant != 0.0:
-        sign = "- " if lp.constant < 0 else ("" if not obj_terms else "+ ")
-        obj_terms.append(sign + _num(abs(lp.constant)))
-    lines.append(" obj: " + (" ".join(obj_terms) if obj_terms else "0"))
-    lines.append("Subject To")
-    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
-        parts: list[str] = []
-        for j, coef in coeffs:
-            if coef != 0.0:
-                parts.append(term(coef, names[j], not parts))
-        body = " ".join(parts) if parts else "0 " + names[0]
-        lines.append(f" c{i}: {body} {rel} {_num(rhs)}")
-    lines.append("Bounds")
-    for name, lo, hi in zip(names, lp.lower.tolist(), lp.upper.tolist()):
-        if hi != math.inf:
-            lines.append(f" {_num(lo)} <= {name} <= {_num(hi)}")
-        elif lo == 0.0:
-            lines.append(f" {name} >= 0")
-        elif lo == -math.inf:
-            lines.append(f" {name} free")
-        else:
-            lines.append(f" {name} >= {_num(lo)}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        sign = "- " if lp.constant < 0 else ("+ " if obj else "")
+        obj += (" " if obj else "") + sign + _num(abs(lp.constant))
+    lines = ["Maximize" if lp.sense == "max" else "Minimize", f" obj: {obj or 0}", "Subject To"]
+    for a in range(0, lp.num_rows, _EXPORT_ROWS):
+        bodies = _bodies(names, rows.indptr[a:a + _EXPORT_ROWS + 1], rows.indices, rows.data)
+        block = zip(bodies, rows.rel[a:a + _EXPORT_ROWS].tolist(),
+                    _nums(rows.rhs[a:a + _EXPORT_ROWS]).tolist())
+        lines += [f" c{a + i}: {body or '0 ' + names[0]} {RELATIONS[rel]} {rhs}"
+                  for i, (body, rel, rhs) in enumerate(block)]
+    lo, hi = lp.lower, lp.upper
+    bounds = " " + names + " >= " + _nums(lo)
+    free, boxed = lo == -math.inf, hi != math.inf
+    bounds[free] = " " + names[free] + " free"
+    bounds[boxed] = " " + _nums(lo[boxed]) + " <= " + names[boxed] + " <= " + _nums(hi[boxed])
+    return "\n".join([*lines, "Bounds", *bounds.tolist(), "End"]) + "\n"
 
 
 def parse_primal_text(lp: LinearProgram, text: str) -> np.ndarray:
     """Read a whitespace-separated ``name value`` primal-solution file.
 
     Unmentioned variables default to their lower bound. A malformed line, an
-    unknown name or a value that is not a finite number raises ``ValueError``
-    naming the line.
+    unknown name or a value that is not a finite number raises
+    :class:`~minecc.instances.ParseError` naming the line.
     """
     x = lp.lower.copy()
     index = {name: j for j, name in enumerate(lp.names)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if len(tokens) != 2:
-            raise ValueError(f"line {lineno}: expected 'name value'")
+            raise ParseError("expected 'name value'", lineno)
         name, value = tokens
         if name not in index:
-            raise ValueError(f"line {lineno}: unknown variable {name!r}")
+            raise ParseError(f"unknown variable {name!r}", lineno)
         try:
             number = float(value)
         except ValueError:
             number = math.nan
         if not math.isfinite(number):
-            raise ValueError(f"line {lineno}: value {value!r} is not a finite number")
+            raise ParseError(f"value {value!r} is not a finite number", lineno)
         x[index[name]] = number
     return x

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorial import DeletionSet, find_bad_pair
-from .hypergraph import EdgeColoredHypergraph, _num, _ordered_sum, build_incidence, from_flat
-from .instances import write_int_lines
+from .hypergraph import EdgeColoredHypergraph, _ordered_sum, build_incidence, from_flat
+from .instances import ParseError, _write_lines, write_int_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +89,9 @@ def bad_edge_pairs(h: EdgeColoredHypergraph) -> np.ndarray:
     inc, m = build_incidence(h), h.num_edges
     ids = inc.edge_ids.astype(np.int64)
     node = np.repeat(np.arange(h.num_nodes), np.diff(inc.indptr))
-    key = node * (h.num_colors + 1) + h.colors[ids]  # the incidence's sort key, ascending
-    group_end = np.searchsorted(key, key, side="right")
+    # The lists' (node, color) groups, read off the incidence as find_bad_pair does.
+    ends = np.append(np.flatnonzero(np.diff(node) | np.diff(h.colors[ids])) + 1, len(ids))
+    group_end = np.repeat(ends, np.diff(ends, prepend=0))
     count = inc.indptr[node + 1] - group_end
     # Output t pairs its membership with list position group_end + (t - the membership's first t).
     later = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - group_end, count)
@@ -147,6 +148,16 @@ def vertex_cover_to_ecc(g: WeightedGraph) -> tuple[EdgeColoredHypergraph, list[i
     return h, origin.tolist()
 
 
+def _with_terminals(h: EdgeColoredHypergraph, first: int) -> np.ndarray:
+    """Every edge's members, then its color's terminal ``first + color - 1``, back
+    to back; a color outside ``[1, k]`` raises ``ValueError`` naming its edge."""
+    bad = np.flatnonzero((h.colors < 1) | (h.colors > h.num_colors))
+    if len(bad):
+        j = int(bad[0])
+        raise ValueError(f"edge {j} color {h.colors[j]} out of range [1, {h.num_colors}]")
+    return np.insert(h.members, h.eptr[1:], first + h.colors - 1)
+
+
 def ecc_to_node_mc(h: EdgeColoredHypergraph) -> WeightedGraph:
     """Terminal-graph construction for node-weighted multiway cut.
 
@@ -156,64 +167,56 @@ def ecc_to_node_mc(h: EdgeColoredHypergraph) -> WeightedGraph:
     """
     n, m, k = h.num_nodes, h.num_edges, h.num_colors
     # Edge j's members, then its color's terminal, each joined to node n + j.
-    ends = np.insert(h.members, h.eptr[1:], n + m + h.colors - 1)
-    edges = np.column_stack([ends, n + np.repeat(np.arange(m), np.diff(h.eptr) + 1)])
+    edges = np.column_stack([_with_terminals(h, n + m),
+                             n + np.repeat(np.arange(m), np.diff(h.eptr) + 1)])
     weights = np.concatenate([np.full(n, math.inf), h.weights, np.full(k, math.inf)])
     terminals = np.column_stack([n + m + np.arange(k), np.arange(1, k + 1)])
     return WeightedGraph(n + m + k, weights, edges, terminals, np.repeat([True, False, True], [n, m, k]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TerminalHypergraph:
-    """Uncolored hypergraph with terminal nodes, for edge-deletion multiway cut."""
+    """Uncolored hypergraph with terminal nodes, for edge-deletion multiway cut: read-only
+    arrays in the instance layout, and ``terminals[c - 1]``, the terminal of color ``c``."""
 
     num_nodes: int
-    edges: tuple[tuple[int, ...], ...]
-    weights: tuple[float, ...]
-    terminals: tuple[int, ...]  # terminals[c - 1] is the terminal of color c
+    members: np.ndarray
+    eptr: np.ndarray
+    weights: np.ndarray
+    terminals: np.ndarray
 
 
 def ecc_to_hyper_mc(h: EdgeColoredHypergraph) -> TerminalHypergraph:
     """Append one terminal per color and add it to each edge of that color."""
-    n, k = h.num_nodes, h.num_colors
-    terminals = tuple(n + c - 1 for c in range(1, k + 1))
-    members, bounds = h.members.tolist(), h.eptr.tolist()
-    edges = tuple(
-        tuple(sorted(members[a:b] + [terminals[c - 1]]))
-        for a, b, c in zip(bounds, bounds[1:], h.colors.tolist())
-    )
-    return TerminalHypergraph(n + k, edges, tuple(h.weights.tolist()), terminals)
+    n, m, k = h.num_nodes, h.num_edges, h.num_colors
+    arrays = (_with_terminals(h, n), h.eptr + np.arange(m + 1), h.weights, n + np.arange(k))
+    for a in arrays:
+        a.flags.writeable = False
+    return TerminalHypergraph(n + k, *arrays)
 
 
 def write_graph(g: WeightedGraph) -> str:
     """Serialize: ``vc <n> <m>`` header, ``w`` node-weight lines (``inf`` for
-    undeletable nodes), ``e`` edge lines, ``t`` terminal lines. Weights print
-    as in the instance writer, which writes each record kind here too
-    (:func:`~minecc.instances.write_int_lines`)."""
-    w = g.weights
-    whole = (w == np.floor(w)) & (np.abs(w) < 1e15) & ~g.undeletable
-    other = np.flatnonzero(~whole)
-    texts = ["inf" if fixed or math.isinf(x) else repr(x)
-             for fixed, x in zip(g.undeletable[other].tolist(), w[other].tolist())]
-    nodes = np.column_stack([np.arange(g.num_nodes), np.where(whole, w, 0).astype(np.int64)])
-    return (f"vc {g.num_nodes} {len(g.edges)}\n" + write_int_lines(nodes, "w ", 2 * other + 1, texts)
+    undeletable nodes), ``e`` edge lines, ``t`` terminal lines, through the
+    digit columns of the instance writer (:func:`~minecc.instances._write_lines`)."""
+    n = g.num_nodes
+    w = np.where(g.undeletable | np.isinf(g.weights), math.inf, g.weights)
+    return (f"vc {n} {len(g.edges)}\n" + _write_lines("w ", [np.arange(n)], w, np.arange(n + 1))
             + write_int_lines(g.edges, "e ") + write_int_lines(g.terminals, "t "))
 
 
 def write_hmc(th: TerminalHypergraph) -> str:
     """Serialize: ``hmc <n> <m> <k>`` header, ``e <weight> <members...>`` edge
-    lines, ``t <node> <color>`` terminal lines; weights print as in :func:`write_graph`."""
-    lines = [f"hmc {th.num_nodes} {len(th.edges)} {len(th.terminals)}"]
-    for members, w in zip(th.edges, th.weights):
-        lines.append(f"e {_num(w)} " + " ".join(str(v) for v in members))
-    for c, t in enumerate(th.terminals, start=1):
-        lines.append(f"t {t} {c}")
-    return "\n".join(lines) + "\n"
+    lines, ``t <node> <color>`` terminal lines, as :func:`write_graph` does."""
+    k = len(th.terminals)
+    return (f"hmc {th.num_nodes} {len(th.weights)} {k}\n"
+            + _write_lines("e ", [th.weights], th.members, th.eptr)
+            + write_int_lines(np.column_stack([th.terminals, np.arange(1, k + 1)]), "t "))
 
 
 def parse_graph(text: str) -> WeightedGraph:
     """Parse the :func:`write_graph` format; a malformed record raises
-    ``ValueError`` naming its line."""
+    :class:`~minecc.instances.ParseError` naming its line."""
     header, weights, undeletable, edges, terminals = None, [], [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
@@ -239,9 +242,9 @@ def parse_graph(text: str) -> WeightedGraph:
             else:
                 (edges if kind == "e" else terminals).append((first, int(second)))
         except ValueError as err:
-            raise ValueError(f"line {lineno}: {err}") from None
+            raise ParseError(str(err), lineno) from None
     if header is None:
-        raise ValueError("missing 'vc' header")
+        raise ParseError("missing 'vc' header")
     if len(edges) != header[2]:
-        raise ValueError(f"line {header[0]}: header declares {header[2]} edges, found {len(edges)}")
+        raise ParseError(f"header declares {header[2]} edges, found {len(edges)}", header[0])
     return WeightedGraph(header[1], weights, edges, terminals, undeletable)

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypergraph import EdgeColoredHypergraph
-from .lp import EQ, GE, LE, LinearProgram, LpResult, Rows
+from .lp import EQ, GE, LE, VIOLATION_TOL, LinearProgram, LpResult, Rows
 
 SNAP_TOL = 1e-7
 
@@ -178,10 +178,10 @@ class EccLpSolution:
     x_edge: np.ndarray
     objective: float
 
-    def violations(self, h: EdgeColoredHypergraph, tol: float = 1e-6) -> list[str]:
-        """Check the relaxation invariants; empty list iff feasible within ``tol``."""
+    def violations(self, h: EdgeColoredHypergraph) -> list[str]:
+        """Check the relaxation invariants; empty list iff feasible within ``VIOLATION_TOL``."""
         problems: list[str] = []
-        n, k = h.num_nodes, h.num_colors
+        n, k, tol = h.num_nodes, h.num_colors, VIOLATION_TOL
         if self.x_node.shape != (n, k):
             return [f"x_node has shape {self.x_node.shape}, expected {(n, k)}"]
         if self.x_edge.shape != (h.num_edges,):

@@ -19,6 +19,8 @@ import numpy as np
 from .hypergraph import EdgeColoredHypergraph, hypergraph
 from .relaxations import EccLpSolution
 
+INVARIANT_TOL = 1e-7  # how far :func:`rounding_invariant_violations` lets a bound miss
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -173,19 +175,15 @@ def make_synthetic_solution(
     return h, EccLpSolution(x_node, x_edge, float(x_edge.sum()))
 
 
-def rounding_invariant_violations(
-    h: EdgeColoredHypergraph,
-    x: EccLpSolution,
-    tol: float = 1e-7,
-) -> list[str]:
-    """Numeric checks tying edge variables to color thresholds.
+def rounding_invariant_violations(h: EdgeColoredHypergraph, x: EccLpSolution) -> list[str]:
+    """Numeric checks tying edge variables to color thresholds, each within ``INVARIANT_TOL``.
 
     For every edge, ``1 - z_1 <= x_e``. On graphs (rank 2) also, for every
     integer ``t <= k/2``, ``t <= x_e + z_t + ... + z_{2t-1}``. Violations are
     reported with the edge index, edge by edge; an empty list means all
     checks pass. An edge without members has no threshold and breaks neither.
     """
-    k, m = h.num_colors, h.num_edges
+    k, m, tol = h.num_colors, h.num_edges, INVARIANT_TOL
     if k <= 1:
         return []
     # mins[j, i]: the smallest distance to color i + 1 over edge j's members

@@ -14,14 +14,13 @@ from minecc.hypergraph import (
     ColorSortedIncidence,
     CostReport,
     EdgeColoredHypergraph,
-    _num,
     build_incidence,
     from_flat,
     hypergraph,
     objective_cost,
 )
 from minecc.instances import ParseError, PlantedInstance
-from minecc.oracle import DEFAULT_CAP, PRUNE_SHRINK, CapExceededError, OracleResult, _suffix_bounds
+from minecc.oracle import DEFAULT_CAP, PRUNE_SHRINK, CapExceededError, OracleResult
 from minecc.relaxations import EccLpSolution, _snap
 from minecc import lp as lp_module
 from minecc.lp import (
@@ -413,6 +412,55 @@ def lp_from_rows(sense: str, cols, rows, constant: float = 0.0) -> LinearProgram
     )
 
 
+def reference_num(x: float) -> str:
+    """The old scalar number formatter; the reference for the writers' numbers."""
+    x = float(x)
+    if math.isfinite(x) and x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return repr(x)
+
+
+def reference_export_lp_text(lp: LinearProgram) -> str:
+    """The old per-row writer over ``lp.constraints``; the reference for ``export_lp_text``."""
+
+    def term(coef: float, name: str, first: bool) -> str:
+        sign = "- " if coef < 0 else ("" if first else "+ ")
+        mag = abs(coef)
+        body = name if mag == 1.0 else f"{reference_num(mag)} {name}"
+        return sign + body
+
+    lines = ["Maximize" if lp.sense == "max" else "Minimize"]
+    obj_terms: list[str] = []
+    names = lp.names
+    for j, coef in enumerate(lp.objective.tolist()):
+        if coef != 0.0:
+            obj_terms.append(term(coef, names[j], not obj_terms))
+    if lp.constant != 0.0:
+        sign = "- " if lp.constant < 0 else ("" if not obj_terms else "+ ")
+        obj_terms.append(sign + reference_num(abs(lp.constant)))
+    lines.append(" obj: " + (" ".join(obj_terms) if obj_terms else "0"))
+    lines.append("Subject To")
+    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
+        parts: list[str] = []
+        for j, coef in coeffs:
+            if coef != 0.0:
+                parts.append(term(coef, names[j], not parts))
+        body = " ".join(parts) if parts else "0 " + names[0]
+        lines.append(f" c{i}: {body} {rel} {reference_num(rhs)}")
+    lines.append("Bounds")
+    for name, lo, hi in zip(names, lp.lower.tolist(), lp.upper.tolist()):
+        if hi != math.inf:
+            lines.append(f" {reference_num(lo)} <= {name} <= {reference_num(hi)}")
+        elif lo == 0.0:
+            lines.append(f" {name} >= 0")
+        elif lo == -math.inf:
+            lines.append(f" {name} free")
+        else:
+            lines.append(f" {name} >= {reference_num(lo)}")
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
 def reference_build_ecc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
     """The old per-edge builder; the reference for ``build_ecc_lp``."""
     n, k = h.num_nodes, h.num_colors
@@ -690,12 +738,45 @@ def reference_write_graph(layout) -> str:
     num_nodes, weights, edges, terminals, undeletable = layout
     lines = [f"vc {num_nodes} {len(edges)}"]
     for i in range(num_nodes):
-        w = "inf" if i in undeletable or math.isinf(weights[i]) else _num(weights[i])
+        w = "inf" if i in undeletable or math.isinf(weights[i]) else reference_num(weights[i])
         lines.append(f"w {i} {w}")
     for u, v in edges:
         lines.append(f"e {u} {v}")
     for node, color in terminals:
         lines.append(f"t {node} {color}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_ecc_to_hyper_mc(h: EdgeColoredHypergraph):
+    """The old per-edge terminal loop; the reference for ``ecc_to_hyper_mc``.
+
+    Returns the old tuple layout (num_nodes, edges, weights, terminals).
+    """
+    n, k = h.num_nodes, h.num_colors
+    terminals = tuple(n + c - 1 for c in range(1, k + 1))
+    members, bounds = h.members.tolist(), h.eptr.tolist()
+    edges = tuple(
+        tuple(sorted(members[a:b] + [terminals[c - 1]]))
+        for a, b, c in zip(bounds, bounds[1:], h.colors.tolist())
+    )
+    return (n + k, edges, tuple(h.weights.tolist()), terminals)
+
+
+def hyper_layout(th):
+    """A ``TerminalHypergraph`` in the old tuple layout of ``reference_ecc_to_hyper_mc``."""
+    members, bounds = th.members.tolist(), th.eptr.tolist()
+    edges = tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return (th.num_nodes, edges, tuple(th.weights.tolist()), tuple(th.terminals.tolist()))
+
+
+def reference_write_hmc(layout) -> str:
+    """The old per-line writer over the old tuple layout; the reference for ``write_hmc``."""
+    num_nodes, edges, weights, terminals = layout
+    lines = [f"hmc {num_nodes} {len(edges)} {len(terminals)}"]
+    for members, w in zip(edges, weights):
+        lines.append(f"e {reference_num(w)} " + " ".join(str(v) for v in members))
+    for c, t in enumerate(terminals, start=1):
+        lines.append(f"t {t} {c}")
     return "\n".join(lines) + "\n"
 
 
@@ -763,6 +844,33 @@ def reference_bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -
     return OracleResult(best_cost, tuple(witness), explored)
 
 
+def reference_suffix_bounds(incident: list[list[int]], colors: list[int],
+                            weights: list[float]) -> list[float]:
+    """The suffix bound of ``reference_pruned_bruteforce_ecc``, a copy of the
+    oracle's loop as it stood when the reference was written, so that the
+    reference does not move with the code it checks.
+
+    ``suffix[i]`` is a lower bound on what positions ``i`` onward add to the
+    cost. Edge ``j`` is given to the first position whose ``incident`` list
+    holds it. A position's bound is the least weight it breaks among its
+    edges, over its colors; each candidate is summed from positive terms.
+    """
+    given: list[dict[int, list[float]]] = [{} for _ in incident]
+    seen = set()
+    for i, edges in enumerate(incident):
+        for j in edges:
+            if j not in seen:
+                seen.add(j)
+                given[i].setdefault(colors[j], []).append(weights[j])
+    suffix = [0.0] * (len(incident) + 1)
+    for i in range(len(incident) - 1, -1, -1):
+        by_color = given[i]
+        least = min((sum(w for d, ws in by_color.items() if d != c for w in ws)
+                     for c in by_color), default=0.0)
+        suffix[i] = suffix[i + 1] + least
+    return suffix
+
+
 def reference_pruned_bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleResult:
     """The branch and bound with the suffix bound that tests each incident edge's
     color at every branch: the reference for ``bruteforce_ecc``'s value, witness
@@ -786,7 +894,7 @@ def reference_pruned_bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT
 
     colors, weights = h.colors.tolist(), h.weights.tolist()
     broken = bytearray(h.num_edges)
-    suffix = _suffix_bounds(incident, colors, weights)
+    suffix = reference_suffix_bounds(incident, colors, weights)
     # Sums of whole weights below 2**53 are exact, so a tie is pruned as well.
     whole = bool(np.all(h.weights == np.floor(h.weights))) and h.total_weight() < 2.0**53
     shrink = 1.0 if whole else PRUNE_SHRINK

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 
 import minecc
 import minecc.instances as instances_module
+import minecc.relaxations as relaxations_module
+import minecc.rounding as rounding_module
 from minecc.combinatorial import (
     DeletionSet,
     _color_survivors,
@@ -44,6 +46,7 @@ from minecc.instances import (
     ParseError,
     _ascii_classes,
     _char_classes,
+    _num,
     gen_random,
     parse_benchmark,
     parse_canonical,
@@ -55,9 +58,11 @@ from minecc.oracle import CapExceededError, bruteforce_ecc
 from minecc.reductions import (
     WeightedGraph,
     bad_edge_pairs,
+    ecc_to_hyper_mc,
     ecc_to_node_mc,
     ecc_to_vertex_cover,
     write_graph,
+    write_hmc,
 )
 from minecc.relaxations import EccLpSolution, build_ecc_lp, build_nodemc_lp, extract_ecc_solution
 from minecc.rounding import (
@@ -71,6 +76,7 @@ from conftest import (
     Edge,
     edges_of,
     graph_layout,
+    hyper_layout,
     random_instance,
     reference_accuracy,
     reference_bad_edge_pairs,
@@ -81,6 +87,7 @@ from conftest import (
     reference_build_nodemc_lp,
     reference_color_survivors,
     reference_compact_extract_ecc_solution,
+    reference_ecc_to_hyper_mc,
     reference_ecc_to_node_mc,
     reference_estimate_mistake_prob,
     reference_extract_ecc_solution,
@@ -89,6 +96,7 @@ from conftest import (
     reference_majority_vote,
     reference_mv_lower_bound,
     reference_node_colors,
+    reference_num,
     reference_objective_cost,
     reference_parse_benchmark,
     reference_parse_canonical,
@@ -99,6 +107,7 @@ from conftest import (
     reference_violations,
     reference_write_canonical,
     reference_write_graph,
+    reference_write_hmc,
     reference_write_truth,
 )
 
@@ -491,6 +500,11 @@ class TestWriteCanonical:
     def test_no_int_lines(self):
         assert write_int_lines([]) == ""
 
+    @SETTINGS
+    @given(WRITER_WEIGHTS | st.integers(-(2**53), 2**53))
+    def test_one_number_as_the_old_formatter(self, x):
+        assert _num(x) == reference_num(x)
+
 
 # Words of the benchmark files: small integers, words int() reads in its own
 # way (signs, "_", other scripts' digits, 64-bit edges and beyond), and junk.
@@ -661,7 +675,9 @@ class TestLpAndOracleMatchReference:
         assert got.x_edge.tobytes() == want.x_edge.tobytes()
         assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
         for tol in (1e-6, 0.1):
-            assert got.violations(h, tol) == reference_violations(got, h, tol)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(relaxations_module, "VIOLATION_TOL", tol)
+                assert got.violations(h) == reference_violations(got, h, tol)
         short = EccLpSolution(got.x_node, got.x_edge[:-1], 0.0)
         assert short.violations(h) == reference_violations(short, h)
 
@@ -680,6 +696,23 @@ class TestLpAndOracleMatchReference:
         assert write_graph(g) == reference_write_graph(reference_ecc_to_node_mc(h))
         cover = ecc_to_vertex_cover(h).graph
         assert write_graph(cover) == reference_write_graph(graph_layout(cover))
+
+    @SETTINGS
+    @given(instances(WEIGHTS | st.sampled_from([-0.0, 1e15 - 1, 1234567.5, 0.1234567891]))
+           | EDGELESS)
+    def test_same_hypergraph_cut_and_text(self, h):
+        th = ecc_to_hyper_mc(h)
+        assert hyper_layout(th) == reference_ecc_to_hyper_mc(h)
+        assert write_hmc(th) == reference_write_hmc(reference_ecc_to_hyper_mc(h))
+
+    def test_same_hypergraph_cut_text_at_scale(self):
+        h = gen_random(2000, 8000, 6, 8, 0.2, 1).hypergraph
+        rng = np.random.default_rng(1)
+        w = rng.random(h.num_edges) * 10.0 ** rng.integers(-3, 17, h.num_edges)
+        w = np.where(rng.random(h.num_edges) < 0.3, np.floor(w), w)
+        h = EdgeColoredHypergraph(h.num_nodes, h.num_colors, h.members, h.eptr, h.colors, w)
+        with write_blocks_of(61):
+            assert write_hmc(ecc_to_hyper_mc(h)) == reference_write_hmc(reference_ecc_to_hyper_mc(h))
 
     @SETTINGS
     @given(st.data())
@@ -744,8 +777,10 @@ class TestRoundingMatchesReference:
         rng = np.random.default_rng(seed)
         h = random_instance(rng, n, m, k, max_size)
         x = EccLpSolution(rng.integers(0, d + 1, (n, k)) / d, rng.integers(0, d + 1, m) / d, 0.0)
-        assert (rounding_invariant_violations(h, x, tol)
-                == reference_rounding_invariant_violations(h, x, tol))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rounding_module, "INVARIANT_TOL", tol)
+            assert (rounding_invariant_violations(h, x)
+                    == reference_rounding_invariant_violations(h, x, tol))
 
     @pytest.mark.parametrize("h", [hypergraph(2, 0, []), hypergraph(2, 3, [((0, 1), 1)])])
     def test_same_error_on_an_infeasible_solution(self, h):

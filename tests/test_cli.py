@@ -121,8 +121,9 @@ class TestImportCost:
             "solve-lp", "solve-lp-simple", "verify-invariants"}
 
     def test_solve_exact_loads_no_lp_layer(self, loads):
-        # The oracle builds no LP: the number formatter lives in hypergraph, and
-        # the vertex-cover oracle names WeightedGraph only in an annotation.
+        # The oracle builds no LP and writes no text (the number formatter lives
+        # in instances), and the vertex-cover oracle names WeightedGraph only in
+        # an annotation.
         assert loads["solve-exact"][1] == {
             "cli", "instances", "hypergraph", "combinatorial", "oracle"}
 
@@ -142,16 +143,20 @@ class TestImportCost:
 
     def test_cli_and_parse_leave_out_numpy_ma_and_scipy(self):
         # np.unique or a table-kind np.isin imports numpy.ma: every cold command would pay,
-        # gen too, which writes what it generates, and reduce, which builds a graph.
+        # gen too, which writes what it generates, and reduce and export, which write text.
         code = (
             "import sys, minecc.cli\n"
             "from minecc.instances import parse_canonical, write_canonical, write_int_lines\n"
-            "from minecc.reductions import ecc_to_node_mc, ecc_to_vertex_cover, write_graph\n"
+            "from minecc.reductions import ecc_to_hyper_mc, ecc_to_node_mc, ecc_to_vertex_cover\n"
+            "from minecc.reductions import write_graph, write_hmc\n"
+            "from minecc.lp import export_lp_text\n"
+            "from minecc.relaxations import build_ecc_lp\n"
             "parse_canonical('ecc 2 1 1\\n1 1 0 1\\n')\n"
             "write_canonical(parse_canonical('ecc 2 1 1\\u2028\\uff11 0.5 0 1\\n'))\n"
             "write_int_lines([1, -2])\n"
             "h = parse_canonical('ecc 3 2 2\\n1 1 0 1\\n2 0.5 1 2\\n')\n"
             "write_graph(ecc_to_vertex_cover(h).graph), write_graph(ecc_to_node_mc(h))\n"
+            "write_hmc(ecc_to_hyper_mc(h)), export_lp_text(build_ecc_lp(h))\n"
             "print(sorted({'numpy.ma', 'scipy'} & set(sys.modules)))\n"
         )
         assert run_python(code) == "[]\n"
@@ -977,6 +982,68 @@ def test_reduce_outputs_are_pinned(name, tmp_path, capsys):
         assert digest == REDUCE_SHA256[name, to], to
 
 
+# SHA-256 of `export --lp ecc|nodemc` stdout on the instances above, and of
+# `reduce` on the weighted instance of test_reduce_hypermc_prints_exact_weights,
+# recorded with the per-row LP writer and the per-edge multiway-cut writer that
+# the array code replaced.
+EXPORT_SHA256 = {
+    ("gap3", "ecc"): "03cd22f853bf137a68be6471dfb3458a2ea97bd95f2aadee530fbd1cd6164148",
+    ("gap3", "nodemc"): "7b751c991802580838e614f5ab2ab9244ffce184a95ece42c1daf9496bea3a11",
+    ("gap4", "ecc"): "49534faa8d3588e17673e5eac0f506bcc7086c440c020b8ce813fe7260166ada",
+    ("gap4", "nodemc"): "4a7eae133ff8a4286de28f31197f016081a4081efebe7a542010850a31693c9c",
+    ("gap5", "ecc"): "592f8098059e3e8fa947e3c533f47d7124c3ef5ff62993bce521dc9b8612241d",
+    ("gap5", "nodemc"): "64b070aac15ba713bccdafea722e82f2cf3c52b5a29ef8e7249dd7b3a3a43de7",
+    ("gap6", "ecc"): "3b7196afdddf968c2257a4f8446512133544dc78a2214af82809951fc7eabf51",
+    ("gap6", "nodemc"): "1a2a2ed6a4aa5a040a67d917f8f670f28589aa02949ba454717021e0ef138e80",
+    ("gap7", "ecc"): "425abcf3acedac074dec4b56cee7c2a9c647ad4dced2d1e7c9dd0165c7c13465",
+    ("gap7", "nodemc"): "e09340ddd5b51b377c916a86512d745418fd346ebe5b42f98c71961e15dc339a",
+    ("gap8", "ecc"): "f7bf64ed5fe3b4b78ad2f6b46763dc9c6fa409bed5fd49c2becbd32a182831e0",
+    ("gap8", "nodemc"): "c100ddde87e95962e0ad4b51dbc15340ca310c5b474df9f68fb13bb63554decd",
+    ("rand-s1", "ecc"): "dc746ec7f12a2a0ffcefb7a207264737160723c3403554838e04162562a37b1e",
+    ("rand-s1", "nodemc"): "6a5730c4ee1f616cd3427147234d1be3781cea5e7d2404db7055a10b751956c0",
+    ("rand-s2", "ecc"): "53c132a4a0e7886e1ad0564a99d5c7c8064f859ab7090ca20d6fc721ee36597d",
+    ("rand-s2", "nodemc"): "b9447dc4d9e5c48db358659f1a046e141c8d9dd713d836bde1f9f60f9fbd2e21",
+}
+WEIGHTED_TEXT = "ecc 3 3 2\n1 1234567.5 0 1\n2 0.1234567891 1 2\n1 1e+20 0 2\n"
+WEIGHTED_REDUCE_SHA256 = {
+    "vc": "3b255d73acd1a95f0dd67d79f80c7288bb35c763989c1e900b6a988021782d61",
+    "nodemc": "19f8d3c5f2f1f6870f29c91878e06be192182f0785b915bcf5be99198dfe596b",
+    "hypermc": "514a4c8d03ccc56b58e1dbc12f0060ae45c5fea4337ea1e04b6ccff8f4f82ea0",
+}
+# SHA-256 over the sorted names and contents of the 46 `verify --certs --emit-lp`
+# files, each name and each content followed by a NUL byte.
+EMIT_LP_SHA256 = "07bab4cc5ccef2667de37a374caad06294fca793b6fe5ef530bd94bc1a4c29cc"
+
+
+@pytest.mark.parametrize("name", sorted(REDUCE_INSTANCES))
+def test_export_outputs_are_pinned(name, tmp_path, capsys):
+    path = str(tmp_path / f"{name}.ecc")
+    assert main(["gen", *REDUCE_INSTANCES[name], "-o", path]) == 0
+    for lp in ("ecc", "nodemc"):
+        capsys.readouterr()
+        assert main(["export", path, "--lp", lp]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == EXPORT_SHA256[name, lp], lp
+
+
+@pytest.mark.parametrize("to", sorted(WEIGHTED_REDUCE_SHA256))
+def test_weighted_reduce_outputs_are_pinned(to, tmp_path, capsys):
+    inst = tmp_path / "weighted.ecc"
+    inst.write_text(WEIGHTED_TEXT)
+    assert main(["reduce", str(inst), "--to", to]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == WEIGHTED_REDUCE_SHA256[to]
+
+
+def test_emitted_certificate_lps_are_pinned(tmp_path, capsys):
+    assert main(["verify", "--certs", "--emit-lp", str(tmp_path)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert len(list(tmp_path.iterdir())) == 46
+    assert digest.hexdigest() == EMIT_LP_SHA256
+
+
 class TestReduceExport:
     def test_reduce_vc(self, gap3_file, capsys):
         assert main(["reduce", gap3_file, "--to", "vc"]) == 0
@@ -996,7 +1063,7 @@ class TestReduceExport:
         assert capsys.readouterr().out.startswith("hmc 6 3 3")
 
     def test_reduce_hypermc_prints_exact_weights(self, tmp_path, capsys):
-        text = "ecc 3 3 2\n1 1234567.5 0 1\n2 0.1234567891 1 2\n1 1e+20 0 2\n"
+        text = WEIGHTED_TEXT
         inst = tmp_path / "weighted.ecc"
         inst.write_text(text)
         assert main(["reduce", str(inst), "--to", "hypermc"]) == 0

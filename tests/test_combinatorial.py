@@ -24,10 +24,12 @@ from minecc.hypergraph import (
 )
 from minecc.instances import gen_integrality_gap, gen_random
 from minecc.oracle import bruteforce_ecc
+from minecc.reductions import bad_edge_pairs
 
 from conftest import (
     edges_of,
     exhaustive_ecc,
+    reference_bad_edge_pairs,
     reference_find_bad_pair,
     reference_match_coloring,
     reference_pitt_coloring,
@@ -424,14 +426,28 @@ class TestFlatWalkAtScale:
         assert match_coloring(h, None, inc) == reference_match_coloring(h, None, inc)
         assert pitt_coloring(h, 0, None, inc) == reference_pitt_coloring(h, 0, None, inc)
 
-    @pytest.mark.parametrize("colors", [(300, 44), (-1, 255), (2**40 + 1, 1)])
-    def test_unvalidated_colors_do_not_wrap(self, colors):
+    @pytest.mark.parametrize("n, edges, lists, matched, pitt_deletes", [
         # Each pair agrees in its low bits, so a dtype too narrow for it would
         # make the two edges look the same color. One node keeps the incidence
         # a single list whatever the colors.
-        h = hypergraph(1, 2, [((0,), colors[0]), ((0,), colors[1])])
+        (1, [((0,), 300), ((0,), 44)], [(1, 0)], [0, 1], 1),
+        (1, [((0,), -1), ((0,), 255)], [(0, 1)], [0, 1], 1),
+        (1, [((0,), 2**40 + 1), ((0,), 1)], [(1, 0)], [0, 1], 1),
+        # Color 5 on node 0 once reached node 1's keys: node 0 listed edge 1,
+        # and edges 0 and 2, which share no node, made the first bad pair.
+        (2, [((0,), 5), ((1,), 1), ((1,), 2)], [(0,), (1, 2)], [1, 2], 1),
+        (2, [((0,), -3), ((0, 1), 2), ((1,), 1)], [(0, 1), (2, 1)], [0, 1], 1),
+        # Colors too far apart for node * span + color in 63 bits.
+        (2, [((0,), 2**62), ((0, 1), -(2**62)), ((1,), 7)], [(1, 0), (1, 2)], [0, 1], 2),
+    ], ids=["colors0", "colors1", "colors2", "two-nodes0", "two-nodes1", "two-nodes2"])
+    def test_unvalidated_colors_do_not_wrap(self, n, edges, lists, matched, pitt_deletes):
+        h = hypergraph(n, 2, edges)
         assert validate(h) != []
+        inc = build_incidence(h)
+        assert [inc[v] for v in range(n)] == lists
+        assert find_bad_pair(h) == reference_find_bad_pair(h)
         assert match_coloring(h) == reference_match_coloring(h)
-        assert match_coloring(h)[0].indices.tolist() == [0, 1]
+        assert match_coloring(h)[0].indices.tolist() == sorted(find_bad_pair(h)) == matched
         assert pitt_coloring(h, 3) == reference_pitt_coloring(h, 3)
-        assert len(pitt_coloring(h, 3)[0].indices) == 1
+        assert len(pitt_coloring(h, 3)[0].indices) == pitt_deletes
+        assert bad_edge_pairs(h).tolist() == [list(p) for p in reference_bad_edge_pairs(h)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import minecc.lp
 from minecc.certificates import all_cases, case_to_lp
 from minecc.hypergraph import EdgeColoredHypergraph, hypergraph, validate
-from minecc.instances import gen_integrality_gap, gen_random, gen_star
+from minecc.instances import ParseError, gen_integrality_gap, gen_random, gen_star
 from minecc.lp import LinearProgram, Rows, export_lp_text, parse_primal_text, solve
 from minecc.oracle import bruteforce_ecc
 from minecc.relaxations import (
@@ -19,7 +19,14 @@ from minecc.relaxations import (
 )
 from minecc.rounding import rounding_invariant_violations
 
-from conftest import edges_of, lp_from_rows, random_instance, reference_simplex, reference_solve
+from conftest import (
+    edges_of,
+    lp_from_rows,
+    random_instance,
+    reference_export_lp_text,
+    reference_simplex,
+    reference_solve,
+)
 
 
 def ecc_value(h) -> float:
@@ -523,7 +530,7 @@ class TestExtract:
     def test_feasibility_roundtrip(self):
         h = gen_random(8, 12, 3, 3, 0.4, seed=6).hypergraph
         sol = extract_ecc_solution(h, solve(build_ecc_lp(h)))
-        assert sol.violations(h, tol=1e-6) == []
+        assert sol.violations(h) == []
 
 
 def _parse_lp_text(text: str):
@@ -585,7 +592,52 @@ def _parse_lp_text(text: str):
     return sense, obj, constraints, bounds
 
 
+# Numbers the writers print by repr or as digits, on both sides of 1e15.
+LP_NUMBERS = st.sampled_from([-3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 1 / 3, 1e15 - 1, 1e15,
+                              -1e20, 5e-324, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def exported_lps(draw):
+    """Models with every number kind in every place the writer prints one:
+    zero and non-finite coefficients, rows left with no term, free, boxed
+    and shifted columns, and a constant."""
+    n = draw(st.integers(1, 5))
+    lower = draw(st.lists(st.sampled_from([0.0, -0.0, -2.0, 0.5, 1e16, -math.inf]),
+                          min_size=n, max_size=n))
+    upper = [lo + draw(st.sampled_from([0.0, 1.5, 3.0])) if draw(st.booleans()) else math.inf
+             for lo in lower]
+    indptr, indices = [0], []
+    for _ in range(draw(st.integers(0, 5))):
+        indices += sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+        indptr.append(len(indices))
+    return LinearProgram(
+        draw(st.lists(LP_NUMBERS, min_size=n, max_size=n)), lower, upper,
+        [f"v{j}" for j in range(n)],
+        Rows(indptr, indices, draw(st.lists(LP_NUMBERS, min_size=len(indices),
+                                             max_size=len(indices))),
+             draw(st.lists(st.integers(0, 2), min_size=len(indptr) - 1, max_size=len(indptr) - 1)),
+             draw(st.lists(LP_NUMBERS, min_size=len(indptr) - 1, max_size=len(indptr) - 1))),
+        sense=draw(st.sampled_from(["min", "max"])), constant=draw(LP_NUMBERS),
+    )
+
+
 class TestExport:
+    # Blocks of one or two rows, or every row in one block.
+    @pytest.mark.parametrize("block", [1, 2, minecc.lp._EXPORT_ROWS])
+    @settings(max_examples=200, deadline=None)
+    @given(exported_lps())
+    def test_same_text_as_the_row_writer(self, block, lp):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(minecc.lp, "_EXPORT_ROWS", block)
+            assert export_lp_text(lp) == reference_export_lp_text(lp)
+
+    def test_same_text_on_the_models(self):
+        h = gen_random(40, 80, 4, 3, 0.3, 1).hypergraph
+        for lp in [build_ecc_lp(h), build_ecc_lp(h, compact=True), build_nodemc_lp(h),
+                   *map(case_to_lp, all_cases())]:
+            assert export_lp_text(lp) == reference_export_lp_text(lp)
+
     def test_sections_present(self):
         text = export_lp_text(lp_from_rows("min", [("x", 0, 1, 1.0)], []))
         for token in ("Minimize", "Subject To", "Bounds", "End"):
@@ -665,6 +717,17 @@ class TestPrimalImport:
         lp = lp_from_rows("min", [("x", 0.0, math.inf, 0.0)], [])
         with pytest.raises(ValueError):
             parse_primal_text(lp, "y 1.0\n")
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("# x 1\n\nx 1 2\n", 3, "expected 'name value'"),
+        ("x 1\ny 1.0\n", 2, "unknown variable 'y'"),
+        ("x inf\n", 1, "value 'inf' is not a finite number"),
+    ])
+    def test_malformed_line_is_named(self, text, line, message):
+        lp = lp_from_rows("min", [("x", 0.0, math.inf, 0.0)], [])
+        with pytest.raises(ParseError) as err:
+            parse_primal_text(lp, text)
+        assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
 
 
 class TestViolation:

@@ -5,7 +5,7 @@ import pytest
 
 from minecc.combinatorial import DeletionSet, match_coloring
 from minecc.hypergraph import hypergraph
-from minecc.instances import gen_integrality_gap, gen_random, gen_star
+from minecc.instances import ParseError, gen_integrality_gap, gen_random, gen_star
 from minecc.lp import solve
 from minecc.oracle import bruteforce_ecc, bruteforce_vc
 from minecc.reductions import (
@@ -255,16 +255,39 @@ class TestEccToHyperMc:
         h = hypergraph(2, 2, [((0, 1), 2)])
         th = ecc_to_hyper_mc(h)
         assert th.num_nodes == 4
-        assert th.edges == ((0, 1, 3),)
-        assert th.terminals == (2, 3)
+        assert (th.members.tolist(), th.eptr.tolist()) == ([0, 1, 3], [0, 3])
+        assert th.terminals.tolist() == [2, 3]
 
     def test_gap3_sizes(self):
         th = ecc_to_hyper_mc(gen_integrality_gap(3))
-        assert all(len(e) == 3 for e in th.edges)
+        assert np.diff(th.eptr).tolist() == [3, 3, 3]
 
     def test_edge_count_unchanged(self):
         h = gen_random(8, 14, 3, 3, 0.4, seed=1).hypergraph
-        assert len(ecc_to_hyper_mc(h).edges) == h.num_edges
+        assert len(ecc_to_hyper_mc(h).weights) == h.num_edges
+
+    def test_holds_read_only_arrays(self):
+        th = ecc_to_hyper_mc(gen_integrality_gap(3))
+        for a in (th.members, th.eptr, th.weights, th.terminals):
+            assert isinstance(a, np.ndarray) and not a.flags.writeable
+
+
+class TestTerminalColorRange:
+    # Each color here was once taken as another color's terminal, or a node
+    # that is no terminal, or failed with a bare IndexError or a misleading
+    # message about a graph edge.
+    @pytest.mark.parametrize("color", [0, 3, -1])
+    @pytest.mark.parametrize("reduce", [ecc_to_hyper_mc, ecc_to_node_mc])
+    def test_color_outside_the_range_names_the_edge(self, reduce, color):
+        h = hypergraph(3, 2, [((0, 1), 1), ((1, 2), color)])
+        with pytest.raises(ValueError, match=rf"^edge 1 color {color} out of range \[1, 2\]$"):
+            reduce(h)
+
+    def test_first_bad_edge_is_named(self):
+        h = hypergraph(3, 2, [((0, 1), 0), ((1, 2), 2)])
+        for reduce in (ecc_to_hyper_mc, ecc_to_node_mc):
+            with pytest.raises(ValueError, match=r"^edge 0 color 0 out of range \[1, 2\]$"):
+                reduce(h)
 
 
 class TestGraphSerialization:
@@ -294,5 +317,6 @@ class TestGraphSerialization:
         ("", "missing 'vc' header"),
     ])
     def test_parse_names_the_line_of_a_malformed_record(self, text, detail):
-        with pytest.raises(ValueError, match=detail):
+        with pytest.raises(ParseError, match=detail) as err:
             parse_graph(text)
+        assert err.value.line == (int(detail.split()[1][:-1]) if detail.startswith("line") else None)
