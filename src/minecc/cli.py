@@ -246,51 +246,51 @@ def _clustering_solution(h: EdgeColoredHypergraph, solution: str | None, check: 
     return extract_ecc_solution(h, _primal(lp, solution, "--solution", check))
 
 
-# One-seed runs: (h, args, seed, order_seed, built) -> (coloring, match_bound, mv_bound,
+# One-seed runs: (h, args, seed, order_seed, sol) -> (coloring, match_bound, mv_bound,
 # report), ``report`` being set when the run scored the coloring already. Each imports
 # what it calls when it is called, so it reads the owning module's current binding:
 # tracing and tests rebind the name there.
-def _run_mv(h, args, seed, order_seed, built):
+def _run_mv(h, args, seed, order_seed, sol):
     from .combinatorial import majority_vote, mv_lower_bound
 
     coloring = majority_vote(h)
     return coloring, None, mv_lower_bound(h, coloring), None
 
 
-def _run_pitt(h, args, seed, order_seed, built):
+def _run_pitt(h, args, seed, order_seed, sol):
     from .combinatorial import pitt_coloring
 
-    return pitt_coloring(h, seed, order_seed, built)[1], None, None, None
+    return pitt_coloring(h, seed, order_seed)[1], None, None, None
 
 
-def _run_match(h, args, seed, order_seed, built):
+def _run_match(h, args, seed, order_seed, sol):
     from .combinatorial import match_coloring
 
-    _, coloring, match_bound = match_coloring(h, order_seed, built)
+    _, coloring, match_bound = match_coloring(h, order_seed)
     return coloring, match_bound, None, None
 
 
-def _run_hybrid(h, args, seed, order_seed, built):
+def _run_hybrid(h, args, seed, order_seed, sol):
     from .combinatorial import hybrid, mv_lower_bound
 
-    coloring, report, match_bound, mv = hybrid(h, order_seed, built)
+    coloring, report, match_bound, mv = hybrid(h, order_seed)
     return coloring, match_bound, mv_lower_bound(h, mv), report
 
 
-def _run_lp(h, args, seed, order_seed, built):
+def _run_lp(h, args, seed, order_seed, sol):
     from .rounding import best_interval, gen_color_round
 
     interval = args.interval or best_interval(h.num_colors, max(h.rank, 2)).interval
-    return gen_color_round(h, built, interval, seed), None, None, None
+    return gen_color_round(h, sol, interval, seed), None, None, None
 
 
-def _run_lp_simple(h, args, seed, order_seed, built):
+def _run_lp_simple(h, args, seed, order_seed, sol):
     from .rounding import simple_round
 
-    return simple_round(built), None, None, None
+    return simple_round(sol), None, None, None
 
 
-def _run_exact(h, args, seed, order_seed, built):
+def _run_exact(h, args, seed, order_seed, sol):
     from .oracle import CapExceededError, bruteforce_ecc
 
     try:
@@ -300,44 +300,36 @@ def _run_exact(h, args, seed, order_seed, built):
     return list(result.witness), None, None, None
 
 
-# --algo name: (one-seed run, what it needs built first, linear-time for bench-scaling)
-ALGORITHMS = {
-    "mv": (_run_mv, None, True),
-    "pitt": (_run_pitt, "incidence", True),
-    "match": (_run_match, "incidence", True),
-    "hybrid": (_run_hybrid, "incidence", True),
-    "lp": (_run_lp, "lp", False),
-    "lp-simple": (_run_lp_simple, "lp", False),
-    "exact": (_run_exact, None, False),
-}
+# --algo name: one-seed run
+ALGORITHMS = {"mv": _run_mv, "pitt": _run_pitt, "match": _run_match, "hybrid": _run_hybrid,
+              "lp": _run_lp, "lp-simple": _run_lp_simple, "exact": _run_exact}
+ROUNDS_LP = ("lp", "lp-simple")  # runs that round the LP solution ``sol``
+LINEAR = ("mv", "pitt", "match", "hybrid")  # linear-time runs, timed by bench-scaling
 
 
 def cmd_solve(args) -> int:
     from .combinatorial import a_posteriori_ratio
-    from .hypergraph import accuracy, build_incidence, objective_cost
+    from .hypergraph import accuracy, objective_cost
 
-    run, needs, _ = ALGORITHMS[args.algo]
-    if args.solution and needs != "lp":
+    run, rounds_lp = ALGORITHMS[args.algo], args.algo in ROUNDS_LP
+    if args.solution and not rounds_lp:
         raise CliError("--solution needs --algo lp or lp-simple", EXIT_PARSE)
     if args.interval and args.algo != "lp":
         raise CliError("--interval needs --algo lp", EXIT_PARSE)
     h, truth, name = _load_instance(args)
-    if needs == "lp":
+    if rounds_lp:
         _need_colors(h, "the clustering LP")
     if args.algo == "exact":
         _need_colors(h, "the exact oracle")
 
     t0 = time.perf_counter()
-    lp_sol = None
-    if needs == "lp" or args.with_lp_bound:
-        lp_sol = _clustering_solution(h, args.solution)
-    built = build_incidence(h) if needs == "incidence" else lp_sol
+    lp_sol = _clustering_solution(h, args.solution) if rounds_lp or args.with_lp_bound else None
     best = None
     for trial in range(args.runs):
         seed = args.seed + trial
         # best of N shuffles the walks' node visit order per seed; one run visits in order
         order_seed = seed if args.runs > 1 else None
-        coloring, match_bound, mv_bound, report = run(h, args, seed, order_seed, built)
+        coloring, match_bound, mv_bound, report = run(h, args, seed, order_seed, lp_sol)
         if report is None:
             report = objective_cost(h, coloring, truth)
         elif truth is not None:
@@ -395,8 +387,9 @@ def cmd_bench_scaling(args) -> int:
         actual = len(h.members)
         elapsed = np.inf
         for _ in range(2):  # best of two to damp timer noise
+            fresh = replace(h)  # a copy, so that each run builds its own incidence
             t0 = time.perf_counter()
-            ALGORITHMS[args.algo][0](h, args, args.seed, None, None)  # one solve seed's work
+            ALGORITHMS[args.algo](fresh, args, args.seed, None, None)  # one solve seed's work
             elapsed = min(elapsed, time.perf_counter() - t0)
         rows.append((actual, elapsed))
         print(f"incidence={actual} seconds={elapsed:.4f}")
@@ -566,8 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-scaling", parents=[seed],
                        help="time an algorithm over doubling instance sizes")
-    p.add_argument("--algo", default="pitt",
-                   choices=[name for name, (_, _, linear) in ALGORITHMS.items() if linear])
+    p.add_argument("--algo", default="pitt", choices=LINEAR)
     p.add_argument("--sizes", default="1e5,2e5,4e5,8e5,1.6e6",
                    help="comma-separated incidence targets")
     p.add_argument("--max-size", type=int, default=4)

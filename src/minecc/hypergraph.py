@@ -18,18 +18,17 @@ of the benchmark format's edge list:
 - ``colors`` (int64) and ``weights`` (float64), one entry per edge.
 
 Parsing, validation, evaluation and majority vote are single array passes
-over these; the incidence build is one sort of packed 64-bit words
-(:func:`build_incidence`), and none makes a Python object per edge. The
-constructor copies the arrays it is given and marks them read-only, so an
-instance can be shared by concurrent workers and passed between calls
-without defensive copies; the parsers and generators hand over the arrays
-they built uncopied. The arrays are the
-only edge representation: the LP, rounding, oracle and reduction code reads
-them, taking ``.tolist()`` copies where a loop stays in Python.
+over these, and the color-sorted incidence is one sort of packed 64-bit words
+(:func:`build_incidence`). The constructor copies the arrays it is given and
+marks them read-only, so an instance can be shared by concurrent workers and
+passed between calls without defensive copies; the parsers and generators
+hand over the arrays they built uncopied. The arrays are the only edge
+representation; the LP, rounding, oracle and reduction code reads them too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -45,11 +44,11 @@ _ARRAYS = (("members", np.int64), ("eptr", np.int64), ("colors", np.int64), ("we
 class EdgeColoredHypergraph:
     """Immutable problem instance: ``num_nodes`` nodes, colored weighted hyperedges.
 
-    The four arrays (see the module docstring) are the only stored data. Use
-    :func:`hypergraph` to build one from raw edge tuples (it sorts and
-    deduplicates members); the raw constructor only checks that the arrays
-    fit together, so that :func:`validate` can report out-of-range members,
-    colors and weights as well as empty edges and duplicate members.
+    The four arrays (see the module docstring) are the only stored data, and
+    ``incidence`` is derived from them: built on first read and kept, ignored
+    by ``__eq__`` and ``__hash__``, and shared by workers sharing an instance.
+    The constructor only checks that the arrays fit together, leaving every
+    range to :func:`validate`; :func:`hypergraph` builds one from edge tuples.
     """
 
     num_nodes: int
@@ -104,6 +103,11 @@ class EdgeColoredHypergraph:
     def __hash__(self) -> int:
         return hash((self.num_nodes, self.num_colors)
                     + tuple(getattr(self, name).tobytes() for name, _ in _ARRAYS))
+
+    @functools.cached_property
+    def incidence(self) -> ColorSortedIncidence:
+        """:func:`build_incidence` of this instance."""
+        return build_incidence(self)
 
     @property
     def rank(self) -> int:
@@ -208,9 +212,9 @@ def hypergraph(
 ) -> EdgeColoredHypergraph:
     """Build an instance from ``(members, color)`` or ``(members, color, weight)`` tuples.
 
-    Members are deduplicated and sorted. Edges that are empty after deduplication
-    are rejected. Range checks (member indices, colors, weights) are deferred to
-    :func:`validate` so invalid instances can be constructed and reported on.
+    Members are deduplicated and sorted, and an edge left empty is rejected.
+    Ranges are left to :func:`validate`, so invalid instances can be built and
+    reported on.
     """
     members: list[int] = []
     sizes: list[int] = []
@@ -226,11 +230,18 @@ def hypergraph(
     return from_flat(num_nodes, num_colors, members, sizes, colors, weights)
 
 
+def _too_big(n: int, k: int) -> str | None:
+    """Why numpy cannot index ``n`` nodes by ``k`` colors, or None."""
+    if (size := (n + 1) * max(k, 1)) >= 1 << 63:
+        return f"(num_nodes + 1) * max(num_colors, 1) = {size} is not below 2^63"
+    return None
+
+
 def validate(h: EdgeColoredHypergraph) -> list[str]:
     """Return a list of invariant violations (empty iff the instance is valid).
 
-    Reports, never raises: out-of-range members, empty edges, duplicate members,
-    out-of-range colors, negative or non-finite weights.
+    Reports, never raises: counts too large to index, out-of-range members,
+    empty edges, duplicate members, out-of-range colors, bad weights.
     """
     problems: list[str] = []
     n, k = h.num_nodes, h.num_colors
@@ -238,6 +249,8 @@ def validate(h: EdgeColoredHypergraph) -> list[str]:
         problems.append(f"num_nodes is negative: {n}")
     if k < 0:
         problems.append(f"num_colors is negative: {k}")
+    if too_big := _too_big(n, k):
+        problems.append(too_big)
     flagged = (h.members < 0) | (h.members >= n)
     if not _rising_within_edges(h.members, h.eptr):
         flagged |= _sorted_within_edges(h.members, h.member_edges(), np.diff(h.eptr))[1]
@@ -318,9 +331,7 @@ class ColorSortedIncidence:
     """Per-node incident edge lists, each ordered by edge color (ties by index).
 
     Stored in compressed form: ``edge_ids[indptr[v]:indptr[v+1]]`` is node
-    ``v``'s list. The cursor walks of the deletion-based algorithms index
-    these two arrays through memoryviews, with no per-node list; the item
-    view builds one for a single node.
+    ``v``'s list, which the item view makes a tuple.
     """
 
     indptr: "np.ndarray"

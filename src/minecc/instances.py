@@ -10,12 +10,9 @@ Two text formats are supported:
   with one integer color per line, and an optional node-label file holding the
   ground-truth node colors.
 
-Both readers tokenize a text as one array of code points and check its words
-as flat arrays, with no Python string per word (:func:`_tokenize`,
-:func:`_convert`), then hand their arrays to the instance uncopied
-(:func:`_from_own_flat`). The canonical reader does so one block of about
-``_BLOCK`` characters at a time (:func:`parse_canonical`); truth files go
-through the same kernels (:func:`parse_int_words`).
+Both readers check a text's words as flat arrays of code points, with no
+Python string per word (:func:`parse_canonical` tells how), and hand their
+arrays to the instance uncopied; truth files go through the same kernels.
 
 The writers use the same digit columns the other way round: every word's
 place comes from its digit count, and its digits are written one column at
@@ -36,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hypergraph import EdgeColoredHypergraph, _from_own_flat, _per_edge_count, hypergraph
+from .hypergraph import EdgeColoredHypergraph, _from_own_flat, _per_edge_count, _too_big, hypergraph
 
 
 class ParseError(ValueError):
@@ -63,8 +60,7 @@ def write_canonical(h: EdgeColoredHypergraph) -> str:
     Weights print by :func:`_num`. Through the digit columns
     (:func:`_write_lines`), the 2.6 MB text of a 400k-incidence instance is
     written in 19-25 ms (best of 7) with a peak 6.3 MB above the start
-    (tracemalloc), where one string per word took 0.22-0.27 s and 61.7 MB
-    (2-core host).
+    (tracemalloc, 2-core host).
     """
     return (f"ecc {h.num_nodes} {h.num_edges} {h.num_colors}\n"
             + _write_lines("", [h.colors, h.weights], h.members, h.eptr))
@@ -572,6 +568,8 @@ def gen_integrality_gap(k: int) -> EdgeColoredHypergraph:
     """
     if k < 3:
         raise ValueError("gap construction needs k >= 3")
+    if too_big := _too_big(k * (k - 1) // 2, k):
+        raise ValueError(f"gap construction with k = {k}: {too_big}")
     pairs = list(itertools.combinations(range(1, k + 1), 2))
     edges = [([v for v, pair in enumerate(pairs) if c in pair], c) for c in range(1, k + 1)]
     return hypergraph(len(pairs), k, edges)

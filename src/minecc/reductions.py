@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorial import DeletionSet, find_bad_pair
-from .hypergraph import EdgeColoredHypergraph, _ordered_sum, build_incidence, from_flat
+from .hypergraph import EdgeColoredHypergraph, _ordered_sum, from_flat
 from .instances import ParseError, _write_lines, write_int_lines
 
 
@@ -81,12 +81,12 @@ def bad_edge_pairs(h: EdgeColoredHypergraph) -> np.ndarray:
     """All overlapping differently-colored edge pairs ``(e, f)``, ``e < f``, of
     a valid instance, in ascending order, as a ``(P, 2)`` int64 array.
 
-    One pass over the color-sorted incidence: each membership pairs with the
+    One pass over the color-sorted ``h.incidence``: each membership pairs with the
     later entries of its node's list that lie outside its own color group,
     and one sort of the keys ``e * m + f`` removes the pairs that two edges
     make at more than one shared node.
     """
-    inc, m = build_incidence(h), h.num_edges
+    inc, m = h.incidence, h.num_edges
     ids = inc.edge_ids.astype(np.int64)
     node = np.repeat(np.arange(h.num_nodes), np.diff(inc.indptr))
     # The lists' (node, color) groups, read off the incidence as find_bad_pair does.
@@ -150,11 +150,20 @@ def vertex_cover_to_ecc(g: WeightedGraph) -> tuple[EdgeColoredHypergraph, list[i
 
 def _with_terminals(h: EdgeColoredHypergraph, first: int) -> np.ndarray:
     """Every edge's members, then its color's terminal ``first + color - 1``, back
-    to back; a color outside ``[1, k]`` raises ``ValueError`` naming its edge."""
-    bad = np.flatnonzero((h.colors < 1) | (h.colors > h.num_colors))
-    if len(bad):
-        j = int(bad[0])
-        raise ValueError(f"edge {j} color {h.colors[j]} out of range [1, {h.num_colors}]")
+    to back. The first edge with a member outside ``[0, n)`` (which would meet
+    a terminal or an edge node) or a color outside ``[1, k]`` raises
+    ``ValueError``, worded as :func:`~minecc.hypergraph.validate` words it."""
+    n, k = h.num_nodes, h.num_colors
+    bad = (h.colors < 1) | (h.colors > k)
+    outside = (h.members < 0) | (h.members >= n)
+    if outside.any():
+        bad[h.member_edges()[outside]] = True
+    if bad.any():
+        j = int(bad.argmax())
+        ids = h.members[h.eptr[j]:h.eptr[j + 1]]
+        v = ids[(ids < 0) | (ids >= n)]
+        raise ValueError(f"edge {j} member {v[0]} out of range [0, {n})" if len(v)
+                         else f"edge {j} color {h.colors[j]} out of range [1, {k}]")
     return np.insert(h.members, h.eptr[1:], first + h.colors - 1)
 
 

@@ -9,15 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from minecc.combinatorial import DeletionSet, _color_survivors, _visit_order, majority_vote
+from minecc.combinatorial import DeletionSet
 from minecc.hypergraph import (
     ColorSortedIncidence,
     CostReport,
     EdgeColoredHypergraph,
-    build_incidence,
     from_flat,
     hypergraph,
-    objective_cost,
 )
 from minecc.instances import ParseError, PlantedInstance
 from minecc.oracle import DEFAULT_CAP, PRUNE_SHRINK, CapExceededError, OracleResult
@@ -103,21 +101,35 @@ def random_instance(rng: np.random.Generator, n: int, m: int, k: int, max_size: 
     return hypergraph(n, k, edges)
 
 
+def reference_incident_lists(h: EdgeColoredHypergraph) -> list[list[int]]:
+    """Each node's edges by color, ties by index: a Python sort of the
+    ``(node, color, edge)`` triples, right for colors outside ``[1, k]`` too."""
+    members, bounds, colors = h.members.tolist(), h.eptr.tolist(), h.colors.tolist()
+    lists: list[list[int]] = [[] for _ in range(h.num_nodes)]
+    for v, _, j in sorted((v, colors[j], j) for j in range(h.num_edges)
+                          for v in members[bounds[j]:bounds[j + 1]]):
+        lists[v].append(j)
+    return lists
+
+
+def reference_visit_order(n: int, order_seed: int | None):
+    """The walks' node order: ascending, or shuffled by ``order_seed``."""
+    if order_seed is None:
+        return range(n)
+    return np.random.default_rng(order_seed).permutation(n).tolist()
+
+
 def reference_pitt_coloring(
-    h: EdgeColoredHypergraph,
-    seed: int,
-    order_seed: int | None = None,
-    incidence: ColorSortedIncidence | None = None,
+    h: EdgeColoredHypergraph, seed: int, order_seed: int | None = None
 ) -> tuple[DeletionSet, list[int]]:
     """The sampling walk as its own loop; the reference for ``pitt_coloring``."""
-    inc = incidence if incidence is not None else build_incidence(h)
-    colors = [e.color for e in edges_of(h)]
-    weights = [e.weight for e in edges_of(h)]
+    lists = reference_incident_lists(h)
+    colors, weights = h.colors.tolist(), h.weights.tolist()
     deleted = bytearray(h.num_edges)
     rng = np.random.default_rng(seed)
     rand = rng.random
-    for v in _visit_order(h.num_nodes, order_seed):
-        lst = inc[v]
+    for v in reference_visit_order(h.num_nodes, order_seed):
+        lst = lists[v]
         f, b = 0, len(lst) - 1
         while f < b:
             ef, eb = lst[f], lst[b]
@@ -142,22 +154,19 @@ def reference_pitt_coloring(
                 deleted[ef] = 1
                 f += 1
     dels = DeletionSet(deleted, float(sum(w for w, gone in zip(weights, deleted) if gone)))
-    return dels, _color_survivors(h, dels.flags)
+    return dels, reference_color_survivors(h, dels.flags)
 
 
 def reference_match_coloring(
-    h: EdgeColoredHypergraph,
-    order_seed: int | None = None,
-    incidence: ColorSortedIncidence | None = None,
+    h: EdgeColoredHypergraph, order_seed: int | None = None
 ) -> tuple[DeletionSet, list[int], float]:
     """The matching walk as its own loop; the reference for ``match_coloring``."""
-    inc = incidence if incidence is not None else build_incidence(h)
-    colors = [e.color for e in edges_of(h)]
-    weights = [e.weight for e in edges_of(h)]
+    lists = reference_incident_lists(h)
+    colors, weights = h.colors.tolist(), h.weights.tolist()
     deleted = bytearray(h.num_edges)
     bound = 0.0
-    for v in _visit_order(h.num_nodes, order_seed):
-        lst = inc[v]
+    for v in reference_visit_order(h.num_nodes, order_seed):
+        lst = lists[v]
         f, b = 0, len(lst) - 1
         while f < b:
             ef, eb = lst[f], lst[b]
@@ -175,7 +184,7 @@ def reference_match_coloring(
             f += 1
             b -= 1
     dels = DeletionSet(deleted, float(sum(w for w, gone in zip(weights, deleted) if gone)))
-    return dels, _color_survivors(h, dels.flags), bound
+    return dels, reference_color_survivors(h, dels.flags), bound
 
 
 # The per-edge loops that the array code of ``hypergraph``, ``instances``,
@@ -319,15 +328,12 @@ def reference_build_incidence(h: EdgeColoredHypergraph) -> ColorSortedIncidence:
     return ColorSortedIncidence(indptr, edge_ids)
 
 
-def reference_find_bad_pair(
-    h: EdgeColoredHypergraph, deleted=(), incidence: ColorSortedIncidence | None = None
-) -> tuple[int, int] | None:
+def reference_find_bad_pair(h: EdgeColoredHypergraph, deleted=()) -> tuple[int, int] | None:
     """The old per-node scan; the reference for ``find_bad_pair``."""
-    inc = incidence if incidence is not None else build_incidence(h)
     colors = h.colors.tolist()
-    for v in range(h.num_nodes):
+    for lst in reference_incident_lists(h):
         first = -1
-        for j in inc[v]:
+        for j in lst:
             if j in deleted:
                 continue
             if first < 0:
@@ -809,8 +815,8 @@ def reference_bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -
     weights = [e.weight for e in edges]
     broken = bytearray(len(edges))
 
-    start = majority_vote(h)
-    best_cost = objective_cost(h, start).total_cost
+    start = reference_majority_vote(h)
+    best_cost = reference_objective_cost(h, start).total_cost
     best_assignment = [start[v] for v in active]
     assignment = [0] * len(active)
     explored = 0
@@ -899,8 +905,8 @@ def reference_pruned_bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT
     whole = bool(np.all(h.weights == np.floor(h.weights))) and h.total_weight() < 2.0**53
     shrink = 1.0 if whole else PRUNE_SHRINK
 
-    start = majority_vote(h)
-    best_cost = objective_cost(h, start).total_cost
+    start = reference_majority_vote(h)
+    best_cost = reference_objective_cost(h, start).total_cost
     best_assignment = [start[v] for v in active]
     assignment = [0] * len(active)
     explored = 0

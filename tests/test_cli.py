@@ -337,6 +337,11 @@ class TestMalformedInputExitCodes:
         ("ecc 2 0 0\n", ["solve", "{truth}", "--algo", "exact"]),
         ("ecc 2 0 0\n", ["verify", "--invariants", "{truth}"]),
         ("ecc 2 0 0\n", ["export", "{truth}", "--lp", "ecc"]),
+        # Counts numpy cannot index, once a traceback from numpy.
+        ("ecc 99999999999999999999 1 1\n1 1 0\n", ["solve", "{truth}"]),
+        ("ecc 9223372036854775807 1 1\n1 1 0\n", ["solve", "{truth}"]),
+        ("ecc 5 1 99999999999999999999\n1 1 0\n", ["solve", "{truth}"]),
+        ("", ["gen", "gap", "--colors", "99999999999999999999"]),
     ], ids=["truth-token", "truth-length", "sizes", "scaling-colors", "scaling-max-size",
             "gen-nodes", "gen-nodes-2**32", "gen-edges", "gen-max-size", "gen-colors",
             "gen-noise", "gen-gap-colors", "solve-pitt-seed", "solve-lp-seed",
@@ -350,7 +355,8 @@ class TestMalformedInputExitCodes:
             "solve-interval-without-lp", "verify-interval-without-trials",
             "certs-trials", "certs-interval", "certs-solution", "certs-labels",
             "certs-node-labels", "invariants-emit-lp", "no-colors-lp", "no-colors-lp-simple",
-            "no-colors-exact", "no-colors-verify", "no-colors-export-ecc"])
+            "no-colors-exact", "no-colors-verify", "no-colors-export-ecc", "nodes-1e20",
+            "nodes-2**63-1", "colors-1e20", "gen-gap-colors-1e20"])
     def test_exit_2_with_error_line(self, truth_text, argv, gap3_file, tmp_path, capsys):
         truth = tmp_path / "gap3.truth"
         truth.write_text(truth_text)
@@ -358,6 +364,21 @@ class TestMalformedInputExitCodes:
         assert main([a.format(gap3=gap3_file, truth=truth, missing=missing) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("edges, labels, extra, product", [
+        ("9223372036854775807\n", "1\n", ["--algo", "match"], 2**63),
+        ("1 2\n", "9223372036854775807\n", [], 3 * (2**63 - 1)),
+    ], ids=["nodes", "colors"])
+    def test_benchmark_counts_numpy_cannot_index_exit_2(self, edges, labels, extra, product,
+                                                        tmp_path, capsys):
+        # Each once raised from numpy (a dimension or an int64 overflow) as a
+        # traceback, as did the canonical headers of this kind in the cases above.
+        (tmp_path / "edges").write_text(edges)
+        (tmp_path / "labels").write_text(labels)
+        argv = ["solve", str(tmp_path / "edges"), "--labels", str(tmp_path / "labels"), *extra]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: invalid instance: (num_nodes + 1) * "
+                                       f"max(num_colors, 1) = {product} is not below 2^63\n")
 
     @pytest.mark.parametrize("argv, what", [
         (["solve", "{inst}", "--algo", "lp"], "the clustering LP"),
@@ -1095,6 +1116,18 @@ class TestBenchScaling:
         out = capsys.readouterr().out
         assert out.count("incidence=") == 2 and "fitted log-log slope" in out
         assert len(calls) == 4
+
+    def test_each_timed_run_builds_its_own_incidence(self, monkeypatch, capsys):
+        # Two sizes, best of two each: the instance's cached incidence must not
+        # let the second run of a size skip the build the first one timed.
+        builds = []
+        original = hypergraph_module.build_incidence
+        monkeypatch.setattr(hypergraph_module, "build_incidence",
+                            lambda h: builds.append(h) or original(h))
+        argv = ["bench-scaling", "--algo", "pitt", "--sizes", "3000,6000", "--colors", "4"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(builds) == 4 and len({id(h) for h in builds}) == 4
 
     def test_small_run_reports_rows_and_slope(self, capsys):
         code = main([

@@ -1,8 +1,13 @@
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minecc.combinatorial
+import minecc.reductions
 from minecc.combinatorial import (
     DeletionSet,
     a_posteriori_ratio,
@@ -30,10 +35,13 @@ from conftest import (
     edges_of,
     exhaustive_ecc,
     reference_bad_edge_pairs,
+    reference_build_incidence,
     reference_find_bad_pair,
     reference_match_coloring,
     reference_pitt_coloring,
 )
+
+hypergraph_module = importlib.import_module("minecc.hypergraph")
 
 
 def two_edge_conflict():
@@ -276,7 +284,7 @@ class TestHybrid:
     def test_returns_the_report_and_both_bounds_inputs(self):
         for seed in range(20):
             h = gen_random(10, 18, 3, 3, 0.6, seed=seed).hypergraph
-            coloring, report, match_bound, mv = hybrid(h, seed, build_incidence(h))
+            coloring, report, match_bound, mv = hybrid(h, seed)
             assert report == objective_cost(h, coloring)
             assert match_bound == match_coloring(h, seed)[2]
             assert mv == majority_vote(h)
@@ -392,13 +400,12 @@ class TestFindBadPairMatchesReference:
         m = h.num_edges
         chosen = data.draw(st.frozensets(st.integers(0, m - 1)) if m else st.just(frozenset()))
         dels, _, _ = match_coloring(h)
-        inc = build_incidence(h)
         ids = set(dels.indices.tolist())
         for deleted in (chosen, ids, ids - {min(ids, default=0)}, ()):
             expected = reference_find_bad_pair(h, deleted)
             flags = np.isin(np.arange(m), sorted(deleted))
-            assert find_bad_pair(h, flags) == expected
-            assert find_bad_pair(h, flags, inc) == expected
+            assert find_bad_pair(h, flags) == expected  # reads the incidence match_coloring built
+            assert find_bad_pair(replace(h), flags) == expected  # builds its own
         assert find_bad_pair(h) == reference_find_bad_pair(h)
         assert find_bad_pair(h, dels.flags) is None
 
@@ -414,17 +421,15 @@ class TestFlatWalkAtScale:
         if weights == "float":
             weights = np.random.default_rng(seed).uniform(0.25, 4.0, h.num_edges)
             h = EdgeColoredHypergraph(h.num_nodes, h.num_colors, h.members, h.eptr, h.colors, weights)
-        inc = build_incidence(h)
-        dels, coloring = pitt_coloring(h, seed, order_seed, inc)
+        dels, coloring = pitt_coloring(h, seed, order_seed)
         # Every weight is positive, so each deletion used one uniform: past three blocks.
         assert len(dels.indices) > 3 * 4096
-        assert (dels, coloring) == reference_pitt_coloring(h, seed, order_seed, inc)
+        assert (dels, coloring) == reference_pitt_coloring(h, seed, order_seed)
 
     def test_planted_large_shape(self):
         h = gen_random(25000, 100000, 6, 8, 0.2, 0).hypergraph
-        inc = build_incidence(h)
-        assert match_coloring(h, None, inc) == reference_match_coloring(h, None, inc)
-        assert pitt_coloring(h, 0, None, inc) == reference_pitt_coloring(h, 0, None, inc)
+        assert match_coloring(h, None) == reference_match_coloring(h, None)
+        assert pitt_coloring(h, 0, None) == reference_pitt_coloring(h, 0, None)
 
     @pytest.mark.parametrize("n, edges, lists, matched, pitt_deletes", [
         # Each pair agrees in its low bits, so a dtype too narrow for it would
@@ -451,3 +456,35 @@ class TestFlatWalkAtScale:
         assert pitt_coloring(h, 3) == reference_pitt_coloring(h, 3)
         assert len(pitt_coloring(h, 3)[0].indices) == pitt_deletes
         assert bad_edge_pairs(h).tolist() == [list(p) for p in reference_bad_edge_pairs(h)]
+
+
+class TestOneIncidencePerInstance:
+    """The instance builds its incidence on first read, and every reader shares it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        # Counted wherever a module of the package holds the build function.
+        calls = []
+        original = hypergraph_module.build_incidence
+        for module in (hypergraph_module, minecc.combinatorial, minecc.reductions):
+            if getattr(module, "build_incidence", None) is original:
+                monkeypatch.setattr(module, "build_incidence",
+                                    lambda h: calls.append(h) or original(h))
+        return calls
+
+    def test_one_build_through_the_walks_and_the_conflict_graph(self, builds):
+        h = gen_random(300, 900, 5, 6, 0.5, seed=0).hypergraph
+        dels, _, _ = match_coloring(h)
+        pitt_coloring(h, 0)
+        coloring_from_deletions(h, dels)
+        find_bad_pair(h)
+        bad_edge_pairs(h)
+        assert builds == [h]
+
+    def test_the_cache_is_derived_data(self, builds):
+        h = gen_integrality_gap(5)
+        twin = replace(h)
+        assert h.incidence is h.incidence and "incidence" not in vars(twin)
+        assert h.incidence == build_incidence(twin) == reference_build_incidence(h)
+        assert h == twin and hash(h) == hash(twin)
+        assert len(builds) == 1

@@ -52,6 +52,28 @@ class TestValidate:
         h = hypergraph(1, 0, [((5,), 9), ((0,), -1)])
         assert len(validate(h)) >= 2
 
+    @pytest.mark.parametrize("n, k, product", [
+        (2**63 - 1, 1, 2**63), (10**20, 1, 10**20 + 1), (5, 10**20, 6 * 10**20),
+        (2, 2**63 - 1, 3 * (2**63 - 1)),
+    ])
+    def test_counts_too_large_to_index(self, n, k, product):
+        # (n + 1) * max(k, 1) bounds the incidence offsets and the (node, color)
+        # keys and counts: numpy cannot index them from 2^63 on.
+        h = hypergraph(n, k, [((0,), 1)])
+        assert validate(h) == [
+            f"(num_nodes + 1) * max(num_colors, 1) = {product} is not below 2^63"]
+
+    @pytest.mark.parametrize("n, k", [(2**62 - 1, 1), (2**31 - 1, 2**31), (0, 2**63 - 1), (3, 0)])
+    def test_counts_below_the_bound_are_valid(self, n, k):
+        h = EdgeColoredHypergraph(n, k, [], [0], [], [])
+        assert validate(h) == []
+
+    def test_gap_generator_keeps_the_same_bound(self):
+        with pytest.raises(ValueError, match=r"^gap construction with k = 3037000500: "):
+            gen_integrality_gap(3037000500)
+        with pytest.raises(ValueError, match="is not below 2\\^63"):
+            gen_integrality_gap(10**20)
+
 
 class TestConstruction:
     def test_members_deduplicated_and_sorted(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minecc.combinatorial import DeletionSet, match_coloring
-from minecc.hypergraph import hypergraph
+from minecc.hypergraph import hypergraph, validate
 from minecc.instances import ParseError, gen_integrality_gap, gen_random, gen_star
 from minecc.lp import solve
 from minecc.oracle import bruteforce_ecc, bruteforce_vc
@@ -19,6 +19,7 @@ from minecc.reductions import (
     parse_graph,
     vertex_cover_to_ecc,
     write_graph,
+    write_hmc,
 )
 from minecc.relaxations import build_nodemc_lp
 
@@ -288,6 +289,40 @@ class TestTerminalColorRange:
         for reduce in (ecc_to_hyper_mc, ecc_to_node_mc):
             with pytest.raises(ValueError, match=r"^edge 0 color 0 out of range \[1, 2\]$"):
                 reduce(h)
+
+
+class TestTerminalMemberRange:
+    # A member outside [0, n) once met the nodes the reductions add: member 2
+    # of a two-node instance was written as color 1's terminal, twice, a
+    # member -1 was written as -1, and the node multiway cut reported a
+    # self-loop at node 2.
+    def test_member_past_the_nodes_is_not_written_as_a_terminal(self):
+        h = hypergraph(2, 2, [((0, 2), 1), ((1,), 2)])
+        with pytest.raises(ValueError, match=r"^edge 0 member 2 out of range \[0, 2\)$"):
+            write_hmc(ecc_to_hyper_mc(h))
+
+    @pytest.mark.parametrize("reduce", [ecc_to_hyper_mc, ecc_to_node_mc])
+    def test_negative_member_names_the_edge(self, reduce):
+        h = hypergraph(2, 2, [((1,), 2), ((-1, 0), 1)])
+        with pytest.raises(ValueError, match=r"^edge 1 member -1 out of range \[0, 2\)$"):
+            reduce(h)
+
+    def test_node_mc_names_the_member_not_a_self_loop(self):
+        h = hypergraph(2, 2, [((0, 2), 1), ((1,), 2)])
+        with pytest.raises(ValueError, match=r"^edge 0 member 2 out of range \[0, 2\)$"):
+            ecc_to_node_mc(h)
+
+    @pytest.mark.parametrize("edges", [
+        [((0, 1), 0), ((1, 5), 2)],  # a bad color before a bad member
+        [((0, 1), 1), ((1, 5), 0)],  # a bad member and a bad color in one edge
+        [((0, 7), 1), ((1, 2), 3)],
+    ])
+    def test_first_problem_is_the_one_validate_reports_first(self, edges):
+        h = hypergraph(3, 2, edges)
+        for reduce in (ecc_to_hyper_mc, ecc_to_node_mc):
+            with pytest.raises(ValueError) as err:
+                reduce(h)
+            assert str(err.value) == validate(h)[0]
 
 
 class TestGraphSerialization:
