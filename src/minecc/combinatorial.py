@@ -90,13 +90,17 @@ def majority_vote(h: EdgeColoredHypergraph) -> list[int]:
 
     Ties go to the lowest color; nodes in no edge get color 1.
     """
+    if h.num_colors < 1:
+        return [1] * h.num_nodes
+    return (_color_weights(h, h.members, h.member_edges()).argmax(axis=1) + 1).tolist()
+
+
+def _color_weights(h: EdgeColoredHypergraph, nodes: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The ``(n, k)`` sums of ``h.weights[edges]`` by node ``nodes`` and edge
+    color, each added in the order given."""
     n, k = h.num_nodes, h.num_colors
-    if k < 1:
-        return [1] * n
-    edge_of = h.member_edges()
-    key = h.members * k + (h.colors[edge_of] - 1)
-    counts = np.bincount(key, weights=h.weights[edge_of], minlength=n * k)
-    return (counts.reshape(n, k).argmax(axis=1) + 1).tolist()
+    key = nodes * k + (h.colors[edges] - 1)
+    return np.bincount(key, weights=h.weights[edges], minlength=n * k).reshape(n, k)
 
 
 def mv_lower_bound(h: EdgeColoredHypergraph, mv_coloring) -> float:

@@ -312,7 +312,7 @@ def objective_cost(
     wrong = node_colors[h.members] != h.colors[h.member_edges()]
     mistakes = _per_edge_count(wrong, h.eptr) > 0
     m = h.num_edges
-    satisfaction = 1.0 if m == 0 else 1.0 - np.count_nonzero(mistakes) / m
+    satisfaction = 1.0 if m == 0 else float(1.0 - np.count_nonzero(mistakes) / m)
     acc = accuracy(coloring, truth) if truth is not None else None
     return CostReport(_ordered_sum(h.weights[mistakes]), satisfaction, acc)
 

@@ -568,11 +568,15 @@ def gen_integrality_gap(k: int) -> EdgeColoredHypergraph:
     """
     if k < 3:
         raise ValueError("gap construction needs k >= 3")
-    if too_big := _too_big(k * (k - 1) // 2, k):
+    if too_big := _too_big(n := k * (k - 1) // 2, k):
         raise ValueError(f"gap construction with k = {k}: {too_big}")
-    pairs = list(itertools.combinations(range(1, k + 1), 2))
-    edges = [([v for v, pair in enumerate(pairs) if c in pair], c) for c in range(1, k + 1)]
-    return hypergraph(len(pairs), k, edges)
+    # Edge c meets color o at node (min(c, o), max(c, o)); pairs go in lexicographic order.
+    c = np.repeat(np.arange(k), k - 1)
+    o = np.tile(np.arange(k - 1), k)
+    o += o >= c
+    lo, hi = np.minimum(c, o), np.maximum(c, o)
+    members = lo * (2 * k - 1 - lo) // 2 + hi - lo - 1
+    return _from_own_flat(n, k, members, np.full(k, k - 1), np.arange(1, k + 1), np.ones(k))
 
 
 def gen_star() -> EdgeColoredHypergraph:

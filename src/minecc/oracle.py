@@ -1,28 +1,32 @@
 """Exact optimization by branch and bound, the ground truth for every
 approximation claim at desk scale.
 
-Both solvers refuse instances whose raw search space exceeds the cap rather
-than return a partial answer; pruning only ever shrinks the explored count, so
-a returned value is always exact.
+Before searching, both solvers refuse an instance whose raw search space
+(``k^active`` colorings, ``2^active`` covers) exceeds the cap, or whose
+recursion, a level per active node, would take over half the interpreter's
+limit, rather than return a partial answer. Pruning only shrinks the explored
+count, so a returned value is always exact.
 
 :func:`bruteforce_ecc` prunes a partial coloring when its cost plus a lower
 bound on the rest reaches the best cost found. The bound gives every edge to
-its first member in enumeration order: until that node is colored, no member
-of the edge is, so the edges given to the uncolored nodes are disjoint and
-still whole, and each such node breaks at least the edges given to it that do
-not have its cheapest color. Every completion that the plain search would
+its earliest member in enumeration order: until that node is colored, no
+member of the edge is, so the edges given to the uncolored nodes are disjoint
+and still whole, and each such node breaks at least the weight given to it
+outside its heaviest color (the majority vote's (node, color) weight table,
+of earliest members only). Every completion that the plain search would
 take as an improvement is still reached, in the same order, so ``value`` and
 ``witness`` are those of the plain search; only ``explored`` falls.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .combinatorial import majority_vote
+from .combinatorial import _color_weights, majority_vote
 from .hypergraph import EdgeColoredHypergraph, objective_cost
 
 if TYPE_CHECKING:
@@ -40,6 +44,15 @@ class CapExceededError(RuntimeError):
     """Search space larger than the configured cap; no partial answer is given."""
 
 
+def _refuse_large(what: str, states: int, active: int, cap: int) -> None:
+    """Refuse a search of more than ``cap`` states, or one whose recursion (a level
+    per active node) would take over half the interpreter's limit: the rest is the caller's."""
+    if states > cap:
+        raise CapExceededError(f"{what} exceed the cap of {cap}")
+    if active > (depth := sys.getrecursionlimit() // 2 - 2):
+        raise CapExceededError(f"{active} active nodes exceed the search depth of {depth}")
+
+
 @dataclass(frozen=True)
 class OracleResult:
     value: float
@@ -54,34 +67,36 @@ def bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleRe
     color 1); requires ``k ** active_nodes <= cap``.
     """
     n, k = h.num_nodes, h.num_colors
-    active = [v for v, d in enumerate(h.degrees()) if d > 0]
-    if k > 1 and k ** len(active) > cap:
-        raise CapExceededError(
-            f"{k}^{len(active)} colorings exceed the cap of {cap}"
-        )
+    degrees = np.bincount(h.members, minlength=n)
+    active = np.flatnonzero(degrees)
+    if k > 1:
+        _refuse_large(f"{k}^{len(active)} colorings", k ** len(active), len(active), cap)
     if k < 1:
         raise ValueError("instance has no colors")
 
-    # Position of each active node in enumeration order, edges indexed by it.
-    pos = {v: i for i, v in enumerate(active)}
-    incident: list[list[int]] = [[] for _ in active]
-    for v, j in zip(h.members.tolist(), h.member_edges().tolist()):
-        incident[pos[v]].append(j)
-
     colors, weights = h.colors.tolist(), h.weights.tolist()
     # breaks[i][c - 1]: the (edge, weight) pairs at position i that color c
-    # breaks, in incidence order.
+    # breaks, in incidence order: by_node[a:b] lists the node's edges.
+    by_node = h.member_edges()[np.argsort(h.members, kind="stable")].tolist()
+    ends = np.cumsum(degrees[active]).tolist()
     breaks = [[[(j, weights[j]) for j in edges if colors[j] != c] for c in range(1, k + 1)]
-              for edges in incident]
+              for edges in (by_node[a:b] for a, b in zip([0, *ends], ends))]
     broken = bytearray(h.num_edges)
-    suffix = _suffix_bounds(incident, colors, weights)
+    # suffix[i]: a lower bound on what positions i onward add to the cost.
+    # Each node's share is the weight given to it outside its heaviest color,
+    # summed from positive terms only, so that no cancellation can push it
+    # above the weight it stands for.
+    nonempty = np.flatnonzero(np.diff(h.eptr))
+    given = _color_weights(h, np.minimum.reduceat(h.members, h.eptr[nonempty]), nonempty)[active]
+    given[np.arange(len(active)), given.argmax(axis=1)] = 0.0
+    suffix = np.cumsum(given.sum(axis=1)[::-1])[::-1].tolist() + [0.0]
     # Sums of whole weights below 2**53 are exact, so a tie is pruned as well.
     whole = bool(np.all(h.weights == np.floor(h.weights))) and h.total_weight() < 2.0**53
     shrink = 1.0 if whole else PRUNE_SHRINK
 
     start = majority_vote(h)
     best_cost = objective_cost(h, start).total_cost
-    best_assignment = [start[v] for v in active]
+    best_assignment = [start[v] for v in active.tolist()]
     assignment = [0] * len(active)
     explored = 0
 
@@ -113,30 +128,6 @@ def bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleRe
     return OracleResult(best_cost, tuple(witness.tolist()), explored)
 
 
-def _suffix_bounds(incident: list[list[int]], colors: list[int], weights: list[float]) -> list[float]:
-    """``suffix[i]``: a lower bound on what positions ``i`` onward add to the cost.
-
-    Edge ``j`` is given to the first position whose ``incident`` list holds
-    it. A position's bound is the least weight it breaks among its edges,
-    over its colors; each candidate is summed from positive terms, so that no
-    cancellation can push a bound above the weight it stands for.
-    """
-    given: list[dict[int, list[float]]] = [{} for _ in incident]
-    seen = set()
-    for i, edges in enumerate(incident):
-        for j in edges:
-            if j not in seen:
-                seen.add(j)
-                given[i].setdefault(colors[j], []).append(weights[j])
-    suffix = [0.0] * (len(incident) + 1)
-    for i in range(len(incident) - 1, -1, -1):
-        by_color = given[i]
-        least = min((sum(w for d, ws in by_color.items() if d != c for w in ws)
-                     for c in by_color), default=0.0)
-        suffix[i] = suffix[i + 1] + least
-    return suffix
-
-
 def bruteforce_vc(g: WeightedGraph, cap: int = DEFAULT_CAP) -> OracleResult:
     """Exact minimum-weight vertex cover by branching on an uncovered edge.
 
@@ -144,8 +135,7 @@ def bruteforce_vc(g: WeightedGraph, cap: int = DEFAULT_CAP) -> OracleResult:
     The witness is a 0/1 membership tuple over all graph nodes.
     """
     active = int(np.count_nonzero(g.degrees()))
-    if 2**active > cap:
-        raise CapExceededError(f"2^{active} covers exceed the cap of {cap}")
+    _refuse_large(f"2^{active} covers", 2**active, active, cap)
     if g.undeletable[g.edges].any():
         raise ValueError("vertex cover oracle does not handle undeletable nodes")
 

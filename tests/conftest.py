@@ -34,6 +34,10 @@ from minecc.lp import (
     Rows,
 )
 
+# Weights that tie, miss in float sums, or sit at the ends of the float range;
+# the array-core tests and the oracle differential draw from them.
+ARRAY_CORE_WEIGHTS = (1.0, 0.0, 2.0, 0.1, 2.5, 1 / 3, 7e-3, 1e15, 1e20, 5e-324)
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -1385,6 +1389,14 @@ def reference_solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResu
     in_basis[basis] = True
     return LpResult("optimal", lp.value_of(x), x, tuple(in_basis[:n].tolist()),
                     state["iterations"])
+
+
+def reference_gen_integrality_gap(k: int) -> EdgeColoredHypergraph:
+    """The scan of every color pair for each color; the reference for
+    ``gen_integrality_gap``."""
+    pairs = list(itertools.combinations(range(1, k + 1), 2))
+    edges = [([v for v, pair in enumerate(pairs) if c in pair], c) for c in range(1, k + 1)]
+    return hypergraph(len(pairs), k, edges)
 
 
 def reference_gen_random(

@@ -73,6 +73,7 @@ from minecc.rounding import (
 )
 
 from conftest import (
+    ARRAY_CORE_WEIGHTS,
     Edge,
     edges_of,
     graph_layout,
@@ -119,7 +120,7 @@ def as_reference(h: EdgeColoredHypergraph):
     return (h.num_nodes, h.num_colors, edges_of(h))
 
 
-WEIGHTS = st.sampled_from([1.0, 0.0, 2.0, 0.1, 2.5, 1 / 3, 7e-3, 1e15, 1e20, 5e-324])
+WEIGHTS = st.sampled_from(ARRAY_CORE_WEIGHTS)
 
 
 @st.composite

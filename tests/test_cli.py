@@ -717,6 +717,41 @@ class TestExactAndCapacity:
         monkeypatch.setenv("ECC_ORACLE_CAP", "2")
         assert main(["solve", gap3_file, "--algo", "exact"]) == 4
 
+    def test_search_deeper_than_the_stack_exit_code(self, tmp_path, capsys, monkeypatch):
+        # The cap admits the path's 2^2400 colorings, but its search would
+        # recurse 2400 levels deep: refused before it starts, not a RecursionError.
+        inst = tmp_path / "path.ecc"
+        inst.write_text("ecc 2400 2399 2\n" + "".join(
+            f"{2 if i == 1200 else 1} 1 {i} {i + 1}\n" for i in range(2399)))
+        monkeypatch.setenv("ECC_ORACLE_CAP", str(10**800))
+        assert main(["solve", str(inst), "--algo", "exact"]) == 4
+        depth = sys.getrecursionlimit() // 2 - 2
+        assert capsys.readouterr().err == (
+            f"error: 2400 active nodes exceed the search depth of {depth}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_gap_beyond_memory_exits_with_the_capacity_code(self, tmp_path):
+        # Run only under an address-space limit, in a child: k = 100000 asks
+        # for about 10^10 member ids, and the first array of them cannot be
+        # had, so the child fails before it has built anything (its resident
+        # peak, VmHWM, stays near the interpreter's own).
+        code = ("import contextlib, io, resource, sys\n"
+                "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+                "limit = 1_500_000 * 1024 if hard == resource.RLIM_INFINITY else "
+                "min(hard, 1_500_000 * 1024)\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+                "from minecc.cli import main\n"
+                "err = io.StringIO()\n"
+                "with contextlib.redirect_stderr(err):\n"
+                "    code = main(sys.argv[1:])\n"
+                "peak = [l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')]\n"
+                "print(peak[0], code, err.getvalue(), end='')\n")
+        out = run_python(code, "gen", "gap", "--colors", "100000", "-o", str(tmp_path / "g.ecc"))
+        peak_kb, out = out.split(" ", 1)
+        assert out.startswith("4 error: out of memory") and out.count("\n") == 1
+        assert int(peak_kb) < 200_000
+        assert not (tmp_path / "g.ecc").exists()
+
     def test_lp_capacity_exit_code(self, tmp_path, capsys):
         # The compact model has 5132 variables (the full one 9000), so the
         # limit refuses the model that would be solved, before solving it.

@@ -106,6 +106,12 @@ class TestObjectiveCost:
         assert report.edge_satisfaction == pytest.approx(1 / 3)
         assert naive_cost(h, [1, 1, 1])[1] == {1, 2}
 
+    def test_satisfaction_is_a_python_float(self):
+        for h, coloring in ((gen_integrality_gap(3), [1, 1, 1]), (hypergraph(2, 1, []), [1, 1])):
+            report = objective_cost(h, coloring)
+            assert type(report.edge_satisfaction) is float
+            assert "np." not in repr(report)
+
     def test_matches_independent_recount(self, rng):
         for _ in range(25):
             h = random_instance(rng, n=8, m=12, k=3)

@@ -25,6 +25,7 @@ from conftest import (
     exhaustive_ecc,
     naive_cost,
     random_instance,
+    reference_gen_integrality_gap,
     reference_gen_random,
 )
 
@@ -119,6 +120,12 @@ class TestGapInstance:
         # Exhaustive check on the k=5 instance via the unpruned oracle.
         h = gen_integrality_gap(5)
         assert exhaustive_ecc(h) == 4
+
+    def test_same_instance_and_text_as_reference(self):
+        for k in range(3, 41):
+            h, want = gen_integrality_gap(k), reference_gen_integrality_gap(k)
+            assert h == want
+            assert write_canonical(h) == write_canonical(want)
 
     def test_k_below_three_rejected(self):
         with pytest.raises(ValueError):

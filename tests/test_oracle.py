@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,13 @@ from minecc.instances import gen_integrality_gap, gen_random, gen_star
 from minecc.oracle import CapExceededError, bruteforce_ecc, bruteforce_vc
 from minecc.reductions import WeightedGraph
 
-from conftest import exhaustive_ecc, naive_cost, random_instance, reference_pruned_bruteforce_ecc
+from conftest import (
+    ARRAY_CORE_WEIGHTS,
+    exhaustive_ecc,
+    naive_cost,
+    random_instance,
+    reference_pruned_bruteforce_ecc,
+)
 
 
 class TestBruteforceEcc:
@@ -64,19 +72,25 @@ class TestBreaksListsMatchReference:
         got, want = bruteforce_ecc(h), reference_pruned_bruteforce_ecc(h)
         assert (got.value, got.witness, got.explored) == (want.value, want.witness, want.explored)
 
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), weighted=st.booleans())
-    def test_criterion_7_shapes(self, seed, k, weighted):
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4),
+           weights=st.sampled_from([(), (0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 2.5), ARRAY_CORE_WEIGHTS]),
+           reversed_members=st.booleans())
+    def test_criterion_7_shapes(self, seed, k, weights, reversed_members):
         # Criterion 7's instances: 12, 10 or 8 nodes, 10 to 18 edges of up to
-        # three members; weighted ones draw weights that tie and miss in float sums.
+        # three members; weighted ones draw weights that tie and miss in float
+        # sums, or the array core's, down to 0 and 5e-324 and up to 1e20.
+        # Reversed members (which the constructor keeps and validate allows)
+        # put each edge's earliest member in enumeration order last.
         rng = np.random.default_rng(seed)
         n = {2: 12, 3: 10, 4: 8}[k]
         h = gen_random(n, int(rng.integers(10, 19)), 3, k, float(rng.uniform(0.3, 0.8)),
                        seed=int(rng.integers(10**6))).hypergraph
-        if weighted:
-            w = rng.choice([0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 2.5], h.num_edges)
-            h = type(h)(h.num_nodes, k, h.members, h.eptr, h.colors, w)
-        self.assert_same(h)
+        w = rng.choice(weights, h.num_edges) if weights else h.weights
+        members = h.members
+        if reversed_members:
+            members = members[np.lexsort((-np.arange(len(members)), h.member_edges()))]
+        self.assert_same(type(h)(h.num_nodes, k, members, h.eptr, h.colors, w))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_desk_exact14_shapes(self, seed):
@@ -130,6 +144,43 @@ class TestBruteforceVc:
         g = WeightedGraph(n, (1.0,) * n, edges)
         with pytest.raises(CapExceededError):
             bruteforce_vc(g, cap=1000)
+
+
+def _path(n: int, odd_edge: int):
+    """The path on ``n`` nodes, edges ``{i, i + 1}`` of color 1 but ``odd_edge``, of color 2."""
+    return hypergraph(n, 2, [((i, i + 1), 2 if i == odd_edge else 1) for i in range(n - 1)])
+
+
+class TestSearchDepth:
+    """A search that would recurse past the interpreter's limit is refused
+    before it starts, whatever the cap; the deepest one accepted runs here,
+    under pytest's own frames."""
+
+    def test_ecc_refuses_a_deep_path(self):
+        depth = sys.getrecursionlimit() // 2 - 2
+        with pytest.raises(CapExceededError, match=f"^2400 active nodes exceed the search "
+                                                   f"depth of {depth}$"):
+            bruteforce_ecc(_path(2400, 1200), cap=10**800)
+
+    def test_vc_refuses_a_deep_path(self):
+        g = WeightedGraph(2400, (1.0,) * 2400, tuple((i, i + 1) for i in range(2399)))
+        with pytest.raises(CapExceededError, match="^2400 active nodes exceed the search depth"):
+            bruteforce_vc(g, cap=2**2400)
+
+    def test_deepest_accepted_search_runs(self):
+        # The odd edge comes last, so the search colors every node before it
+        # backs up: it recurses once per active node.
+        depth = sys.getrecursionlimit() // 2 - 2
+        result = bruteforce_ecc(_path(depth, depth - 2), cap=2**depth)
+        assert result.value == 1
+        assert objective_cost(_path(depth, depth - 2), list(result.witness)).total_cost == 1
+        with pytest.raises(CapExceededError, match="search depth"):
+            bruteforce_ecc(_path(depth + 1, depth - 1), cap=2 ** (depth + 1))
+        # A matching whose light ends the warm start takes: one level per edge.
+        pairs = depth // 2
+        g = WeightedGraph(2 * pairs, (1.0, 2.0 * pairs) * pairs,
+                          tuple((2 * i, 2 * i + 1) for i in range(pairs)))
+        assert bruteforce_vc(g, cap=2 ** (2 * pairs)).value == pairs
 
 
 class TestCrossBounds:
