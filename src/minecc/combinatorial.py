@@ -109,7 +109,9 @@ def mv_lower_bound(h: EdgeColoredHypergraph, mv_coloring) -> float:
     The majority coloring minimizes the per-node mismatch objective, which is at
     most ``rank`` times the edge-mistake objective; mismatches are weighted by
     their edge's weight so the bound stays valid on weighted instances (on unit
-    weights this is the plain mismatch count divided by the rank).
+    weights this is the plain mismatch count divided by the rank). The value
+    is a lower bound only when ``mv_coloring`` is a majority vote: any other
+    coloring's mismatches can exceed the optimum's.
     """
     r = h.rank
     if r == 0:

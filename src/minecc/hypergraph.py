@@ -12,8 +12,11 @@ edge's color; otherwise the coloring makes a *mistake* at that edge.
 Layout: an instance with ``m`` edges is four flat numpy arrays, in the shape
 of the benchmark format's edge list:
 
-- ``members`` (int64): every edge's sorted, deduplicated member ids, back to
-  back; edge ``j`` owns ``members[eptr[j]:eptr[j + 1]]``;
+- ``members`` (int64): every edge's member ids in ascending order, back to
+  back; edge ``j`` owns ``members[eptr[j]:eptr[j + 1]]``. Every instance is
+  built so, whatever order its members were given in; :func:`from_flat` (and
+  so the parsers, the generators and :func:`hypergraph`) also drops repeated
+  ids, and the raw constructor keeps them for :func:`validate` to report;
 - ``eptr`` (int64, length ``m + 1``): the edge offsets into ``members``;
 - ``colors`` (int64) and ``weights`` (float64), one entry per edge.
 
@@ -47,8 +50,9 @@ class EdgeColoredHypergraph:
     The four arrays (see the module docstring) are the only stored data, and
     ``incidence`` is derived from them: built on first read and kept, ignored
     by ``__eq__`` and ``__hash__``, and shared by workers sharing an instance.
-    The constructor only checks that the arrays fit together, leaving every
-    range to :func:`validate`; :func:`hypergraph` builds one from edge tuples.
+    The constructor checks that the arrays fit together and sorts each edge's
+    members, keeping repeated ones; every range and repeat is left to
+    :func:`validate`. :func:`hypergraph` builds one from edge tuples.
     """
 
     num_nodes: int
@@ -81,9 +85,8 @@ class EdgeColoredHypergraph:
         return h
 
     def _seal(self) -> None:
-        """Switch off writing to the arrays and check that they fit together."""
-        for name, _ in _ARRAYS:
-            getattr(self, name).flags.writeable = False
+        """Check that the arrays fit together, sort each edge's members, and
+        switch off writing to the arrays."""
         m = len(self.colors)
         shaped = all(getattr(self, name).ndim == 1 for name, _ in _ARRAYS)
         if not (shaped and len(self.weights) == m and len(self.eptr) == m + 1
@@ -92,6 +95,9 @@ class EdgeColoredHypergraph:
             raise ValueError("edge arrays do not fit together: need 1-D colors and weights "
                              "of length m and offsets eptr of length m + 1 rising from 0 "
                              "to len(members)")
+        object.__setattr__(self, "members", _sorted_within_edges(self.members, self.eptr))
+        for name, _ in _ARRAYS:
+            getattr(self, name).flags.writeable = False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EdgeColoredHypergraph):
@@ -141,37 +147,29 @@ def _per_edge_count(flags: np.ndarray, eptr: np.ndarray) -> np.ndarray:
     return running[eptr[1:]] - running[eptr[:-1]]
 
 
-def _sorted_within_edges(
-    members: np.ndarray, edge_of: np.ndarray, sizes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``members`` with every edge's slice in ascending order, and the repeats in it.
+def _rising_within_edges(members: np.ndarray, eptr: np.ndarray, strict: bool = True) -> np.ndarray:
+    """Per entry, whether it rises above the one before it in the same edge:
+    strictly, or else allowing a repeat. Every edge's first entry rises."""
+    rising = np.ones(len(members) + 1, dtype=bool)
+    rising[1:-1] = members[1:] > members[:-1] if strict else members[1:] >= members[:-1]
+    rising[eptr[:-1]] = True
+    return rising[:-1]
 
-    The mask marks each entry equal to the one before it in the same edge.
-    The sort is skipped when every edge already is in order; otherwise the
-    edges of each size are sorted together as the rows of one matrix.
+
+def _sorted_within_edges(members: np.ndarray, eptr: np.ndarray) -> np.ndarray:
+    """``members`` with every edge's slice in ascending order, repeats kept.
+
+    The array itself when every edge already is in order; otherwise a copy in
+    which the edges of each size are sorted together as the rows of one matrix.
     """
-    same_edge = edge_of[1:] == edge_of[:-1]
-    if not np.all(members[1:][same_edge] >= members[:-1][same_edge]):
-        starts = np.cumsum(sizes) - sizes
-        members = members.copy()
-        for size in np.flatnonzero(np.bincount(sizes)[2:]) + 2:
-            rows = starts[sizes == size][:, None] + np.arange(size)
-            members[rows] = np.sort(members[rows], axis=1)
-    repeat = np.zeros(len(members), dtype=bool)
-    repeat[1:] = same_edge & (members[1:] == members[:-1])
-    return members, repeat
-
-
-def _rising_within_edges(members: np.ndarray, eptr: np.ndarray) -> bool:
-    """Whether every edge's members rise strictly: sorted, with no repeat.
-
-    One comparison of each entry with the one before it, passed at the first
-    entry of every edge.
-    """
-    rising = members[1:] > members[:-1]
-    inner = eptr[1:-1]
-    rising[inner[(inner > 0) & (inner < len(members))] - 1] = True
-    return bool(rising.all())
+    if _rising_within_edges(members, eptr, strict=False).all():
+        return members
+    sizes = np.diff(eptr)
+    members = members.copy()
+    for size in np.flatnonzero(np.bincount(sizes)[2:]) + 2:
+        rows = eptr[:-1][sizes == size][:, None] + np.arange(size)
+        members[rows] = np.sort(members[rows], axis=1)
+    return members
 
 
 def from_flat(num_nodes: int, num_colors: int, members, sizes, colors, weights) -> EdgeColoredHypergraph:
@@ -190,18 +188,16 @@ def _from_own_flat(num_nodes: int, num_colors: int, members, sizes, colors,
     """:func:`from_flat` for a caller that hands over ``members``, ``colors``
     and ``weights``: the instance keeps them without a copy, so the caller
     must hold none of them afterwards."""
-    members = np.asarray(members, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
     if np.any(sizes == 0):
         raise ValueError("hyperedge has no members after deduplication")
     eptr = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=eptr[1:])
-    if not _rising_within_edges(members, eptr):
-        edge_of = np.repeat(np.arange(len(sizes)), sizes)
-        members, repeat = _sorted_within_edges(members, edge_of, sizes)
-        if repeat.any():
-            members = members[~repeat]
-            np.cumsum(np.bincount(edge_of[~repeat], minlength=len(sizes)), out=eptr[1:])
+    members = _sorted_within_edges(np.asarray(members, dtype=np.int64), eptr)
+    repeat = ~_rising_within_edges(members, eptr)
+    if repeat.any():
+        members = members[~repeat]
+        np.cumsum(sizes - _per_edge_count(repeat, eptr), out=eptr[1:])
     return EdgeColoredHypergraph._adopt(num_nodes, num_colors, members, eptr, colors, weights)
 
 
@@ -251,9 +247,8 @@ def validate(h: EdgeColoredHypergraph) -> list[str]:
         problems.append(f"num_colors is negative: {k}")
     if too_big := _too_big(n, k):
         problems.append(too_big)
-    flagged = (h.members < 0) | (h.members >= n)
-    if not _rising_within_edges(h.members, h.eptr):
-        flagged |= _sorted_within_edges(h.members, h.member_edges(), np.diff(h.eptr))[1]
+    # A repeat of the sorted members is an entry that does not rise.
+    flagged = (h.members < 0) | (h.members >= n) | ~_rising_within_edges(h.members, h.eptr)
     bad = (h.eptr[1:] == h.eptr[:-1]) | (h.colors < 1) | (h.colors > k)
     bad |= ~((h.weights >= 0.0) & (h.weights < math.inf))
     if flagged.any():
@@ -273,6 +268,15 @@ def validate(h: EdgeColoredHypergraph) -> list[str]:
         if not (0.0 <= weight < math.inf):
             problems.append(f"edge {j} weight {weight} is not a nonnegative finite number")
     return problems
+
+
+def _with_terminals(h: EdgeColoredHypergraph, first: int) -> np.ndarray:
+    """Every edge's members, then its color's terminal ``first + color - 1``,
+    back to back, the layout of the multiway-cut reductions. An invalid ``h``
+    raises ``ValueError`` with the first problem :func:`validate` reports."""
+    if problems := validate(h):
+        raise ValueError(problems[0])
+    return np.insert(h.members, h.eptr[1:], first + h.colors - 1)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,8 @@ _WRITE_BLOCK = 1 << 16  # words per write block, about 2**18 characters of plant
 
 def write_canonical(h: EdgeColoredHypergraph) -> str:
     """Serialize to canonical text; edges in index order, members sorted.
+    :func:`parse_canonical` reads the text back to an equal instance for
+    every valid ``h``, as every instance keeps each edge's members sorted.
 
     Weights print by :func:`_num`. Through the digit columns
     (:func:`_write_lines`), the 2.6 MB text of a 400k-incidence instance is

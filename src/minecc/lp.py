@@ -135,7 +135,7 @@ class LinearProgram:
             raise ValueError("unknown relation code")
         if len(indices) and not (0 <= indices.min() and indices.max() < len(objective)):
             raise ValueError("rows reference an unknown variable index")
-        if not _rising_within_edges(indices, indptr):
+        if not _rising_within_edges(indices, indptr).all():
             raise ValueError("column indices must rise strictly within each row")
         self.objective, self.lower, self.upper = objective, lower, upper
         self.rows = Rows(indptr, indices, data, rel, rhs)
@@ -439,11 +439,12 @@ def parse_primal_text(lp: LinearProgram, text: str) -> np.ndarray:
     """Read a whitespace-separated ``name value`` primal-solution file.
 
     Unmentioned variables default to their lower bound. A malformed line, an
-    unknown name or a value that is not a finite number raises
-    :class:`~minecc.instances.ParseError` naming the line.
+    unknown name, a name given twice or a value that is not a finite number
+    raises :class:`~minecc.instances.ParseError` naming the line.
     """
     x = lp.lower.copy()
     index = {name: j for j, name in enumerate(lp.names)}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
@@ -453,6 +454,9 @@ def parse_primal_text(lp: LinearProgram, text: str) -> np.ndarray:
         name, value = tokens
         if name not in index:
             raise ParseError(f"unknown variable {name!r}", lineno)
+        if name in seen:
+            raise ParseError(f"variable {name!r} given twice, first on line {seen[name]}", lineno)
+        seen[name] = lineno
         try:
             number = float(value)
         except ValueError:

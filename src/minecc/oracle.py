@@ -87,7 +87,7 @@ def bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleRe
     # summed from positive terms only, so that no cancellation can push it
     # above the weight it stands for.
     nonempty = np.flatnonzero(np.diff(h.eptr))
-    given = _color_weights(h, np.minimum.reduceat(h.members, h.eptr[nonempty]), nonempty)[active]
+    given = _color_weights(h, h.members[h.eptr[nonempty]], nonempty)[active]
     given[np.arange(len(active)), given.argmax(axis=1)] = 0.0
     suffix = np.cumsum(given.sum(axis=1)[::-1])[::-1].tolist() + [0.0]
     # Sums of whole weights below 2**53 are exact, so a tie is pruned as well.
@@ -131,13 +131,20 @@ def bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleRe
 def bruteforce_vc(g: WeightedGraph, cap: int = DEFAULT_CAP) -> OracleResult:
     """Exact minimum-weight vertex cover by branching on an uncovered edge.
 
-    Degree-0 nodes are pruned first; requires ``2 ** remaining_nodes <= cap``.
+    Degree-0 nodes are pruned first; requires ``2 ** remaining_nodes <= cap``
+    and a nonnegative weight at every edge's ends. A branch is pruned when its
+    cost plus a matching bound on the edges still uncovered reaches the best
+    cost found, so ``value`` and ``witness`` are those of the plain search.
     The witness is a 0/1 membership tuple over all graph nodes.
     """
     active = int(np.count_nonzero(g.degrees()))
     _refuse_large(f"2^{active} covers", 2**active, active, cap)
     if g.undeletable[g.edges].any():
         raise ValueError("vertex cover oracle does not handle undeletable nodes")
+    ends = np.unique(g.edges)
+    bad = ends[~(g.weights[ends] >= 0.0)]
+    if len(bad):
+        raise ValueError(f"node {bad[0]} weight {g.weights[bad[0]]} is not a nonnegative number")
 
     edges, weights = g.edges.tolist(), g.weights.tolist()
     # Greedy warm start: cover every edge by its cheaper endpoint.
@@ -147,21 +154,30 @@ def bruteforce_vc(g: WeightedGraph, cap: int = DEFAULT_CAP) -> OracleResult:
             in_cover[u if weights[u] <= weights[v] else v] = 1
     best_cover = bytes(in_cover)
     best_cost = sum(w for w, chosen in zip(weights, best_cover) if chosen)
+    # Sums of whole weights below 2**53 are exact, so a tie is pruned as well.
+    held = g.weights[ends]
+    shrink = 1.0 if np.all(held == np.floor(held)) and held.sum() < 2.0**53 else PRUNE_SHRINK
     in_cover = bytearray(g.num_nodes)
     explored = 0
 
-    def first_uncovered(start: int) -> int:
+    def first_uncovered(start: int) -> tuple[int, float]:
+        """The first uncovered edge from ``start`` on (-1 if none), and the weight
+        of the cheaper ends of a greedy matching of the uncovered edges from
+        there. The matched edges share no node, so a cover pays that at least."""
+        first, bound, matched = -1, 0.0, set()
         for idx in range(start, len(edges)):
             u, v = edges[idx]
-            if not in_cover[u] and not in_cover[v]:
-                return idx
-        return -1
+            if not (in_cover[u] or in_cover[v] or u in matched or v in matched):
+                first = idx if first < 0 else first
+                matched.update((u, v))
+                bound += min(weights[u], weights[v])
+        return first, bound
 
     def dfs(edge_idx: int, cost: float) -> None:
         nonlocal best_cost, best_cover, explored
-        if cost >= best_cost:
+        idx, bound = first_uncovered(edge_idx)
+        if cost >= best_cost or (cost + bound) * shrink >= best_cost:
             return
-        idx = first_uncovered(edge_idx)
         if idx < 0:
             best_cost, best_cover = cost, bytes(in_cover)
             return

@@ -4,7 +4,9 @@ Deleting edges to destroy every conflicting pair is a vertex cover problem on
 the conflict graph (one graph node per hyperedge, one graph edge per
 overlapping differently-colored pair), and vertex cover embeds back via one
 hypergraph node per graph edge and one uniquely-colored hyperedge per graph
-node. The multiway-cut constructions attach one terminal per color.
+node. The multiway-cut constructions attach one terminal per color. Each
+construction from an instance refuses an invalid one with ``ValueError``,
+worded as the first problem :func:`~minecc.hypergraph.validate` reports.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorial import DeletionSet, find_bad_pair
-from .hypergraph import EdgeColoredHypergraph, _ordered_sum, from_flat
+from .hypergraph import EdgeColoredHypergraph, _ordered_sum, _with_terminals, from_flat, validate
 from .instances import ParseError, _write_lines, write_int_lines
 
 
@@ -102,6 +104,8 @@ def bad_edge_pairs(h: EdgeColoredHypergraph) -> np.ndarray:
 
 def ecc_to_vertex_cover(h: EdgeColoredHypergraph) -> CoverReduction:
     """Conflict-graph construction; minimum-weight covers equal optimal deletions."""
+    if problems := validate(h):
+        raise ValueError(problems[0])
     return CoverReduction(h, WeightedGraph(h.num_edges, h.weights, bad_edge_pairs(h)))
 
 
@@ -146,25 +150,6 @@ def vertex_cover_to_ecc(g: WeightedGraph) -> tuple[EdgeColoredHypergraph, list[i
     h = from_flat(len(keys), len(origin), members, sizes[origin],
                   np.arange(1, len(origin) + 1), g.weights[origin])
     return h, origin.tolist()
-
-
-def _with_terminals(h: EdgeColoredHypergraph, first: int) -> np.ndarray:
-    """Every edge's members, then its color's terminal ``first + color - 1``, back
-    to back. The first edge with a member outside ``[0, n)`` (which would meet
-    a terminal or an edge node) or a color outside ``[1, k]`` raises
-    ``ValueError``, worded as :func:`~minecc.hypergraph.validate` words it."""
-    n, k = h.num_nodes, h.num_colors
-    bad = (h.colors < 1) | (h.colors > k)
-    outside = (h.members < 0) | (h.members >= n)
-    if outside.any():
-        bad[h.member_edges()[outside]] = True
-    if bad.any():
-        j = int(bad.argmax())
-        ids = h.members[h.eptr[j]:h.eptr[j + 1]]
-        v = ids[(ids < 0) | (ids >= n)]
-        raise ValueError(f"edge {j} member {v[0]} out of range [0, {n})" if len(v)
-                         else f"edge {j} color {h.colors[j]} out of range [1, {k}]")
-    return np.insert(h.members, h.eptr[1:], first + h.colors - 1)
 
 
 def ecc_to_node_mc(h: EdgeColoredHypergraph) -> WeightedGraph:

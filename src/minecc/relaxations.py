@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergraph import EdgeColoredHypergraph
+from .hypergraph import EdgeColoredHypergraph, _with_terminals
 from .lp import EQ, GE, LE, VIOLATION_TOL, LinearProgram, LpResult, Rows
 
 SNAP_TOL = 1e-7
@@ -129,7 +129,8 @@ def build_nodemc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
     nodes are deletable; everything else has its deletion distance fixed to
     zero (never encoded as a large weight). Columns: ``y_u_i`` node by node
     and color by color, then one ``d_j`` per edge. Rows as the module
-    docstring lays them out.
+    docstring lays them out. An invalid ``h`` raises ``ValueError`` with the
+    first problem of :func:`~minecc.hypergraph.validate`.
     """
     n, m, k = h.num_nodes, h.num_edges, h.num_colors
     total_nodes = n + m + k
@@ -139,7 +140,7 @@ def build_nodemc_lp(h: EdgeColoredHypergraph) -> LinearProgram:
                 + [f"d_{j}" for j in range(m)])
 
     # Reduced-graph edges (a, n + j): each member a of edge j, then j's terminal.
-    a = np.insert(h.members, h.eptr[1:], n + m + h.colors - 1)
+    a = _with_terminals(h, n + m)
     j = np.repeat(np.arange(m), np.diff(h.eptr) + 1)
     # Per edge and color i, rows y_b - y_a - d_j <= 0 and y_a - y_b <= 0 with
     # b = n + j. A member's column comes before y_b, a terminal's after it.

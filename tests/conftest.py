@@ -944,6 +944,44 @@ def reference_pruned_bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT
     return OracleResult(best_cost, tuple(witness), explored)
 
 
+def reference_bruteforce_vc(g) -> OracleResult:
+    """The vertex cover search that prunes on the cost so far alone: the reference
+    for ``bruteforce_vc``'s value and witness, and the most states it may explore."""
+    edges, weights = g.edges.tolist(), g.weights.tolist()
+    in_cover = bytearray(g.num_nodes)
+    for u, v in edges:
+        if not in_cover[u] and not in_cover[v]:
+            in_cover[u if weights[u] <= weights[v] else v] = 1
+    best_cover = bytes(in_cover)
+    best_cost = sum(w for w, chosen in zip(weights, best_cover) if chosen)
+    in_cover = bytearray(g.num_nodes)
+    explored = 0
+
+    def first_uncovered(start: int) -> int:
+        for idx in range(start, len(edges)):
+            u, v = edges[idx]
+            if not in_cover[u] and not in_cover[v]:
+                return idx
+        return -1
+
+    def dfs(edge_idx: int, cost: float) -> None:
+        nonlocal best_cost, best_cover, explored
+        if cost >= best_cost:
+            return
+        idx = first_uncovered(edge_idx)
+        if idx < 0:
+            best_cost, best_cover = cost, bytes(in_cover)
+            return
+        for node in edges[idx]:
+            explored += 1
+            in_cover[node] = 1
+            dfs(idx, cost + weights[node])
+            in_cover[node] = 0
+
+    dfs(0, 0.0)
+    return OracleResult(best_cost, tuple(best_cover), explored)
+
+
 def reference_truth_words(text: str) -> list[int]:
     """The old body of ``cli._read_truth``; the reference for ``parse_int_words``."""
     return [int(t) for t in text.split()]

@@ -839,6 +839,16 @@ class TestConstruction:
         )
         assert validate(h) == reference_validate(h)
 
+    def test_members_are_sorted_within_each_edge(self):
+        # Once kept in the order given: validate passed, and the text was
+        # parsed back to an instance with members [0 2 1], not equal to it.
+        h = EdgeColoredHypergraph(3, 2, [2, 0, 1], [0, 2, 3], [1, 2], [1.0, 1.0])
+        assert h.members.tolist() == [0, 2, 1]
+        assert parse_canonical(write_canonical(h)) == h
+        repeated = EdgeColoredHypergraph(3, 2, [2, 0, 2, 1], [0, 3, 4], [1, 2], [1.0, 1.0])
+        assert repeated.members.tolist() == [0, 2, 2, 1]
+        assert validate(repeated) == ["edge 0 has duplicate members"]
+
 
 class TestEvaluation:
     @SETTINGS

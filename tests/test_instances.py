@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minecc.hypergraph import hypergraph, objective_cost, validate
+from minecc.hypergraph import EdgeColoredHypergraph, hypergraph, objective_cost, validate
 from minecc.instances import (
     ParseError,
     _distinct_draws,
@@ -21,6 +21,7 @@ from minecc.instances import (
 )
 
 from conftest import (
+    ARRAY_CORE_WEIGHTS,
     edges_of,
     exhaustive_ecc,
     naive_cost,
@@ -47,6 +48,20 @@ class TestCanonical:
         again = parse_canonical(write_canonical(h))
         assert again == h
         assert edges_of(again)[0].weight == 2.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_of_members_in_any_order(self, seed):
+        # The raw constructor takes each edge's members in any order and keeps
+        # them sorted, so every valid instance's text parses back to it.
+        rng = np.random.default_rng(seed)
+        h = random_instance(rng, int(rng.integers(1, 12)), int(rng.integers(0, 15)),
+                            int(rng.integers(1, 5)), max_size=5)
+        members = h.members[np.lexsort((rng.random(len(h.members)), h.member_edges()))]
+        permuted = EdgeColoredHypergraph(h.num_nodes, h.num_colors, members, h.eptr, h.colors,
+                                         rng.choice(ARRAY_CORE_WEIGHTS, h.num_edges))
+        assert validate(permuted) == []
+        assert parse_canonical(write_canonical(permuted)) == permuted
 
     def test_bad_token_line_number(self):
         with pytest.raises(ParseError, match="line 3"):

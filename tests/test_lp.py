@@ -722,6 +722,7 @@ class TestPrimalImport:
         ("# x 1\n\nx 1 2\n", 3, "expected 'name value'"),
         ("x 1\ny 1.0\n", 2, "unknown variable 'y'"),
         ("x inf\n", 1, "value 'inf' is not a finite number"),
+        ("x 0.25\n\nx 0.75\n", 3, "variable 'x' given twice, first on line 1"),
     ])
     def test_malformed_line_is_named(self, text, line, message):
         lp = lp_from_rows("min", [("x", 0.0, math.inf, 0.0)], [])

@@ -15,6 +15,7 @@ from conftest import (
     exhaustive_ecc,
     naive_cost,
     random_instance,
+    reference_bruteforce_vc,
     reference_pruned_bruteforce_ecc,
 )
 
@@ -75,21 +76,21 @@ class TestBreaksListsMatchReference:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4),
            weights=st.sampled_from([(), (0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 2.5), ARRAY_CORE_WEIGHTS]),
-           reversed_members=st.booleans())
-    def test_criterion_7_shapes(self, seed, k, weights, reversed_members):
+           permuted_members=st.booleans())
+    def test_criterion_7_shapes(self, seed, k, weights, permuted_members):
         # Criterion 7's instances: 12, 10 or 8 nodes, 10 to 18 edges of up to
         # three members; weighted ones draw weights that tie and miss in float
         # sums, or the array core's, down to 0 and 5e-324 and up to 1e20.
-        # Reversed members (which the constructor keeps and validate allows)
-        # put each edge's earliest member in enumeration order last.
+        # Members handed to the constructor in a random order within each edge
+        # must still leave each edge's earliest member in enumeration order first.
         rng = np.random.default_rng(seed)
         n = {2: 12, 3: 10, 4: 8}[k]
         h = gen_random(n, int(rng.integers(10, 19)), 3, k, float(rng.uniform(0.3, 0.8)),
                        seed=int(rng.integers(10**6))).hypergraph
         w = rng.choice(weights, h.num_edges) if weights else h.weights
         members = h.members
-        if reversed_members:
-            members = members[np.lexsort((-np.arange(len(members)), h.member_edges()))]
+        if permuted_members:
+            members = members[np.lexsort((rng.random(len(members)), h.member_edges()))]
         self.assert_same(type(h)(h.num_nodes, k, members, h.eptr, h.colors, w))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -145,6 +146,34 @@ class TestBruteforceVc:
         with pytest.raises(CapExceededError):
             bruteforce_vc(g, cap=1000)
 
+    @pytest.mark.parametrize("weight", [-5.0, float("nan")])
+    def test_refuses_a_negative_or_nan_weight(self, weight):
+        # Once a value of 1 for weights (1, 1, -5), and a value of nan.
+        g = WeightedGraph(4, (1.0, 1.0, weight, weight), ((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match=r"^node 2 weight (-5\.0|nan) is not a nonnegative"):
+            bruteforce_vc(g)
+
+    @pytest.mark.parametrize("n, explored", [(20, 108), (30, 238), (40, 418)])
+    def test_matching_bound_prunes_the_unit_path(self, n, explored):
+        # The search without the bound explored 4072, 131038 and 4194260 states.
+        g = WeightedGraph(n, (1.0,) * n, tuple((i, i + 1) for i in range(n - 1)))
+        result = bruteforce_vc(g, cap=2**n)
+        assert (result.value, result.explored) == (n // 2, explored)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), whole=st.booleans())
+    def test_same_value_and_witness_as_reference(self, seed, whole):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 13))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [pairs[i] for i in np.flatnonzero(rng.random(len(pairs)) < rng.uniform(0.2, 0.7))]
+        weights = (rng.integers(0, 6, n) if whole
+                   else rng.choice([0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0, 2.5], n))
+        g = WeightedGraph(n, weights, rng.permutation(edges) if edges else edges)
+        got, want = bruteforce_vc(g), reference_bruteforce_vc(g)
+        assert (got.value, got.witness) == (want.value, want.witness)
+        assert got.explored <= want.explored
+
 
 def _path(n: int, odd_edge: int):
     """The path on ``n`` nodes, edges ``{i, i + 1}`` of color 1 but ``odd_edge``, of color 2."""
@@ -176,11 +205,14 @@ class TestSearchDepth:
         assert objective_cost(_path(depth, depth - 2), list(result.witness)).total_cost == 1
         with pytest.raises(CapExceededError, match="search depth"):
             bruteforce_ecc(_path(depth + 1, depth - 1), cap=2 ** (depth + 1))
-        # A matching whose light ends the warm start takes: one level per edge.
-        pairs = depth // 2
-        g = WeightedGraph(2 * pairs, (1.0, 2.0 * pairs) * pairs,
-                          tuple((2 * i, 2 * i + 1) for i in range(pairs)))
-        assert bruteforce_vc(g, cap=2 ** (2 * pairs)).value == pairs
+        # A star whose centre the warm start misses, then a matching: the
+        # matching bound leaves room until the search has covered every edge,
+        # one level per edge of the matching.
+        pairs = (depth - 3) // 2
+        g = WeightedGraph(3 + 2 * pairs, (3.0, 2.0, 2.0) + (1.0,) * (2 * pairs),
+                          ((0, 1), (0, 2)) + tuple((3 + 2 * i, 4 + 2 * i) for i in range(pairs)))
+        result = bruteforce_vc(g, cap=2 ** (3 + 2 * pairs))
+        assert (result.value, result.explored) == (3 + pairs, 2 * pairs + 2)
 
 
 class TestCrossBounds:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minecc.combinatorial import DeletionSet, match_coloring
-from minecc.hypergraph import hypergraph, validate
+from minecc.hypergraph import EdgeColoredHypergraph, hypergraph, validate
 from minecc.instances import ParseError, gen_integrality_gap, gen_random, gen_star
 from minecc.lp import solve
 from minecc.oracle import bruteforce_ecc, bruteforce_vc
@@ -316,10 +316,21 @@ class TestTerminalMemberRange:
         [((0, 1), 0), ((1, 5), 2)],  # a bad color before a bad member
         [((0, 1), 1), ((1, 5), 0)],  # a bad member and a bad color in one edge
         [((0, 7), 1), ((1, 2), 3)],
+        # Once written as an edge holding only its terminal.
+        [((0, 1), 1), ((), 2), ((2,), 2)],
+        [((0, 1), 1), ((2, 1, 2), 2)],
+        # Once kept as a node weight, or an unbounded multiway-cut LP.
+        [((0, 1), 1), ((1, 2), 2, -1.0)],
+        [((2, 0), 2, math.nan), ((0,), 9)],
     ])
     def test_first_problem_is_the_one_validate_reports_first(self, edges):
-        h = hypergraph(3, 2, edges)
-        for reduce in (ecc_to_hyper_mc, ecc_to_node_mc):
+        # The raw constructor keeps empty edges and repeated members.
+        h = EdgeColoredHypergraph(3, 2, [v for ids, *_ in edges for v in ids],
+                                  np.cumsum([0] + [len(ids) for ids, *_ in edges]),
+                                  [color for _, color, *_ in edges],
+                                  [weight[0] if weight else 1.0 for _, _, *weight in edges])
+        assert validate(h)
+        for reduce in (ecc_to_hyper_mc, ecc_to_node_mc, ecc_to_vertex_cover, build_nodemc_lp):
             with pytest.raises(ValueError) as err:
                 reduce(h)
             assert str(err.value) == validate(h)[0]
