@@ -142,12 +142,12 @@ def _load_instance(args) -> tuple[EdgeColoredHypergraph, list[int] | None, str]:
 
 
 def _read_truth(path: str) -> list[int]:
-    from .instances import parse_int_words
+    from .instances import ParseError, parse_int_words
 
     try:
         return parse_int_words(_read(path))
-    except ValueError:
-        raise CliError(f"{path}: non-integer token in truth file", EXIT_PARSE) from None
+    except ParseError as exc:
+        raise CliError(f"{path}: {exc} in truth file", EXIT_PARSE) from None
 
 
 def _interval(text: str) -> Interval:
@@ -304,6 +304,7 @@ def _run_exact(h, args, seed, order_seed, sol):
 ALGORITHMS = {"mv": _run_mv, "pitt": _run_pitt, "match": _run_match, "hybrid": _run_hybrid,
               "lp": _run_lp, "lp-simple": _run_lp_simple, "exact": _run_exact}
 ROUNDS_LP = ("lp", "lp-simple")  # runs that round the LP solution ``sol``
+SEEDLESS = ("mv", "lp-simple", "exact")  # runs that read neither seed: run once for any --runs
 LINEAR = ("mv", "pitt", "match", "hybrid")  # linear-time runs, timed by bench-scaling
 
 
@@ -325,10 +326,11 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     lp_sol = _clustering_solution(h, args.solution) if rounds_lp or args.with_lp_bound else None
     best = None
-    for trial in range(args.runs):
+    runs = 1 if args.algo in SEEDLESS else args.runs
+    for trial in range(runs):
         seed = args.seed + trial
         # best of N shuffles the walks' node visit order per seed; one run visits in order
-        order_seed = seed if args.runs > 1 else None
+        order_seed = seed if runs > 1 else None
         coloring, match_bound, mv_bound, report = run(h, args, seed, order_seed, lp_sol)
         if report is None:
             report = objective_cost(h, coloring, truth)

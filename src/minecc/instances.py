@@ -449,13 +449,18 @@ def parse_int_words(text: str) -> list[int]:
 
     Only the words that do not fit in 64 bits, or read as ``-2**63``, go
     through ``int()`` again here; the first word that is no integer raises
-    ``ValueError``.
+    :class:`ParseError` at its line, numbered as ``str.splitlines`` numbers them.
     """
-    codes, starts, ends, _ = _tokenize(text)
+    codes, starts, ends, line_ptr = _tokenize(text)
     values = _convert(text, codes, starts, ends, int, _INT64_MIN)
     words = values.tolist()
     for i in np.flatnonzero(values == _INT64_MIN).tolist():
-        words[i] = int(text[starts[i]:ends[i]])
+        word = text[starts[i]:ends[i]]
+        try:
+            words[i] = int(word)
+        except ValueError:
+            line = int(np.searchsorted(line_ptr, i, side="right"))
+            raise ParseError(f"non-integer token {word!r}", line) from None
     return words
 
 

@@ -1,11 +1,10 @@
 """Exact optimization by branch and bound, the ground truth for every
 approximation claim at desk scale.
 
-Before searching, both solvers refuse an instance whose raw search space
-(``k^active`` colorings, ``2^active`` covers) exceeds the cap, or whose
-recursion, a level per active node, would take over half the interpreter's
-limit, rather than return a partial answer. Pruning only shrinks the explored
-count, so a returned value is always exact.
+Both solvers refuse rather than return a partial answer: before searching,
+when the recursion, a level per active node, would take over half the
+interpreter's limit, and as soon as the states explored (``explored``) pass
+the cap. A returned value is always exact.
 
 :func:`bruteforce_ecc` prunes a partial coloring when its cost plus a lower
 bound on the rest reaches the best cost found. The bound gives every edge to
@@ -41,16 +40,19 @@ PRUNE_SHRINK = 1.0 - 1e-9
 
 
 class CapExceededError(RuntimeError):
-    """Search space larger than the configured cap; no partial answer is given."""
+    """More states explored than the cap, or a search too deep; no partial answer."""
 
 
-def _refuse_large(what: str, states: int, active: int, cap: int) -> None:
-    """Refuse a search of more than ``cap`` states, or one whose recursion (a level
-    per active node) would take over half the interpreter's limit: the rest is the caller's."""
-    if states > cap:
-        raise CapExceededError(f"{what} exceed the cap of {cap}")
+def _refuse_deep(active: int) -> None:
+    """Refuse a search whose recursion (a level per active node) would take over
+    half the interpreter's limit: the rest is the caller's."""
     if active > (depth := sys.getrecursionlimit() // 2 - 2):
         raise CapExceededError(f"{active} active nodes exceed the search depth of {depth}")
+
+
+def _prune_factor(weights: np.ndarray) -> float:
+    """1.0 if sums of ``weights`` are exact (whole, below 2**53), so ties prune too."""
+    return 1.0 if np.all(weights == np.floor(weights)) and weights.sum() < 2.0**53 else PRUNE_SHRINK
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,12 @@ def bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleRe
     """Exact minimum mistake weight over all colorings.
 
     Only nodes of positive degree are enumerated (isolated nodes are fixed to
-    color 1); requires ``k ** active_nodes <= cap``.
+    color 1); raises :class:`CapExceededError` past ``cap`` explored states.
     """
     n, k = h.num_nodes, h.num_colors
     degrees = np.bincount(h.members, minlength=n)
     active = np.flatnonzero(degrees)
-    if k > 1:
-        _refuse_large(f"{k}^{len(active)} colorings", k ** len(active), len(active), cap)
+    _refuse_deep(len(active) if k > 1 else 0)  # at k = 1 the search stops at the root
     if k < 1:
         raise ValueError("instance has no colors")
 
@@ -90,9 +91,7 @@ def bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleRe
     given = _color_weights(h, h.members[h.eptr[nonempty]], nonempty)[active]
     given[np.arange(len(active)), given.argmax(axis=1)] = 0.0
     suffix = np.cumsum(given.sum(axis=1)[::-1])[::-1].tolist() + [0.0]
-    # Sums of whole weights below 2**53 are exact, so a tie is pruned as well.
-    whole = bool(np.all(h.weights == np.floor(h.weights))) and h.total_weight() < 2.0**53
-    shrink = 1.0 if whole else PRUNE_SHRINK
+    shrink = _prune_factor(h.weights)
 
     start = majority_vote(h)
     best_cost = objective_cost(h, start).total_cost
@@ -110,6 +109,8 @@ def bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleRe
             return
         for c, pairs in enumerate(breaks[i], start=1):
             explored += 1
+            if explored > cap:
+                raise CapExceededError(f"search explored more than the cap of {cap} states")
             newly: list[int] = []
             added = 0.0
             for j, w in pairs:
@@ -131,14 +132,13 @@ def bruteforce_ecc(h: EdgeColoredHypergraph, cap: int = DEFAULT_CAP) -> OracleRe
 def bruteforce_vc(g: WeightedGraph, cap: int = DEFAULT_CAP) -> OracleResult:
     """Exact minimum-weight vertex cover by branching on an uncovered edge.
 
-    Degree-0 nodes are pruned first; requires ``2 ** remaining_nodes <= cap``
-    and a nonnegative weight at every edge's ends. A branch is pruned when its
-    cost plus a matching bound on the edges still uncovered reaches the best
-    cost found, so ``value`` and ``witness`` are those of the plain search.
-    The witness is a 0/1 membership tuple over all graph nodes.
+    Requires a nonnegative weight at every edge's ends; raises
+    :class:`CapExceededError` past ``cap`` explored states. A branch is pruned
+    when its cost plus a matching bound on the edges still uncovered reaches
+    the best cost found, so ``value`` and ``witness`` are those of the plain
+    search. The witness is a 0/1 membership tuple over all graph nodes.
     """
-    active = int(np.count_nonzero(g.degrees()))
-    _refuse_large(f"2^{active} covers", 2**active, active, cap)
+    _refuse_deep(int(np.count_nonzero(g.degrees())))
     if g.undeletable[g.edges].any():
         raise ValueError("vertex cover oracle does not handle undeletable nodes")
     ends = np.unique(g.edges)
@@ -154,9 +154,7 @@ def bruteforce_vc(g: WeightedGraph, cap: int = DEFAULT_CAP) -> OracleResult:
             in_cover[u if weights[u] <= weights[v] else v] = 1
     best_cover = bytes(in_cover)
     best_cost = sum(w for w, chosen in zip(weights, best_cover) if chosen)
-    # Sums of whole weights below 2**53 are exact, so a tie is pruned as well.
-    held = g.weights[ends]
-    shrink = 1.0 if np.all(held == np.floor(held)) and held.sum() < 2.0**53 else PRUNE_SHRINK
+    shrink = _prune_factor(g.weights[ends])
     in_cover = bytearray(g.num_nodes)
     explored = 0
 
@@ -183,6 +181,8 @@ def bruteforce_vc(g: WeightedGraph, cap: int = DEFAULT_CAP) -> OracleResult:
             return
         for node in edges[idx]:
             explored += 1
+            if explored > cap:
+                raise CapExceededError(f"search explored more than the cap of {cap} states")
             in_cover[node] = 1
             dfs(idx, cost + weights[node])
             in_cover[node] = 0

@@ -212,6 +212,7 @@ def parse_graph(text: str) -> WeightedGraph:
     """Parse the :func:`write_graph` format; a malformed record raises
     :class:`~minecc.instances.ParseError` naming its line."""
     header, weights, undeletable, edges, terminals = None, [], [], [], []
+    given: dict[tuple[str, int], int] = {}  # (w or t, node): the line of its record
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
@@ -229,12 +230,26 @@ def parse_graph(text: str) -> WeightedGraph:
                 if min(header[1:]) < 0:
                     raise ValueError("negative count in the 'vc <n> <m>' header")
                 weights, undeletable = [1.0] * first, [False] * first
-            elif not 0 <= first < header[1]:
-                raise ValueError(f"node {first} out of range [0, {header[1]})")
-            elif kind == "w":
-                weights[first], undeletable[first] = float(second), second == "inf"
+                continue
+            nodes = (first, int(second)) if kind == "e" else (first,)
+            for v in nodes:
+                if not 0 <= v < header[1]:
+                    raise ValueError(f"node {v} out of range [0, {header[1]})")
+            if kind == "e":
+                if first == nodes[1]:
+                    raise ValueError(f"self-loop at node {first}")
+                edges.append(nodes)
+                continue
+            if (kind, first) in given:
+                raise ValueError(f"node {first} has a second '{kind}' record, "
+                                 f"the first on line {given[kind, first]}")
+            given[kind, first] = lineno
+            if kind == "t":
+                terminals.append((first, int(second)))
+            elif (weight := float(second)) > -math.inf:
+                weights[first], undeletable[first] = weight, second == "inf"
             else:
-                (edges if kind == "e" else terminals).append((first, int(second)))
+                raise ValueError(f"node {first} weight {second} is nan or -inf")
         except ValueError as err:
             raise ParseError(str(err), lineno) from None
     if header is None:

@@ -601,12 +601,25 @@ def truth_texts(draw):
     return "".join(draw(st.sampled_from(["", " "])) + w + draw(GAPS | BREAKS) for w in words)
 
 
+def first_non_integer(text):
+    """The 1-based line, as ``str.splitlines`` numbers it, and the first word ``int()`` refuses."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        for word in line.split():
+            try:
+                int(word)
+            except ValueError:
+                return number, word
+
+
 def assert_truth_words_like_reference(text):
     try:
         expected = reference_truth_words(text)
     except ValueError:
-        with pytest.raises(ValueError):
+        line, word = first_non_integer(text)
+        with pytest.raises(ParseError) as err:
             parse_int_words(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: non-integer token {word!r}"
     else:
         got = parse_int_words(text)
         assert got == expected and all(type(v) is int for v in got)
@@ -620,6 +633,8 @@ class TestTruthWords:
 
     @pytest.mark.parametrize("text", [
         "", "+5 1_0 \u0663\n", "1\r\n2\u20283", "1 x", "1__0", "\uff11\uff12",
+        "1\r\n2\n\n x", "1\r2\x853\u2029\n4 1.5\n",
+        pytest.param("1\n" * 5 + "9" * 5000, id="5000-digit-word"),
         "-9223372036854775808 9223372036854775808 -99999999999999999999",
     ])
     def test_edge_cases(self, text):
@@ -732,21 +747,29 @@ class TestLpAndOracleMatchReference:
         assert write_graph(g) == reference_write_graph(graph_layout(g))
 
     @settings(max_examples=120, deadline=None)
-    @given(instances(WEIGHTS | st.sampled_from([0.1, 0.2, 0.3, 0.7])), st.sampled_from([10**7, 300]))
+    @given(instances(WEIGHTS | st.sampled_from([0.1, 0.2, 0.3, 0.7])),
+           st.sampled_from([10**7, 300, 30]))
     def test_oracle_same_value_and_witness_in_fewer_states(self, h, cap):
-        # The reference is the search without the suffix bound: its explored
-        # count is the most the pruned search may take. Weights such as 0.1,
-        # 0.2 and 0.3, whose float sums tie or miss by one unit, check that
-        # the pruning margin never cuts a strict improvement.
+        # The reference is the search without the suffix bound, run whatever
+        # its raw space (at most 4^8 colorings here): its explored count is
+        # the most the pruned search may take, so the oracle answers at that
+        # cap. Weights such as 0.1, 0.2 and 0.3, whose float sums tie or miss
+        # by one unit, check that the pruning margin never cuts a strict
+        # improvement. At ``cap`` the oracle answers exactly when it explores
+        # no more than ``cap`` states.
         try:
-            expected = reference_bruteforce_ecc(h, cap)
-        except (CapExceededError, ValueError) as exc:
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
+            expected = reference_bruteforce_ecc(h, cap=4**8)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
                 bruteforce_ecc(h, cap)
+            return
+        got = bruteforce_ecc(h, cap=expected.explored)
+        assert (got.value, got.witness) == (expected.value, expected.witness)
+        if got.explored <= cap:
+            assert bruteforce_ecc(h, cap) == got
         else:
-            got = bruteforce_ecc(h, cap)
-            assert (got.value, got.witness) == (expected.value, expected.witness)
-            assert got.explored <= expected.explored
+            with pytest.raises(CapExceededError, match=f"more than the cap of {cap} states$"):
+                bruteforce_ecc(h, cap)
 
 
 class TestRoundingMatchesReference:

@@ -287,6 +287,13 @@ class TestSolve:
 
 
 class TestMalformedInputExitCodes:
+    def test_truth_error_names_the_line(self, gap3_file, tmp_path, capsys):
+        truth = tmp_path / "bad.truth"
+        truth.write_text("1\n\n2 x\n3\n")
+        assert main(["solve", gap3_file, "--truth", str(truth)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {truth}: line 3: non-integer token 'x' in truth file\n")
+
     @pytest.mark.parametrize("truth_text, argv", [
         ("1\nx\n2\n", ["solve", "{gap3}", "--truth", "{truth}"]),
         ("1\n2\n", ["solve", "{gap3}", "--truth", "{truth}"]),  # gap3 has 3 nodes
@@ -598,21 +605,36 @@ class TestWorkDoneOncePerSolve:
                          "mv_lower_bound": 1}
 
     @pytest.mark.parametrize("algo, expected", [
-        ("mv", {"majority_vote": 2, "mv_lower_bound": 2}),
+        ("mv", {"majority_vote": 1, "mv_lower_bound": 1}),
         ("pitt", {"build_incidence": 1, "pitt_coloring": 2}),
         ("match", {"build_incidence": 1, "match_coloring": 2}),
         ("hybrid", {"build_incidence": 1, "match_coloring": 2, "majority_vote": 2,
                     "mv_lower_bound": 2}),
         ("lp", {"gen_color_round": 2}),
-        ("lp-simple", {"simple_round": 2}),
-        ("exact", {"bruteforce_ecc": 2}),
+        ("lp-simple", {"simple_round": 1}),
+        ("exact", {"bruteforce_ecc": 1}),
     ])
     def test_each_algorithm_calls_its_library_functions(
         self, algo, expected, gap3_file, calls, capsys
     ):
-        # Two runs: the per-seed calls come twice, the shared incidence once.
+        # Two runs: the per-seed calls come twice, the shared incidence once;
+        # mv, lp-simple and exact read no seed, so they run once.
         run_csv(capsys, ["solve", gap3_file, "--algo", algo, "--runs", "2"])
         assert calls == expected
+
+    @pytest.mark.parametrize("algo, counted", [
+        ("mv", "majority_vote"), ("lp-simple", "simple_round"), ("exact", "bruteforce_ecc"),
+    ])
+    def test_seedless_algorithms_run_once(self, algo, counted, tmp_path, calls, capsys):
+        # Every run of these gives the same record, so the first one is reported.
+        gap5 = str(tmp_path / "gap5.ecc")
+        assert main(["gen", "gap", "--colors", "5", "-o", gap5]) == 0
+        one = run_csv(capsys, ["solve", gap5, "--algo", algo])
+        calls.clear()
+        three = run_csv(capsys, ["solve", gap5, "--algo", algo, "--runs", "3"])
+        assert calls[counted] == 1
+        del one["seconds"], three["seconds"]
+        assert three == one
 
     def test_pitt_runs_share_one_incidence(self, gap3_file, calls, capsys):
         run_csv(capsys, ["solve", gap3_file, "--algo", "pitt", "--runs", "3"])
@@ -716,14 +738,21 @@ class TestExactAndCapacity:
     def test_oracle_cap_env_exit_code(self, gap3_file, capsys, monkeypatch):
         monkeypatch.setenv("ECC_ORACLE_CAP", "2")
         assert main(["solve", gap3_file, "--algo", "exact"]) == 4
+        assert capsys.readouterr().err == "error: search explored more than the cap of 2 states\n"
 
-    def test_search_deeper_than_the_stack_exit_code(self, tmp_path, capsys, monkeypatch):
-        # The cap admits the path's 2^2400 colorings, but its search would
-        # recurse 2400 levels deep: refused before it starts, not a RecursionError.
+    def test_cap_counts_explored_states_not_colorings(self, tmp_path, capsys):
+        # 4^20 colorings, far above the default cap, in a search of 28 states.
+        inst = tmp_path / "r20.ecc"
+        assert main(["gen", "random", "--nodes", "20", "--edges", "40", "--max-size", "3",
+                     "--colors", "4", "-o", str(inst)]) == 0
+        assert run_csv(capsys, ["solve", str(inst), "--algo", "exact"])["mistakes"] == "6"
+
+    def test_search_deeper_than_the_stack_exit_code(self, tmp_path, capsys):
+        # The path's search would recurse 2400 levels deep: refused before
+        # it starts, whatever the cap, not a RecursionError.
         inst = tmp_path / "path.ecc"
         inst.write_text("ecc 2400 2399 2\n" + "".join(
             f"{2 if i == 1200 else 1} 1 {i} {i + 1}\n" for i in range(2399)))
-        monkeypatch.setenv("ECC_ORACLE_CAP", str(10**800))
         assert main(["solve", str(inst), "--algo", "exact"]) == 4
         depth = sys.getrecursionlimit() // 2 - 2
         assert capsys.readouterr().err == (

@@ -208,8 +208,7 @@ class TestGenRandom:
         from minecc.oracle import bruteforce_ecc
 
         planted = gen_random(20, 40, 3, 3, 0.3, seed=7)
-        # 3^20 states, above the default refusal cap; raise it for this check.
-        opt = bruteforce_ecc(planted.hypergraph, cap=4 * 10**9).value
+        opt = bruteforce_ecc(planted.hypergraph).value
         assert opt <= objective_cost(planted.hypergraph, planted.truth).total_cost
 
     def test_bad_parameters(self):

@@ -50,8 +50,18 @@ class TestBruteforceEcc:
 
     def test_cap_refusal(self):
         h = gen_random(30, 40, 3, 4, 0.5, seed=1).hypergraph
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError, match="^search explored more than the cap of 1000 "):
             bruteforce_ecc(h, cap=1000)
+
+    @pytest.mark.parametrize("h, explored", [
+        (gen_random(14, 100, 2, 3, 1.0, seed=2).hypergraph, 7299),
+        (gen_integrality_gap(5), 7205),
+    ], ids=["exact14", "gap5"])
+    def test_cap_counts_explored_states(self, h, explored):
+        # The cap counts the states explored, not the 3^14 and 5^10 raw colorings.
+        assert bruteforce_ecc(h, cap=explored).explored == explored
+        with pytest.raises(CapExceededError, match=f"cap of {explored - 1} states"):
+            bruteforce_ecc(h, cap=explored - 1)
 
     def test_isolated_nodes_fixed_to_one(self):
         h = hypergraph(3, 2, [((0,), 2)])
@@ -143,8 +153,9 @@ class TestBruteforceVc:
         n = 40
         edges = tuple((i, (i + 1) % n) for i in range(n))
         g = WeightedGraph(n, (1.0,) * n, edges)
-        with pytest.raises(CapExceededError):
-            bruteforce_vc(g, cap=1000)
+        assert bruteforce_vc(g, cap=418).explored == 418
+        with pytest.raises(CapExceededError, match="^search explored more than the cap of 417 "):
+            bruteforce_vc(g, cap=417)
 
     @pytest.mark.parametrize("weight", [-5.0, float("nan")])
     def test_refuses_a_negative_or_nan_weight(self, weight):
@@ -157,7 +168,7 @@ class TestBruteforceVc:
     def test_matching_bound_prunes_the_unit_path(self, n, explored):
         # The search without the bound explored 4072, 131038 and 4194260 states.
         g = WeightedGraph(n, (1.0,) * n, tuple((i, i + 1) for i in range(n - 1)))
-        result = bruteforce_vc(g, cap=2**n)
+        result = bruteforce_vc(g)
         assert (result.value, result.explored) == (n // 2, explored)
 
     @settings(max_examples=150, deadline=None)
@@ -189,29 +200,29 @@ class TestSearchDepth:
         depth = sys.getrecursionlimit() // 2 - 2
         with pytest.raises(CapExceededError, match=f"^2400 active nodes exceed the search "
                                                    f"depth of {depth}$"):
-            bruteforce_ecc(_path(2400, 1200), cap=10**800)
+            bruteforce_ecc(_path(2400, 1200))
 
     def test_vc_refuses_a_deep_path(self):
         g = WeightedGraph(2400, (1.0,) * 2400, tuple((i, i + 1) for i in range(2399)))
         with pytest.raises(CapExceededError, match="^2400 active nodes exceed the search depth"):
-            bruteforce_vc(g, cap=2**2400)
+            bruteforce_vc(g)
 
     def test_deepest_accepted_search_runs(self):
         # The odd edge comes last, so the search colors every node before it
         # backs up: it recurses once per active node.
         depth = sys.getrecursionlimit() // 2 - 2
-        result = bruteforce_ecc(_path(depth, depth - 2), cap=2**depth)
+        result = bruteforce_ecc(_path(depth, depth - 2))
         assert result.value == 1
         assert objective_cost(_path(depth, depth - 2), list(result.witness)).total_cost == 1
         with pytest.raises(CapExceededError, match="search depth"):
-            bruteforce_ecc(_path(depth + 1, depth - 1), cap=2 ** (depth + 1))
+            bruteforce_ecc(_path(depth + 1, depth - 1))
         # A star whose centre the warm start misses, then a matching: the
         # matching bound leaves room until the search has covered every edge,
         # one level per edge of the matching.
         pairs = (depth - 3) // 2
         g = WeightedGraph(3 + 2 * pairs, (3.0, 2.0, 2.0) + (1.0,) * (2 * pairs),
                           ((0, 1), (0, 2)) + tuple((3 + 2 * i, 4 + 2 * i) for i in range(pairs)))
-        result = bruteforce_vc(g, cap=2 ** (3 + 2 * pairs))
+        result = bruteforce_vc(g)
         assert (result.value, result.explored) == (3 + pairs, 2 * pairs + 2)
 
 

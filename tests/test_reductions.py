@@ -197,8 +197,7 @@ class TestVertexCoverToEcc:
             weights = tuple(float(w) for w in rng.integers(1, 4, size=n))
             g = WeightedGraph(n, weights, edges)
             h, _ = vertex_cover_to_ecc(g)
-            # One color per hyperedge: raw state count outgrows the default cap.
-            assert bruteforce_ecc(h, cap=10**12).value == pytest.approx(
+            assert bruteforce_ecc(h).value == pytest.approx(
                 bruteforce_vc(g).value
             )
 
@@ -361,6 +360,13 @@ class TestGraphSerialization:
         ("vc 2 0\nvc 2 0\n", "line 2: unknown record 'vc'"),
         ("w 0 1\n", "line 1: expected 'vc <n> <m>' header"),
         ("", "missing 'vc' header"),
+        # Each of these once raised a ValueError with no line, or was accepted.
+        ("vc 2 1\ne 0 5\n", "line 2: node 5 out of range"),
+        ("vc 2 1\ne 1 1\n", "line 2: self-loop at node 1"),
+        ("vc 3 0\nt 1 1\n\nt 1 2\n", "line 4: node 1 has a second 't' record, the first on line 2"),
+        ("vc 3 0\nw 0 2\nw 0 3\n", "line 3: node 0 has a second 'w' record, the first on line 2"),
+        ("vc 3 0\nw 2 nan\n", "line 2: node 2 weight nan is nan or -inf"),
+        ("vc 3 0\nw 2 -inf\n", "line 2: node 2 weight -inf is nan or -inf"),
     ])
     def test_parse_names_the_line_of_a_malformed_record(self, text, detail):
         with pytest.raises(ParseError, match=detail) as err:
