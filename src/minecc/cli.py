@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 parse/usage error, 3 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -518,6 +519,7 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: parse_args keeps no per-call state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minecc",

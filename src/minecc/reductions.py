@@ -246,10 +246,12 @@ def parse_graph(text: str) -> WeightedGraph:
             given[kind, first] = lineno
             if kind == "t":
                 terminals.append((first, int(second)))
-            elif (weight := float(second)) > -math.inf:
-                weights[first], undeletable[first] = weight, second == "inf"
+            elif (weight := float(second)) >= 0:
+                # +inf however spelled, as write_graph writes an undeletable node.
+                weights[first], undeletable[first] = weight, weight == math.inf
             else:
-                raise ValueError(f"node {first} weight {second} is nan or -inf")
+                raise ValueError(f"node {first} weight {second} is "
+                                 + ("negative" if weight > -math.inf else "nan or -inf"))
         except ValueError as err:
             raise ParseError(str(err), lineno) from None
     if header is None:

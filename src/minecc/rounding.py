@@ -124,10 +124,13 @@ def estimate_mistake_prob(
     Returns ``(estimate, standard error)``. It runs :func:`gen_color_round`'s
     kernel on the edge's member rows with ``trials`` trials, so each trial
     rounds as :func:`gen_color_round` does, and only the colors of the edge's
-    members are materialized. An edge index outside ``[0, m)`` raises
-    IndexError. An infeasible ``x`` raises ValueError; a caller that estimates
-    every edge of one solution checks it once with
-    :meth:`EccLpSolution.violations` and passes ``check=False``.
+    members are materialized. When no member's color can vary over the
+    interval, every trial gives the same coloring, so the frequency is 0 or 1
+    with no error and nothing is drawn: this holds for every edge of an
+    integral solution. The result is the one the trials would give. An edge
+    index outside ``[0, m)`` raises IndexError. An infeasible ``x`` raises
+    ValueError; a caller that estimates every edge of one solution checks it
+    once with :meth:`EccLpSolution.violations` and passes ``check=False``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -136,7 +139,17 @@ def estimate_mistake_prob(
     if not (0 <= edge_index < h.num_edges):
         raise IndexError(f"edge index {edge_index} out of range")
     members = h.members[h.eptr[edge_index]:h.eptr[edge_index + 1]]
-    colors = _round_rows(x.x_node[members], interval, trials, np.random.default_rng(seed))
+    rows = x.x_node[members]
+    # Every threshold lies in [lo, hi + one ulp] (lo + (hi - lo) * u can round
+    # up past hi), so a distance outside that range is wanted in every trial
+    # or in none. A member wanting at most one color then takes it, or index
+    # 0 when it wants none, in every trial, as _round_rows' argmax picks. The
+    # frequency is then 0 or 1, with an error of 0, the bytes the trials give.
+    wanted = rows < interval.lo
+    if (not ((rows >= interval.lo) & (rows <= math.nextafter(interval.hi, math.inf))).any()
+            and (wanted.sum(axis=1) <= 1).all()):
+        return float((wanted.argmax(axis=1) != h.colors[edge_index] - 1).any()), 0.0
+    colors = _round_rows(rows, interval, trials, np.random.default_rng(seed))
     mistake = (colors != h.colors[edge_index] - 1).any(axis=1)
     p = float(mistake.mean())
     stderr = math.sqrt(p * (1.0 - p) / trials)

@@ -155,7 +155,29 @@ def feasible_solutions(draw, h: EdgeColoredHypergraph) -> EccLpSolution:
     return EccLpSolution(x_node, reach + (1.0 - reach) * slack, 0.0)
 
 
+@st.composite
+def grid_solutions(draw, h: EdgeColoredHypergraph) -> EccLpSolution:
+    """A feasible clustering-LP solution of ``h`` with every distance on the
+    grid of step ``1/d``, ``d`` in (1, 2, 4, 8), so distances land exactly on
+    interval ends such as 0.5, 0.75 and 0.875: each node splits its closeness
+    ``1 - x`` between at most two colors, and in one draw in three gives it
+    all to one, which makes the solution integral. Each edge variable is the
+    edge's reach."""
+    n, k = h.num_nodes, h.num_colors
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 4, 8]))
+    near = rng.integers(0, k, (n, 2))
+    share = rng.integers(0, d + 1, n) if draw(st.integers(0, 2)) else np.full(n, d)
+    close = np.zeros((n, k), dtype=np.int64)
+    np.add.at(close, (np.arange(n), near[:, 0]), share)
+    np.add.at(close, (np.arange(n), near[:, 1]), d - share)
+    x_node = 1.0 - close / d
+    reach = [max(x_node[v, e.color - 1] for v in e.members) for e in edges_of(h)]
+    return EccLpSolution(x_node, np.array(reach, dtype=np.float64), 0.0)
+
+
 SOLVED = instances().flatmap(lambda h: st.tuples(st.just(h), feasible_solutions(h)))
+SOLVED_ON_GRID = instances().flatmap(lambda h: st.tuples(st.just(h), grid_solutions(h)))
 INTERVALS = st.one_of(
     st.sampled_from([Interval(0.5, 0.875), Interval(0.5, 0.75), Interval(0.5, 2 / 3),
                      Interval(0.9, 1.0), Interval(0.0, 1.0), Interval(0.25, 0.75)]),
@@ -783,7 +805,8 @@ class TestRoundingMatchesReference:
         assert gen_color_round(h, x, interval, seed) == reference_gen_color_round(h, x, interval, seed)
 
     @settings(max_examples=150, deadline=None)
-    @given(SOLVED, INTERVALS, st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 500]))
+    @given(SOLVED | SOLVED_ON_GRID, INTERVALS, st.integers(0, 2**32 - 1),
+           st.sampled_from([1, 2, 500]))
     def test_same_estimates(self, hx, interval, seed, trials):
         h, x = hx
         for j in range(h.num_edges):

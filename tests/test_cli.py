@@ -41,6 +41,10 @@ hypergraph_module = importlib.import_module("minecc.hypergraph")
 # The csv header as README documents it: written out here, not derived from the code.
 HEADER = "dataset,algo,seed,mistakes,satisfaction,lp_bound,match_bound,mv_bound,ratio,accuracy,seconds"
 ALGOS = ["mv", "pitt", "match", "hybrid", "lp", "lp-simple", "exact"]
+# desk-lp's rand1 and rand2 at workload seeds 0-9: instances whose LP optimum is integral.
+DESK_RAND = {f"rand{r}-s{s}": ["random", "--nodes", "50", "--edges", "80", "--max-size", "3",
+                               "--colors", "6", "--seed", str(10 * s + r)]
+             for s in range(10) for r in (1, 2)}
 
 
 @pytest.fixture
@@ -758,12 +762,10 @@ class TestExactAndCapacity:
         assert capsys.readouterr().err == (
             f"error: 2400 active nodes exceed the search depth of {depth}\n")
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-    def test_gap_beyond_memory_exits_with_the_capacity_code(self, tmp_path):
-        # Run only under an address-space limit, in a child: k = 100000 asks
-        # for about 10^10 member ids, and the first array of them cannot be
-        # had, so the child fails before it has built anything (its resident
-        # peak, VmHWM, stays near the interpreter's own).
+    @staticmethod
+    def run_under_memory_limit(*argv: str) -> tuple[int, str]:
+        """The resident peak (VmHWM, kB) and the exit code and stderr of one
+        command, run only under an address-space limit, in a child."""
         code = ("import contextlib, io, resource, sys\n"
                 "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
                 "limit = 1_500_000 * 1024 if hard == resource.RLIM_INFINITY else "
@@ -771,15 +773,39 @@ class TestExactAndCapacity:
                 "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
                 "from minecc.cli import main\n"
                 "err = io.StringIO()\n"
-                "with contextlib.redirect_stderr(err):\n"
+                "with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
                 "    code = main(sys.argv[1:])\n"
                 "peak = [l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')]\n"
                 "print(peak[0], code, err.getvalue(), end='')\n")
-        out = run_python(code, "gen", "gap", "--colors", "100000", "-o", str(tmp_path / "g.ecc"))
-        peak_kb, out = out.split(" ", 1)
+        peak_kb, out = run_python(code, *argv).split(" ", 1)
+        return int(peak_kb), out
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_gap_beyond_memory_exits_with_the_capacity_code(self, tmp_path):
+        # k = 100000 asks for about 10^10 member ids, and the first array of
+        # them cannot be had, so the child fails before it has built anything
+        # (its resident peak stays near the interpreter's own).
+        peak_kb, out = self.run_under_memory_limit(
+            "gen", "gap", "--colors", "100000", "-o", str(tmp_path / "g.ecc"))
         assert out.startswith("4 error: out of memory") and out.count("\n") == 1
-        assert int(peak_kb) < 200_000
+        assert peak_kb < 200_000
         assert not (tmp_path / "g.ecc").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    @pytest.mark.parametrize("spec, want", [
+        # gap3's LP optimum is fractional: its first edge asks for 10^9 thresholds.
+        (["gap", "--colors", "3"], "4 error: out of memory"),
+        # desk-lp's rand1 at workload seed 0: an integral optimum, so no edge draws.
+        (DESK_RAND["rand1-s0"], "0 "),
+    ], ids=["fractional", "integral"])
+    def test_verify_trials_beyond_memory(self, spec, want, tmp_path):
+        # Never run in this process: a draw that is not patched out allocates.
+        inst = str(tmp_path / "inst.ecc")
+        assert main(["gen", *spec, "-o", inst]) == 0
+        peak_kb, out = self.run_under_memory_limit(
+            "verify", "--invariants", inst, "--trials", "1000000000")
+        assert out.startswith(want) and out.count("\n") == want.count("error")
+        assert peak_kb < 200_000
 
     def test_lp_capacity_exit_code(self, tmp_path, capsys):
         # The compact model has 5132 variables (the full one 9000), so the
@@ -1019,6 +1045,81 @@ class TestVerify:
         assert all("mistake frequency" in line for line in lines[1:]) and len(lines) == 8
 
 
+# `verify --invariants` on gap3-gap8: the exit code and the SHA-256 of stdout,
+# recorded when every edge drew its trials. 0.25:0.6 prints sampled
+# frequencies; 0.1:0.4 prints frequencies of 1 from edges that no longer draw.
+VERIFY_TRIALS = {"500": ["--trials", "500"], "50 0.9:1": ["--trials", "50", "--interval", "0.9:1"],
+                 "500 0.25:0.6": ["--trials", "500", "--interval", "0.25:0.6"],
+                 "500 0.1:0.4": ["--trials", "500", "--interval", "0.1:0.4"]}
+VERIFY_SHA256 = {
+    ("gap3", "500"): (0, "949ad54d3d87557a766bcefbdef83a9e8ccc289cbe2fdd8114f57c52c7de549b"),
+    ("gap3", "50 0.9:1"): (0, "f1f13c4a3e0780868e9cbf2dd888f1b874e31716fff5aaa338b55e12a791f4f9"),
+    ("gap3", "500 0.25:0.6"): (3, "785c03f143e5abccbc8a1174358e2b1488c92af8ce96cb62918df4b084ec6007"),
+    ("gap3", "500 0.1:0.4"): (3, "32d8ca9f90de261f2005a1073e2d0c361506185eb15a188c4c3c44729f9a0b07"),
+    ("gap4", "500"): (0, "b2154a5dd827bc972b7b656e23ed45a5eb325ce4c13ab0f4bd64d212dbdca2ae"),
+    ("gap4", "50 0.9:1"): (0, "d7493634d7a1c00a13c39fb25254a9792d1f8477b5d2ed8326a32023c8a18434"),
+    ("gap4", "500 0.25:0.6"): (3, "6f8cf8e1f177c65e4a56d134dc58108780e24ab46d24b538c13ed1b242b76f95"),
+    ("gap4", "500 0.1:0.4"): (3, "e7900dfac1162b73c07a431ff689f3ca887be75d99fc14aa02de71b19640c795"),
+    ("gap5", "500"): (0, "77b1d0e19024f41eb6e765b100d68653384125bbd6c0c176f92c7d17dac3753b"),
+    ("gap5", "50 0.9:1"): (0, "52f9ab996a4a8b08b9901bd6011b96c442d712dcae38f370a623890c046d4927"),
+    ("gap5", "500 0.25:0.6"): (3, "19917acb113b5c5e29934d7f718089b2e15cf95917678136ad02d497f80761ce"),
+    ("gap5", "500 0.1:0.4"): (3, "126aa8e3eebe074bd1d881474b8a6225c19e88012bd2bfe4221a080d9879c996"),
+    ("gap6", "500"): (0, "f2f6de758ebae17e846e10979e74741581a5c7032b8e02e1e161cbb2149c8d76"),
+    ("gap6", "50 0.9:1"): (0, "5dec14975fd8068b6b5daa96bd57112b0ed1085fea9d81c7969789e920900769"),
+    ("gap6", "500 0.25:0.6"): (3, "4ad44f5f4d70ba9f8d292dae0e05fdaa5cf169daf1c161f935b81b766e02ab30"),
+    ("gap6", "500 0.1:0.4"): (3, "c191cf0995f98c2cf22221e2e7f633edb46bff6f5f104be30cfa692d30e33b74"),
+    ("gap7", "500"): (0, "4f1c5620131ca5caef2574791a9a496463a4798fbc16a0613cd18972310d60fc"),
+    ("gap7", "50 0.9:1"): (0, "8e9cf7c065a6abe3f125d63da196cf71d50ff8f586fb4c8379d9c3f4a0681a8a"),
+    ("gap7", "500 0.25:0.6"): (3, "cf61f84250fa211d7bbd97d8d98f1754cba97d58babd974d3cd75f2885de1472"),
+    ("gap7", "500 0.1:0.4"): (3, "24e38f2dbbaf3737eb608e25091b89f5d6863f770bee670c1737c25f9ae83661"),
+    ("gap8", "500"): (0, "29e70b214b27081b572685b3a1c0aeb8100bcc4863d4e1e7447f9f193a5db083"),
+    ("gap8", "50 0.9:1"): (0, "35164f3a228537d706565dee681975832cc0933e1450ac6f06ca8211d8a4f760"),
+    ("gap8", "500 0.25:0.6"): (3, "dc2757e99f37c3241468a497a7b2c53df3a473d5f18146402c733459caf71a82"),
+    ("gap8", "500 0.1:0.4"): (3, "2c4f83bf35cac1fe9ad67d446e5057bfb50abf7e2e9e259ac7b4c1c153016206"),
+}
+
+
+class TestVerifyOutputsUnchanged:
+    """Skipping the draws of fixed-outcome edges changes no ``verify`` output."""
+
+    @pytest.mark.parametrize("name, trials", sorted(VERIFY_SHA256))
+    def test_gap_outputs_are_pinned(self, name, trials, tmp_path, capsys):
+        inst = str(tmp_path / f"{name}.ecc")
+        assert main(["gen", "gap", "--colors", name[3:], "-o", inst]) == 0
+        code = main(["verify", "--invariants", inst, *VERIFY_TRIALS[trials]])
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (code, digest) == VERIFY_SHA256[name, trials]
+
+    def test_desk_instances_pass(self, tmp_path, capsys):
+        for name, spec in DESK_RAND.items():
+            inst = str(tmp_path / f"{name}.ecc")
+            assert main(["gen", *spec, "-o", inst]) == 0
+            assert main(["verify", "--invariants", inst, "--trials", "500"]) == 0
+            assert capsys.readouterr().out == (f"{name}: feasibility and threshold invariants and "
+                                               "500-trial rounding frequencies hold on the LP solution\n")
+
+    @pytest.mark.parametrize("name, interval, code, generators", [
+        ("rand1-s0", [], 0, 0), ("rand2-s9", [], 0, 0), ("gap8", [], 0, 8),
+        # Every member of gap8 wants no color below 0.4 and lands on color 1.
+        ("gap8", ["--interval", "0.1:0.4"], 3, 0),
+    ], ids=["rand1-s0", "rand2-s9", "gap8", "gap8-0.1:0.4"])
+    def test_only_edges_whose_outcome_can_vary_draw(self, name, interval, code, generators,
+                                                     tmp_path, monkeypatch, capsys):
+        inst = str(tmp_path / f"{name}.ecc")
+        spec = DESK_RAND.get(name, ["gap", "--colors", "8"])
+        assert main(["gen", *spec, "-o", inst]) == 0
+        made = []
+        default_rng = minecc.rounding.np.random.default_rng
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(minecc.rounding.np.random, "default_rng", counted)
+        assert main(["verify", "--invariants", inst, "--trials", "500", *interval]) == code
+        assert len(made) == generators
+
+
 # SHA-256 of `reduce --to vc|nodemc|hypermc` stdout, recorded with the per-edge
 # reduction loops that the array code replaced.
 REDUCE_SHA256 = {
@@ -1230,6 +1331,18 @@ class TestParser:
             got = sorted("/".join(a.option_strings) for a in sub._actions
                          if a.option_strings and a.dest != "help")
             assert got == sorted(self.OPTIONS[name].split()), name
+
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_consecutive_calls_carry_nothing_over(self, gap3_file, capsys):
+        # On a new parser, then after a call that sets other options on the same one.
+        build_parser.cache_clear()
+        alone = run_csv(capsys, ["solve", gap3_file])
+        run_csv(capsys, ["solve", gap3_file, "--algo", "pitt", "--runs", "3", "--seed", "5"])
+        after = run_csv(capsys, ["solve", gap3_file])
+        assert {**after, "seconds": None} == {**alone, "seconds": None}
+        assert alone["algo"] == "hybrid" and alone["seed"] == "0"
 
     def test_algo_choices_and_defaults(self):
         subs = self.subparsers()

@@ -367,8 +367,18 @@ class TestGraphSerialization:
         ("vc 3 0\nw 0 2\nw 0 3\n", "line 3: node 0 has a second 'w' record, the first on line 2"),
         ("vc 3 0\nw 2 nan\n", "line 2: node 2 weight nan is nan or -inf"),
         ("vc 3 0\nw 2 -inf\n", "line 2: node 2 weight -inf is nan or -inf"),
+        ("vc 3 0\nw 1 -2\n", "line 2: node 1 weight -2 is negative"),
+        ("vc 3 0\nw 0 1\nw 1 -1e-300\n", "line 3: node 1 weight -1e-300 is negative"),
     ])
     def test_parse_names_the_line_of_a_malformed_record(self, text, detail):
         with pytest.raises(ParseError, match=detail) as err:
             parse_graph(text)
         assert err.value.line == (int(detail.split()[1][:-1]) if detail.startswith("line") else None)
+
+    @pytest.mark.parametrize("word", ["inf", "Infinity", "+inf", "INF", "+Infinity"])
+    def test_infinite_weight_is_undeletable_however_spelled(self, word):
+        text = f"vc 3 1\nw 0 {word}\nw 1 0\nw 2 -0\ne 0 1\n"
+        g = parse_graph(text)
+        assert g.undeletable.tolist() == [True, False, False]
+        assert g.weights.tolist() == [math.inf, 0.0, 0.0]
+        assert graph_layout(parse_graph(write_graph(g))) == graph_layout(g)

@@ -17,7 +17,7 @@ from minecc.rounding import (
     simple_round,
 )
 
-from conftest import naive_cost
+from conftest import naive_cost, reference_estimate_mistake_prob
 
 
 def lp_solution(h) -> EccLpSolution:
@@ -268,6 +268,34 @@ class TestEstimateMistakeProb:
         assert p_mid == pytest.approx(1 / 2, abs=3 * err_mid + 0.01)
         p_hi, err_hi = estimate_mistake_prob(h, sol, Interval(0.86, 0.874), 0, 20000, seed=6)
         assert p_hi == pytest.approx(2 / 3, abs=3 * err_hi + 0.01)
+
+    @pytest.mark.parametrize("row, interval, draws", [
+        ([0.0, 1.0, 1.0], Interval(0.5, 0.75), False),  # integral
+        ([0.375, 0.625, 1.0], Interval(0.5, 0.6), False),  # one color below lo, none in range
+        ([0.5, 0.5, 1.0], Interval(0.1, 0.4), False),  # no color below lo: color 1
+        ([0.5, 0.5, 1.0], Interval(0.5, 0.75), True),  # distances at lo
+        ([0.25, 0.75, 1.0], Interval(0.5, 0.75), True),  # a distance at hi
+        ([1 / 3, 1 - 1 / 3, 1.0], Interval(0.5, 2 / 3), True),  # one ulp above hi
+        ([0.5, 0.5, 1.0], Interval(0.75, 0.875), True),  # two colors below lo
+    ])
+    @pytest.mark.parametrize("color", [1, 2, 3])
+    def test_draws_only_where_the_outcome_can_vary(self, row, interval, draws, color):
+        # Same bytes as the trial loop, which always draws; a fixed outcome
+        # gives a frequency of 0 or 1 with no generator made.
+        h = hypergraph(2, 3, [((0, 1), color)])
+        sol = EccLpSolution(np.array([row, row]), np.ones(1), 1.0)
+        made, default_rng = [], np.random.default_rng
+
+        def counted(seed):
+            made.append(seed)
+            return default_rng(seed)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.random, "default_rng", counted)
+            got = estimate_mistake_prob(h, sol, interval, 0, 500, seed=4)
+        want = reference_estimate_mistake_prob(h, sol, interval, 0, 500, seed=4)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert made == ([4] if draws else [])
 
     def test_trials_on_a_large_edge_stay_small(self):
         # gap8's edge 0 has 7 members and k = 8: the (trials, members, k)
