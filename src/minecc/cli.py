@@ -28,9 +28,6 @@ EXIT_PARSE = 2
 EXIT_VERIFY = 3
 EXIT_CAPACITY = 4
 
-# Counted on the model solved: the compact clustering LP, or compare-lp's multiway-cut LP.
-SOLVER_VAR_LIMIT = 5000  # solves near it take 20+ s and 1+ GB; beyond it, export instead
-
 
 @dataclass
 class RunRecord:
@@ -169,9 +166,12 @@ def _oracle_cap() -> int:
     if not raw:
         return DEFAULT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise CliError(f"ECC_ORACLE_CAP must be an integer, got {raw!r}", EXIT_PARSE) from None
+        cap = -1
+    if cap < 0:
+        raise CliError(f"ECC_ORACLE_CAP must be a non-negative integer, got {raw!r}", EXIT_PARSE)
+    return cap
 
 
 def _need_colors(h: EdgeColoredHypergraph, what: str) -> None:
@@ -214,9 +214,9 @@ def _primal(lp, solution: str | None, flag: str, check: bool = True):
 
     A malformed ``solution`` file exits with the parse code, and so does one
     that breaks a bound or row of ``lp`` by more than 1e-6, unless ``check``
-    is off (``verify`` reports such vectors itself). Models above
-    ``SOLVER_VAR_LIMIT`` variables are refused with the capacity exit code;
-    ``flag`` names the option that supplies an external solution.
+    is off (``verify`` reports such vectors itself). A model that
+    :func:`~minecc.lp.solve` refuses, or solves short of optimal, exits with the
+    capacity code; ``flag`` names the option that supplies an external solution.
     """
     from .lp import parse_primal_text, solve
 
@@ -229,13 +229,10 @@ def _primal(lp, solution: str | None, flag: str, check: bool = True):
         if problem:
             raise CliError(f"{solution}: infeasible LP solution: {problem}", EXIT_PARSE)
         return x
-    if lp.num_vars > SOLVER_VAR_LIMIT:
-        raise CliError(
-            f"LP has {lp.num_vars} variables, above the reference-solver limit "
-            f"({SOLVER_VAR_LIMIT}); use 'minecc export' and supply {flag}",
-            EXIT_CAPACITY,
-        )
-    return solve(lp).require_optimal().x
+    try:
+        return solve(lp).require_optimal().x
+    except (MemoryError, RuntimeError) as exc:  # over the tableau budget, or not optimal
+        raise CliError(f"{exc}; use 'minecc export' and supply {flag}", EXIT_CAPACITY) from None
 
 
 def _clustering_solution(h: EdgeColoredHypergraph, solution: str | None, check: bool = True):

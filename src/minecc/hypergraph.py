@@ -237,7 +237,7 @@ def validate(h: EdgeColoredHypergraph) -> list[str]:
     """Return a list of invariant violations (empty iff the instance is valid).
 
     Reports, never raises: counts too large to index, out-of-range members,
-    empty edges, duplicate members, out-of-range colors, bad weights.
+    empty edges, duplicate members, out-of-range colors, bad weights or weight sums.
     """
     problems: list[str] = []
     n, k = h.num_nodes, h.num_colors
@@ -250,7 +250,11 @@ def validate(h: EdgeColoredHypergraph) -> list[str]:
     # A repeat of the sorted members is an entry that does not rise.
     flagged = (h.members < 0) | (h.members >= n) | ~_rising_within_edges(h.members, h.eptr)
     bad = (h.eptr[1:] == h.eptr[:-1]) | (h.colors < 1) | (h.colors > k)
-    bad |= ~((h.weights >= 0.0) & (h.weights < math.inf))
+    weight_ok = (h.weights >= 0.0) & (h.weights < math.inf)
+    bad |= ~weight_ok
+    with np.errstate(over="ignore"):  # every cost and bound sums some weights: keep them finite
+        if weight_ok.all() and h.weights.sum() == math.inf:
+            problems.append("the edge weights sum to more than the largest float")
     if flagged.any():
         bad[h.member_edges()[flagged]] = True
     for j in np.flatnonzero(bad).tolist():

@@ -634,10 +634,12 @@ def gen_random(
         raise ValueError("need n >= 1 and m >= 1")
     if n >= 2**32:
         raise ValueError("need n < 2**32")
-    if max_size < 2:
-        raise ValueError("need max_size >= 2")
+    if not 2 <= max_size < 2**63:
+        raise ValueError("need 2 <= max_size < 2**63")
     if k < 1:
         raise ValueError("need k >= 1")
+    if too_big := _too_big(n, k):
+        raise ValueError(f"random instance with n = {n}, k = {k}: {too_big}")
     if not (0.0 <= noise <= 1.0):
         raise ValueError("noise must lie in [0, 1]")
     rng = np.random.default_rng(seed)

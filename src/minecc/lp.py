@@ -20,18 +20,17 @@ touches only the rows where the entering column is nonzero (cost rows
 included) and the columns where the pivot row is nonzero (perturbation and
 rhs included); on the clustering LP both are a few percent of the tableau.
 Measured on the compact model (``build_ecc_lp(h, compact=True)``) of
-``gen_random(n, 1.6 n, 3, 6, 0.2, 1).hypergraph`` for n = 400, 800, 1600
-(two runs each, 2-core host, numpy 2.4):
+``gen_random(n, 1.6 n, 3, 6, 0.2, 1).hypergraph`` (2-core host, numpy 2.4):
 
-    variables   rows    solve time     peak RSS (whole process)
-    1026         985    0.11-0.14 s      95 MB
-    2205        2326    1.7-2.4 s       341 MB
-    4310        4421    21.1-21.2 s    1169 MB
+    variables   tableau         solve time     peak RSS (whole process)
+    1026        2013 x 3853     0.11-0.14 s      95 MB
+    2205        4533 x 8664     1.7-2.4 s       341 MB
+    4310        8733 x 16713    17.0-21.2 s    1170 MB
 
-The tableau's memory grows with the square of the model and the solve time
-faster still, so near the CLI's 5000-variable limit a solve takes tens of
-seconds and more than 1 GB. The multiway-cut model of a 50-node, 80-edge
-instance (896 columns, 3456 rows) takes 12-14 s.
+The tableau is nearly all of that memory, so ``solve`` refuses one of more
+than ``TABLEAU_CELLS`` cells (2 GiB) with ``MemoryError``, before allocating
+it. Time grows faster and is not bounded: the multiway-cut model of a
+50-node, 80-edge instance (896 columns, 3456 rows) takes 5-14 s.
 Larger models should be exported with :func:`export_lp_text` and solved
 externally, after which the primal vector can be read back with
 :func:`parse_primal_text`.
@@ -59,6 +58,7 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 VIOLATION_TOL = 1e-6  # how far a checked LP solution may miss a bound or row
 DEGENERATE_RUN_LIMIT = 100
+TABLEAU_CELLS = 1 << 28  # the largest tableau solve allocates: 2 GiB of float64
 
 RELATIONS = ("<=", ">=", "=")  # a row's relation code indexes this
 LE, GE, EQ = range(3)
@@ -254,6 +254,9 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
     art_rows = np.flatnonzero(rel != LE)
     art_cols = width + np.arange(len(art_rows))
     total = width + len(art_rows)
+    if (m + 2) * (total + 2) > TABLEAU_CELLS:
+        raise MemoryError(f"the simplex tableau would be {m + 2} x {total + 2} cells, above "
+                          f"the budget of {TABLEAU_CELLS} cells")
     T = np.zeros((m + 2, total + 2))
     T[row_of, rows.indices] = data
     T[len(rows.rhs) + np.arange(len(boxed)), boxed] = 1.0

@@ -353,6 +353,17 @@ class TestMalformedInputExitCodes:
         ("ecc 9223372036854775807 1 1\n1 1 0\n", ["solve", "{truth}"]),
         ("ecc 5 1 99999999999999999999\n1 1 0\n", ["solve", "{truth}"]),
         ("", ["gen", "gap", "--colors", "99999999999999999999"]),
+        # Counts that once ended in numpy's bincount overflow or its bounds check.
+        ("", ["gen", "random", "--nodes", "10", "--edges", "10", "--colors", str(2**63 - 1)]),
+        ("", ["bench-scaling", "--sizes", "100", "--colors", str(2**63 - 1)]),
+        ("", ["gen", "random", "--colors", str(2**63)]),
+        ("", ["gen", "random", "--max-size", str(2**63)]),
+        ("", ["bench-scaling", "--sizes", "100", "--max-size", str(2**63)]),
+        # Weights that are each finite but sum to inf: json once printed
+        # Infinity and NaN, and compare-lp's solve hit its iteration limit.
+        *(("ecc 1 3 3\n1 1e308 0\n2 1e308 0\n3 1e308 0\n", argv) for argv in (
+            ["solve", "{truth}", "--algo", "mv", "--format", "json"], ["compare-lp", "{truth}"],
+            ["verify", "--invariants", "{truth}"], ["reduce", "{truth}", "--to", "vc"])),
     ], ids=["truth-token", "truth-length", "sizes", "scaling-colors", "scaling-max-size",
             "gen-nodes", "gen-nodes-2**32", "gen-edges", "gen-max-size", "gen-colors",
             "gen-noise", "gen-gap-colors", "solve-pitt-seed", "solve-lp-seed",
@@ -367,7 +378,10 @@ class TestMalformedInputExitCodes:
             "certs-trials", "certs-interval", "certs-solution", "certs-labels",
             "certs-node-labels", "invariants-emit-lp", "no-colors-lp", "no-colors-lp-simple",
             "no-colors-exact", "no-colors-verify", "no-colors-export-ecc", "nodes-1e20",
-            "nodes-2**63-1", "colors-1e20", "gen-gap-colors-1e20"])
+            "nodes-2**63-1", "colors-1e20", "gen-gap-colors-1e20",
+            "gen-colors-2**63-1", "scaling-colors-2**63-1", "gen-colors-2**63",
+            "gen-max-size-2**63", "scaling-max-size-2**63", "weight-sum-solve-json",
+            "weight-sum-compare-lp", "weight-sum-verify", "weight-sum-reduce"])
     def test_exit_2_with_error_line(self, truth_text, argv, gap3_file, tmp_path, capsys):
         truth = tmp_path / "gap3.truth"
         truth.write_text(truth_text)
@@ -390,6 +404,20 @@ class TestMalformedInputExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: invalid instance: (num_nodes + 1) * "
                                        f"max(num_colors, 1) = {product} is not below 2^63\n")
+
+    def test_weights_with_a_finite_sum_still_solve(self, tmp_path, capsys):
+        inst = tmp_path / "near.ecc"
+        inst.write_text("ecc 1 2 2\n1 8e307 0\n2 8e307 0\n")
+        assert main(["solve", str(inst), "--algo", "mv", "--format", "json"]) == 0
+        (record,) = json.loads(capsys.readouterr().out)
+        del record["seconds"]
+        assert record == {"dataset": "near", "algo": "mv", "seed": 0, "mistakes": 8e307,
+                          "satisfaction": 0.5, "lp_bound": None, "match_bound": None,
+                          "mv_bound": 8e307, "ratio": 1.0, "accuracy": None}
+        assert main(["solve", str(inst), "--algo", "lp"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "dataset=near  algo=lp  seed=0  mistakes=8e+307  satisfaction=0.5  "
+            "lp_bound=8e+307  ratio=1  seconds=")
 
     @pytest.mark.parametrize("argv, what", [
         (["solve", "{inst}", "--algo", "lp"], "the clustering LP"),
@@ -740,9 +768,16 @@ class TestExactAndCapacity:
         assert row["mistakes"] == "2"
 
     def test_oracle_cap_env_exit_code(self, gap3_file, capsys, monkeypatch):
-        monkeypatch.setenv("ECC_ORACLE_CAP", "2")
-        assert main(["solve", gap3_file, "--algo", "exact"]) == 4
-        assert capsys.readouterr().err == "error: search explored more than the cap of 2 states\n"
+        for cap in ("2", "0"):
+            monkeypatch.setenv("ECC_ORACLE_CAP", cap)
+            assert main(["solve", gap3_file, "--algo", "exact"]) == 4
+            assert capsys.readouterr().err == (
+                f"error: search explored more than the cap of {cap} states\n")
+        for cap in ("-1", "1.5", "x"):  # malformed, as a bad --seed is
+            monkeypatch.setenv("ECC_ORACLE_CAP", cap)
+            assert main(["solve", gap3_file, "--algo", "exact"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: ECC_ORACLE_CAP must be a non-negative integer, got {cap!r}\n")
 
     def test_cap_counts_explored_states_not_colorings(self, tmp_path, capsys):
         # 4^20 colorings, far above the default cap, in a search of 28 states.
@@ -808,8 +843,8 @@ class TestExactAndCapacity:
         assert peak_kb < 200_000
 
     def test_lp_capacity_exit_code(self, tmp_path, capsys):
-        # The compact model has 5132 variables (the full one 9000), so the
-        # limit refuses the model that would be solved, before solving it.
+        # The compact model (5132 variables; the full one has 9000) needs a
+        # 12175 x 23431 tableau, 2.13 GiB: refused before it is allocated.
         inst = tmp_path / "big.ecc"
         assert main(["gen", "random", "--nodes", "1500", "--edges", "3000", "--colors", "4",
                      "--noise", "0.2", "--seed", "0", "-o", str(inst)]) == 0
@@ -818,23 +853,47 @@ class TestExactAndCapacity:
                      ["solve", str(inst), "--algo", "match", "--with-lp-bound"],
                      ["verify", "--invariants", str(inst)]):
             assert main(argv) == 4
-            assert "LP has 5132 variables" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error: the simplex tableau would be 12175 x 23431 cells")
+            assert err.endswith("; use 'minecc export' and supply --solution\n")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_multiway_cut_tableau_over_the_budget_is_never_allocated(self, tmp_path):
+        # Its 4852 columns need an 18734 x 23616 tableau, 3.30 GiB. Under the
+        # child's address-space limit, numpy once failed to allocate it.
+        inst = str(tmp_path / "r280.ecc")
+        assert main(["gen", "random", "--nodes", "280", "--edges", "448", "--max-size", "3",
+                     "--colors", "6", "--seed", "1", "-o", inst]) == 0
+        peak_kb, out = self.run_under_memory_limit("compare-lp", inst)
+        assert out == (f"4 error: the simplex tableau would be 18734 x 23616 cells, above the "
+                       f"budget of {minecc.lp.TABLEAU_CELLS} cells; use 'minecc export' "
+                       f"and supply --nodemc-solution\n")
+        assert peak_kb < 200_000
+
+    def test_solve_that_ends_short_of_optimal_exit_code(self, tmp_path, monkeypatch, capsys):
+        inst = str(tmp_path / "gap4.ecc")
+        assert main(["gen", "gap", "--colors", "4", "-o", inst]) == 0
+        solve = minecc.lp.solve
+        monkeypatch.setattr(minecc.lp, "solve", lambda lp: solve(lp, iteration_limit=1))
+        assert main(["solve", inst, "--algo", "lp"]) == 4
+        assert capsys.readouterr() == ("", "error: LP solve ended with status 'iteration_limit'; "
+                                           "use 'minecc export' and supply --solution\n")
 
     def test_in_house_solves_check_the_compact_model(self, tmp_path, monkeypatch, capsys):
-        # gap8: the full model has 232 variables and the compact one 64
+        # gap8: the full model's tableau is 318 x 606 and the compact one's 150 x 270
         inst = str(tmp_path / "gap8.ecc")
         assert main(["gen", "gap", "--colors", "8", "-o", inst]) == 0
         commands = [["solve", inst, "--algo", "match", "--with-lp-bound"],
                     ["solve", inst, "--algo", "lp"], ["solve", inst, "--algo", "lp-simple"],
                     ["verify", "--invariants", inst, "--trials", "500"]]
-        monkeypatch.setattr(minecc.cli, "SOLVER_VAR_LIMIT", 64)
+        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 150 * 270)
         for argv in commands:
             assert main(argv) == 0
         assert "lp_bound=4 " in capsys.readouterr().out
-        monkeypatch.setattr(minecc.cli, "SOLVER_VAR_LIMIT", 63)
+        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 150 * 270 - 1)
         for argv in commands:
             assert main(argv) == 4
-            assert "LP has 64 variables" in capsys.readouterr().err
+            assert "tableau would be 150 x 270 cells" in capsys.readouterr().err
 
     @pytest.mark.parametrize("owner, name, argv", [
         (minecc.rounding, "estimate_mistake_prob",

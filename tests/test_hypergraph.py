@@ -43,6 +43,12 @@ class TestValidate:
         problems = validate(h)
         assert len(problems) == 1 and "finite" in problems[0]
 
+    def test_weights_whose_sum_overflows_reported(self):
+        # Each weight is finite, but a cost or bound that adds them is not.
+        h = hypergraph(1, 3, [((0,), c, 1e308) for c in (1, 2, 3)])
+        assert validate(h) == ["the edge weights sum to more than the largest float"]
+        assert validate(hypergraph(1, 2, [((0,), c, 8e307) for c in (1, 2)])) == []
+
     def test_empty_and_duplicate_edges_reported(self):
         # The raw array constructor keeps members as given.
         h = EdgeColoredHypergraph(3, 1, [0, 2, 0], [0, 0, 3], [1, 1], [1.0, 1.0])
@@ -67,6 +73,13 @@ class TestValidate:
     def test_counts_below_the_bound_are_valid(self, n, k):
         h = EdgeColoredHypergraph(n, k, [], [0], [], [])
         assert validate(h) == []
+
+    def test_random_generator_keeps_the_same_bound(self):
+        # Refused before any draw: numpy's bincount over k + 1 colors once overflowed.
+        with pytest.raises(ValueError, match=f"^random instance with n = 10, k = {2**63 - 1}: "):
+            gen_random(10, 10, 3, 2**63 - 1, 0.2, 0)
+        with pytest.raises(ValueError, match=r"need 2 <= max_size < 2\*\*63"):
+            gen_random(10, 10, 2**63, 3, 0.2, 0)
 
     def test_gap_generator_keeps_the_same_bound(self):
         with pytest.raises(ValueError, match=r"^gap construction with k = 3037000500: "):

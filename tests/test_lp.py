@@ -52,6 +52,17 @@ class TestSimplex:
         lp = lp_from_rows("min", [("x", 0, 1, 1.0)], [([(0, 1.0)], ">=", 3.0)])
         assert solve(lp).status == "infeasible"
 
+    def test_tableau_over_the_cell_budget_is_refused(self, monkeypatch):
+        # gap8's compact model: 148 rows and 268 columns, with the two cost
+        # rows and the perturbation and rhs columns a 150 x 270 tableau.
+        lp = build_ecc_lp(gen_integrality_gap(8), compact=True)
+        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 150 * 270)
+        assert solve(lp).require_optimal().value == pytest.approx(4.0)
+        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 150 * 270 - 1)
+        with pytest.raises(MemoryError, match=r"^the simplex tableau would be 150 x 270 cells, "
+                                              r"above the budget of 40499 cells$"):
+            solve(lp)
+
     def test_redundant_equalities(self):
         # Duplicate equality rows leave an artificial stuck on a zero row.
         lp = lp_from_rows("min", [("x", 0, 5, 1.0), ("y", 0, 5, 1.0)],
