@@ -11,26 +11,62 @@ builds its names. ``lp.constraints`` lists the rows as ``(coeffs, rel, rhs)``
 records, made when read, for the benchmark harness and the tests; the
 package itself reads only the arrays.
 
-The solver is a two-phase primal simplex on one dense standard-form tableau,
-filled in place from the CSR rows. Its m constraint rows are followed by the
-phase-1 and the phase-2 reduced-cost rows, and its columns (structural,
-slack, artificial) by a column of tie-break perturbations and the rhs. So
-each pivot is one division of the pivot row and one rank-1 update, which
-touches only the rows where the entering column is nonzero (cost rows
-included) and the columns where the pivot row is nonzero (perturbation and
-rhs included); on the clustering LP both are a few percent of the tableau.
-Measured on the compact model (``build_ecc_lp(h, compact=True)``) of
-``gen_random(n, 1.6 n, 3, 6, 0.2, 1).hypergraph`` (2-core host, numpy 2.4):
+The solver is a simplex on one dense tableau, in one of two standard forms.
+Both shift ``x = lower + x'`` so ``x' >= 0``, each row's rhs less its terms
+at ``lower``, and both use the same pivot loop, ratio test, cell budget and
+anti-cycling rule.
 
-    variables   tableau         solve time     peak RSS (whole process)
-    1026        2013 x 3853     0.11-0.14 s      95 MB
-    2205        4533 x 8664     1.7-2.4 s       341 MB
-    4310        8733 x 16713    17.0-21.2 s    1170 MB
+- The primal form is the program's own rows, one ``<=`` row more per finite
+  upper bound, each row negated where its rhs is negative. It has one slack
+  per inequality and one artificial per row without a ``<=`` slack to start
+  the basis, and it runs phase 1 on the artificials, then phase 2.
+- The dual form is :func:`dual_program`: one ``<=`` row per column, with
+  the column's min-form cost as its rhs, and one column per ``<=`` or
+  ``>=`` row, two per ``=`` row and one per finite upper bound. When no cost
+  is negative, its all-slack basis is feasible: no artificials, no phase 1.
+
+``solve`` takes the dual form exactly when every min-form cost is
+nonnegative, as in both relaxations, which minimize nonnegative mistake
+weights. Most of the primal form's pivots there only search for a feasible
+basis, in phase 1: gap8's and desk-lp's rand1 and rand2 compact models
+(seeds 0-9) take 3853 pivots in the primal form and 1686 in the dual. A
+program with a negative cost keeps the primal form: its dual would need a
+phase 1 of its own, and could not tell an unbounded program from an
+infeasible one. On the dual form, column j of the program is the dual's row
+j: ``x_j`` is ``lower_j`` plus the final phase-2 reduced cost of that row's
+slack, and ``basic[j]`` says the slack is nonbasic. A basic column's reduced
+cost is exactly 0, so every column strictly inside its bounds is marked
+basic, and the point read back is the basic solution complementary to the
+dual's optimal basis, a vertex as the primal form's optimum is. An optimal
+dual is an optimal program; an unbounded dual, an infeasible program (a
+nonnegative cost over finite lower bounds cannot be unbounded below); an
+iteration limit is reported as such.
+
+The tableau is filled in place from the CSR rows. Its m constraint rows are
+followed by the phase-1 and the phase-2 reduced-cost rows, and its columns
+(structural, slack, artificial) by a column of tie-break perturbations and
+the rhs. So each pivot is one division of the pivot row and one rank-1
+update, which touches only the rows where the entering column is nonzero
+(cost rows included) and the columns where the pivot row is nonzero
+(perturbation and rhs included); on the clustering LP both are a few
+percent of the tableau. The costs sit in the dual form's rhs column, not in
+its cost rows: on an instance with two weights of 8e307, whose primal-form
+cost rows overflow, no cell of the dual form does. Measured on the compact
+model (``build_ecc_lp(h, compact=True)``) of
+``gen_random(n, 1.6 n, 3, 6, 0.2, 1).hypergraph`` (2-core host, numpy 2.4;
+the primal form one run each, the dual form three; peak RSS of the whole
+process):
+
+    variables   primal tableau   solve    RSS       dual tableau    solve          RSS
+    1026        2013 x 3853      0.11 s     96 MB   1028 x 3210     0.03-0.05 s     62 MB
+    2205        4533 x 8664      1.50 s    342 MB   2207 x 7138     0.13-0.16 s    157 MB
+    4310        8733 x 16713    30.2 s    1169 MB   4312 x 13794    0.42-0.57 s    491 MB
 
 The tableau is nearly all of that memory, so ``solve`` refuses one of more
 than ``TABLEAU_CELLS`` cells (2 GiB) with ``MemoryError``, before allocating
-it. Time grows faster and is not bounded: the multiway-cut model of a
-50-node, 80-edge instance (896 columns, 3456 rows) takes 5-14 s.
+it. Time is not bounded: the multiway-cut models of 50-node, 80-edge
+instances (896 columns, about 3400 rows, 898 x 4360 dual tableaux) take
+0.1 s on seed 1 and 0.9-2.3 s on seed 2.
 Larger models should be exported with :func:`export_lp_text` and solved
 externally, after which the primal vector can be read back with
 :func:`parse_primal_text`.
@@ -218,25 +254,107 @@ class LpResult:
         return self
 
 
+def _min_form_costs(lp: LinearProgram) -> np.ndarray:
+    return lp.objective if lp.sense == "min" else -lp.objective
+
+
+def _shifted_rhs(lp: LinearProgram, row_of: np.ndarray) -> np.ndarray:
+    """Each row's rhs less its terms at ``lp.lower``, added term by term in row order."""
+    rows = lp.rows
+    return rows.rhs - np.bincount(row_of, weights=rows.data * lp.lower[rows.indices],
+                                  minlength=len(rows.rhs))
+
+
+def dual_program(lp: LinearProgram) -> LinearProgram:
+    """The dual of ``lp``'s min form, as a program of its own.
+
+    With ``x = lower + x'``, ``lp`` reads min c'x' over ``x' >= 0`` and its
+    rows, each rhs less the row's terms at ``lower``; a finite upper bound
+    is the row ``-x'_j >= lower_j - upper_j``. Each row is read as ``>=``,
+    negated if it is ``<=``, and an ``=`` row as both. The dual has one
+    column ``y >= 0`` per row so read, in row order (an ``=`` row's plain
+    copy first), then one per finite upper bound, and it maximizes their
+    right-hand sides. It has one ``<=`` row per column of ``lp``: that
+    column's coefficients in the rows read, at most its cost ``c_j``. Its
+    constant makes its optimum the min-form optimum of ``lp`` (the negated
+    optimum when ``lp`` maximizes).
+    """
+    n, rows, lo = lp.num_vars, lp.rows, lp.lower
+    c_min = _min_form_costs(lp)
+    row_of = rows.row_ids()
+    b = _shifted_rhs(lp, row_of)
+    eq = rows.rel == EQ
+    copies = 1 + eq
+    first = np.cumsum(copies) - copies  # each row's first dual column
+    read = int(copies.sum())
+    sign = np.where(rows.rel == LE, -1.0, 1.0)
+    boxed = np.flatnonzero(np.isfinite(lp.upper))
+    on_eq, at = eq[row_of], first[row_of]
+    # Every coefficient of the dual: its row (a column of lp), its column, its value.
+    where = np.concatenate([rows.indices, rows.indices[on_eq], boxed])
+    cols = np.concatenate([at, at[on_eq] + 1, read + np.arange(len(boxed))])
+    data = np.concatenate([sign[row_of] * rows.data, -rows.data[on_eq], np.full(len(boxed), -1.0)])
+    order = np.lexsort((cols, where))
+    objective = np.concatenate([np.zeros(read), lo[boxed] - lp.upper[boxed]])
+    objective[first] = sign * b
+    objective[first[eq] + 1] = -b[eq]
+    constant = float(np.dot(c_min, lo)) + (lp.constant if lp.sense == "min" else -lp.constant)
+    return LinearProgram(
+        objective, 0.0, math.inf, lambda: [f"y{j}" for j in range(len(objective))],
+        Rows(np.concatenate([[0], np.cumsum(np.bincount(where, minlength=n))]), cols[order],
+             data[order], np.full(n, LE), c_min),
+        sense="max", constant=constant)
+
+
 def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
     """Solve ``lp``, returning a basic optimal solution when one exists.
 
-    A program without variables or rows is optimal at once, with value
-    ``lp.constant``.
+    A program whose min-form costs are all nonnegative is solved through
+    :func:`dual_program`, any other on its own tableau; the module docstring
+    says how the primal is read back. A program without variables or rows
+    is optimal at once, with value ``lp.constant``.
     """
-    n = lp.num_vars
     lo = lp.lower
     if not np.all(np.isfinite(lo)):
         raise ValueError("simplex requires finite lower bounds")
-    c_min = lp.objective if lp.sense == "min" else -lp.objective
+    on_dual = bool(np.all(_min_form_costs(lp) >= 0.0))
+    program = dual_program(lp) if on_dual else lp
+    status, iterations, T, basis = _simplex(program, iteration_limit)
+    if status != "optimal":
+        # The dual starts feasible, so an unbounded dual is an infeasible lp.
+        status = "infeasible" if on_dual and status == "unbounded" else status
+        return LpResult(status, None, None, None, iterations)
+    in_basis = np.zeros(T.shape[1] - 2, dtype=bool)
+    in_basis[basis] = True
+    n = lp.num_vars
+    if on_dual:
+        # Column j of lp is the dual's row j, whose slack is dual column
+        # program.num_vars + j; its final phase-2 reduced cost is x_j - lower_j.
+        slacks = slice(program.num_vars, program.num_vars + n)
+        x, basic = lo + T[-1, slacks], ~in_basis[slacks]
+    else:
+        x_shift = np.zeros(len(in_basis))
+        x_shift[basis] = T[:len(basis), -1]
+        x, basic = lo + x_shift[:n], in_basis[:n]
+    return LpResult("optimal", lp.value_of(x), x, tuple(basic.tolist()), iterations)
 
-    # Shift x = lo + x' so x' >= 0: each row's rhs absorbs its shift, added
-    # term by term in row order. Finite upper bounds become rows of their own.
+
+def _simplex(lp: LinearProgram, iteration_limit: int):
+    """Pivot ``lp`` on its standard-form tableau, as the module docstring says.
+
+    Returns the status, the pivot count, the tableau as the pivots left it
+    and the basic column of each constraint row.
+    """
+    n = lp.num_vars
+    lo = lp.lower
+    c_min = _min_form_costs(lp)
+
+    # Shift x = lo + x' so x' >= 0: each row's rhs absorbs its shift. Finite
+    # upper bounds become rows of their own.
     rows = lp.rows
     row_of = rows.row_ids()
-    shift = np.bincount(row_of, weights=rows.data * lo[rows.indices], minlength=len(rows.rhs))
     boxed = np.flatnonzero(np.isfinite(lp.upper))
-    rhs = np.concatenate([rows.rhs - shift, lp.upper[boxed] - lo[boxed]])
+    rhs = np.concatenate([_shifted_rhs(lp, row_of), lp.upper[boxed] - lo[boxed]])
     rel = np.concatenate([rows.rel, np.full(len(boxed), LE, dtype=np.int8)])
     flip = rhs < 0.0  # normalize to b >= 0 by negating the row
     rhs[flip] = -rhs[flip]
@@ -360,10 +478,10 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
     if len(art_rows):
         status = run_phase(m)
         if status == "iteration_limit":
-            return LpResult("iteration_limit", None, None, None, state["iterations"])
+            return status, state["iterations"], T, basis
         infeas = sum(b[basis >= width].tolist())
         if infeas > FEAS_TOL:
-            return LpResult("infeasible", None, None, None, state["iterations"])
+            return "infeasible", state["iterations"], T, basis
         # Drive remaining artificials out of the basis (or leave them on
         # redundant all-zero rows, where they stay at value zero).
         for i in range(m):
@@ -377,16 +495,7 @@ def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
         state["stall"] = 0
 
     status = run_phase(m + 1)
-    if status != "optimal":
-        return LpResult(status, None, None, None, state["iterations"])
-
-    x_shift = np.zeros(total)
-    x_shift[basis] = b
-    x = lo + x_shift[:n]
-    in_basis = np.zeros(total, dtype=bool)
-    in_basis[basis] = True
-    return LpResult("optimal", lp.value_of(x), x, tuple(in_basis[:n].tolist()),
-                    state["iterations"])
+    return status, state["iterations"], T, basis
 
 
 def _nums(values: np.ndarray) -> np.ndarray:

@@ -422,6 +422,24 @@ def lp_from_rows(sense: str, cols, rows, constant: float = 0.0) -> LinearProgram
     )
 
 
+def highs_value(lp: LinearProgram) -> float:
+    """``lp``'s optimal value from scipy's HiGHS, the external reference for
+    ``solve``; the caller skips when scipy is missing."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    rows = lp.rows
+    a = csr_matrix((rows.data, rows.indices, rows.indptr), shape=(lp.num_rows, lp.num_vars))
+    a_ub = a[rows.rel != EQ].multiply(np.where(rows.rel == LE, 1.0, -1.0)[rows.rel != EQ, None])
+    b_ub = np.where(rows.rel == LE, rows.rhs, -rows.rhs)[rows.rel != EQ]
+    sign = 1.0 if lp.sense == "min" else -1.0
+    res = linprog(sign * lp.objective, A_ub=a_ub.tocsr(), b_ub=b_ub,
+                  A_eq=a[rows.rel == EQ], b_eq=rows.rhs[rows.rel == EQ],
+                  bounds=np.column_stack([lp.lower, lp.upper]), method="highs")
+    assert res.status == 0
+    return sign * res.fun + lp.constant
+
+
 def reference_num(x: float) -> str:
     """The old scalar number formatter; the reference for the writers' numbers."""
     x = float(x)
@@ -1083,6 +1101,34 @@ def reference_parse_benchmark(
         for members, color in zip(members_per_edge, colors)
     ]
     return hypergraph(num_nodes, num_colors, edges), truth
+
+
+def reference_dual_program(lp: LinearProgram) -> LinearProgram:
+    """The dual written out column by column from the row records; the
+    reference for ``dual_program``, whose constant it gives as a Python sum."""
+    lo = lp.lower.tolist()
+    c_min = (lp.objective if lp.sense == "min" else -lp.objective).tolist()
+    costs, entries = [], []  # the dual's costs, and its (row, column, coefficient) terms
+
+    def column(terms, sign: float, rhs: float) -> None:
+        entries.extend((j, len(costs), sign * a) for j, a in terms)
+        costs.append(sign * rhs)
+
+    for con in lp.constraints:
+        b = con.rhs - sum(a * lo[j] for j, a in con.coeffs)
+        if con.rel != "<=":
+            column(con.coeffs, 1.0, b)
+        if con.rel != ">=":
+            column(con.coeffs, -1.0, b)
+    for j, hi in enumerate(lp.upper.tolist()):
+        if math.isfinite(hi):
+            column([(j, 1.0)], -1.0, hi - lo[j])
+    rows = [([(col, a) for row, col, a in entries if row == j], "<=", c_min[j])
+            for j in range(lp.num_vars)]
+    constant = sum(c * v for c, v in zip(c_min, lo)) + (
+        lp.constant if lp.sense == "min" else -lp.constant)
+    return lp_from_rows("max", [(f"y{i}", 0.0, math.inf, c) for i, c in enumerate(costs)],
+                        rows, constant)
 
 
 def reference_simplex(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:

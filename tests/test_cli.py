@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -32,8 +33,10 @@ from minecc.hypergraph import objective_cost
 from minecc.instances import gen_star, parse_canonical, write_canonical
 from minecc.lp import solve as lp_solve
 from minecc.oracle import bruteforce_ecc
-from minecc.relaxations import build_ecc_lp, extract_ecc_solution
+from minecc.relaxations import build_ecc_lp, build_nodemc_lp, extract_ecc_solution
 from minecc.rounding import best_interval, gen_color_round, simple_round
+
+from conftest import highs_value
 
 # The module: the package attribute minecc.hypergraph is its function of that name.
 hypergraph_module = importlib.import_module("minecc.hypergraph")
@@ -414,10 +417,27 @@ class TestMalformedInputExitCodes:
         assert record == {"dataset": "near", "algo": "mv", "seed": 0, "mistakes": 8e307,
                           "satisfaction": 0.5, "lp_bound": None, "match_bound": None,
                           "mv_bound": 8e307, "ratio": 1.0, "accuracy": None}
-        assert main(["solve", str(inst), "--algo", "lp"]) == 0
-        assert capsys.readouterr().out.startswith(
-            "dataset=near  algo=lp  seed=0  mistakes=8e+307  satisfaction=0.5  "
-            "lp_bound=8e+307  ratio=1  seconds=")
+        # The LP commands pivot on the dual tableau, where the weights sit in
+        # the rhs column, not in the cost rows, so no tableau cell overflows.
+        big = f"{8e307:.6f}"  # compare-lp prints every digit
+        commands = [
+            (["solve", "{inst}", "--algo", "lp"],
+             "dataset=near  algo=lp  seed=0  mistakes=8e+307  satisfaction=0.5  "
+             "lp_bound=8e+307  ratio=1  seconds="),
+            (["solve", "{inst}", "--algo", "match", "--with-lp-bound"],
+             "dataset=near  algo=match  seed=0  mistakes=8e+307  satisfaction=0.5  "
+             "lp_bound=8e+307  match_bound=8e+307  ratio=1  seconds="),
+            (["verify", "--invariants", "{inst}"],
+             "near: feasibility and threshold invariants hold on the LP solution\n"),
+            (["compare-lp", "{inst}"],
+             f"dataset=near ecc_lp={big} nodemc_lp={big} gap=0.000000\n"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for argv, want in commands:
+                assert main([a.format(inst=inst) for a in argv]) == 0
+                out = capsys.readouterr().out
+                assert out.startswith(want) and (out == want or want.endswith("seconds="))
 
     @pytest.mark.parametrize("argv, what", [
         (["solve", "{inst}", "--algo", "lp"], "the clustering LP"),
@@ -843,10 +863,11 @@ class TestExactAndCapacity:
         assert peak_kb < 200_000
 
     def test_lp_capacity_exit_code(self, tmp_path, capsys):
-        # The compact model (5132 variables; the full one has 9000) needs a
-        # 12175 x 23431 tableau, 2.13 GiB: refused before it is allocated.
+        # The compact model (9897 variables; the full one has 18000) needs a
+        # 9899 x 34643 tableau for its dual, 2.56 GiB: refused before it is
+        # allocated.
         inst = tmp_path / "big.ecc"
-        assert main(["gen", "random", "--nodes", "1500", "--edges", "3000", "--colors", "4",
+        assert main(["gen", "random", "--nodes", "3000", "--edges", "6000", "--colors", "4",
                      "--noise", "0.2", "--seed", "0", "-o", str(inst)]) == 0
         for argv in (["solve", str(inst), "--algo", "lp"],
                      ["solve", str(inst), "--algo", "lp-simple"],
@@ -854,18 +875,19 @@ class TestExactAndCapacity:
                      ["verify", "--invariants", str(inst)]):
             assert main(argv) == 4
             err = capsys.readouterr().err
-            assert err.startswith("error: the simplex tableau would be 12175 x 23431 cells")
+            assert err.startswith("error: the simplex tableau would be 9899 x 34643 cells")
             assert err.endswith("; use 'minecc export' and supply --solution\n")
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_multiway_cut_tableau_over_the_budget_is_never_allocated(self, tmp_path):
-        # Its 4852 columns need an 18734 x 23616 tableau, 3.30 GiB. Under the
-        # child's address-space limit, numpy once failed to allocate it.
-        inst = str(tmp_path / "r280.ecc")
-        assert main(["gen", "random", "--nodes", "280", "--edges", "448", "--max-size", "3",
+        # Its 8636 columns need an 8638 x 42052 tableau for the dual, 2.71
+        # GiB, after the clustering LP's 1350 x 4299. Under the child's
+        # address-space limit, numpy once failed to allocate such a tableau.
+        inst = str(tmp_path / "r500.ecc")
+        assert main(["gen", "random", "--nodes", "500", "--edges", "800", "--max-size", "3",
                      "--colors", "6", "--seed", "1", "-o", inst]) == 0
         peak_kb, out = self.run_under_memory_limit("compare-lp", inst)
-        assert out == (f"4 error: the simplex tableau would be 18734 x 23616 cells, above the "
+        assert out == (f"4 error: the simplex tableau would be 8638 x 42052 cells, above the "
                        f"budget of {minecc.lp.TABLEAU_CELLS} cells; use 'minecc export' "
                        f"and supply --nodemc-solution\n")
         assert peak_kb < 200_000
@@ -880,20 +902,20 @@ class TestExactAndCapacity:
                                            "use 'minecc export' and supply --solution\n")
 
     def test_in_house_solves_check_the_compact_model(self, tmp_path, monkeypatch, capsys):
-        # gap8: the full model's tableau is 318 x 606 and the compact one's 150 x 270
+        # gap8: the full model's tableau is 234 x 578 and the compact one's 66 x 242
         inst = str(tmp_path / "gap8.ecc")
         assert main(["gen", "gap", "--colors", "8", "-o", inst]) == 0
         commands = [["solve", inst, "--algo", "match", "--with-lp-bound"],
                     ["solve", inst, "--algo", "lp"], ["solve", inst, "--algo", "lp-simple"],
                     ["verify", "--invariants", inst, "--trials", "500"]]
-        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 150 * 270)
+        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 66 * 242)
         for argv in commands:
             assert main(argv) == 0
         assert "lp_bound=4 " in capsys.readouterr().out
-        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 150 * 270 - 1)
+        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 66 * 242 - 1)
         for argv in commands:
             assert main(argv) == 4
-            assert "tableau would be 150 x 270 cells" in capsys.readouterr().err
+            assert "tableau would be 66 x 242 cells" in capsys.readouterr().err
 
     @pytest.mark.parametrize("owner, name, argv", [
         (minecc.rounding, "estimate_mistake_prob",
@@ -1026,6 +1048,18 @@ class TestCompareLp:
         assert main(["compare-lp", str(inst)]) == 0
         out = capsys.readouterr().out
         assert "ecc_lp=0.000000" in out and "nodemc_lp=0.000000" in out
+
+    @pytest.mark.parametrize("name", ["rand1-s0", "rand2-s0"])
+    def test_desk_instances_match_highs(self, name, tmp_path, capsys):
+        # The multiway-cut models have 896 columns and 3456 or 3384 rows.
+        pytest.importorskip("scipy.optimize")
+        inst = tmp_path / "r50.ecc"
+        assert main(["gen", *DESK_RAND[name], "-o", str(inst)]) == 0
+        assert main(["compare-lp", str(inst)]) == 0
+        h = parse_canonical(inst.read_text())
+        ecc, mc = highs_value(build_ecc_lp(h)), highs_value(build_nodemc_lp(h))
+        assert capsys.readouterr().out.startswith(
+            f"dataset=r50 ecc_lp={ecc:.6f} nodemc_lp={mc:.6f} gap=")
 
 
 class TestVerify:

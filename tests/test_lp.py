@@ -10,7 +10,14 @@ import minecc.lp
 from minecc.certificates import all_cases, case_to_lp
 from minecc.hypergraph import EdgeColoredHypergraph, hypergraph, validate
 from minecc.instances import ParseError, gen_integrality_gap, gen_random, gen_star
-from minecc.lp import LinearProgram, Rows, export_lp_text, parse_primal_text, solve
+from minecc.lp import (
+    LinearProgram,
+    Rows,
+    dual_program,
+    export_lp_text,
+    parse_primal_text,
+    solve,
+)
 from minecc.oracle import bruteforce_ecc
 from minecc.relaxations import (
     build_ecc_lp,
@@ -21,8 +28,10 @@ from minecc.rounding import rounding_invariant_violations
 
 from conftest import (
     edges_of,
+    highs_value,
     lp_from_rows,
     random_instance,
+    reference_dual_program,
     reference_export_lp_text,
     reference_simplex,
     reference_solve,
@@ -53,14 +62,16 @@ class TestSimplex:
         assert solve(lp).status == "infeasible"
 
     def test_tableau_over_the_cell_budget_is_refused(self, monkeypatch):
-        # gap8's compact model: 148 rows and 268 columns, with the two cost
-        # rows and the perturbation and rhs columns a 150 x 270 tableau.
+        # gap8's compact model has 64 columns, all boxed, and 84 rows, 28 of
+        # them equalities. Its dual has 64 rows and 84 + 28 + 64 = 176
+        # columns: with the two cost rows, the slacks and the perturbation
+        # and rhs columns, a 66 x 242 tableau.
         lp = build_ecc_lp(gen_integrality_gap(8), compact=True)
-        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 150 * 270)
+        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 66 * 242)
         assert solve(lp).require_optimal().value == pytest.approx(4.0)
-        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 150 * 270 - 1)
-        with pytest.raises(MemoryError, match=r"^the simplex tableau would be 150 x 270 cells, "
-                                              r"above the budget of 40499 cells$"):
+        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 66 * 242 - 1)
+        with pytest.raises(MemoryError, match=r"^the simplex tableau would be 66 x 242 cells, "
+                                              r"above the budget of 15971 cells$"):
             solve(lp)
 
     def test_redundant_equalities(self):
@@ -93,38 +104,7 @@ class TestSimplex:
         assert a.iterations == b.iterations
 
     def test_values_match_external_solver(self):
-        scipy_opt = pytest.importorskip("scipy.optimize")
-
-        def reference(lp):
-            n = lp.num_vars
-            c = np.array(lp.objective) * (1 if lp.sense == "min" else -1)
-            a_ub, b_ub, a_eq, b_eq = [], [], [], []
-            for con in lp.constraints:
-                row = np.zeros(n)
-                for j, coef in con.coeffs:
-                    row[j] = coef
-                if con.rel == "<=":
-                    a_ub.append(row), b_ub.append(con.rhs)
-                elif con.rel == ">=":
-                    a_ub.append(-row), b_ub.append(-con.rhs)
-                else:
-                    a_eq.append(row), b_eq.append(con.rhs)
-            bounds = [
-                (lo, hi if math.isfinite(hi) else None)
-                for lo, hi in zip(lp.lower, lp.upper)
-            ]
-            res = scipy_opt.linprog(
-                c,
-                A_ub=np.array(a_ub) if a_ub else None,
-                b_ub=b_ub or None,
-                A_eq=np.array(a_eq) if a_eq else None,
-                b_eq=b_eq or None,
-                bounds=bounds,
-                method="highs",
-            )
-            assert res.status == 0
-            return (1 if lp.sense == "min" else -1) * res.fun + lp.constant
-
+        pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(4242)
         for _ in range(6):
             h = gen_random(
@@ -135,11 +115,41 @@ class TestSimplex:
             for build in (build_ecc_lp, build_nodemc_lp):
                 lp = build(h)
                 assert solve(lp).require_optimal().value == pytest.approx(
-                    reference(lp), abs=1e-7
+                    highs_value(lp), abs=1e-7
                 )
 
 
+def takes_the_dual_route(lp: LinearProgram) -> bool:
+    return bool(np.all((lp.objective if lp.sense == "min" else -lp.objective) >= 0.0))
+
+
+def assert_dual_route(lp, reference, iteration_limit):
+    """``solve`` takes the pivots that ``reference`` takes on
+    ``dual_program(lp)``, to the matching status (an unbounded dual is an
+    infeasible ``lp``). On ``lp`` itself it has ``reference``'s status and,
+    within 1e-9, its value and the dual's, at a point ``lp.violation`` passes
+    whose columns strictly inside their bounds are all marked basic."""
+    got = solve(lp, iteration_limit)
+    dual = dual_program(lp)
+    on_dual = reference(dual, iteration_limit)
+    status = "infeasible" if on_dual.status == "unbounded" else on_dual.status
+    assert (got.status, got.iterations) == (status, on_dual.iterations)
+    if got.status != "iteration_limit":
+        on_lp = reference(lp)
+        assert got.status == on_lp.status
+    if got.status == "optimal":
+        tol = 1e-9 * max(1.0, abs(got.value))
+        assert abs(got.value - on_lp.value) <= tol
+        assert abs(on_dual.value - (got.value if lp.sense == "min" else -got.value)) <= tol
+        assert lp.violation(got.x) is None
+        inside = (lp.lower < got.x) & (got.x < lp.upper)
+        assert np.array(got.basic, dtype=bool)[inside].all()
+    return got
+
+
 def assert_same_as_reference(lp, iteration_limit=200_000):
+    if takes_the_dual_route(lp):
+        return assert_dual_route(lp, reference_simplex, iteration_limit)
     got = solve(lp, iteration_limit)
     want = reference_simplex(lp, iteration_limit)
     assert (got.status, got.iterations) == (want.status, want.iterations)
@@ -172,8 +182,9 @@ def generic_lps(draw):
 
 
 class TestSparsePivotMatchesReference:
-    """``solve`` takes the same pivots as the dense-update reference simplex,
-    so status, iteration count, primal vector, basis and value are equal."""
+    """``solve`` takes the same pivots as the dense-update reference simplex:
+    on a program with a negative cost, so status, iteration count, primal
+    vector, basis and value are equal; on any other, on its dual."""
 
     @settings(max_examples=300, deadline=None)
     @given(lp=generic_lps(), iteration_limit=st.sampled_from([200_000, 2]))
@@ -198,8 +209,11 @@ class TestSparsePivotMatchesReference:
 
 
 def assert_same_pivots(lp, iteration_limit=200_000):
-    """Equal to ``reference_solve`` to the byte: it does the same float
-    operations in the same order."""
+    """Equal to ``reference_solve`` to the byte on a program with a negative
+    cost: it does the same float operations in the same order. Any other
+    goes through its dual, as :func:`assert_dual_route` checks."""
+    if takes_the_dual_route(lp):
+        return assert_dual_route(lp, reference_solve, iteration_limit)
     got = solve(lp, iteration_limit)
     want = reference_solve(lp, iteration_limit)
     assert (got.status, got.iterations, got.basic) == (want.status, want.iterations, want.basic)
@@ -258,7 +272,7 @@ def desk_models():
 class TestTableauPivotsMatchReference:
     """``solve`` keeps both cost rows and the perturbation column in its
     tableau and takes exactly the pivots of the reference that keeps them
-    apart: status, iterations, basis, primal bytes and value are equal."""
+    apart, on the program or on its dual as :func:`assert_same_pivots` says."""
 
     @settings(max_examples=400, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), iteration_limit=st.sampled_from([200_000, 200_000, 1, 3]))
@@ -290,11 +304,89 @@ class TestTableauPivotsMatchReference:
             patch.setattr(minecc.lp, "DEGENERATE_RUN_LIMIT", limit)
             assert_same_pivots(random_csr_lp(seed))
 
-    @pytest.mark.parametrize("limit", [0, 1, 5, 40, 120])
+    @pytest.mark.parametrize("limit", [0, 1, 5, 20, 40])
     def test_iteration_limit(self, limit):
+        # Every limit is below the 48 pivots that solve this model.
         lp = build_ecc_lp(gen_random(50, 80, 3, 6, 0.2, seed=1).hypergraph, compact=True)
         res = assert_same_pivots(lp, limit)
         assert (res.status, res.iterations) == ("iteration_limit", limit)
+
+
+def assert_same_dual(lp: LinearProgram) -> None:
+    got, want = dual_program(lp), reference_dual_program(lp)
+    assert got.constant == pytest.approx(want.constant, rel=1e-12, abs=1e-12)
+    assert got == LinearProgram(want.objective, want.lower, want.upper, want.names, want.rows,
+                                sense=want.sense, constant=got.constant)
+
+
+class TestDualProgram:
+    """``dual_program`` is the dual written out column by column."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lp=generic_lps())
+    def test_drawn_models(self, lp):
+        assert_same_dual(lp)
+
+    def test_csr_and_desk_models(self):
+        for seed in range(100):
+            assert_same_dual(random_csr_lp(seed))
+        for _, lp in desk_models():
+            assert_same_dual(lp)
+
+    def test_small_program(self):
+        # min x0 + 2 x1 over x0 in [1, 3], x1 >= 0 and the rows
+        # x0 + x1 >= 2, x0 - x1 <= 4, x1 = 1.
+        lp = lp_from_rows("min", [("a", 1.0, 3.0, 1.0), ("b", 0.0, math.inf, 2.0)], [
+            ([(0, 1.0), (1, 1.0)], ">=", 2.0), ([(0, 1.0), (1, -1.0)], "<=", 4.0),
+            ([(1, 1.0)], "=", 1.0)])
+        dual = dual_program(lp)
+        assert (dual.sense, dual.constant) == ("max", 1.0)
+        assert dual.names == ["y0", "y1", "y2", "y3", "y4"]
+        assert list(dual.objective) == [1.0, -3.0, 1.0, -1.0, -2.0]
+        assert list(dual.constraints) == [
+            (((0, 1.0), (1, -1.0), (4, -1.0)), "<=", 1.0),
+            (((0, 1.0), (1, 1.0), (2, 1.0), (3, -1.0)), "<=", 2.0)]
+        res = solve(lp).require_optimal()
+        assert (res.value, res.x.tolist()) == (3.0, [1.0, 1.0])
+        assert solve(dual).require_optimal().value == 3.0
+
+
+@st.composite
+def criterion_7_instances(draw):
+    """The instances of acceptance criterion 7: k colors, 12, 10 or 8 nodes
+    for k = 2, 3 or 4, 10 to 18 edges of up to 3 members."""
+    k = draw(st.integers(2, 4))
+    return gen_random({2: 12, 3: 10, 4: 8}[k], draw(st.integers(10, 18)), 3, k,
+                      draw(st.floats(0.3, 0.8)), seed=draw(st.integers(0, 10**6))).hypergraph
+
+
+class TestDualRoute:
+    @settings(max_examples=150, deadline=None)
+    @given(h=st.sampled_from(["weighted", "isolated-node", "single-color", "empty-edge"]).flatmap(
+        lambda shape: shaped_instances(shape=shape, k=2)), compact=st.booleans())
+    def test_two_colors_give_a_basic_0_1_optimum(self, h, compact):
+        lp = build_ecc_lp(h, compact=compact)
+        res = solve(lp).require_optimal()
+        assert np.isin(res.x, (0.0, 1.0)).all()
+        inside = (lp.lower < res.x) & (res.x < lp.upper)
+        assert np.array(res.basic, dtype=bool)[inside].all()
+
+    def test_fractional_columns_are_basic(self):
+        # gap3-8 give every edge 1/2 and the multiway-cut models have
+        # columns without an upper bound, so many columns sit inside theirs.
+        inside_total = 0
+        for name, lp in gap_models():
+            res = solve(lp).require_optimal()
+            inside = (lp.lower < res.x) & (res.x < lp.upper)
+            assert np.array(res.basic, dtype=bool)[inside].all(), name
+            inside_total += int(inside.sum())
+        assert inside_total > 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=criterion_7_instances())
+    def test_criterion_7_values(self, h):
+        lp = build_ecc_lp(h)
+        assert abs(solve(lp).value - reference_simplex(lp).value) <= 1e-9
 
 
 class TestEccLp:
