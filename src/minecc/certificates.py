@@ -600,7 +600,9 @@ def verify_all() -> CertificateReport:
 
 # The printed cases leave some variables without finite upper bounds (they are
 # ratios with implicit domain limits), so the numeric program boxes every
-# variable into [0, VAR_BOUND]; the exact certificate check needs no such box.
+# variable into [0, VAR_BOUND]: the box gives each negative min-form cost the
+# finite upper bound that the simplex measures its column from. The exact
+# certificate check needs no such box.
 VAR_BOUND = 16.0
 
 

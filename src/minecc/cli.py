@@ -409,7 +409,7 @@ def cmd_compare_lp(args) -> int:
     mc_lp = build_nodemc_lp(h)
     ecc_value = ecc_lp.value_of(_primal(ecc_lp, args.ecc_solution, "--ecc-solution"))
     mc_value = mc_lp.value_of(_primal(mc_lp, args.nodemc_solution, "--nodemc-solution"))
-    gap = ecc_value - mc_value
+    gap = round(ecc_value - mc_value, 6) + 0.0  # printed as rounded; + 0.0 makes -0.0 zero
     print(f"dataset={name} ecc_lp={ecc_value:.6f} nodemc_lp={mc_value:.6f} gap={gap:.6f}")
     if mc_value > ecc_value + 1e-6:
         print("VIOLATION: multiway-cut relaxation exceeds the clustering relaxation")

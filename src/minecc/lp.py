@@ -11,71 +11,64 @@ builds its names. ``lp.constraints`` lists the rows as ``(coeffs, rel, rhs)``
 records, made when read, for the benchmark harness and the tests; the
 package itself reads only the arrays.
 
-The solver is a simplex on one dense tableau, in one of two standard forms.
-Both shift ``x = lower + x'`` so ``x' >= 0``, each row's rhs less its terms
-at ``lower``, and both use the same pivot loop, ratio test, cell budget and
-anti-cycling rule.
+The solver is a simplex on one dense tableau, in one form: the dual of the
+program's min form, pivoted from its all-slack basis. Each column is
+measured from its *anchor*, the bound its min-form cost points to: ``x =
+upper - x'`` where the cost is negative and ``x = lower + x'`` elsewhere,
+with ``x' >= 0`` (Dantzig's bounded-variable substitution). Every cost of
+``x'`` is then ``|c_j|``, so the dual's slack basis is feasible and there is
+no phase 1 (Chvátal, *Linear Programming*, 1983). A column whose anchor is
+infinite (a negative cost without an upper bound, any other cost without a
+lower bound) is refused with ``ValueError``. Over finite anchors the program
+is bounded below, so ``solve`` ends optimal, infeasible or at its iteration
+limit.
 
-- The primal form is the program's own rows, one ``<=`` row more per finite
-  upper bound, each row negated where its rhs is negative. It has one slack
-  per inequality and one artificial per row without a ``<=`` slack to start
-  the basis, and it runs phase 1 on the artificials, then phase 2.
-- The dual form is :func:`dual_program`: one ``<=`` row per column, with
-  the column's min-form cost as its rhs, and one column per ``<=`` or
-  ``>=`` row, two per ``=`` row and one per finite upper bound. When no cost
-  is negative, its all-slack basis is feasible: no artificials, no phase 1.
+:func:`dual_program` writes the dual out: one ``<=`` row per column, with
+``|c_j|`` as its rhs, and one column per ``<=`` or ``>=`` row, two per ``=``
+row and one per column with both bounds finite. Column j of the program is
+the dual's row j: ``x_j`` is its anchor plus its sign times the final
+reduced cost of that row's slack, and ``basic[j]`` says the slack is
+nonbasic. A basic column's reduced cost is exactly 0, so every column
+strictly inside its bounds is marked basic, and the point read back is the
+basic solution complementary to the dual's optimal basis, a vertex. An
+optimal dual is an optimal program, an unbounded dual an infeasible one.
 
-``solve`` takes the dual form exactly when every min-form cost is
-nonnegative, as in both relaxations, which minimize nonnegative mistake
-weights. Most of the primal form's pivots there only search for a feasible
-basis, in phase 1: gap8's and desk-lp's rand1 and rand2 compact models
-(seeds 0-9) take 3853 pivots in the primal form and 1686 in the dual. A
-program with a negative cost keeps the primal form: its dual would need a
-phase 1 of its own, and could not tell an unbounded program from an
-infeasible one. On the dual form, column j of the program is the dual's row
-j: ``x_j`` is ``lower_j`` plus the final phase-2 reduced cost of that row's
-slack, and ``basic[j]`` says the slack is nonbasic. A basic column's reduced
-cost is exactly 0, so every column strictly inside its bounds is marked
-basic, and the point read back is the basic solution complementary to the
-dual's optimal basis, a vertex as the primal form's optimum is. An optimal
-dual is an optimal program; an unbounded dual, an infeasible program (a
-nonnegative cost over finite lower bounds cannot be unbounded below); an
-iteration limit is reported as such.
-
-The tableau is filled in place from the CSR rows. Its m constraint rows are
-followed by the phase-1 and the phase-2 reduced-cost rows, and its columns
-(structural, slack, artificial) by a column of tie-break perturbations and
-the rhs. So each pivot is one division of the pivot row and one rank-1
-update, which touches only the rows where the entering column is nonzero
-(cost rows included) and the columns where the pivot row is nonzero
-(perturbation and rhs included); on the clustering LP both are a few
-percent of the tableau. The costs sit in the dual form's rhs column, not in
-its cost rows: on an instance with two weights of 8e307, whose primal-form
-cost rows overflow, no cell of the dual form does. Measured on the compact
-model (``build_ecc_lp(h, compact=True)``) of
+The tableau is filled in place from the dual's CSR rows. Its m constraint
+rows are followed by the reduced-cost row, and its columns (structural,
+slack) by a column of tie-break perturbations and the rhs. So each pivot is
+one division of the pivot row and one rank-1 update, which touches only the
+rows where the entering column is nonzero (cost row included) and the
+columns where the pivot row is nonzero (perturbation and rhs included); on
+the clustering LP both are a few percent of the tableau. No cost reaches
+the cost row: the costs sit in the rhs column, and the cost row holds the
+program's shifted right-hand sides, so on an instance with two weights of
+8e307 no cell overflows. Measured on the compact model
+(``build_ecc_lp(h, compact=True)``) of
 ``gen_random(n, 1.6 n, 3, 6, 0.2, 1).hypergraph`` (2-core host, numpy 2.4;
-the primal form one run each, the dual form three; peak RSS of the whole
-process):
+three runs each; peak RSS of the whole process):
 
-    variables   primal tableau   solve    RSS       dual tableau    solve          RSS
-    1026        2013 x 3853      0.11 s     96 MB   1028 x 3210     0.03-0.05 s     62 MB
-    2205        4533 x 8664      1.50 s    342 MB   2207 x 7138     0.13-0.16 s    157 MB
-    4310        8733 x 16713    30.2 s    1169 MB   4312 x 13794    0.42-0.57 s    491 MB
+    variables   tableau         solve          RSS
+    1026        1027 x 3210     0.03-0.05 s     62 MB
+    2205        2206 x 7138     0.13-0.16 s    157 MB
+    4310        4311 x 13794    0.42-0.57 s    491 MB
 
-The tableau is nearly all of that memory, so ``solve`` refuses one of more
-than ``TABLEAU_CELLS`` cells (2 GiB) with ``MemoryError``, before allocating
-it. Time is not bounded: the multiway-cut models of 50-node, 80-edge
-instances (896 columns, about 3400 rows, 898 x 4360 dual tableaux) take
+The tableau is the largest allocation but not the whole peak: each pivot's
+rank-1 update allocates an index array and a product as large as the block
+it updates, so the multiway-cut model of ``gen_random(200, 320, 3, 6, 0.2,
+1)`` (a 449 MiB tableau) peaks at 1060 MB. ``solve`` refuses a tableau of
+more than ``TABLEAU_CELLS`` cells (2 GiB) with ``MemoryError``, before
+allocating it. Time is not bounded: the multiway-cut models of 50-node,
+80-edge instances (896 columns, about 3400 rows, 897 x 4360 tableaux) take
 0.1 s on seed 1 and 0.9-2.3 s on seed 2.
 Larger models should be exported with :func:`export_lp_text` and solved
 externally, after which the primal vector can be read back with
 :func:`parse_primal_text`.
 
 Pivoting is deterministic: entering columns are chosen by steepest reduced
-cost with ties broken by lowest index, and the solver permanently switches to
-Bland's anti-cycling rule (lowest eligible index) after a run of degenerate
-pivots, so termination is guaranteed. Optimal solutions are basic, hence
-totally unimodular systems yield integral optima.
+cost with ties broken by lowest index, and the solver switches to Bland's
+anti-cycling rule (lowest eligible index) after a run of degenerate pivots,
+until the next nondegenerate one, so termination is guaranteed. Optimal
+solutions are basic, hence totally unimodular systems yield integral optima.
 """
 
 from __future__ import annotations
@@ -91,14 +84,12 @@ from .hypergraph import _rising_within_edges
 from .instances import ParseError, _num, _write_lines
 
 PIVOT_TOL = 1e-9
-FEAS_TOL = 1e-7
 VIOLATION_TOL = 1e-6  # how far a checked LP solution may miss a bound or row
 DEGENERATE_RUN_LIMIT = 100
 TABLEAU_CELLS = 1 << 28  # the largest tableau solve allocates: 2 GiB of float64
 
 RELATIONS = ("<=", ">=", "=")  # a row's relation code indexes this
 LE, GE, EQ = range(3)
-_FLIPPED = np.array([GE, LE, EQ], dtype=np.int8)  # the relation of a negated row
 
 
 class Row(NamedTuple):
@@ -242,7 +233,7 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
+    status: str  # "optimal" | "infeasible" | "iteration_limit"
     value: float | None
     x: np.ndarray | None
     basic: tuple[bool, ...] | None
@@ -258,178 +249,124 @@ def _min_form_costs(lp: LinearProgram) -> np.ndarray:
     return lp.objective if lp.sense == "min" else -lp.objective
 
 
-def _shifted_rhs(lp: LinearProgram, row_of: np.ndarray) -> np.ndarray:
-    """Each row's rhs less its terms at ``lp.lower``, added term by term in row order."""
-    rows = lp.rows
-    return rows.rhs - np.bincount(row_of, weights=rows.data * lp.lower[rows.indices],
-                                  minlength=len(rows.rhs))
+def _anchors(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's anchor and the sign of ``x - anchor``: the upper bound
+    and -1 where the min-form cost is negative, the lower bound and +1
+    elsewhere. An infinite anchor raises ``ValueError`` naming its column."""
+    down = _min_form_costs(lp) < 0.0
+    anchor = np.where(down, lp.upper, lp.lower)
+    infinite = np.flatnonzero(~np.isfinite(anchor))
+    if len(infinite):
+        j = int(infinite[0])
+        raise ValueError(f"variable {lp.names[j]}: the simplex measures it from its "
+                         f"{'upper' if down[j] else 'lower'} bound, which is infinite")
+    return anchor, np.where(down, -1.0, 1.0)
 
 
 def dual_program(lp: LinearProgram) -> LinearProgram:
-    """The dual of ``lp``'s min form, as a program of its own.
+    """The dual of ``lp``'s min form, each column measured from its anchor.
 
-    With ``x = lower + x'``, ``lp`` reads min c'x' over ``x' >= 0`` and its
-    rows, each rhs less the row's terms at ``lower``; a finite upper bound
-    is the row ``-x'_j >= lower_j - upper_j``. Each row is read as ``>=``,
+    With ``x = anchor + sign * x'``, ``lp`` reads min |c|'x' over ``x' >= 0``
+    and its rows, each coefficient times its column's sign and each rhs less
+    the row's terms at the anchors; a column with both bounds finite adds
+    the row ``-x'_j >= lower_j - upper_j``. Each row is read as ``>=``,
     negated if it is ``<=``, and an ``=`` row as both. The dual has one
     column ``y >= 0`` per row so read, in row order (an ``=`` row's plain
-    copy first), then one per finite upper bound, and it maximizes their
-    right-hand sides. It has one ``<=`` row per column of ``lp``: that
-    column's coefficients in the rows read, at most its cost ``c_j``. Its
-    constant makes its optimum the min-form optimum of ``lp`` (the negated
-    optimum when ``lp`` maximizes).
+    copy first), then one per column with both bounds finite, and it
+    maximizes their right-hand sides. It has one ``<=`` row per column of
+    ``lp``: that column's coefficients in the rows read, at most ``|c_j|``.
+    Its constant makes its optimum the min-form optimum of ``lp`` (the
+    negated optimum when ``lp`` maximizes). An infinite anchor raises
+    ``ValueError``.
     """
-    n, rows, lo = lp.num_vars, lp.rows, lp.lower
+    n, rows = lp.num_vars, lp.rows
     c_min = _min_form_costs(lp)
+    anchor, col_sign = _anchors(lp)
     row_of = rows.row_ids()
-    b = _shifted_rhs(lp, row_of)
+    # Each rhs less its row's terms at the anchors, added term by term in row order.
+    b = rows.rhs - np.bincount(row_of, weights=rows.data * anchor[rows.indices],
+                               minlength=len(rows.rhs))
+    coefs = rows.data * col_sign[rows.indices]
     eq = rows.rel == EQ
     copies = 1 + eq
     first = np.cumsum(copies) - copies  # each row's first dual column
     read = int(copies.sum())
     sign = np.where(rows.rel == LE, -1.0, 1.0)
-    boxed = np.flatnonzero(np.isfinite(lp.upper))
+    boxed = np.flatnonzero(np.isfinite(np.where(col_sign < 0, lp.lower, lp.upper)))
     on_eq, at = eq[row_of], first[row_of]
     # Every coefficient of the dual: its row (a column of lp), its column, its value.
     where = np.concatenate([rows.indices, rows.indices[on_eq], boxed])
     cols = np.concatenate([at, at[on_eq] + 1, read + np.arange(len(boxed))])
-    data = np.concatenate([sign[row_of] * rows.data, -rows.data[on_eq], np.full(len(boxed), -1.0)])
+    data = np.concatenate([sign[row_of] * coefs, -coefs[on_eq], np.full(len(boxed), -1.0)])
     order = np.lexsort((cols, where))
-    objective = np.concatenate([np.zeros(read), lo[boxed] - lp.upper[boxed]])
+    objective = np.concatenate([np.zeros(read), lp.lower[boxed] - lp.upper[boxed]])
     objective[first] = sign * b
     objective[first[eq] + 1] = -b[eq]
-    constant = float(np.dot(c_min, lo)) + (lp.constant if lp.sense == "min" else -lp.constant)
+    constant = float(np.dot(c_min, anchor)) + (lp.constant if lp.sense == "min" else -lp.constant)
     return LinearProgram(
         objective, 0.0, math.inf, lambda: [f"y{j}" for j in range(len(objective))],
         Rows(np.concatenate([[0], np.cumsum(np.bincount(where, minlength=n))]), cols[order],
-             data[order], np.full(n, LE), c_min),
+             data[order], np.full(n, LE), np.abs(c_min)),
         sense="max", constant=constant)
 
 
 def solve(lp: LinearProgram, iteration_limit: int = 200_000) -> LpResult:
-    """Solve ``lp``, returning a basic optimal solution when one exists.
-
-    A program whose min-form costs are all nonnegative is solved through
-    :func:`dual_program`, any other on its own tableau; the module docstring
-    says how the primal is read back. A program without variables or rows
-    is optimal at once, with value ``lp.constant``.
+    """Solve ``lp`` through :func:`dual_program`, returning a basic optimal
+    solution when one exists; the module docstring says how the primal is
+    read back. A program without variables or rows is optimal at once, with
+    value ``lp.constant``. An infinite anchor raises ``ValueError``.
     """
-    lo = lp.lower
-    if not np.all(np.isfinite(lo)):
-        raise ValueError("simplex requires finite lower bounds")
-    on_dual = bool(np.all(_min_form_costs(lp) >= 0.0))
-    program = dual_program(lp) if on_dual else lp
-    status, iterations, T, basis = _simplex(program, iteration_limit)
+    anchor, sign = _anchors(lp)
+    dual = dual_program(lp)
+    status, iterations, T, basis = _simplex(dual, iteration_limit)
     if status != "optimal":
         # The dual starts feasible, so an unbounded dual is an infeasible lp.
-        status = "infeasible" if on_dual and status == "unbounded" else status
+        status = "infeasible" if status == "unbounded" else status
         return LpResult(status, None, None, None, iterations)
     in_basis = np.zeros(T.shape[1] - 2, dtype=bool)
     in_basis[basis] = True
-    n = lp.num_vars
-    if on_dual:
-        # Column j of lp is the dual's row j, whose slack is dual column
-        # program.num_vars + j; its final phase-2 reduced cost is x_j - lower_j.
-        slacks = slice(program.num_vars, program.num_vars + n)
-        x, basic = lo + T[-1, slacks], ~in_basis[slacks]
-    else:
-        x_shift = np.zeros(len(in_basis))
-        x_shift[basis] = T[:len(basis), -1]
-        x, basic = lo + x_shift[:n], in_basis[:n]
+    # Column j of lp is the dual's row j, whose slack is dual column
+    # dual.num_vars + j; its final reduced cost is sign_j (x_j - anchor_j).
+    slacks = slice(dual.num_vars, dual.num_vars + lp.num_vars)
+    x, basic = anchor + sign * T[-1, slacks], ~in_basis[slacks]
     return LpResult("optimal", lp.value_of(x), x, tuple(basic.tolist()), iterations)
 
 
 def _simplex(lp: LinearProgram, iteration_limit: int):
-    """Pivot ``lp`` on its standard-form tableau, as the module docstring says.
+    """Pivot ``lp`` from its slack basis, as the module docstring says: its
+    rows are all ``<=`` with nonnegative right-hand sides, over columns
+    ``y >= 0``, so that basis is feasible.
 
-    Returns the status, the pivot count, the tableau as the pivots left it
-    and the basic column of each constraint row.
+    Returns the status ("optimal", "unbounded" or "iteration_limit"), the
+    pivot count, the tableau as the pivots left it and the basic column of
+    each constraint row.
     """
-    n = lp.num_vars
-    lo = lp.lower
-    c_min = _min_form_costs(lp)
-
-    # Shift x = lo + x' so x' >= 0: each row's rhs absorbs its shift. Finite
-    # upper bounds become rows of their own.
-    rows = lp.rows
-    row_of = rows.row_ids()
-    boxed = np.flatnonzero(np.isfinite(lp.upper))
-    rhs = np.concatenate([_shifted_rhs(lp, row_of), lp.upper[boxed] - lo[boxed]])
-    rel = np.concatenate([rows.rel, np.full(len(boxed), LE, dtype=np.int8)])
-    flip = rhs < 0.0  # normalize to b >= 0 by negating the row
-    rhs[flip] = -rhs[flip]
-    rel[flip] = _FLIPPED[rel[flip]]
-    data = np.where(flip[row_of], -rows.data, rows.data)
+    n, m, rows = lp.num_vars, lp.num_rows, lp.rows
 
     # One tableau, filled in place. Its columns are the structural columns,
-    # one slack per inequality row, one artificial per row without a "<="
-    # slack to start the basis, the perturbation column and the rhs. Below
-    # the m constraint rows sit the phase-1 and the phase-2 reduced costs,
-    # so one rank-1 update per pivot keeps every part current.
-    m = len(rhs)
-    ineq = np.flatnonzero(rel != EQ)
-    width = n + len(ineq)
-    art_rows = np.flatnonzero(rel != LE)
-    art_cols = width + np.arange(len(art_rows))
-    total = width + len(art_rows)
-    if (m + 2) * (total + 2) > TABLEAU_CELLS:
-        raise MemoryError(f"the simplex tableau would be {m + 2} x {total + 2} cells, above "
+    # one slack per row, the perturbation column and the rhs. Below the m
+    # constraint rows sit the reduced costs, so one rank-1 update per pivot
+    # keeps every part current.
+    total = n + m
+    if (m + 1) * (total + 2) > TABLEAU_CELLS:
+        raise MemoryError(f"the simplex tableau would be {m + 1} x {total + 2} cells, above "
                           f"the budget of {TABLEAU_CELLS} cells")
-    T = np.zeros((m + 2, total + 2))
-    T[row_of, rows.indices] = data
-    T[len(rows.rhs) + np.arange(len(boxed)), boxed] = 1.0
-    slack_sign = np.where(rel[ineq] == LE, 1.0, -1.0)
-    T[ineq, n + np.arange(len(ineq))] = slack_sign
-    T[art_rows, art_cols] = 1.0
+    T = np.zeros((m + 1, total + 2))
+    T[rows.row_ids(), rows.indices] = rows.data
+    T[np.arange(m), n + np.arange(m)] = 1.0
     # The perturbation column holds distinct positive values, an
     # infinitesimal perturbation of b: degenerate ratio ties are broken on
     # it, which keeps long runs of zero-step pivots rare.
     T[:m, -2] = np.arange(1.0, m + 1.0)
-    T[:m, -1] = rhs
-    basis = np.full(m, -1, dtype=int)
-    basis[ineq[slack_sign > 0]] = n + np.flatnonzero(slack_sign > 0)
-    basis[art_rows] = art_cols
+    T[:m, -1] = rows.rhs
+    T[m, :n] = _min_form_costs(lp)
+    basis = n + np.arange(m)
 
-    T[m + 1, :n] = c_min
-    T[m, width:total] = 1.0
-    # Price out the initial basis so reduced costs of basic columns are zero:
-    # subtract the artificial rows' nonzero entries, each column's in row order.
-    on_art = rel[row_of] != LE
-    np.subtract.at(
-        T[m],
-        np.concatenate([rows.indices[on_art], n + np.flatnonzero(slack_sign < 0), art_cols,
-                        np.full(len(art_rows), total + 1)]),
-        np.concatenate([data[on_art], slack_sign[slack_sign < 0], np.ones(len(art_rows)),
-                        rhs[art_rows]]),
-    )
-
-    state = {"iterations": 0, "bland": False, "stall": 0}
+    iterations, bland, stall = 0, False, 0
     flat = T.reshape(-1)
-    row_starts = np.arange(m + 2) * (total + 2)  # flat index of each row's first cell
+    row_starts = np.arange(m + 1) * (total + 2)  # flat index of each row's first cell
     perturbation, b = T[:m, -2], T[:m, -1]  # views of the constraint rows' last two columns
-
-    def block(cols) -> None:
-        # An artificial that may never re-enter: an infinite reduced cost
-        # keeps it out of every later pricing.
-        T[m:, cols] = np.inf
-
-    def pivot(row: int, col: int, column: np.ndarray) -> None:
-        """Pivot on ``T[row, col]``; ``column`` is a copy of ``T[:, col]``."""
-        pivot_row = T[row]
-        pivot_row /= pivot_row[col]
-        column[row] = 0.0
-        # Rank-1 update restricted to the nonzero rows of the entering column
-        # (cost rows included) and the nonzero entries of the pivot row
-        # (perturbation and rhs included): every skipped entry would only
-        # have had a zero subtracted.
-        nz_rows = column.nonzero()[0]
-        nz_cols = pivot_row.nonzero()[0]
-        flat[np.add.outer(row_starts[nz_rows], nz_cols)] -= np.multiply.outer(
-            column[nz_rows], pivot_row[nz_cols])
-        leaving = basis[row]
-        if leaving >= width:
-            block(leaving)
-        basis[row] = col
+    reduced = T[m, :total]
 
     def ratio_row(column: np.ndarray) -> int | None:
         eligible = (column[:m] > PIVOT_TOL).nonzero()[0]
@@ -445,57 +382,42 @@ def _simplex(lp: LinearProgram, iteration_limit: int):
             candidates = candidates[pratios <= pratios[pratios.argmin()] + PIVOT_TOL]
         return int(candidates[basis[candidates].argmin()])
 
-    def run_phase(cost_row: int) -> str:
-        reduced = T[cost_row, :total]
-        while total:
-            if state["iterations"] >= iteration_limit:
-                return "iteration_limit"
-            if state["bland"]:
-                open_cols = np.flatnonzero(reduced < -PIVOT_TOL)
-                if len(open_cols) == 0:
-                    return "optimal"
-                entering = int(open_cols[0])
-            else:
-                entering = int(reduced.argmin())
-                if reduced[entering] >= -PIVOT_TOL:
-                    return "optimal"
-            column = T[:, entering].copy()
-            row = ratio_row(column)
-            if row is None:
-                return "unbounded"
-            state["iterations"] += 1
-            degenerate = abs(b[row]) <= PIVOT_TOL
-            pivot(row, entering, column)
-            if degenerate:
-                state["stall"] += 1
-                if state["stall"] >= DEGENERATE_RUN_LIMIT:
-                    state["bland"] = True
-            else:
-                state["stall"] = 0
-                state["bland"] = False
-        return "optimal"
-
-    if len(art_rows):
-        status = run_phase(m)
-        if status == "iteration_limit":
-            return status, state["iterations"], T, basis
-        infeas = sum(b[basis >= width].tolist())
-        if infeas > FEAS_TOL:
-            return "infeasible", state["iterations"], T, basis
-        # Drive remaining artificials out of the basis (or leave them on
-        # redundant all-zero rows, where they stay at value zero).
-        for i in range(m):
-            if basis[i] >= width:
-                row_vals = np.abs(T[i, :width])
-                j = int(np.argmax(row_vals))
-                if row_vals[j] > PIVOT_TOL:
-                    pivot(i, j, T[:, j].copy())
-        block(slice(width, total))
-        state["bland"] = False
-        state["stall"] = 0
-
-    status = run_phase(m + 1)
-    return status, state["iterations"], T, basis
+    while total:
+        if iterations >= iteration_limit:
+            return "iteration_limit", iterations, T, basis
+        if bland:
+            open_cols = np.flatnonzero(reduced < -PIVOT_TOL)
+            if len(open_cols) == 0:
+                break
+            entering = int(open_cols[0])
+        else:
+            entering = int(reduced.argmin())
+            if reduced[entering] >= -PIVOT_TOL:
+                break
+        column = T[:, entering].copy()
+        row = ratio_row(column)
+        if row is None:
+            return "unbounded", iterations, T, basis
+        iterations += 1
+        degenerate = abs(b[row]) <= PIVOT_TOL
+        pivot_row = T[row]
+        pivot_row /= pivot_row[entering]
+        column[row] = 0.0
+        # Rank-1 update restricted to the nonzero rows of the entering column
+        # (cost row included) and the nonzero entries of the pivot row
+        # (perturbation and rhs included): every skipped entry would only
+        # have had a zero subtracted.
+        nz_rows = column.nonzero()[0]
+        nz_cols = pivot_row.nonzero()[0]
+        flat[np.add.outer(row_starts[nz_rows], nz_cols)] -= np.multiply.outer(
+            column[nz_rows], pivot_row[nz_cols])
+        basis[row] = entering
+        if degenerate:
+            stall += 1
+            bland = bland or stall >= DEGENERATE_RUN_LIMIT
+        else:
+            stall, bland = 0, False
+    return "optimal", iterations, T, basis
 
 
 def _nums(values: np.ndarray) -> np.ndarray:

@@ -22,10 +22,9 @@ from minecc.oracle import DEFAULT_CAP, PRUNE_SHRINK, CapExceededError, OracleRes
 from minecc.relaxations import EccLpSolution, _snap
 from minecc import lp as lp_module
 from minecc.lp import (
-    _FLIPPED,
     DEGENERATE_RUN_LIMIT,
     EQ,
-    FEAS_TOL,
+    GE,
     LE,
     PIVOT_TOL,
     RELATIONS,
@@ -33,6 +32,11 @@ from minecc.lp import (
     LpResult,
     Rows,
 )
+
+# The two-phase references' own constants: the phase-1 tolerance above which
+# a program is infeasible, and the relation of a negated row.
+FEAS_TOL = 1e-7
+_FLIPPED = np.array([GE, LE, EQ], dtype=np.int8)
 
 # Weights that tie, miss in float sums, or sit at the ends of the float range;
 # the array-core tests and the oracle differential draw from them.
@@ -1103,29 +1107,46 @@ def reference_parse_benchmark(
     return hypergraph(num_nodes, num_colors, edges), truth
 
 
+def reference_anchors(lp: LinearProgram) -> list[tuple[float, float]]:
+    """Each column's anchor and the sign of ``x - anchor``, column by column:
+    the upper bound and -1 where the min-form cost is negative, the lower
+    bound and +1 elsewhere; the reference for ``lp``'s anchor rule."""
+    c_min = (lp.objective if lp.sense == "min" else -lp.objective).tolist()
+    return [(hi, -1.0) if c < 0 else (lo, 1.0)
+            for c, lo, hi in zip(c_min, lp.lower.tolist(), lp.upper.tolist())]
+
+
+def refused_column(lp: LinearProgram) -> str | None:
+    """The first column whose anchor is infinite, which ``solve`` refuses; None if none is."""
+    return next((name for name, (anchor, _) in zip(lp.names, reference_anchors(lp))
+                 if not math.isfinite(anchor)), None)
+
+
 def reference_dual_program(lp: LinearProgram) -> LinearProgram:
-    """The dual written out column by column from the row records; the
-    reference for ``dual_program``, whose constant it gives as a Python sum."""
-    lo = lp.lower.tolist()
+    """The dual written out column by column from the row records, each
+    column of ``lp`` measured from its finite anchor; the reference for
+    ``dual_program``, whose constant it gives as a Python sum."""
+    anchors = reference_anchors(lp)
     c_min = (lp.objective if lp.sense == "min" else -lp.objective).tolist()
     costs, entries = [], []  # the dual's costs, and its (row, column, coefficient) terms
 
-    def column(terms, sign: float, rhs: float) -> None:
-        entries.extend((j, len(costs), sign * a) for j, a in terms)
-        costs.append(sign * rhs)
+    def column(terms, row_sign: float, rhs: float) -> None:
+        entries.extend((j, len(costs), row_sign * a) for j, a in terms)
+        costs.append(row_sign * rhs)
 
     for con in lp.constraints:
-        b = con.rhs - sum(a * lo[j] for j, a in con.coeffs)
+        b = con.rhs - sum(a * anchors[j][0] for j, a in con.coeffs)
+        terms = [(j, a * anchors[j][1]) for j, a in con.coeffs]
         if con.rel != "<=":
-            column(con.coeffs, 1.0, b)
+            column(terms, 1.0, b)
         if con.rel != ">=":
-            column(con.coeffs, -1.0, b)
-    for j, hi in enumerate(lp.upper.tolist()):
-        if math.isfinite(hi):
-            column([(j, 1.0)], -1.0, hi - lo[j])
-    rows = [([(col, a) for row, col, a in entries if row == j], "<=", c_min[j])
+            column(terms, -1.0, b)
+    for j, (lo, hi) in enumerate(zip(lp.lower.tolist(), lp.upper.tolist())):
+        if math.isfinite(lo) and math.isfinite(hi):
+            column([(j, 1.0)], -1.0, hi - lo)
+    rows = [([(col, a) for row, col, a in entries if row == j], "<=", abs(c_min[j]))
             for j in range(lp.num_vars)]
-    constant = sum(c * v for c, v in zip(c_min, lo)) + (
+    constant = sum(c * anchor for c, (anchor, _) in zip(c_min, anchors)) + (
         lp.constant if lp.sense == "min" else -lp.constant)
     return lp_from_rows("max", [(f"y{i}", 0.0, math.inf, c) for i, c in enumerate(costs)],
                         rows, constant)

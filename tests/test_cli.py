@@ -864,7 +864,7 @@ class TestExactAndCapacity:
 
     def test_lp_capacity_exit_code(self, tmp_path, capsys):
         # The compact model (9897 variables; the full one has 18000) needs a
-        # 9899 x 34643 tableau for its dual, 2.56 GiB: refused before it is
+        # 9898 x 34643 tableau for its dual, 2.55 GiB: refused before it is
         # allocated.
         inst = tmp_path / "big.ecc"
         assert main(["gen", "random", "--nodes", "3000", "--edges", "6000", "--colors", "4",
@@ -875,19 +875,19 @@ class TestExactAndCapacity:
                      ["verify", "--invariants", str(inst)]):
             assert main(argv) == 4
             err = capsys.readouterr().err
-            assert err.startswith("error: the simplex tableau would be 9899 x 34643 cells")
+            assert err.startswith("error: the simplex tableau would be 9898 x 34643 cells")
             assert err.endswith("; use 'minecc export' and supply --solution\n")
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_multiway_cut_tableau_over_the_budget_is_never_allocated(self, tmp_path):
-        # Its 8636 columns need an 8638 x 42052 tableau for the dual, 2.71
-        # GiB, after the clustering LP's 1350 x 4299. Under the child's
+        # Its 8636 columns need an 8637 x 42052 tableau for the dual, 2.71
+        # GiB, after the clustering LP's 1349 x 4299. Under the child's
         # address-space limit, numpy once failed to allocate such a tableau.
         inst = str(tmp_path / "r500.ecc")
         assert main(["gen", "random", "--nodes", "500", "--edges", "800", "--max-size", "3",
                      "--colors", "6", "--seed", "1", "-o", inst]) == 0
         peak_kb, out = self.run_under_memory_limit("compare-lp", inst)
-        assert out == (f"4 error: the simplex tableau would be 8638 x 42052 cells, above the "
+        assert out == (f"4 error: the simplex tableau would be 8637 x 42052 cells, above the "
                        f"budget of {minecc.lp.TABLEAU_CELLS} cells; use 'minecc export' "
                        f"and supply --nodemc-solution\n")
         assert peak_kb < 200_000
@@ -902,20 +902,20 @@ class TestExactAndCapacity:
                                            "use 'minecc export' and supply --solution\n")
 
     def test_in_house_solves_check_the_compact_model(self, tmp_path, monkeypatch, capsys):
-        # gap8: the full model's tableau is 234 x 578 and the compact one's 66 x 242
+        # gap8: the full model's tableau is 233 x 578 and the compact one's 65 x 242
         inst = str(tmp_path / "gap8.ecc")
         assert main(["gen", "gap", "--colors", "8", "-o", inst]) == 0
         commands = [["solve", inst, "--algo", "match", "--with-lp-bound"],
                     ["solve", inst, "--algo", "lp"], ["solve", inst, "--algo", "lp-simple"],
                     ["verify", "--invariants", inst, "--trials", "500"]]
-        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 66 * 242)
+        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 65 * 242)
         for argv in commands:
             assert main(argv) == 0
         assert "lp_bound=4 " in capsys.readouterr().out
-        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 66 * 242 - 1)
+        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 65 * 242 - 1)
         for argv in commands:
             assert main(argv) == 4
-            assert "tableau would be 66 x 242 cells" in capsys.readouterr().err
+            assert "tableau would be 65 x 242 cells" in capsys.readouterr().err
 
     @pytest.mark.parametrize("owner, name, argv", [
         (minecc.rounding, "estimate_mistake_prob",
@@ -1048,6 +1048,15 @@ class TestCompareLp:
         assert main(["compare-lp", str(inst)]) == 0
         out = capsys.readouterr().out
         assert "ecc_lp=0.000000" in out and "nodemc_lp=0.000000" in out
+
+    def test_equal_values_print_a_zero_gap(self, tmp_path, capsys):
+        # The multiway-cut value comes out a few ulps above the clustering
+        # value here; the gap prints as zero, not as -0.000000.
+        inst = tmp_path / "r50.ecc"
+        assert main(["gen", *DESK_RAND["rand1-s2"], "-o", str(inst)]) == 0
+        assert main(["compare-lp", str(inst)]) == 0
+        assert capsys.readouterr().out == (
+            "dataset=r50 ecc_lp=14.000000 nodemc_lp=14.000000 gap=0.000000\n")
 
     @pytest.mark.parametrize("name", ["rand1-s0", "rand2-s0"])
     def test_desk_instances_match_highs(self, name, tmp_path, capsys):

@@ -11,6 +11,8 @@ from minecc.certificates import all_cases, case_to_lp
 from minecc.hypergraph import EdgeColoredHypergraph, hypergraph, validate
 from minecc.instances import ParseError, gen_integrality_gap, gen_random, gen_star
 from minecc.lp import (
+    GE,
+    LE,
     LinearProgram,
     Rows,
     dual_program,
@@ -35,6 +37,7 @@ from conftest import (
     reference_export_lp_text,
     reference_simplex,
     reference_solve,
+    refused_column,
 )
 
 
@@ -54,8 +57,12 @@ class TestSimplex:
         assert res.value == pytest.approx(2.0)
 
     def test_unbounded(self):
+        # max x over x >= 0: the negative min-form cost points to an
+        # infinite upper bound, so the model is refused, not pivoted.
         lp = lp_from_rows("max", [("x", 0, math.inf, 1.0)], [])
-        assert solve(lp).status == "unbounded"
+        with pytest.raises(ValueError, match=r"^variable x: the simplex measures it from its "
+                                             r"upper bound, which is infinite$"):
+            solve(lp)
 
     def test_infeasible(self):
         lp = lp_from_rows("min", [("x", 0, 1, 1.0)], [([(0, 1.0)], ">=", 3.0)])
@@ -64,14 +71,14 @@ class TestSimplex:
     def test_tableau_over_the_cell_budget_is_refused(self, monkeypatch):
         # gap8's compact model has 64 columns, all boxed, and 84 rows, 28 of
         # them equalities. Its dual has 64 rows and 84 + 28 + 64 = 176
-        # columns: with the two cost rows, the slacks and the perturbation
-        # and rhs columns, a 66 x 242 tableau.
+        # columns: with the cost row, the slacks and the perturbation and
+        # rhs columns, a 65 x 242 tableau.
         lp = build_ecc_lp(gen_integrality_gap(8), compact=True)
-        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 66 * 242)
+        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 65 * 242)
         assert solve(lp).require_optimal().value == pytest.approx(4.0)
-        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 66 * 242 - 1)
-        with pytest.raises(MemoryError, match=r"^the simplex tableau would be 66 x 242 cells, "
-                                              r"above the budget of 15971 cells$"):
+        monkeypatch.setattr(minecc.lp, "TABLEAU_CELLS", 65 * 242 - 1)
+        with pytest.raises(MemoryError, match=r"^the simplex tableau would be 65 x 242 cells, "
+                                              r"above the budget of 15729 cells$"):
             solve(lp)
 
     def test_redundant_equalities(self):
@@ -119,16 +126,19 @@ class TestSimplex:
                 )
 
 
-def takes_the_dual_route(lp: LinearProgram) -> bool:
-    return bool(np.all((lp.objective if lp.sense == "min" else -lp.objective) >= 0.0))
-
-
-def assert_dual_route(lp, reference, iteration_limit):
-    """``solve`` takes the pivots that ``reference`` takes on
+def assert_dual_route(lp, reference, iteration_limit=200_000):
+    """``solve`` refuses ``lp`` where an anchor is infinite, and returns
+    None then. Otherwise it takes the pivots that ``reference`` takes on
     ``dual_program(lp)``, to the matching status (an unbounded dual is an
     infeasible ``lp``). On ``lp`` itself it has ``reference``'s status and,
     within 1e-9, its value and the dual's, at a point ``lp.violation`` passes
     whose columns strictly inside their bounds are all marked basic."""
+    refused = refused_column(lp)
+    if refused is not None:
+        with pytest.raises(ValueError, match=rf"^variable {re.escape(refused)}: the simplex "
+                                             r"measures it from its (upper|lower) bound"):
+            solve(lp, iteration_limit)
+        return None
     got = solve(lp, iteration_limit)
     dual = dual_program(lp)
     on_dual = reference(dual, iteration_limit)
@@ -145,16 +155,6 @@ def assert_dual_route(lp, reference, iteration_limit):
         inside = (lp.lower < got.x) & (got.x < lp.upper)
         assert np.array(got.basic, dtype=bool)[inside].all()
     return got
-
-
-def assert_same_as_reference(lp, iteration_limit=200_000):
-    if takes_the_dual_route(lp):
-        return assert_dual_route(lp, reference_simplex, iteration_limit)
-    got = solve(lp, iteration_limit)
-    want = reference_simplex(lp, iteration_limit)
-    assert (got.status, got.iterations) == (want.status, want.iterations)
-    assert got.basic == want.basic and got.value == want.value
-    assert (got.x is None and want.x is None) or np.array_equal(got.x, want.x)
 
 
 @st.composite
@@ -182,14 +182,13 @@ def generic_lps(draw):
 
 
 class TestSparsePivotMatchesReference:
-    """``solve`` takes the same pivots as the dense-update reference simplex:
-    on a program with a negative cost, so status, iteration count, primal
-    vector, basis and value are equal; on any other, on its dual."""
+    """``solve`` takes the same pivots as the dense-update reference simplex
+    on every program's dual, as :func:`assert_dual_route` checks."""
 
     @settings(max_examples=300, deadline=None)
     @given(lp=generic_lps(), iteration_limit=st.sampled_from([200_000, 2]))
     def test_generic(self, lp, iteration_limit):
-        assert_same_as_reference(lp, iteration_limit)
+        assert_dual_route(lp, reference_simplex, iteration_limit)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -201,32 +200,19 @@ class TestSparsePivotMatchesReference:
     )
     def test_relaxations(self, seed, n, m, k, nodemc):
         h = random_instance(np.random.default_rng(seed), n, m, k)
-        assert_same_as_reference((build_nodemc_lp if nodemc else build_ecc_lp)(h))
+        assert_dual_route((build_nodemc_lp if nodemc else build_ecc_lp)(h), reference_simplex)
 
     @pytest.mark.parametrize("case", all_cases(), ids=lambda case: f"{case.family}-p{case.p}-q{case.q}")
     def test_certificate_lps(self, case):
-        assert_same_as_reference(case_to_lp(case))
-
-
-def assert_same_pivots(lp, iteration_limit=200_000):
-    """Equal to ``reference_solve`` to the byte on a program with a negative
-    cost: it does the same float operations in the same order. Any other
-    goes through its dual, as :func:`assert_dual_route` checks."""
-    if takes_the_dual_route(lp):
-        return assert_dual_route(lp, reference_solve, iteration_limit)
-    got = solve(lp, iteration_limit)
-    want = reference_solve(lp, iteration_limit)
-    assert (got.status, got.iterations, got.basic) == (want.status, want.iterations, want.basic)
-    assert (got.x is None) == (want.x is None) and got.value == want.value
-    assert got.x is None or got.x.tobytes() == want.x.tobytes()
-    return got
+        assert_dual_route(case_to_lp(case), reference_simplex)
 
 
 def random_csr_lp(seed: int) -> LinearProgram:
     """A model given straight as CSR rows: every relation, right-hand sides of
     either sign, finite and infinite upper bounds and either sense. Most rows
     hold at a point drawn inside the bounds: about two draws in three are
-    optimal, and the others split between infeasible and unbounded."""
+    optimal, and the others split between infeasible and refused, where a
+    negative cost points to an infinite upper bound."""
     rng = np.random.default_rng(seed)
     n, num_rows = int(rng.integers(1, 8)), int(rng.integers(0, 7))
     support = [np.flatnonzero(rng.random(n) < 0.6) for _ in range(num_rows)]
@@ -270,22 +256,23 @@ def desk_models():
 
 
 class TestTableauPivotsMatchReference:
-    """``solve`` keeps both cost rows and the perturbation column in its
-    tableau and takes exactly the pivots of the reference that keeps them
-    apart, on the program or on its dual as :func:`assert_same_pivots` says."""
+    """``solve`` keeps the cost row and the perturbation column in its
+    tableau and takes exactly the pivots, on the dual, of the reference that
+    keeps them apart, as :func:`assert_dual_route` says."""
 
     @settings(max_examples=400, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), iteration_limit=st.sampled_from([200_000, 200_000, 1, 3]))
     def test_drawn_csr_models(self, seed, iteration_limit):
-        assert_same_pivots(random_csr_lp(seed), iteration_limit)
+        assert_dual_route(random_csr_lp(seed), reference_solve, iteration_limit)
 
     def test_drawn_models_reach_every_status(self):
-        statuses = [assert_same_pivots(random_csr_lp(seed)).status for seed in range(300)]
-        assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+        results = [assert_dual_route(random_csr_lp(seed), reference_solve) for seed in range(300)]
+        statuses = {"refused" if res is None else res.status for res in results}
+        assert statuses == {"optimal", "infeasible", "refused"}
 
     def test_desk_models(self):
         for name, lp in desk_models():
-            assert assert_same_pivots(lp).status == "optimal", name
+            assert assert_dual_route(lp, reference_solve).status == "optimal", name
 
     @pytest.mark.parametrize("limit", [1, 2])
     def test_blands_rule_from_the_first_degenerate_pivots(self, monkeypatch, limit):
@@ -294,7 +281,7 @@ class TestTableauPivotsMatchReference:
         default = {name: solve(lp).iterations for name, lp in gap_models()}
         monkeypatch.setattr(minecc.lp, "DEGENERATE_RUN_LIMIT", limit)
         changed = [name for name, lp in gap_models()
-                   if assert_same_pivots(lp).iterations != default[name]]
+                   if assert_dual_route(lp, reference_solve).iterations != default[name]]
         assert changed
 
     @settings(max_examples=150, deadline=None)
@@ -302,17 +289,21 @@ class TestTableauPivotsMatchReference:
     def test_blands_rule_on_drawn_models(self, seed, limit):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(minecc.lp, "DEGENERATE_RUN_LIMIT", limit)
-            assert_same_pivots(random_csr_lp(seed))
+            assert_dual_route(random_csr_lp(seed), reference_solve)
 
     @pytest.mark.parametrize("limit", [0, 1, 5, 20, 40])
     def test_iteration_limit(self, limit):
         # Every limit is below the 48 pivots that solve this model.
         lp = build_ecc_lp(gen_random(50, 80, 3, 6, 0.2, seed=1).hypergraph, compact=True)
-        res = assert_same_pivots(lp, limit)
+        res = assert_dual_route(lp, reference_solve, limit)
         assert (res.status, res.iterations) == ("iteration_limit", limit)
 
 
 def assert_same_dual(lp: LinearProgram) -> None:
+    if refused_column(lp) is not None:
+        with pytest.raises(ValueError, match=r"which is infinite$"):
+            dual_program(lp)
+        return
     got, want = dual_program(lp), reference_dual_program(lp)
     assert got.constant == pytest.approx(want.constant, rel=1e-12, abs=1e-12)
     assert got == LinearProgram(want.objective, want.lower, want.upper, want.names, want.rows,
@@ -348,7 +339,7 @@ class TestDualProgram:
             (((0, 1.0), (1, 1.0), (2, 1.0), (3, -1.0)), "<=", 2.0)]
         res = solve(lp).require_optimal()
         assert (res.value, res.x.tolist()) == (3.0, [1.0, 1.0])
-        assert solve(dual).require_optimal().value == 3.0
+        assert reference_simplex(dual).value == 3.0
 
 
 @st.composite
@@ -358,6 +349,38 @@ def criterion_7_instances(draw):
     k = draw(st.integers(2, 4))
     return gen_random({2: 12, 3: 10, 4: 8}[k], draw(st.integers(10, 18)), 3, k,
                       draw(st.floats(0.3, 0.8)), seed=draw(st.integers(0, 10**6))).hypergraph
+
+
+class TestAnchorRule:
+    """Each column is measured from the bound its min-form cost points to."""
+
+    @pytest.mark.parametrize("cols, message", [
+        ([("x", 0.0, math.inf, -1.0)], "variable x: the simplex measures it from its upper bound"),
+        ([("x", 0.0, 1.0, 1.0), ("y", -math.inf, 1.0, 0.0)],
+         "variable y: the simplex measures it from its lower bound"),
+    ], ids=["negative-cost-without-upper", "zero-cost-without-lower"])
+    def test_infinite_anchor_is_refused(self, cols, message):
+        with pytest.raises(ValueError, match=rf"^{message}, which is infinite$"):
+            solve(lp_from_rows("min", cols, []))
+
+    def test_negative_cost_without_lower_bound_solves(self):
+        # min -x + 2y over x <= 3, y >= 0 and x + y >= 1: x is measured
+        # down from 3, and its missing lower bound adds no row.
+        lp = lp_from_rows("min", [("x", -math.inf, 3.0, -1.0), ("y", 0.0, math.inf, 2.0)],
+                          [([(0, 1.0), (1, 1.0)], ">=", 1.0)])
+        res = solve(lp).require_optimal()
+        assert (res.value, res.x.tolist(), res.basic) == (-3.0, [3.0, 0.0], (False, False))
+
+    def test_costs_near_the_float_limit_do_not_overflow(self):
+        # max 8e307 (a + b) over a, b in [0, 1], a + b <= 1.5 and a - b >= -0.5.
+        # The costs are the dual rows' right-hand sides and never scale a
+        # pivot's update, so no cell overflows (a RuntimeWarning fails here).
+        lp = LinearProgram([8e307, 8e307], 0.0, 1.0, ["a", "b"],
+                           Rows([0, 2, 4], [0, 1, 0, 1], [1.0, 1.0, 1.0, -1.0], [LE, GE],
+                                [1.5, -0.5]), sense="max")
+        res = solve(lp).require_optimal()
+        assert res.value == pytest.approx(1.2e308, rel=1e-15)
+        assert res.x.tolist() == [0.5, 1.0]
 
 
 class TestDualRoute:
