@@ -1130,9 +1130,9 @@ def reference_dual_program(lp: LinearProgram) -> LinearProgram:
     c_min = (lp.objective if lp.sense == "min" else -lp.objective).tolist()
     costs, entries = [], []  # the dual's costs, and its (row, column, coefficient) terms
 
-    def column(terms, row_sign: float, rhs: float) -> None:
-        entries.extend((j, len(costs), row_sign * a) for j, a in terms)
-        costs.append(row_sign * rhs)
+    def column(terms, sign: float, rhs: float) -> None:
+        entries.extend((j, len(costs), sign * a) for j, a in terms)
+        costs.append(sign * rhs)
 
     for con in lp.constraints:
         b = con.rhs - sum(a * anchors[j][0] for j, a in con.coeffs)

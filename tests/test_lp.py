@@ -365,9 +365,11 @@ class TestAnchorRule:
 
     def test_negative_cost_without_lower_bound_solves(self):
         # min -x + 2y over x <= 3, y >= 0 and x + y >= 1: x is measured
-        # down from 3, and its missing lower bound adds no row.
+        # down from 3, and its missing lower bound adds no dual column.
         lp = lp_from_rows("min", [("x", -math.inf, 3.0, -1.0), ("y", 0.0, math.inf, 2.0)],
                           [([(0, 1.0), (1, 1.0)], ">=", 1.0)])
+        assert_same_dual(lp)
+        assert dual_program(lp).num_vars == 1
         res = solve(lp).require_optimal()
         assert (res.value, res.x.tolist(), res.basic) == (-3.0, [3.0, 0.0], (False, False))
 
